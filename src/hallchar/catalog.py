@@ -255,6 +255,9 @@ def decomposition_dims(quiver, decomp):
 # ---------------------------------------------------------------------------
 
 
+_DECOMPOSE_CACHE = {}
+
+
 def decompose(M, certify=False):
     """Krull-Schmidt decomposition of M as ((class, mult), ...).
 
@@ -265,14 +268,21 @@ def decompose(M, certify=False):
     Q = M.quiver
     if M.total_dim() == 0:
         return ()
-    if Q.is_dynkin():
-        decomp = _decompose_dynkin(M)
-    elif Q.is_kronecker():
-        decomp = _decompose_kronecker(M)
-    else:
-        raise UnsupportedQuiver(
-            "decomposition is only available for Dynkin and Kronecker quivers"
-        )
+    # Rep stores contiguous int64 matrices reduced mod p whose shapes follow
+    # from dims, so the bytes identify M exactly.  Only results are stored:
+    # a module that raises raises again on every call.
+    key = (Q.key, M.p, M.dims, tuple(m.tobytes() for m in M.mats))
+    decomp = _DECOMPOSE_CACHE.get(key)
+    if decomp is None:
+        if Q.is_dynkin():
+            decomp = _decompose_dynkin(M)
+        elif Q.is_kronecker():
+            decomp = _decompose_kronecker(M)
+        else:
+            raise UnsupportedQuiver(
+                "decomposition is only available for Dynkin and Kronecker quivers"
+            )
+        _DECOMPOSE_CACHE[key] = decomp
     if certify:
         parts = []
         for cls, mult in decomp:

@@ -35,6 +35,7 @@ import itertools
 import numpy as np
 
 from . import catalog, qpoly, subspaces
+from .errors import VerificationMismatch
 from .laurent import LaurentPoly
 from .subspaces import BudgetExceeded, DEFAULT_SUBSPACE_BUDGET
 
@@ -227,8 +228,8 @@ class CharTable:
     * for decomposable classes, multiplicativity X_{A + B} = X_A X_B is
       checked against the table (splitting off one indecomposable).
 
-    Both checks raise AssertionError on disagreement; the census check is
-    skipped silently when the enumeration exceeds its budget.
+    Both checks raise VerificationMismatch on disagreement; the census check
+    is skipped silently when the enumeration exceeds its budget.
     """
 
     def __init__(
@@ -271,9 +272,10 @@ class CharTable:
             again = char_by_strata(sym, budget=self.check_budget, verify=self.verify)
         except BudgetExceeded:
             return
-        assert again == value, (
-            f"stratified character {again} disagrees with {value} for {sym}"
-        )
+        if again != value:
+            raise VerificationMismatch(
+                f"stratified character {again} disagrees with {value} for {sym}"
+            )
 
     def _check_multiplicative(self, sym, value):
         atoms = list(sym.atoms)
@@ -287,6 +289,7 @@ class CharTable:
         a = catalog.ModuleSymbol(self.quiver, first)
         b = catalog.ModuleSymbol(self.quiver, rest)
         prod = self.char(a) * self.char(b)
-        assert prod == value, (
-            f"multiplicativity failed for {sym}: X_A*X_B = {prod} != {value}"
-        )
+        if prod != value:
+            raise VerificationMismatch(
+                f"multiplicativity failed for {sym}: X_A*X_B = {prod} != {value}"
+            )

@@ -17,10 +17,16 @@ of F_q^* away from 0 (e.g. nonzero extension classes), |P(S)| =
 by q - 1, and NotDivisible signals a miscounted family.
 """
 
+import operator
 from fractions import Fraction
 
 from .catalog import primes_from
-from .errors import NonIntegerCoefficients, NotDivisible, VerificationMismatch
+from .errors import (
+    ComputationError,
+    NonIntegerCoefficients,
+    NotDivisible,
+    VerificationMismatch,
+)
 
 
 class QPolynomial:
@@ -126,38 +132,38 @@ def _as_poly(x):
 
 
 def lagrange_integer(xs, ys):
-    """The unique polynomial through (xs[i], ys[i]), demanded integral."""
+    """The unique polynomial through (xs[i], ys[i]), demanded integral.
+
+    Interpolates in Newton form.  At integer nodes every divided difference
+    of an integer-coefficient polynomial is an integer, and conversely the
+    Newton form with integer divided differences has integer coefficients,
+    so the first division that leaves a remainder proves the interpolant is
+    not integral.
+    """
     n = len(xs)
     if len(set(xs)) != n:
         raise ValueError("interpolation points must be distinct")
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        # basis polynomial prod_{j != i} (q - x_j) / (x_i - x_j)
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            num = _poly_mul_linear(num, -Fraction(xs[j]))
-            denom *= Fraction(xs[i] - xs[j])
-        scale = Fraction(ys[i]) / denom
-        for k in range(len(num)):
-            coeffs[k] += scale * num[k]
-    for c in coeffs:
-        if c.denominator != 1:
-            raise NonIntegerCoefficients(
-                f"interpolated polynomial is not integral: {coeffs}"
-            )
-    return QPolynomial([int(c) for c in coeffs])
-
-
-def _poly_mul_linear(poly, c0):
-    """poly(q) * (q + c0) on Fraction coefficient lists."""
-    out = [Fraction(0)] * (len(poly) + 1)
-    for i, a in enumerate(poly):
-        out[i] += a * c0
-        out[i + 1] += a
-    return out
+    xs = [operator.index(x) for x in xs]
+    dd = [operator.index(ys[i]) for i in range(n)]
+    # after step k, dd[i] = f[x_{i-k}, ..., x_i] for i >= k
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            dd[i], rem = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - k])
+            if rem:
+                raise NonIntegerCoefficients(
+                    "interpolated polynomial is not integral: divided "
+                    f"difference over nodes {xs[i - k : i + 1]} is not an integer"
+                )
+    # Horner on the Newton form: dd[0] + (q - x_0)(dd[1] + (q - x_1)(...))
+    coeffs = []
+    for k in range(n - 1, -1, -1):
+        out = [0] * (len(coeffs) + 1)
+        for i, a in enumerate(coeffs):
+            out[i + 1] += a
+            out[i] -= a * xs[k]
+        out[0] += dd[k]
+        coeffs = out
+    return QPolynomial(coeffs)
 
 
 VERIFIED_FITS = 0
@@ -268,5 +274,6 @@ def gaussian_binomial(n, k, q):
     out = Fraction(1)
     for i in range(k):
         out *= Fraction(q ** (n - i) - 1, q ** (i + 1) - 1)
-    assert out.denominator == 1
+    if out.denominator != 1:
+        raise ComputationError(f"[{n} choose {k}]_{q} is not an integer: {out}")
     return int(out)

@@ -35,6 +35,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import ComputationError
+
 
 class Quiver:
     """A finite acyclic quiver with named arrows.
@@ -129,7 +131,10 @@ class Quiver:
         for i in range(n):
             for j in range(n):
                 val = -sum(E[i][k] * inv[j][k] for k in range(n))
-                assert val.denominator == 1
+                if val.denominator != 1:
+                    raise ComputationError(
+                        f"Coxeter matrix entry {val} is not an integer"
+                    )
                 phi[i, j] = int(val)
         return phi
 
@@ -176,7 +181,10 @@ class Quiver:
                     aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
         out = []
         for i in range(n):
-            assert aug[i][n].denominator == 1
+            if aug[i][n].denominator != 1:
+                raise ComputationError(
+                    f"tau^-1 of {tuple(d)} has a non-integral entry {aug[i][n]}"
+                )
             out.append(int(aug[i][n]))
         return tuple(out)
 

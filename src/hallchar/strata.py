@@ -65,30 +65,11 @@ def coboundary_matrix(X, Y):
     """Matrix of f |-> (Y_a f_s - f_t X_a)_a in flat coordinates.
 
     Columns are indexed by the stacked vec(f_i), rows by the stacked
-    vec(d_a); row-major vec throughout, as in the Hom solver.
+    vec(d_a); row-major vec throughout, as in the Hom solver.  The map is
+    the negative of the Hom constraint f |-> (f_t X_a - Y_a f_s)_a, whose
+    matrix has this row and column layout.
     """
-    p = X.p
-    c_off, c_total = _cocycle_layout(X, Y)
-    f_off = []
-    pos = 0
-    for i in range(X.quiver.n):
-        f_off.append(pos)
-        pos += Y.dims[i] * X.dims[i]
-    out = np.zeros((c_total, pos), dtype=np.int64)
-    for a, (s, t) in enumerate(X.quiver.arrows):
-        rows = Y.dims[t] * X.dims[s]
-        if rows == 0:
-            continue
-        # vec(Y_a f_s) = (Y_a (x) I) vec(f_s)
-        bs = np.kron(Y.mats[a], np.eye(X.dims[s], dtype=np.int64))
-        out[c_off[a] : c_off[a] + rows, f_off[s] : f_off[s] + Y.dims[s] * X.dims[s]] = bs
-        # vec(f_t X_a) = (I (x) X_a^T) vec(f_t)
-        bt = np.kron(np.eye(Y.dims[t], dtype=np.int64), X.mats[a].T)
-        out[c_off[a] : c_off[a] + rows, f_off[t] : f_off[t] + Y.dims[t] * X.dims[t]] = (
-            out[c_off[a] : c_off[a] + rows, f_off[t] : f_off[t] + Y.dims[t] * X.dims[t]]
-            - bt
-        ) % p
-    return out % p
+    return (-rep.hom_constraint_matrix(X, Y)) % X.p
 
 
 def ext_complement_basis(X, Y):

@@ -372,8 +372,10 @@ def hall_number(L, quot_classes, sub_classes, budget=DEFAULT_SUBSPACE_BUDGET):
 
 
 def clear_census_cache():
+    """Forget every census and the decompositions they were built from."""
     _CENSUS_CACHE.clear()
     _RANK_DIST_CACHE.clear()
+    catalog._DECOMPOSE_CACHE.clear()
 
 
 def census_total(census):

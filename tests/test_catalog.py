@@ -14,7 +14,7 @@ Hand-derived facts used below:
 import numpy as np
 import pytest
 
-from hallchar import catalog, rep
+from hallchar import catalog, linalg, rep, subspaces
 from hallchar.catalog import (
     INF,
     ModuleSymbol,
@@ -345,3 +345,108 @@ def test_dynkin_hom_table_inverse_checks():
         catalog._unimodular_inverse([[1, 1], [1, 1]])
     with pytest.raises(ComputationError, match="not unimodular"):
         catalog._unimodular_inverse([[2, 0], [0, 1]])
+
+
+# -- the decomposition memo ----------------------------------------------------
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """An empty decomposition memo for this test only."""
+    memo = {}
+    monkeypatch.setattr(catalog, "_DECOMPOSE_CACHE", memo)
+    return memo
+
+
+@pytest.fixture
+def hom_dim_calls(monkeypatch):
+    """Count the calls of rep.hom_dim made through the catalog."""
+    calls = []
+    real = rep.hom_dim
+
+    def counting(M, N):
+        calls.append(1)
+        return real(M, N)
+
+    monkeypatch.setattr(rep, "hom_dim", counting)
+    return calls
+
+
+def _a3_sample(p):
+    return rep.direct_sum(
+        module_from_class(A3, ("root", (1, 1, 0)), p),
+        module_from_class(A3, ("root", (0, 1, 1)), p),
+        module_from_class(A3, ("root", (1, 1, 1)), p),
+    )
+
+
+def test_decompose_memo_repeat_solves_no_hom(cold_memo, hom_dim_calls):
+    for M in (_a3_sample(3), module_from_class(K, ("Rc", 2, 2), 3)):
+        first = decompose(M)
+        solved = len(hom_dim_calls)
+        assert solved > 0
+        assert decompose(M) == first
+        assert len(hom_dim_calls) == solved
+        hom_dim_calls.clear()
+
+
+def _random_invertible(n, p, rng):
+    while True:
+        g = rng.integers(0, p, size=(n, n))
+        if linalg.is_invertible_mod(g, p):
+            return g
+
+
+def _conjugate(M, rng):
+    """An isomorphic copy g_t M_a g_s^{-1} with random invertible g_i."""
+    p = M.p
+    g = [_random_invertible(d, p, rng) for d in M.dims]
+    mats = [
+        g[t] @ m @ linalg.inv_mod(g[s], p)[1] for (s, t), m in zip(M.quiver.arrows, M.mats)
+    ]
+    return rep.Rep(M.quiver, p, M.dims, mats)
+
+
+def test_decompose_memo_conjugated_copy(cold_memo):
+    rng = np.random.default_rng(11)
+    p = 5
+    kron = rep.direct_sum(
+        module_from_class(K, ("P", 1), p),
+        module_from_class(K, ("Rc", 3, 2), p),
+        module_from_class(K, ("Rc", INF, 1), p),
+    )
+    for M in (_a3_sample(p), kron):
+        first = decompose(M)
+        N = _conjugate(M, rng)
+        assert any(not np.array_equal(a, b) for a, b in zip(M.mats, N.mats))
+        assert decompose(N, certify=True) == first
+    assert len(cold_memo) == 4
+
+
+def test_decompose_memo_does_not_store_outside_catalog(cold_memo):
+    B = np.array([[0, 1], [1, 1]], dtype=np.int64)
+    M = rep.Rep(K, 2, (2, 2), [np.eye(2, dtype=np.int64), B])
+    for _ in range(2):
+        with pytest.raises(OutsideCatalog):
+            decompose(M)
+    assert cold_memo == {}
+
+
+def test_decompose_memo_hit_still_certifies(cold_memo, monkeypatch):
+    M = _a3_sample(2)
+    expected = decompose(M)
+    assert decompose(M, certify=True) == expected
+    monkeypatch.setattr(rep, "is_isomorphic", lambda *args, **kwargs: False)
+    with pytest.raises(ComputationError, match="certificate"):
+        decompose(M, certify=True)
+
+
+def test_clear_census_cache_clears_decompose_memo(cold_memo, hom_dim_calls):
+    M = _a3_sample(3)
+    decompose(M)
+    assert cold_memo
+    subspaces.clear_census_cache()
+    assert cold_memo == {}
+    hom_dim_calls.clear()
+    decompose(M)
+    assert hom_dim_calls

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from hallchar import verify
+from hallchar import cluster, verify
 from hallchar.cli import main
+from hallchar.laurent import LaurentPoly
 from hallchar.verify import VerificationReport
 
 
@@ -189,3 +190,14 @@ def test_not_equal_exit_code(monkeypatch, capsys):
     )
     assert rc == 1
     assert "NOT EQUAL" in out
+
+
+def test_char_table_cross_check_failure_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(cluster, "char_by_strata", lambda *a, **k: LaurentPoly.zero(2))
+    rc, out, _ = run(
+        capsys, "verify", "cc1", "--quiver", "kronecker",
+        "--xi", "S1", "--eta", "S2", "--json",
+    )
+    assert rc == 2
+    data = json.loads(out)
+    assert data["error"]["type"] == "VerificationMismatch"

@@ -5,7 +5,10 @@ Hand values: [2,1]_q = q+1; [4,2]_2 = 35; [3,1]_3 = 13;
 (q^3-1)/(q-1) = q^2+q+1 at 1 gives chi(P^2) = 3.
 """
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, strategies as st
 
 from hallchar.errors import (
     NonIntegerCoefficients,
@@ -55,6 +58,50 @@ def test_lagrange_exact():
     with pytest.raises(NonIntegerCoefficients):
         # (q^2+q)/2 takes integer values at all primes but is not integral
         lagrange_integer([2, 3, 5], [3, 6, 15])
+    with pytest.raises(ValueError):
+        lagrange_integer([2, 3, 2], [1, 2, 1])
+
+
+def fraction_lagrange(xs, ys):
+    """Reference: sum of ys[i] times the Lagrange basis, in Fractions."""
+    coeffs = [Fraction(0)] * len(xs)
+    for i, xi in enumerate(xs):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            shifted = [Fraction(0)] + basis  # basis * q
+            for k, c in enumerate(basis):
+                shifted[k] -= xj * c
+            basis = shifted
+            denom *= xi - xj
+        for k, c in enumerate(basis):
+            coeffs[k] += ys[i] * c / denom
+    return coeffs
+
+
+nodes = st.lists(st.integers(-30, 60), min_size=1, max_size=7, unique=True)
+
+
+@given(nodes, st.lists(st.integers(-20, 20), min_size=7, max_size=7))
+def test_lagrange_integral_data_matches_fraction_reference(xs, coeffs):
+    f = QPolynomial(coeffs[: len(xs)])
+    ys = [f(x) for x in xs]
+    ref = fraction_lagrange(xs, ys)
+    assert all(c.denominator == 1 for c in ref)
+    assert lagrange_integer(xs, ys) == QPolynomial(ref) == f
+
+
+@given(nodes, st.lists(st.integers(-1000, 1000), min_size=7, max_size=7))
+def test_lagrange_arbitrary_data_matches_fraction_reference(xs, values):
+    ys = values[: len(xs)]
+    ref = fraction_lagrange(xs, ys)
+    if all(c.denominator == 1 for c in ref):
+        assert lagrange_integer(xs, ys) == QPolynomial(ref)
+    else:
+        with pytest.raises(NonIntegerCoefficients):
+            lagrange_integer(xs, ys)
 
 
 def test_counting_polynomial_fits_and_verifies():

@@ -18,7 +18,7 @@ import pytest
 from hallchar import catalog, rep, strata
 from hallchar.catalog import INF, module_from_class
 from hallchar.errors import BudgetExceeded
-from hallchar.quiver import kronecker_quiver, linear_quiver
+from hallchar.quiver import Quiver, kronecker_quiver, linear_quiver
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
@@ -155,3 +155,43 @@ def test_hom_census_a3():
     P2 = catalog.parse_symbol("P2", A3).instantiate(p)
     I2 = catalog.parse_symbol("I2", A3).instantiate(p)
     assert strata.hom_census(P2, I2) == strata.hom_census_brute(P2, I2)
+
+
+def kron_coboundary_matrix(X, Y):
+    """Reference: f |-> (Y_a f_s - f_t X_a)_a assembled from np.kron blocks."""
+    p = X.p
+    c_off, c_total = strata._cocycle_layout(X, Y)
+    f_off, f_total = rep._hom_offsets(X, Y)
+    out = np.zeros((c_total, f_total), dtype=np.int64)
+    for a, (s, t) in enumerate(X.quiver.arrows):
+        rows = slice(c_off[a], c_off[a] + Y.dims[t] * X.dims[s])
+        # vec(Y_a f_s) = (Y_a (x) I) vec(f_s)
+        bs = np.kron(Y.mats[a], np.eye(X.dims[s], dtype=np.int64))
+        out[rows, f_off[s] : f_off[s] + Y.dims[s] * X.dims[s]] += bs
+        # vec(f_t X_a) = (I (x) X_a^T) vec(f_t)
+        bt = np.kron(np.eye(Y.dims[t], dtype=np.int64), X.mats[a].T)
+        out[rows, f_off[t] : f_off[t] + Y.dims[t] * X.dims[t]] -= bt
+    return out % p
+
+
+@pytest.mark.parametrize(
+    "quiver",
+    [A3, K, Quiver(4, [(0, 1), (2, 1), (1, 3)])],
+    ids=["a3", "kronecker", "d4"],
+)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_coboundary_matrix_matches_kronecker_form(quiver, p):
+    rng = np.random.default_rng(10 + p)
+    zero_seen = False
+    for _ in range(40):
+        d = tuple(int(x) for x in rng.integers(0, 4, size=quiver.n))
+        e = tuple(int(x) for x in rng.integers(0, 4, size=quiver.n))
+        zero_seen |= 0 in d + e
+        X = rep.random_rep(quiver, d, p, rng)
+        Y = rep.random_rep(quiver, e, p, rng)
+        got = strata.coboundary_matrix(X, Y)
+        ref = kron_coboundary_matrix(X, Y)
+        assert got.dtype == ref.dtype
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+    assert zero_seen
