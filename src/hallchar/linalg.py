@@ -5,144 +5,91 @@ enumeration, homomorphism-space solving, Krull-Schmidt classification and
 all census counting reduce to row reduction of small integer matrices
 modulo a prime.
 
-Every function takes/returns int64 numpy arrays with entries already
-reduced into [0, p).  The kernels are written in numba-compatible style and
-are wrapped with ``@njit(cache=True)`` when numba is importable, unless the
-environment variable ``HALLCHAR_PURE_NUMPY=1`` selects the pure
-numpy/Python fallback path (the same code, interpreted).  The jitted and
-fallback paths are bit-for-bit identical; ``benchmarks/bench_kernels.py``
-compares their throughput.
+Every public function takes and returns int64 numpy arrays with entries
+reduced into [0, p).  Inside, a kernel converts its matrix to lists of
+Python ints once, reduces them with the one row reducer `_rref_rows` and
+builds its int64 result once.  Almost every matrix the package reduces
+has at most 64 cells, where per-call numpy overhead would dominate; the
+Python-int rows were also faster than per-entry loops at every size
+measured (up to 160 x 160), so there is a single implementation.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit as _njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    HAS_NUMBA = False
-
-PURE_NUMPY = (not HAS_NUMBA) or os.environ.get(
-    "HALLCHAR_PURE_NUMPY", "0"
-).lower() in ("1", "true", "yes")
+# Kept for callers that record which implementation ran: there is only one.
+PURE_NUMPY = True
 
 
-def _maybe_jit(fn):
-    if PURE_NUMPY:
-        return fn
-    return _njit(cache=True)(fn)
+def _rref_rows(rows, ncols, p):
+    """Reduce `rows` (lists of ints in [0, p)) in place to reduced row
+    echelon form mod p and return the list of pivot columns.
+
+    Deterministic: the first nonzero entry in scan order pivots.
+    """
+    m = len(rows)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r == m:
+            break
+        for i in range(r, m):
+            if rows[i][col]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        prow = rows[r]
+        inv = pow(prow[col], -1, p)
+        if inv != 1:
+            prow = rows[r] = [x * inv % p for x in prow]
+        for j in range(m):
+            f = rows[j][col]
+            if f and j != r:
+                rows[j] = [(x - f * y) % p for x, y in zip(rows[j], prow)]
+        pivots.append(col)
+        r += 1
+    return pivots
 
 
-@_maybe_jit
-def _inv_scalar(a, p):
-    """Inverse of a mod p by Fermat (p prime, a != 0 mod p)."""
-    result = 1
-    base = a % p
-    exp = p - 2
-    while exp > 0:
-        if exp & 1:
-            result = (result * base) % p
-        base = (base * base) % p
-        exp >>= 1
-    return result
-
-
-@_maybe_jit
 def rref_mod(A, p):
     """Reduce A (in place) to reduced row echelon form mod p.
 
     Returns (rank, pivots) where pivots[:rank] holds the pivot columns in
-    order.  Deterministic: the first nonzero entry in scan order pivots.
+    order and the remaining min(m, n) - rank entries are -1.
     """
     m, n = A.shape
-    pivots = np.full(min(m, n) if m < n else n, -1, dtype=np.int64)
-    row = 0
-    for col in range(n):
-        piv = -1
-        for r in range(row, m):
-            if A[r, col] % p != 0:
-                piv = r
-                break
-        if piv == -1:
-            continue
-        if piv != row:
-            for c in range(n):
-                tmp = A[row, c]
-                A[row, c] = A[piv, c]
-                A[piv, c] = tmp
-        inv = _inv_scalar(A[row, col] % p, p)
-        for c in range(n):
-            A[row, c] = (A[row, c] * inv) % p
-        for r in range(m):
-            if r != row and A[r, col] % p != 0:
-                f = A[r, col] % p
-                for c in range(n):
-                    A[r, c] = (A[r, c] - f * A[row, c]) % p
-        pivots[row] = col
-        row += 1
-        if row == m:
-            break
-    return row, pivots
+    rows = (A % p).tolist()
+    found = _rref_rows(rows, n, p)
+    if m:
+        A[:] = rows
+    pivots = np.full(min(m, n), -1, dtype=np.int64)
+    pivots[: len(found)] = found
+    return len(found), pivots
 
 
-@_maybe_jit
 def rank_mod(A, p):
     """Rank of A over F_p (A not modified)."""
-    B = A.copy() % p
-    rank, _ = rref_mod(B, p)
+    rank, _ = rref_mod(A.copy(), p)
     return rank
 
 
-@_maybe_jit
 def nullspace_mod(A, p):
     """Basis of the right kernel of A over F_p, as columns of an n x k array."""
-    m, n = A.shape
-    B = A.copy() % p
-    rank, pivots = rref_mod(B, p)
-    is_pivot = np.zeros(n, dtype=np.int64)
-    for i in range(rank):
-        is_pivot[pivots[i]] = 1
-    k = n - rank
-    out = np.zeros((n, k), dtype=np.int64)
-    idx = 0
-    for col in range(n):
-        if is_pivot[col] == 1:
-            continue
-        out[col, idx] = 1
-        for i in range(rank):
-            # pivot row i has its pivot at pivots[i]; entry at `col` gives
-            # the dependence of the pivot variable on this free variable
-            v = B[i, col] % p
-            if v != 0:
-                out[pivots[i], idx] = (p - v) % p
-        idx += 1
-    return out
+    n = A.shape[1]
+    rows = (A % p).tolist()
+    pivots = _rref_rows(rows, n, p)
+    pivot_set = set(pivots)
+    free = [col for col in range(n) if col not in pivot_set]
+    out = [[0] * len(free) for _ in range(n)]
+    for idx, col in enumerate(free):
+        out[col][idx] = 1
+        # pivot row i expresses pivot variable pivots[i] through the free ones
+        for row, pcol in zip(rows, pivots):
+            if row[col]:
+                out[pcol][idx] = p - row[col]
+    return np.array(out, dtype=np.int64).reshape(n, len(free))
 
 
-@_maybe_jit
-def solve_mod(A, b, p):
-    """One solution x of A x = b over F_p.
-
-    Returns (ok, x); ok == 0 means the system is inconsistent.
-    """
-    m, n = A.shape
-    aug = np.zeros((m, n + 1), dtype=np.int64)
-    aug[:, :n] = A % p
-    aug[:, n] = b % p
-    rank, pivots = rref_mod(aug, p)
-    x = np.zeros(n, dtype=np.int64)
-    for i in range(rank):
-        col = pivots[i]
-        if col == n:
-            return 0, x  # pivot in the constant column: inconsistent
-        x[col] = aug[i, n]
-    return 1, x
-
-
-@_maybe_jit
 def inv_mod(A, p):
     """Inverse matrix over F_p; (ok, inv) with ok == 0 when singular.
 
@@ -152,76 +99,36 @@ def inv_mod(A, p):
     n = A.shape[0]
     if n == 0:
         return 1, np.zeros((0, 0), dtype=np.int64)
-    aug = np.zeros((n, 2 * n), dtype=np.int64)
-    aug[:, :n] = A % p
+    aug = [row + [0] * n for row in (A % p).tolist()]
     for i in range(n):
-        aug[i, n + i] = 1
-    rank, pivots = rref_mod(aug, p)
-    if rank < n or pivots[n - 1] >= n:
+        aug[i][n + i] = 1
+    pivots = _rref_rows(aug, 2 * n, p)
+    if pivots[n - 1] >= n:
         return 0, np.zeros((n, n), dtype=np.int64)
-    return 1, aug[:, n:].copy()
+    return 1, np.array([row[n:] for row in aug], dtype=np.int64)
 
 
-@_maybe_jit
 def matmul_mod(A, B, p):
-    """(A @ B) mod p with explicit loops (integer matmul is not jittable)."""
-    m, k = A.shape
-    n = B.shape[1]
-    out = np.zeros((m, n), dtype=np.int64)
-    for i in range(m):
-        for j in range(n):
-            acc = 0
-            for t in range(k):
-                acc += A[i, t] * B[t, j]
-            out[i, j] = acc % p
-    return out
+    """(A @ B) mod p."""
+    return (A @ B) % p
 
 
-@_maybe_jit
 def is_invertible_mod(A, p):
     if A.shape[0] != A.shape[1]:
         return False
     return rank_mod(A, p) == A.shape[0]
 
 
-@_maybe_jit
 def column_space_contains(U, vecs, p):
-    """True when every column of `vecs` lies in the column span of U."""
-    n, k = U.shape
-    m = vecs.shape[1]
-    aug = np.zeros((n, k + m), dtype=np.int64)
-    aug[:, :k] = U % p
-    aug[:, k:] = vecs % p
-    B = U.copy() % p
-    base_rank, _ = rref_mod(B, p)
-    full_rank, _ = rref_mod(aug, p)
-    return full_rank == base_rank
+    """True when every column of `vecs` lies in the column span of U.
 
-
-@_maybe_jit
-def batch_rank_mod(stack, p):
-    """Ranks of a stack of matrices (shape (b, m, n)) over F_p."""
-    b = stack.shape[0]
-    out = np.zeros(b, dtype=np.int64)
-    for i in range(b):
-        B = stack[i].copy() % p
-        r, _ = rref_mod(B, p)
-        out[i] = r
-    return out
-
-
-def warmup():
-    """Trigger one-time jit compilation of every kernel (no-op on fallback)."""
-    A = np.array([[1, 2], [3, 4]], dtype=np.int64)
-    rref_mod(A.copy(), 5)
-    rank_mod(A, 5)
-    nullspace_mod(A, 5)
-    solve_mod(A, np.array([1, 1], dtype=np.int64), 5)
-    inv_mod(A, 5)
-    matmul_mod(A, A, 5)
-    is_invertible_mod(A, 5)
-    column_space_contains(A, A, 5)
-    batch_rank_mod(A.reshape(1, 2, 2), 5)
+    That is rank [U | vecs] == rank U, which holds exactly when no pivot
+    of [U | vecs] falls in the `vecs` block.
+    """
+    k = U.shape[1]
+    aug = np.hstack((U, vecs)) % p
+    pivots = _rref_rows(aug.tolist(), aug.shape[1], p)
+    return not pivots or pivots[-1] < k
 
 
 def column_space_canonical(U, p):
@@ -230,6 +137,8 @@ def column_space_canonical(U, p):
     Returns an n x r int64 array; equal subspaces give equal arrays, so the
     result doubles as a dictionary key via ``.tobytes()``.
     """
-    B = np.ascontiguousarray(U.T % p)
-    rank, _ = rref_mod(B, p)
-    return np.ascontiguousarray(B[:rank].T)
+    n = U.shape[0]
+    rows = (U.T % p).tolist()
+    rank = len(_rref_rows(rows, n, p))
+    basis = np.array(rows[:rank], dtype=np.int64).reshape(rank, n)
+    return np.ascontiguousarray(basis.T)

@@ -129,108 +129,6 @@ def subrep_bases(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
     yield from walk(0)
 
 
-@linalg._maybe_jit
-def _image_rank_counts_kernel(arrows, d1, k, p):
-    """Distribution of dim(sum_a arrows[a] U) over all k-subspaces U.
-
-    Enumerates every k-subspace of F_p^{d1} in reduced echelon form
-    (pivot pattern plus free entries), stacks the arrow images into one
-    matrix and takes its rank by Gaussian elimination.  Returns
-    counts[w] = number of subspaces whose joint image has dimension w.
-    """
-    na = arrows.shape[0]
-    d2 = arrows.shape[1]
-    wmax = na * k
-    if d2 < wmax:
-        wmax = d2
-    counts = np.zeros(wmax + 1, dtype=np.int64)
-    if k == 0:
-        counts[0] = 1
-        return counts
-    pivots = np.arange(k)
-    basis = np.zeros((d1, k), dtype=np.int64)
-    img = np.zeros((d2, na * k), dtype=np.int64)
-    freerow = np.zeros(k * d1, dtype=np.int64)
-    freecol = np.zeros(k * d1, dtype=np.int64)
-    while True:
-        nfree = 0
-        for j in range(k):
-            for r in range(pivots[j] + 1, d1):
-                is_piv = False
-                for jj in range(k):
-                    if pivots[jj] == r:
-                        is_piv = True
-                        break
-                if not is_piv:
-                    freerow[nfree] = r
-                    freecol[nfree] = j
-                    nfree += 1
-        total = 1
-        for _ in range(nfree):
-            total *= p
-        for counter in range(total):
-            for r in range(d1):
-                for j in range(k):
-                    basis[r, j] = 0
-            for j in range(k):
-                basis[pivots[j], j] = 1
-            c = counter
-            for t in range(nfree):
-                basis[freerow[t], freecol[t]] = c % p
-                c //= p
-            for a in range(na):
-                for i in range(d2):
-                    for j in range(k):
-                        s = 0
-                        for l in range(d1):
-                            s += arrows[a, i, l] * basis[l, j]
-                        img[i, a * k + j] = s % p
-            m = na * k
-            row = 0
-            for col in range(m):
-                piv = -1
-                for r in range(row, d2):
-                    if img[r, col] != 0:
-                        piv = r
-                        break
-                if piv == -1:
-                    continue
-                if piv != row:
-                    for cc in range(col, m):
-                        tmp = img[row, cc]
-                        img[row, cc] = img[piv, cc]
-                        img[piv, cc] = tmp
-                base = img[row, col]
-                acc = 1
-                b = base
-                ee = p - 2
-                while ee > 0:
-                    if ee & 1:
-                        acc = (acc * b) % p
-                    b = (b * b) % p
-                    ee >>= 1
-                for cc in range(col, m):
-                    img[row, cc] = (img[row, cc] * acc) % p
-                for r in range(row + 1, d2):
-                    f = img[r, col]
-                    if f != 0:
-                        for cc in range(col, m):
-                            img[r, cc] = (img[r, cc] - f * img[row, cc]) % p
-                row += 1
-                if row == d2:
-                    break
-            counts[row] += 1
-        i = k - 1
-        while i >= 0 and pivots[i] == d1 - k + i:
-            i -= 1
-        if i < 0:
-            break
-        pivots[i] += 1
-        for j in range(i + 1, k):
-            pivots[j] = pivots[j - 1] + 1
-    return counts
-
-
 _RANK_DIST_CACHE = {}
 
 
@@ -246,14 +144,18 @@ def image_rank_distribution(M, k):
         tuple(M.dims),
     )
     if key not in _RANK_DIST_CACHE:
-        arrows = (
-            np.stack(M.mats)
-            if M.mats
-            else np.zeros((0, M.dims[1 - src], M.dims[src]), dtype=np.int64)
-        )
-        _RANK_DIST_CACHE[key] = _image_rank_counts_kernel(
-            np.ascontiguousarray(arrows), M.dims[src], int(k), M.p
-        )
+        p, k = M.p, int(k)
+        d1, d2 = M.dims[src], M.dims[1 - src]
+        counts = np.zeros(min(d2, len(M.mats) * k) + 1, dtype=np.int64)
+        if not M.mats or k == 0 or d2 == 0:
+            counts[0] = gaussian_binomial(d1, k, p)
+        else:
+            # row i * #arrows + a is row i of arrow a, so each product
+            # reshapes to the d2 x (#arrows * k) matrix [A_1 U | A_2 U | ...]
+            arrows = np.stack(M.mats, axis=1).reshape(-1, d1)
+            for U in subspace_bases(d1, k, p):
+                counts[linalg.rank_mod((arrows @ U).reshape(d2, -1), p)] += 1
+        _RANK_DIST_CACHE[key] = counts
     return _RANK_DIST_CACHE[key]
 
 

@@ -176,30 +176,59 @@ def _hom_stratum_fp(M1, M2, coker_fpr, ker_fpr, budget):
     )
 
 
-def _phom_stratum_fp(M1, M2, coker_fpr, ker_fpr, budget):
-    """Projectivized stratum count: the zero map removed, then / (p - 1).
+def _projective_count(key, c, zero_key, p):
+    """A Hom stratum count with the zero map removed, divided by p - 1.
 
     Scaling acts freely on each (coker, ker) stratum away from the zero
-    map (whose stratum is coker = M2, ker = M1), so each matched census
-    entry is exactly divisible.
+    map (whose stratum is coker = target, ker = source), so the division
+    is exact; a remainder raises `VerificationMismatch`.
     """
-    p = M1.p
+    if key == zero_key:
+        c -= 1
+    q, r = divmod(c, p - 1)
+    if r:
+        raise qpoly.VerificationMismatch(
+            f"stratum count {c} not divisible by p - 1 = {p - 1}"
+        )
+    return q
+
+
+def _phom_stratum_fp(M1, M2, coker_fpr, ker_fpr, budget):
+    """Projectivized stratum count: the zero map removed, then / (p - 1)."""
     zero_key = (catalog.decompose(M2), catalog.decompose(M1))
     census = strata.hom_census(M1, M2, budget=budget)
-    total = 0
-    for key, c in census.items():
-        coker, ker = key
-        if _fp(coker) != coker_fpr or _fp(ker) != ker_fpr:
-            continue
-        if key == zero_key:
-            c -= 1
-        q, r = divmod(c, p - 1)
-        if r:
-            raise qpoly.VerificationMismatch(
-                f"stratum count {c} not divisible by p - 1 = {p - 1}"
-            )
-        total += q
-    return total
+    return sum(
+        _projective_count(key, c, zero_key, M1.p)
+        for key, c in census.items()
+        if _fp(key[0]) == coker_fpr and _fp(key[1]) == ker_fpr
+    )
+
+
+def _hom_strata_counter(source, target, budget):
+    """count_fn(p) for `_grouped_table`: the nonzero maps source -> target,
+    grouped by the fingerprints of (coker, ker), with one (coker, ker)
+    key kept per group."""
+
+    def hom_strata(p):
+        zero_key = (
+            catalog.sort_classes(target.concrete_classes(p)),
+            catalog.sort_classes(source.concrete_classes(p)),
+        )
+        census = strata.hom_census(
+            source.instantiate(p), target.instantiate(p), budget=budget
+        )
+        out = {}
+        for key, c in census.items():
+            if key == zero_key:
+                c -= 1
+            if c == 0:
+                continue
+            f = (_fp(key[0]), _fp(key[1]))
+            c0, _ = out.get(f, (0, key))
+            out[f] = (c0 + c, key)
+        return out
+
+    return hom_strata
 
 
 def _max_sub_degree(dims, e):
@@ -813,13 +842,7 @@ def _assoc_sides(quiver, X, Y1, Y2, L1, L2, p, form, direction, budget):
 
     def h_entry(key, c):
         if projective:
-            if key == zero_key:
-                c -= 1
-            c, r = divmod(c, p - 1)
-            if r:
-                raise qpoly.VerificationMismatch(
-                    f"hom stratum not divisible by {p - 1}"
-                )
+            return _projective_count(key, c, zero_key, p)
         return c
 
     if direction == "primal":
@@ -962,26 +985,9 @@ def verify_cc1(
     # term 2: Hom(eta', tau xi') strata
     hom_dim = rep.hom_dim(eta2.instantiate(p0), tau_xi2.instantiate(p0))
 
-    def hom_strata(p):
-        zero_key = (
-            catalog.sort_classes(tau_xi2.concrete_classes(p)),
-            catalog.sort_classes(eta2.concrete_classes(p)),
-        )
-        census = strata.hom_census(
-            eta2.instantiate(p), tau_xi2.instantiate(p), budget=budget
-        )
-        out = {}
-        for key, c in census.items():
-            if key == zero_key:
-                c -= 1
-            if c == 0:
-                continue
-            f = (_fp(key[0]), _fp(key[1]))
-            c0, _ = out.get(f, (0, key))
-            out[f] = (c0 + c, key)
-        return out
-
-    table2, reps2 = _grouped_table(hom_strata, hom_dim, min_prime, verify)
+    table2, reps2 = _grouped_table(
+        _hom_strata_counter(eta2, tau_xi2, budget), hom_dim, min_prime, verify
+    )
     term2 = LaurentPoly.zero(nvars)
     for f, poly in table2.items():
         chi = qpoly.divide_by_q_minus_1(poly).at_one()
@@ -1053,26 +1059,9 @@ def verify_cc2(xi2, rho, table=None, budget=DEFAULT_SUBSPACE_BUDGET, verify=2):
     ):
         hom_dim = rep.hom_dim(source.instantiate(p0), target.instantiate(p0))
 
-        def hom_strata(p, source=source, target=target):
-            zero_key = (
-                catalog.sort_classes(target.concrete_classes(p)),
-                catalog.sort_classes(source.concrete_classes(p)),
-            )
-            census = strata.hom_census(
-                source.instantiate(p), target.instantiate(p), budget=budget
-            )
-            out = {}
-            for key, c in census.items():
-                if key == zero_key:
-                    c -= 1
-                if c == 0:
-                    continue
-                f = (_fp(key[0]), _fp(key[1]))
-                c0, _ = out.get(f, (0, key))
-                out[f] = (c0 + c, key)
-            return out
-
-        table_h, reps_h = _grouped_table(hom_strata, hom_dim, min_prime, verify)
+        table_h, reps_h = _grouped_table(
+            _hom_strata_counter(source, target, budget), hom_dim, min_prime, verify
+        )
         for f, poly in table_h.items():
             chi = qpoly.divide_by_q_minus_1(poly).at_one()
             if chi == 0:

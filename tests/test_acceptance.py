@@ -13,9 +13,8 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
-from hallchar import catalog, cluster, linalg, qpoly, rep, strata, subspaces, symspace, verify
+from hallchar import catalog, cluster, qpoly, rep, strata, subspaces, symspace, verify
 from hallchar.laurent import LaurentPoly
 from hallchar.quiver import kronecker_quiver, linear_quiver
 
@@ -29,12 +28,6 @@ _RAN = set()
 
 def sym(text, quiver=K):
     return catalog.parse_symbol(text, quiver)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm():
-    # one-time numba compilation; excluded from every criterion timer
-    linalg.warmup()
 
 
 def _criterion(capsys, num, desc, limit_s, body):

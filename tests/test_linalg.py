@@ -1,10 +1,12 @@
 """Tests for the mod-p linear algebra kernels.
 
 Expected values hand-checked against ordinary rank/kernel computations of
-small integer matrices reduced mod p.
+small integer matrices reduced mod p, plus property tests of every kernel
+against an independent scalar-loop row reduction kept in this file.
 """
 
 import numpy as np
+from hypothesis import given, strategies as st
 
 from hallchar import linalg
 
@@ -52,22 +54,6 @@ def test_nullspace():
     assert linalg.nullspace_mod(N, 3).shape == (2, 0)
 
 
-def test_solve():
-    M = A([1, 1], [0, 1])
-    ok, x = linalg.solve_mod(M, np.array([3, 2], dtype=np.int64), 5)
-    assert ok == 1
-    assert np.array_equal((M @ x) % 5, np.array([3, 2]))
-    # inconsistent: 0x = 1
-    Z = A([0, 0])
-    ok, _ = linalg.solve_mod(Z, np.array([1], dtype=np.int64), 5)
-    assert ok == 0
-    # underdetermined is fine (any solution accepted)
-    U = A([1, 2, 3])
-    ok, x = linalg.solve_mod(U, np.array([4], dtype=np.int64), 7)
-    assert ok == 1
-    assert (U @ x) % 7 == 4
-
-
 def test_inv():
     M = A([1, 2], [3, 4])  # det = -2, invertible mod 5
     ok, Minv = linalg.inv_mod(M, 5)
@@ -95,12 +81,6 @@ def test_column_space_contains():
     assert not linalg.column_space_contains(U, outside, 5)
 
 
-def test_batch_rank():
-    stack = np.stack([A([1, 0], [0, 1]), A([1, 2], [2, 4]), A([0, 0], [0, 0])])
-    ranks = linalg.batch_rank_mod(stack, 5)
-    assert list(ranks) == [2, 1, 0]
-
-
 def test_column_space_canonical_key():
     # two different bases of the same plane in F_3^3 canonicalize identically
     U1 = A([1, 0], [0, 1], [1, 1])
@@ -113,11 +93,163 @@ def test_column_space_canonical_key():
     assert not np.array_equal(C1, linalg.column_space_canonical(U3, 3))
 
 
-def test_inv_scalar_fermat():
-    for p in (2, 3, 5, 7, 11):
-        for a in range(1, p):
-            assert (a * linalg._inv_scalar(a, p)) % p == 1
+# -- property tests against a scalar-loop oracle ----------------------------
+#
+# `_inv_scalar` and `_loop_rref_mod` are the entry-by-entry reducer the
+# package used before its kernels moved to Python-int rows, kept verbatim
+# as the reference.  The other oracles derive their answers from it.
 
 
-def test_warmup_runs():
-    linalg.warmup()
+def _inv_scalar(a, p):
+    """Inverse of a mod p by Fermat (p prime, a != 0 mod p)."""
+    result = 1
+    base = a % p
+    exp = p - 2
+    while exp > 0:
+        if exp & 1:
+            result = (result * base) % p
+        base = (base * base) % p
+        exp >>= 1
+    return result
+
+
+def _loop_rref_mod(A, p):
+    """Reduce A (in place) to reduced row echelon form mod p.
+
+    Returns (rank, pivots) where pivots[:rank] holds the pivot columns in
+    order.  Deterministic: the first nonzero entry in scan order pivots.
+    """
+    m, n = A.shape
+    pivots = np.full(min(m, n) if m < n else n, -1, dtype=np.int64)
+    row = 0
+    for col in range(n):
+        piv = -1
+        for r in range(row, m):
+            if A[r, col] % p != 0:
+                piv = r
+                break
+        if piv == -1:
+            continue
+        if piv != row:
+            for c in range(n):
+                tmp = A[row, c]
+                A[row, c] = A[piv, c]
+                A[piv, c] = tmp
+        inv = _inv_scalar(A[row, col] % p, p)
+        for c in range(n):
+            A[row, c] = (A[row, c] * inv) % p
+        for r in range(m):
+            if r != row and A[r, col] % p != 0:
+                f = A[r, col] % p
+                for c in range(n):
+                    A[r, c] = (A[r, c] - f * A[row, c]) % p
+        pivots[row] = col
+        row += 1
+        if row == m:
+            break
+    return row, pivots
+
+
+def _oracle_rank(A, p):
+    return _loop_rref_mod(A.copy() % p, p)[0]
+
+
+def _oracle_nullspace(A, p):
+    n = A.shape[1]
+    B = A.copy() % p
+    rank, pivots = _loop_rref_mod(B, p)
+    free = [c for c in range(n) if c not in set(pivots[:rank].tolist())]
+    out = np.zeros((n, len(free)), dtype=np.int64)
+    for idx, col in enumerate(free):
+        out[col, idx] = 1
+        for i in range(rank):
+            out[pivots[i], idx] = (p - B[i, col]) % p
+    return out
+
+
+def _oracle_inv(A, p):
+    n = A.shape[0]
+    aug = np.hstack([A % p, np.eye(n, dtype=np.int64)])
+    rank, pivots = _loop_rref_mod(aug, p)
+    if n and pivots[n - 1] >= n:
+        return 0, None
+    return 1, aug[:, n:]
+
+
+def _oracle_canonical(U, p):
+    B = np.ascontiguousarray(U.T % p)
+    rank, _ = _loop_rref_mod(B, p)
+    return B[:rank].T
+
+
+PRIMES = st.sampled_from([2, 3, 5, 7])
+
+
+@st.composite
+def matrices(draw, p, rows=None, cols=None):
+    """An m x n matrix mod p (0 <= m, n <= 8), often of deficient rank:
+    either uniform entries or a product L R through an inner size r."""
+    m = draw(st.integers(0, 8)) if rows is None else rows
+    n = draw(st.integers(0, 8)) if cols is None else cols
+
+    def block(a, b):
+        size = a * b
+        entries = draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+        return np.array(entries, dtype=np.int64).reshape(a, b)
+
+    if draw(st.booleans()):
+        return block(m, n)
+    r = draw(st.integers(0, min(m, n)))
+    return (block(m, r) @ block(r, n)) % p
+
+
+@st.composite
+def prime_and_matrix(draw):
+    p = draw(PRIMES)
+    return p, draw(matrices(p))
+
+
+@given(prime_and_matrix())
+def test_rref_rank_nullspace_match_loop_oracle(pm):
+    p, M = pm
+    B, C = M.copy(), M.copy()
+    rank, pivots = linalg.rref_mod(B, p)
+    o_rank, o_pivots = _loop_rref_mod(C, p)
+    assert rank == o_rank
+    assert np.array_equal(pivots, o_pivots) and pivots.dtype == np.int64
+    assert np.array_equal(B, C)
+    assert linalg.rank_mod(M, p) == o_rank
+    K = linalg.nullspace_mod(M, p)
+    assert K.dtype == np.int64 and np.array_equal(K, _oracle_nullspace(M, p))
+    assert not ((M @ K) % p).any()
+
+
+@given(st.data())
+def test_inv_matches_loop_oracle(data):
+    p = data.draw(PRIMES)
+    n = data.draw(st.integers(0, 8))
+    M = data.draw(matrices(p, n, n))
+    ok, inv = linalg.inv_mod(M, p)
+    o_ok, o_inv = _oracle_inv(M, p)
+    assert ok == o_ok
+    assert linalg.is_invertible_mod(M, p) == bool(o_ok)
+    if o_ok:
+        assert np.array_equal(inv, o_inv)
+        assert np.array_equal((M @ inv) % p, np.eye(n, dtype=np.int64))
+
+
+@given(st.data())
+def test_column_space_kernels_match_loop_oracle(data):
+    p = data.draw(PRIMES)
+    n = data.draw(st.integers(0, 8))
+    U = data.draw(matrices(p, rows=n))
+    vecs = data.draw(matrices(p, rows=n))
+    if data.draw(st.booleans()):
+        # a combination of U's columns, so containment holds
+        coeffs = data.draw(matrices(p, rows=U.shape[1], cols=vecs.shape[1]))
+        vecs = (U @ coeffs) % p
+    expected = _oracle_rank(np.hstack([U, vecs]), p) == _oracle_rank(U, p)
+    assert linalg.column_space_contains(U, vecs, p) == expected
+    C = linalg.column_space_canonical(U, p)
+    assert C.dtype == np.int64 and C.flags.c_contiguous
+    assert np.array_equal(C, _oracle_canonical(U, p))

@@ -133,14 +133,20 @@ def test_grassmannian_count_fast_matches_brute():
     assert subspaces.grassmannian_count(R, (1, 1)) == 1
     assert subspaces.grassmannian_count(R, (1, 0)) == 0
     rng = np.random.default_rng(7)
-    for Q in (K, linear_quiver(2), linear_quiver(3)):
-        for trial in range(4):
-            dims = [int(rng.integers(0, 3)) for _ in range(Q.n)]
-            M = rep.random_rep(Q, dims, p, rng)
-            for e in itertools.product(*[range(d + 1) for d in dims]):
-                assert subspaces.grassmannian_count(M, e) == (
-                    subspaces.grassmannian_count_brute(M, e)
-                )
+    cases = [
+        (Q, [int(rng.integers(0, 3)) for _ in range(Q.n)])
+        for Q in (K, linear_quiver(2), linear_quiver(3))
+        for trial in range(4)
+    ]
+    # every Kronecker dimension vector up to (3, 3): the two-vertex rank
+    # distribution against the independent enumeration of subreps
+    cases += [(K, list(dims)) for dims in itertools.product(range(4), repeat=2)]
+    for Q, dims in cases:
+        M = rep.random_rep(Q, dims, p, rng)
+        for e in itertools.product(*[range(d + 1) for d in dims]):
+            assert subspaces.grassmannian_count(M, e) == (
+                subspaces.grassmannian_count_brute(M, e)
+            )
 
 
 def test_grassmannian_count_matches_census_total():
