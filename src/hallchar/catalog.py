@@ -61,12 +61,12 @@ tags when the materialized points stay pairwise distinct mod p.
 import itertools
 import re
 import zlib
-from fractions import Fraction
 
 import numpy as np
 
 from . import rep
 from .errors import ComputationError, OutsideCatalog, UnsupportedQuiver
+from .quiver import _unimodular_inverse
 from .rep import Rep
 
 INF = "inf"
@@ -284,13 +284,7 @@ def decompose(M, certify=False):
             )
         _DECOMPOSE_CACHE[key] = decomp
     if certify:
-        parts = []
-        for cls, mult in decomp:
-            parts.extend([module_from_class(Q, cls, M.p)] * mult)
-        if parts:
-            again = rep.direct_sum(*parts)
-        else:
-            again = Rep.zero(Q, M.p)
+        again = module_from_classes(Q, decomp, M.p)
         if not rep.is_isomorphic(M, again):
             raise ComputationError("decomposition certificate failed")
     return decomp
@@ -317,34 +311,6 @@ def _dynkin_hom_data(Q, p):
     inv = np.array(_unimodular_inverse(A), dtype=np.int64)
     _DYNKIN_SOLVE_CACHE[key] = (roots, reps, inv)
     return roots, reps, inv
-
-
-def _unimodular_inverse(A):
-    """Exact inverse of the square integer matrix A as integer rows.
-
-    Raises ComputationError when A is singular or its inverse is not
-    integral (A is not unimodular).
-    """
-    n = len(A)
-    mat = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(A)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if piv is None:
-            raise ComputationError("singular classification system")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        scale = mat[col][col]
-        mat[col] = [x / scale for x in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-    inv = [row[n:] for row in mat]
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise ComputationError("classification system is not unimodular")
-    return [[int(x) for x in row] for row in inv]
 
 
 def _decompose_dynkin(M):
@@ -602,22 +568,20 @@ def min_prime_for_tags(tags):
 
 
 def next_prime(p):
-    q = p + 1
-    while True:
-        if all(q % d for d in range(2, int(q**0.5) + 1)):
-            return q
+    """The smallest prime > p."""
+    q = max(p + 1, 2)
+    while any(q % d == 0 for d in range(2, int(q**0.5) + 1)):
         q += 1
+    return q
 
 
 def primes_from(p, count):
     """`count` consecutive primes starting at the smallest prime >= p."""
     out = []
-    q = p if p >= 2 else 2
-    while not all(q % d for d in range(2, int(q**0.5) + 1)):
-        q += 1
+    q = p - 1
     while len(out) < count:
-        out.append(q)
         q = next_prime(q)
+        out.append(q)
     return out
 
 
@@ -703,12 +667,7 @@ class ModuleSymbol:
 
     def instantiate(self, p):
         """A representation over F_p in this symbol's isomorphism class."""
-        parts = []
-        for cls, mult in self.concrete_classes(p):
-            parts.extend([module_from_class(self.quiver, cls, p)] * mult)
-        if not parts:
-            return Rep.zero(self.quiver, p)
-        return rep.direct_sum(*parts)
+        return module_from_classes(self.quiver, self.concrete_classes(p), p)
 
     def direct_sum(self, *others):
         atoms = list(self.atoms)

@@ -61,14 +61,10 @@ def _ints(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _is_prime(n):
-    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
-
-
 def _checked_primes(primes, symbols):
     floor = catalog.min_prime_for_symbols(symbols)
     for p in primes:
-        if not _is_prime(p):
+        if catalog.primes_from(p, 1) != [p]:
             raise _CliError(f"{p} is not prime")
         if p < floor:
             raise _CliError(

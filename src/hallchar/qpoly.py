@@ -174,9 +174,30 @@ Diagnostic only: lets a test suite assert that verification actually ran
 """
 
 
-def _note_verified_fits(n):
+def _sweep_primes(degree_bound, min_prime, verify):
+    """The degree_bound + 1 fit primes followed by `verify` check primes."""
+    if degree_bound < 0:
+        raise ValueError("degree bound must be >= 0")
+    return primes_from(min_prime, degree_bound + 1 + verify)
+
+
+def _fit_and_check(ps, ys, nfit, key=None):
+    """The integral polynomial through the first `nfit` points (ps, ys),
+    checked on the remaining ones; every checked fit adds 1 to
+    VERIFIED_FITS.  `key` names the table entry in the error message."""
     global VERIFIED_FITS
-    VERIFIED_FITS += n
+    poly = lagrange_integer(ps[:nfit], ys[:nfit])
+    for p, y in zip(ps[nfit:], ys[nfit:]):
+        got = poly(p)
+        if got != y:
+            entry = "" if key is None else f" for key {key}"
+            raise VerificationMismatch(
+                f"counting polynomial {poly}{entry} predicts {got} at p={p}, "
+                f"but the exact count is {y}"
+            )
+    if len(ps) > nfit:
+        VERIFIED_FITS += 1
+    return poly
 
 
 def counting_polynomial(count_fn, degree_bound, min_prime=2, verify=2):
@@ -189,23 +210,8 @@ def counting_polynomial(count_fn, degree_bound, min_prime=2, verify=2):
     the fit is not integral — both mean the family is not the polynomial
     family the caller believed it to be.
     """
-    if degree_bound < 0:
-        raise ValueError("degree bound must be >= 0")
-    ps = primes_from(min_prime, degree_bound + 1 + verify)
-    fit, check = ps[: degree_bound + 1], ps[degree_bound + 1 :]
-    values = [count_fn(p) for p in fit]
-    poly = lagrange_integer(fit, values)
-    for p in check:
-        expect = count_fn(p)
-        got = poly(p)
-        if got != expect:
-            raise VerificationMismatch(
-                f"counting polynomial {poly} predicts {got} at p={p}, "
-                f"but the exact count is {expect}"
-            )
-    if check:
-        _note_verified_fits(1)
-    return poly
+    ps = _sweep_primes(degree_bound, min_prime, verify)
+    return _fit_and_check(ps, [count_fn(p) for p in ps], degree_bound + 1)
 
 
 def counting_table(count_fn, degree_bound, min_prime=2, verify=2):
@@ -216,29 +222,12 @@ def counting_table(count_fn, degree_bound, min_prime=2, verify=2):
     table count as 0 there) and checked on `verify` extra primes, exactly
     as in counting_polynomial.  Returns {key: QPolynomial}.
     """
-    if degree_bound < 0:
-        raise ValueError("degree bound must be >= 0")
-    ps = primes_from(min_prime, degree_bound + 1 + verify)
-    nfit = degree_bound + 1
+    ps = _sweep_primes(degree_bound, min_prime, verify)
     tables = [count_fn(p) for p in ps]
-    keys = set()
-    for t in tables:
-        keys.update(t)
-    out = {}
-    for key in keys:
-        ys = [t.get(key, 0) for t in tables]
-        poly = lagrange_integer(ps[:nfit], ys[:nfit])
-        for p, y in zip(ps[nfit:], ys[nfit:]):
-            got = poly(p)
-            if got != y:
-                raise VerificationMismatch(
-                    f"counting polynomial {poly} for key {key} predicts "
-                    f"{got} at p={p}, but the exact count is {y}"
-                )
-        out[key] = poly
-    if ps[nfit:]:
-        _note_verified_fits(len(out))
-    return out
+    return {
+        key: _fit_and_check(ps, [t.get(key, 0) for t in tables], degree_bound + 1, key)
+        for key in set().union(*tables)
+    }
 
 
 def divide_by_q_minus_1(poly):

@@ -71,7 +71,14 @@ class Quiver:
             A[s, t] += 1
         self.arrow_matrix = A
         self.euler_matrix = np.eye(self.n, dtype=np.int64) - A
-        self.coxeter_matrix = self._coxeter()
+        # E = I - A is unitriangular in a topological order, so E^{-1} is
+        # integral and Phi = -E E^{-T}, Phi^{-1} = -E^T E^{-1} are integer
+        # products
+        E_inv = np.array(
+            _unimodular_inverse(self.euler_matrix.tolist()), dtype=np.int64
+        )
+        self.coxeter_matrix = -self.euler_matrix @ E_inv.T
+        self._coxeter_inverse = -self.euler_matrix.T @ E_inv
         self._dynkin = self._positive_definite_tree()
         # key: hashable identity used for caching
         self.key = (self.n, self.arrows)
@@ -103,41 +110,6 @@ class Quiver:
             raise ValueError("quiver has a directed cycle")
         return order
 
-    def _coxeter(self):
-        """Phi = -E E^{-T} as an exact integer matrix.
-
-        E = I - A is unimodular (triangular with unit diagonal in any
-        topological order), so the inverse is integral.
-        """
-        n = self.n
-        E = [[Fraction(int(self.euler_matrix[i, j])) for j in range(n)] for i in range(n)]
-        # invert E by Gauss-Jordan over Q
-        inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        mat = [row[:] for row in E]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if mat[r][col] != 0)
-            mat[col], mat[piv] = mat[piv], mat[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            scale = mat[col][col]
-            mat[col] = [x / scale for x in mat[col]]
-            inv[col] = [x / scale for x in inv[col]]
-            for r in range(n):
-                if r != col and mat[r][col] != 0:
-                    factor = mat[r][col]
-                    mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
-                    inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-        # Phi = -E * (E^{-1})^T
-        phi = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                val = -sum(E[i][k] * inv[j][k] for k in range(n))
-                if val.denominator != 1:
-                    raise ComputationError(
-                        f"Coxeter matrix entry {val} is not an integer"
-                    )
-                phi[i, j] = int(val)
-        return phi
-
     # -- forms and dimension-vector arithmetic ---------------------------
 
     def euler_form(self, d, e):
@@ -166,27 +138,9 @@ class Quiver:
 
     def coxeter_inverse(self, d):
         """d |-> d Phi^{-1} (dimension vector of tau^{-1} M)."""
-        n = self.n
-        phi = [[Fraction(int(self.coxeter_matrix[i, j])) for j in range(n)] for i in range(n)]
-        # solve x Phi = d  <=>  Phi^T x^T = d^T
-        aug = [[phi[j][i] for j in range(n)] + [Fraction(int(d[i]))] for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            scale = aug[col][col]
-            aug[col] = [x / scale for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        out = []
-        for i in range(n):
-            if aug[i][n].denominator != 1:
-                raise ComputationError(
-                    f"tau^-1 of {tuple(d)} has a non-integral entry {aug[i][n]}"
-                )
-            out.append(int(aug[i][n]))
-        return tuple(out)
+        return tuple(
+            int(x) for x in np.asarray(d, dtype=np.int64) @ self._coxeter_inverse
+        )
 
     # -- projectives / injectives ----------------------------------------
 
@@ -295,6 +249,34 @@ class Quiver:
             for name, (s, t) in zip(self.arrow_names, self.arrows)
         )
         return f"Quiver({self.n} vertices; {arrows})"
+
+
+def _unimodular_inverse(A):
+    """Exact inverse of the square integer matrix A as integer rows.
+
+    Raises ComputationError when A is singular or its inverse is not
+    integral (A is not unimodular).
+    """
+    n = len(A)
+    mat = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(A)
+    ]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
+        if piv is None:
+            raise ComputationError("singular matrix")
+        mat[col], mat[piv] = mat[piv], mat[col]
+        scale = mat[col][col]
+        mat[col] = [x / scale for x in mat[col]]
+        for r in range(n):
+            if r != col and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
+    inv = [row[n:] for row in mat]
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ComputationError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in inv]
 
 
 def _det(rows):

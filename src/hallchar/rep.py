@@ -17,10 +17,10 @@ Aut(N)-torsor inside Hom, so random search succeeds with overwhelming
 probability; when the searches are inconclusive we raise rather than
 guess).
 
-|Aut M| is computed either by brute-force enumeration of End(M) (small
-cases, used as an oracle in tests) or from a Krull-Schmidt decomposition
+|Aut M| is computed from a Krull-Schmidt decomposition
 M = X_1^{m_1} + ... + X_k^{m_k} with pairwise non-isomorphic X_i whose
-endomorphism rings have residue field F_p:
+endomorphism rings have residue field F_p (the tests check it against a
+brute-force enumeration of End(M)):
 
     |Aut M| = p^{dim rad End M} * prod_i |GL_{m_i}(F_p)|,
     dim rad End M = dim End M - sum_i m_i^2.
@@ -30,7 +30,7 @@ import itertools
 
 import numpy as np
 
-from .errors import BudgetExceeded, InconclusiveIso
+from .errors import InconclusiveIso
 from . import linalg
 
 
@@ -295,22 +295,6 @@ def gl_order(m, q):
     for k in range(m):
         out *= q**m - q**k
     return out
-
-
-def aut_count_brute(M, cap=200000):
-    """|Aut M| by enumerating all of End(M).  Test oracle for small cases."""
-    basis = hom_basis(M, M)
-    h = len(basis)
-    p, n = M.p, M.quiver.n
-    if M.total_dim() == 0:
-        return 1
-    if p**h > cap:
-        raise BudgetExceeded(f"End space has {p}^{h} elements > cap {cap}")
-    count = 0
-    for coeffs in itertools.product(range(p), repeat=h):
-        if _is_invertible_everywhere(_combine(basis, coeffs, n, p), p):
-            count += 1
-    return count
 
 
 def aut_count_from_mults(M, mults):

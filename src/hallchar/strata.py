@@ -36,8 +36,8 @@ L1/Ker -> W -> Image, counted by |Aut W|:
         = sum_W  g^{L1}_{W, Y} * g^{L2}_{X, W} * |Aut W|.
 
 This reduces homomorphism strata to the (cached) Hall censuses instead of
-enumerating p^{dim Hom} maps; the brute-force enumeration is kept as a
-cross-check oracle for tests.
+enumerating p^{dim Hom} maps; the tests keep a brute-force enumeration as
+a cross-check oracle.
 """
 
 import itertools
@@ -45,7 +45,7 @@ import itertools
 import numpy as np
 
 from . import catalog, linalg, rep, subspaces
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, VerificationMismatch
 from .rep import Rep
 
 DEFAULT_EXT_BUDGET = 1_000_000
@@ -118,7 +118,7 @@ def ext_middle_census(X, Y, budget=DEFAULT_EXT_BUDGET):
     e_dim = basis.shape[1]
     expected = rep.ext1_dim(X, Y)
     if e_dim != expected:
-        raise AssertionError(
+        raise VerificationMismatch(
             f"cocycle complement dimension {e_dim} != dim Ext^1 = {expected}"
         )
     if p**e_dim > budget:
@@ -142,10 +142,6 @@ def split_middle_classes(X, Y):
 # ---------------------------------------------------------------------------
 # homomorphism strata
 # ---------------------------------------------------------------------------
-
-
-def _dims_leq(a, b):
-    return all(x <= y for x, y in zip(a, b))
 
 
 def hom_census(L1, L2, budget=subspaces.DEFAULT_SUBSPACE_BUDGET):
@@ -174,34 +170,3 @@ def hom_census(L1, L2, budget=subspaces.DEFAULT_SUBSPACE_BUDGET):
                 key = (x, y)
                 out[key] = out.get(key, 0) + cnt1 * cnt2 * aut_w
     return out
-
-
-def hom_census_brute(L1, L2, cap=200000):
-    """Oracle: enumerate all of Hom(L1, L2) and classify kernels/cokernels."""
-    p = L1.p
-    basis = rep.hom_basis(L1, L2)
-    h = len(basis)
-    if p**h > cap:
-        raise BudgetExceeded(f"{p}^{h} maps exceed cap {cap}")
-    out = {}
-    nv = L1.quiver.n
-    zero = [
-        np.zeros((L2.dims[i], L1.dims[i]), dtype=np.int64) for i in range(nv)
-    ]
-    for coeffs in itertools.product(range(p), repeat=h):
-        f = [z.copy() for z in zero]
-        for c, g in zip(coeffs, basis):
-            if c:
-                for i in range(nv):
-                    f[i] = (f[i] + c * g[i]) % p
-        ker = rep.kernel_rep(L1, L2, f)
-        cok = rep.cokernel_rep(L1, L2, f)
-        key = (catalog.decompose(cok), catalog.decompose(ker))
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
-def hom_stratum_count(L1, L2, coker_classes, ker_classes, budget=subspaces.DEFAULT_SUBSPACE_BUDGET):
-    census = hom_census(L1, L2, budget=budget)
-    key = (catalog.sort_classes(coker_classes), catalog.sort_classes(ker_classes))
-    return census.get(key, 0)

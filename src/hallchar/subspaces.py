@@ -238,11 +238,6 @@ def grassmannian_count(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
     return count
 
 
-def grassmannian_count_brute(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
-    """Reference count by full enumeration of subrepresentation tuples."""
-    return sum(1 for _ in subrep_bases(M, e, budget=budget))
-
-
 _CENSUS_CACHE = {}
 
 

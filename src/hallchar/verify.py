@@ -155,10 +155,47 @@ def _hall_fp(M, quot_fpr, sub_fpr, e, budget, key_classes=None):
     )
 
 
-def _all_census_entries(M, budget, key_classes=None):
+def _group_by_fp(entries, fp=_fp, drop=None):
+    """Sum (key, count) entries by fp(key): {fingerprint: (count, key)}.
+
+    The first key seen stands for its group; entries with count 0 and the
+    group whose fingerprint is `drop` are left out.
+    """
+    out = {}
+    for key, c in entries:
+        if c == 0:
+            continue
+        f = fp(key)
+        if f == drop:
+            continue
+        c0, first = out.get(f, (0, key))
+        out[f] = (c0 + c, first)
+    return out
+
+
+def _exact_quotient(n, p, what):
+    """n / (p - 1) for a count of a set with a free F_p^* action; a
+    remainder raises `VerificationMismatch`."""
+    q, r = divmod(n, p - 1)
+    if r:
+        raise qpoly.VerificationMismatch(
+            f"{what} {n} not divisible by p - 1 = {p - 1}"
+        )
+    return q
+
+
+def _materialize(p, **symbols):
+    """({name: concrete classes}, {name: module}) of the symbols at p."""
+    cls = {name: sym.concrete_classes(p) for name, sym in symbols.items()}
+    mods = {
+        name: catalog.module_from_classes(symbols[name].quiver, c, p)
+        for name, c in cls.items()
+    }
+    return cls, mods
+
+
+def _census_entries(M, key_classes, budget):
     """All ((quot, sub), count) over every subdimension vector of M."""
-    if key_classes is None:
-        key_classes = catalog.decompose(M)
     out = []
     for e in itertools.product(*[range(d + 1) for d in M.dims]):
         census = subspaces.hall_census(M, e, budget=budget, key_classes=key_classes)
@@ -166,48 +203,43 @@ def _all_census_entries(M, budget, key_classes=None):
     return out
 
 
-def _hom_stratum_fp(M1, M2, coker_fpr, ker_fpr, budget):
-    """#{f : M1 -> M2 : fingerprint(coker f, ker f) matches}."""
+def _split_entries(cls, mods, budget):
+    """The census entries ((gam, delt), c1) of xi' and ((alp, bet), c2) of
+    eta', materialized as "xi2" and "eta2", whose products run over the
+    splittings of Green's formula."""
+    return [_census_entries(mods[k], cls[k], budget) for k in ("xi2", "eta2")]
+
+
+def _hom_strata(M1, M2, projective, budget):
+    """{(coker, ker): #maps M1 -> M2 in that stratum}.
+
+    The projective form removes the zero map (whose stratum is coker = M2,
+    ker = M1) and divides by p - 1: scaling acts freely on each stratum
+    away from the zero map.
+    """
     census = strata.hom_census(M1, M2, budget=budget)
+    if not projective:
+        return census
+    zero_key = (catalog.decompose(M2), catalog.decompose(M1))
+    return {
+        key: _exact_quotient(c - (key == zero_key), M1.p, "Hom stratum")
+        for key, c in census.items()
+    }
+
+
+def _hom_stratum_fp(M1, M2, coker_fpr, ker_fpr, projective, budget):
+    """The maps M1 -> M2 whose (coker, ker) fingerprints match, counted in
+    the affine or the projective form of `_hom_strata`."""
     return sum(
         c
-        for (coker, ker), c in census.items()
+        for (coker, ker), c in _hom_strata(M1, M2, projective, budget).items()
         if _fp(coker) == coker_fpr and _fp(ker) == ker_fpr
-    )
-
-
-def _projective_count(key, c, zero_key, p):
-    """A Hom stratum count with the zero map removed, divided by p - 1.
-
-    Scaling acts freely on each (coker, ker) stratum away from the zero
-    map (whose stratum is coker = target, ker = source), so the division
-    is exact; a remainder raises `VerificationMismatch`.
-    """
-    if key == zero_key:
-        c -= 1
-    q, r = divmod(c, p - 1)
-    if r:
-        raise qpoly.VerificationMismatch(
-            f"stratum count {c} not divisible by p - 1 = {p - 1}"
-        )
-    return q
-
-
-def _phom_stratum_fp(M1, M2, coker_fpr, ker_fpr, budget):
-    """Projectivized stratum count: the zero map removed, then / (p - 1)."""
-    zero_key = (catalog.decompose(M2), catalog.decompose(M1))
-    census = strata.hom_census(M1, M2, budget=budget)
-    return sum(
-        _projective_count(key, c, zero_key, M1.p)
-        for key, c in census.items()
-        if _fp(key[0]) == coker_fpr and _fp(key[1]) == ker_fpr
     )
 
 
 def _hom_strata_counter(source, target, budget):
     """count_fn(p) for `_grouped_table`: the nonzero maps source -> target,
-    grouped by the fingerprints of (coker, ker), with one (coker, ker)
-    key kept per group."""
+    grouped by the fingerprints of (coker, ker)."""
 
     def hom_strata(p):
         zero_key = (
@@ -217,16 +249,10 @@ def _hom_strata_counter(source, target, budget):
         census = strata.hom_census(
             source.instantiate(p), target.instantiate(p), budget=budget
         )
-        out = {}
-        for key, c in census.items():
-            if key == zero_key:
-                c -= 1
-            if c == 0:
-                continue
-            f = (_fp(key[0]), _fp(key[1]))
-            c0, _ = out.get(f, (0, key))
-            out[f] = (c0 + c, key)
-        return out
+        return _group_by_fp(
+            ((key, c - (key == zero_key)) for key, c in census.items()),
+            lambda key: (_fp(key[0]), _fp(key[1])),
+        )
 
     return hom_strata
 
@@ -302,25 +328,17 @@ def verify_green_ff(xi, eta, xi2, eta2, primes=None, budget=DEFAULT_SUBSPACE_BUD
 
 
 def _green_ff_at_prime(quiver, xi, eta, xi2, eta2, p, budget):
-    mods = {}
-    cls = {}
-    auts = {}
-    for name, sym in (("xi", xi), ("eta", eta), ("xi2", xi2), ("eta2", eta2)):
-        cls[name] = sym.concrete_classes(p)
-        mods[name] = catalog.module_from_classes(quiver, cls[name], p)
-        auts[name] = catalog.aut_count_of_classes(quiver, cls[name], p)
-    fps = {name: _fp(c) for name, c in cls.items()}
+    cls, mods = _materialize(p, xi=xi, eta=eta, xi2=xi2, eta2=eta2)
+    auts = {k: catalog.aut_count_of_classes(quiver, v, p) for k, v in cls.items()}
+    fps = {k: _fp(v) for k, v in cls.items()}
 
     # LHS: middles lam with g^lam_{xi',eta'} != 0 are exactly the middles of
     # extension classes of xi' by eta'; on a Dynkin quiver the fingerprint
     # is the isomorphism class, so each middle type contributes once.
     lam_census = strata.ext_middle_census(mods["xi2"], mods["eta2"], budget=budget)
-    lam_groups = {}
-    for lam in lam_census:
-        lam_groups.setdefault(_fp(lam), lam)
     lhs = Fraction(0)
     n_lam = 0
-    for lam in lam_groups.values():
+    for _, lam in _group_by_fp(lam_census.items()).values():
         lam_mod = catalog.module_from_classes(quiver, lam, p)
         g1 = _hall_fp(lam_mod, fps["xi"], fps["eta"], eta.dims, budget, lam)
         if g1 == 0:
@@ -337,8 +355,7 @@ def _green_ff_at_prime(quiver, xi, eta, xi2, eta2, p, budget):
     # of eta'; the cross Hall numbers tie them to xi and eta.
     rhs = Fraction(0)
     n_rhs = 0
-    entries_xi2 = _all_census_entries(mods["xi2"], budget, cls["xi2"])
-    entries_eta2 = _all_census_entries(mods["eta2"], budget, cls["eta2"])
+    entries_xi2, entries_eta2 = _split_entries(cls, mods, budget)
     for (gam, delt), c1 in entries_xi2:
         dims_gam = catalog.decomposition_dims(quiver, gam)
         dims_delt = catalog.decomposition_dims(quiver, delt)
@@ -397,44 +414,30 @@ def verify_green_degenerate(
     symbols = (xi, eta, xi2, eta2)
     admissible = _dims_sum(xi.dims, eta.dims) == _dims_sum(xi2.dims, eta2.dims)
     L = xi2.direct_sum(eta2)
-    fpx, fpe = xi.fingerprint(), eta.fingerprint()
 
-    def lhs_count(p):
-        return _hall_fp(
-            L.instantiate(p),
-            _fp(xi.concrete_classes(p)),
-            _fp(eta.concrete_classes(p)),
-            eta.dims,
-            budget,
-            L.concrete_classes(p),
-        )
-
-    def rhs_count(p):
+    def counts(p):
         fpxi = _fp(xi.concrete_classes(p))
         fpeta = _fp(eta.concrete_classes(p))
-        total = 0
-        entries_xi2 = _all_census_entries(
-            xi2.instantiate(p), budget, xi2.concrete_classes(p)
+        lhs = _hall_fp(
+            L.instantiate(p), fpxi, fpeta, eta.dims, budget, L.concrete_classes(p)
         )
-        entries_eta2 = _all_census_entries(
-            eta2.instantiate(p), budget, eta2.concrete_classes(p)
+        rhs = 0
+        entries_xi2, entries_eta2 = _split_entries(
+            *_materialize(p, xi2=xi2, eta2=eta2), budget
         )
         for (gam, delt), c1 in entries_xi2:
             for (alp, bet), c2 in entries_eta2:
-                if _merge_fp(gam, alp) != fpxi:
-                    continue
-                if _merge_fp(delt, bet) != fpeta:
-                    continue
-                total += c1 * c2
-        return total
+                if _merge_fp(gam, alp) == fpxi and _merge_fp(delt, bet) == fpeta:
+                    rhs += c1 * c2
+        return {"lhs": lhs, "rhs": rhs}
 
     bound = max(
         _max_sub_degree(L.dims, eta.dims),
         _max_sub_degree_any(xi2.dims) + _max_sub_degree_any(eta2.dims),
     )
     min_prime = max(s.min_prime() for s in symbols)
-    lhs_poly = qpoly.counting_polynomial(lhs_count, bound, min_prime, verify)
-    rhs_poly = qpoly.counting_polynomial(rhs_count, bound, min_prime, verify)
+    table = qpoly.counting_table(counts, bound, min_prime, verify)
+    lhs_poly, rhs_poly = table["lhs"], table["rhs"]
     lhs, rhs = lhs_poly.at_one(), rhs_poly.at_one()
     inputs = {
         "xi": str(xi),
@@ -500,17 +503,13 @@ def verify_green_degenerate_all(
 
     def counts(p):
         out = {}
-        entries_l = _all_census_entries(
-            L.instantiate(p), budget, L.concrete_classes(p)
-        )
-        for (quot, sub), c in entries_l:
+        for (quot, sub), c in _census_entries(
+            L.instantiate(p), L.concrete_classes(p), budget
+        ):
             key = ("lhs", _fp(quot), _fp(sub))
             out[key] = out.get(key, 0) + c
-        entries_xi2 = _all_census_entries(
-            xi2.instantiate(p), budget, xi2.concrete_classes(p)
-        )
-        entries_eta2 = _all_census_entries(
-            eta2.instantiate(p), budget, eta2.concrete_classes(p)
+        entries_xi2, entries_eta2 = _split_entries(
+            *_materialize(p, xi2=xi2, eta2=eta2), budget
         )
         for (gam, delt), c1 in entries_xi2:
             for (alp, bet), c2 in entries_eta2:
@@ -598,21 +597,8 @@ def verify_green_projective(
     def blocks(p):
         return _green_projective_blocks(quiver, xi2, eta2, xi, eta, p, budget)
 
-    ps = catalog.primes_from(min_prime, bound + 1 + verify)
-    values = [blocks(p) for p in ps]
-    polys = []
-    for k in range(4):
-        poly = qpoly.lagrange_integer(
-            ps[: bound + 1], [v[k] for v in values[: bound + 1]]
-        )
-        for p, v in zip(ps[bound + 1 :], values[bound + 1 :]):
-            if poly(p) != v[k]:
-                raise qpoly.VerificationMismatch(
-                    f"block {k} polynomial {poly} misses at p={p}"
-                )
-        if ps[bound + 1 :]:
-            qpoly._note_verified_fits(1)
-        polys.append(poly)
+    table = qpoly.counting_table(blocks, bound, min_prime, verify)
+    polys = [table[name] for name in _PROJECTIVE_BLOCKS]
     vals = [f.at_one() for f in polys]
     lhs = vals[0]
     rhs = vals[1] + vals[2] - vals[3]
@@ -625,13 +611,14 @@ def verify_green_projective(
     }
     terms = [
         {"block": name, "value": v, "polynomial": str(f)}
-        for name, v, f in zip(
-            ("middles", "off_diagonal", "diagonal", "hall_variety"), vals, polys
-        )
+        for name, v, f in zip(_PROJECTIVE_BLOCKS, vals, polys)
     ]
     return _report(
         "green_projective", inputs, lhs, rhs, lhs == rhs, terms, polys, t0
     )
+
+
+_PROJECTIVE_BLOCKS = ("middles", "off_diagonal", "diagonal", "hall_variety")
 
 
 def _dim_splits(dims):
@@ -650,44 +637,28 @@ def _ext_stratum_fp(X, Y, target_fpr, budget):
 
 
 def _green_projective_blocks(quiver, xi2, eta2, xi, eta, p, budget):
-    cls = {
-        "xi": xi.concrete_classes(p),
-        "eta": eta.concrete_classes(p),
-        "xi2": xi2.concrete_classes(p),
-        "eta2": eta2.concrete_classes(p),
-    }
+    cls, mods = _materialize(p, xi=xi, eta=eta, xi2=xi2, eta2=eta2)
     fps = {k: _fp(v) for k, v in cls.items()}
-    mods = {k: catalog.module_from_classes(quiver, v, p) for k, v in cls.items()}
     L = rep.direct_sum(mods["xi2"], mods["eta2"])
     split_fpr = _fp(_merge_classes(cls["xi2"], cls["eta2"]))
 
     # block (i): nonsplit middles, projectivized, against Hall numbers
     lam_census = strata.ext_middle_census(mods["xi2"], mods["eta2"], budget=budget)
-    groups = {}
-    reps_ = {}
-    for lam, c in lam_census.items():
-        f = _fp(lam)
-        if f == split_fpr:
-            continue
-        groups[f] = groups.get(f, 0) + c
-        reps_.setdefault(f, lam)
     block_i = 0
-    for f, c in groups.items():
-        q, r = divmod(c, p - 1)
-        if r:
-            raise qpoly.VerificationMismatch(
-                f"nonsplit extension stratum {c} not divisible by {p - 1}"
-            )
-        lam_mod = catalog.module_from_classes(quiver, reps_[f], p)
-        g = _hall_fp(lam_mod, fps["xi"], fps["eta"], eta.dims, budget, reps_[f])
-        block_i += q * g
+    for c, lam in _group_by_fp(lam_census.items(), drop=split_fpr).values():
+        lam_mod = catalog.module_from_classes(quiver, lam, p)
+        g = _hall_fp(lam_mod, fps["xi"], fps["eta"], eta.dims, budget, lam)
+        block_i += _exact_quotient(c, p, "nonsplit extension stratum") * g
 
-    # blocks (ii) and (iii) run over splitting tuples
+    # blocks (ii) and (iii) run over splitting tuples.  Split submodules
+    # U = (U cap xi') + (U cap eta') of L correspond exactly to the diagonal
+    # splitting tuples, so block (iv)'s split count is the diagonal census
+    # product.
     block_ii = 0
     block_iii = 0
+    n_split = 0
     hom_xi2_eta2 = rep.hom_dim(mods["xi2"], mods["eta2"])
-    entries_xi2 = _all_census_entries(mods["xi2"], budget, cls["xi2"])
-    entries_eta2 = _all_census_entries(mods["eta2"], budget, cls["eta2"])
+    entries_xi2, entries_eta2 = _split_entries(cls, mods, budget)
     for (gam, delt), c1 in entries_xi2:
         for (alp, bet), c2 in entries_eta2:
             diag = (
@@ -695,6 +666,7 @@ def _green_projective_blocks(quiver, xi2, eta2, xi, eta, p, budget):
                 and _merge_fp(delt, bet) == fps["eta"]
             )
             if diag:
+                n_split += c1 * c2
                 v_gam = catalog.module_from_classes(quiver, gam, p)
                 v_alp = catalog.module_from_classes(quiver, alp, p)
                 v_delt = catalog.module_from_classes(quiver, delt, p)
@@ -732,36 +704,17 @@ def _green_projective_blocks(quiver, xi2, eta2, xi, eta, p, budget):
                 n2 = _ext_stratum_fp(v_delt, v_bet, fps["eta"], budget)
                 if n2 == 0:
                     continue
-                q, r = divmod(n1 * n2, p - 1)
-                if r:
-                    raise qpoly.VerificationMismatch(
-                        f"joint extension stratum {n1}*{n2} not divisible by {p - 1}"
-                    )
-                block_ii += q * c1 * c2
+                block_ii += (
+                    _exact_quotient(n1 * n2, p, "joint extension stratum") * c1 * c2
+                )
 
-    # block (iv): projectivized nonsplit Hall variety of L = xi' + eta'.
-    # Split submodules U = (U cap xi') + (U cap eta') correspond exactly
-    # to the diagonal splitting tuples, so their count is the diagonal
-    # census product.
+    # block (iv): projectivized nonsplit Hall variety of L = xi' + eta'
     n_all = _hall_fp(
         L, fps["xi"], fps["eta"], eta.dims, budget,
         _merge_classes(cls["xi2"], cls["eta2"]),
     )
-    n_split = 0
-    for (gam, delt), c1 in entries_xi2:
-        for (alp, bet), c2 in entries_eta2:
-            if (
-                _merge_fp(gam, alp) == fps["xi"]
-                and _merge_fp(delt, bet) == fps["eta"]
-            ):
-                n_split += c1 * c2
-    q, r = divmod(n_all - n_split, p - 1)
-    if r:
-        raise qpoly.VerificationMismatch(
-            f"nonsplit Hall stratum {n_all - n_split} not divisible by {p - 1}"
-        )
-    block_iv = q
-    return block_i, block_ii, block_iii, block_iv
+    block_iv = _exact_quotient(n_all - n_split, p, "nonsplit Hall stratum")
+    return dict(zip(_PROJECTIVE_BLOCKS, (block_i, block_ii, block_iii, block_iv)))
 
 
 # ---------------------------------------------------------------------------
@@ -831,28 +784,13 @@ def _assoc_sides(quiver, X, Y1, Y2, L1, L2, p, form, direction, budget):
     m_l1 = L1.instantiate(p)
     m_l2 = L2.instantiate(p)
     projective = form == "projective"
-
-    def h_count(M1, M2, coker_fpr, ker_fpr):
-        if projective:
-            return _phom_stratum_fp(M1, M2, coker_fpr, ker_fpr, budget)
-        return _hom_stratum_fp(M1, M2, coker_fpr, ker_fpr, budget)
-
-    census_h = strata.hom_census(m_l1, m_l2, budget=budget)
-    zero_key = (catalog.decompose(m_l2), catalog.decompose(m_l1))
-
-    def h_entry(key, c):
-        if projective:
-            return _projective_count(key, c, zero_key, p)
-        return c
+    census_h = _hom_strata(m_l1, m_l2, projective, budget)
 
     if direction == "primal":
         # LHS: strata of Hom(L1, L2) with coker = X, graded by ker type Y
         lhs = 0
-        for (coker, ker), c in census_h.items():
-            if _fp(coker) != fps["X"]:
-                continue
-            h = h_entry((coker, ker), c)
-            if h == 0:
+        for (coker, ker), h in census_h.items():
+            if h == 0 or _fp(coker) != fps["X"]:
                 continue
             ker_mod = catalog.module_from_classes(quiver, ker, p)
             lhs += h * _hall_fp(ker_mod, fps["Y2"], fps["Y1"], Y1.dims, budget)
@@ -865,7 +803,9 @@ def _assoc_sides(quiver, X, Y1, Y2, L1, L2, p, form, direction, budget):
             if _fp(sub) != fps["Y1"]:
                 continue
             quot_mod = catalog.module_from_classes(quiver, quot, p)
-            rhs += c * h_count(quot_mod, m_l2, fps["X"], fps["Y2"])
+            rhs += c * _hom_stratum_fp(
+                quot_mod, m_l2, fps["X"], fps["Y2"], projective, budget
+            )
         return lhs, rhs
 
     # dual direction: (X1, X2, Y) := (X, Y2, Y1)
@@ -873,11 +813,8 @@ def _assoc_sides(quiver, X, Y1, Y2, L1, L2, p, form, direction, budget):
     x1_dims, x2_dims, y_dims = X.dims, Y2.dims, Y1.dims
     # LHS: strata of Hom(L1, L2) with ker = Y, graded by coker type X'
     lhs = 0
-    for (coker, ker), c in census_h.items():
-        if _fp(ker) != fy:
-            continue
-        h = h_entry((coker, ker), c)
-        if h == 0:
+    for (coker, ker), h in census_h.items():
+        if h == 0 or _fp(ker) != fy:
             continue
         coker_mod = catalog.module_from_classes(quiver, coker, p)
         lhs += h * _hall_fp(coker_mod, fx2, fx1, x1_dims, budget)
@@ -892,7 +829,7 @@ def _assoc_sides(quiver, X, Y1, Y2, L1, L2, p, form, direction, budget):
             if _fp(quot) != fx2:
                 continue
             sub_mod = catalog.module_from_classes(quiver, sub, p)
-            rhs += c * h_count(m_l1, sub_mod, fx1, fy)
+            rhs += c * _hom_stratum_fp(m_l1, sub_mod, fx1, fy, projective, budget)
     return lhs, rhs
 
 
@@ -961,14 +898,7 @@ def verify_cc1(
         census = strata.ext_middle_census(
             xi2.instantiate(p), eta2.instantiate(p), budget=budget
         )
-        out = {}
-        for lam, c in census.items():
-            f = _fp(lam)
-            if f == split_fpr:
-                continue
-            c0, _ = out.get(f, (0, lam))
-            out[f] = (c0 + c, lam)
-        return out
+        return _group_by_fp(census.items(), drop=split_fpr)
 
     table1, reps1 = _grouped_table(middles, ext_dim, min_prime, verify)
     nvars = quiver.n

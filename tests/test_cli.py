@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hallchar import cluster, verify
+from hallchar import cluster, rep, strata, verify
 from hallchar.cli import main
 from hallchar.laurent import LaurentPoly
 from hallchar.verify import VerificationReport
@@ -201,3 +201,37 @@ def test_char_table_cross_check_failure_exits_2(monkeypatch, capsys):
     assert rc == 2
     data = json.loads(out)
     assert data["error"]["type"] == "VerificationMismatch"
+
+
+def test_ext_dimension_check_failure_exits_2(monkeypatch, capsys):
+    # the cocycle complement no longer matches dim Ext^1 from the Euler form
+    ext1_dim = rep.ext1_dim
+    monkeypatch.setattr(rep, "ext1_dim", lambda X, Y: ext1_dim(X, Y) + 1)
+    rc, out, _ = run(
+        capsys, "verify", "green-ff", "--quiver", "a2",
+        "--xi", "S1", "--eta", "S2", "--xi-prime", "S1", "--eta-prime", "S2",
+        "--json",
+    )
+    assert rc == 2
+    data = json.loads(out)
+    assert data["error"]["type"] == "VerificationMismatch"
+    assert "dim Ext^1" in data["error"]["message"]
+
+
+def test_projective_stratum_remainder_exits_2(monkeypatch, capsys):
+    # an injected Hom stratum count that p - 1 = 2 does not divide
+    hom_census = strata.hom_census
+    monkeypatch.setattr(
+        strata,
+        "hom_census",
+        lambda *a, **k: {key: c + 1 for key, c in hom_census(*a, **k).items()},
+    )
+    rc, out, _ = run(
+        capsys, "verify", "assoc", "--quiver", "kronecker",
+        "--x", "S1", "--y1", "0", "--y2", "0", "--l1", "S2", "--l2", "R(1,1)@0",
+        "-p", "3", "--json",
+    )
+    assert rc == 2
+    data = json.loads(out)
+    assert data["error"]["type"] == "VerificationMismatch"
+    assert "not divisible by p - 1 = 2" in data["error"]["message"]

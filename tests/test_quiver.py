@@ -7,6 +7,7 @@ Expected values below are hand-derived from the definitions:
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hallchar.quiver import (
     Quiver,
@@ -77,6 +78,28 @@ def test_coxeter_matrix_a3():
         p = Q.projective_dim(i)
         iv = Q.injective_dim(i)
         assert Q.coxeter(p) == tuple(-x for x in iv)
+
+
+@st.composite
+def quivers_and_vectors(draw):
+    """An acyclic quiver (arrows i -> j only for i < j, up to two parallel)
+    and an integer vector on its vertices."""
+    n = draw(st.integers(1, 6))
+    arrows = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    d = tuple(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
+    return Quiver(n, arrows), d
+
+
+@given(quivers_and_vectors())
+def test_coxeter_inverse_inverts_coxeter(qd):
+    Q, d = qd
+    assert Q.coxeter_inverse(Q.coxeter(d)) == d
+    assert Q.coxeter(Q.coxeter_inverse(d)) == d
 
 
 def test_projective_injective_dims():

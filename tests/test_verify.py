@@ -11,8 +11,8 @@ import json
 
 import pytest
 
-from hallchar import catalog, cluster, qpoly, symspace, verify
-from hallchar.errors import UnsupportedQuiver
+from hallchar import catalog, cluster, qpoly, strata, symspace, verify
+from hallchar.errors import UnsupportedQuiver, VerificationMismatch
 from hallchar.quiver import kronecker_quiver, linear_quiver
 
 A2 = linear_quiver(2)
@@ -363,10 +363,39 @@ def test_cc2_bad_rho(table_a2):
 # ---------------------------------------------------------------------------
 
 
-def test_verified_fits_counter_increments():
-    before = qpoly.VERIFIED_FITS
-    verify.verify_green_degenerate(
-        sym("S1", A2), sym("S2", A2), sym("S2", A2), sym("S1", A2), verify=2
-    )
+def test_verified_fits_counter_increments(table_k):
+    def fits(call):
+        before = qpoly.VERIFIED_FITS
+        call()
+        return qpoly.VERIFIED_FITS - before
+
     # two counting polynomials (lhs and rhs), each with held-out checks
-    assert qpoly.VERIFIED_FITS >= before + 2
+    assert fits(lambda: verify.verify_green_degenerate(
+        sym("S1", A2), sym("S2", A2), sym("S2", A2), sym("S1", A2), verify=2
+    )) == 2
+    # one polynomial per block (i)-(iv), none checked without held-out primes
+    for held_out, grown in ((2, 4), (0, 0)):
+        assert fits(lambda: verify.verify_green_projective(
+            sym("S1"), sym("S2"), sym("S1"), sym("S2"), verify=held_out
+        )) == grown
+    # with the characters cached, cc1 fits one polynomial for the nonsplit
+    # middles of Ext^1(S_1, S_2) (the regular simples, one fingerprint
+    # group) and one for the nonzero maps S_2 -> tau S_1 (all injective)
+    verify.verify_cc1(sym("S1"), sym("S2"), table=table_k)
+    assert fits(lambda: verify.verify_cc1(sym("S1"), sym("S2"), table=table_k)) == 2
+
+
+def test_assoc_projective_remainder_raises(monkeypatch):
+    # One extra map in every Hom(S_2, R) stratum over F_3 leaves counts
+    # that p - 1 = 2 does not divide once the zero map is removed (2 - 1
+    # for the zero stratum, 3 for the injective maps).
+    hom_census = strata.hom_census
+    monkeypatch.setattr(
+        strata,
+        "hom_census",
+        lambda *a, **k: {key: c + 1 for key, c in hom_census(*a, **k).items()},
+    )
+    with pytest.raises(VerificationMismatch):
+        verify.verify_assoc(
+            sym("S1"), sym("0"), sym("0"), sym("S2"), sym("R(1,1)@0"), primes=(3,)
+        )
