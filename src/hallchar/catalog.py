@@ -61,6 +61,7 @@ tags when the materialized points stay pairwise distinct mod p.
 import itertools
 import re
 import zlib
+from array import array
 
 import numpy as np
 
@@ -287,6 +288,27 @@ def decompose(M, certify=False):
         again = module_from_classes(Q, decomp, M.p)
         if not rep.is_isomorphic(M, again):
             raise ComputationError("decomposition certificate failed")
+    return decomp
+
+
+def _decompose_rows(quiver, p, dims, blocks):
+    """`decompose` of the module with dimension vector `dims` whose arrow
+    matrices are `blocks` (lists of Python-int rows in [0, p)).
+
+    The memo is read with the same bytes a `Rep` of these matrices has,
+    since array("q") and int64 share the machine's 8-byte layout, so only
+    a module the memo has not seen is built and decomposed.
+    """
+    if not any(dims):
+        return ()
+    mat_bytes = tuple(array("q", itertools.chain.from_iterable(b)).tobytes() for b in blocks)
+    decomp = _DECOMPOSE_CACHE.get((quiver.key, p, dims, mat_bytes))
+    if decomp is None:
+        mats = [
+            np.array(b, dtype=np.int64).reshape(dims[t], dims[s])
+            for b, (s, t) in zip(blocks, quiver.arrows)
+        ]
+        decomp = decompose(rep.Rep(quiver, p, dims, mats))
     return decomp
 
 

@@ -73,6 +73,13 @@ def rank_mod(A, p):
     return rank
 
 
+def rank_rows(rows, ncols, p):
+    """Rank over F_p of the matrix whose rows are `rows`, lists of ncols
+    Python ints in [0, p).  The outer list is reordered and its entries
+    replaced; the row lists themselves are left unchanged."""
+    return len(_rref_rows(rows, ncols, p))
+
+
 def nullspace_mod(A, p):
     """Basis of the right kernel of A over F_p, as columns of an n x k array."""
     n = A.shape[1]

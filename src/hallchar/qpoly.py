@@ -260,9 +260,13 @@ def gaussian_binomial(n, k, q):
     """Number of k-dimensional subspaces of F_q^n."""
     if k < 0 or k > n:
         return 0
-    out = Fraction(1)
+    num = den = 1
     for i in range(k):
-        out *= Fraction(q ** (n - i) - 1, q ** (i + 1) - 1)
-    if out.denominator != 1:
-        raise ComputationError(f"[{n} choose {k}]_{q} is not an integer: {out}")
-    return int(out)
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    out, rem = divmod(num, den)
+    if rem:
+        raise ComputationError(
+            f"[{n} choose {k}]_{q} is not an integer: {Fraction(num, den)}"
+        )
+    return out

@@ -348,7 +348,7 @@ def sub_quotient_pair(M, bases):
 
     `bases[i]` is a dims[i] x k_i matrix of independent columns spanning a
     subspace U_i; the U_i must form a subrepresentation (M_a U_s inside U_t
-    for every arrow — asserted here).  Returns (sub, quot).
+    for every arrow), otherwise ValueError is raised.  Returns (sub, quot).
     """
     Q, p = M.quiver, M.p
     k = [b.shape[1] for b in bases]

@@ -1,15 +1,20 @@
 """Enumeration of subspaces and subrepresentations, and Hall censuses.
 
 Subspaces of F_p^n of dimension k are enumerated through their reduced
-echelon normal form: the canonical basis matrix is determined by the pivot
-rows and the free entries, so each subspace appears exactly once and the
-total matches the Gaussian binomial [n choose k]_p.
+column echelon normal form: the canonical basis matrix U is determined by
+its pivot rows P (where U[P] is the identity) and the free entries below
+each pivot in the other rows NP, so each subspace appears exactly once and
+the total matches the Gaussian binomial [n choose k]_p.
 
 A subrepresentation of M with dimension vector e is a choice of subspace
 U_i of dimension e_i at every vertex with M_a U_s inside U_t for all
 arrows a: s -> t.  Enumeration walks the vertices in topological order so
-every arrow is checked as soon as both endpoints are fixed; containment
-checks run through the mod-p rank kernels.
+every arrow is checked as soon as both endpoints are fixed.  The check
+reads echelon coordinates off Python-int rows, with no rank: writing
+img = M_a U_s, containment holds exactly when img[NP] = U_t[NP] img[P].
+The same coordinates give both halves of the subrepresentation: the
+matrix of a on U is img[P], and on M/U (in the basis of the standard
+vectors at the rows NP) it is M_a[NP_t, NP_s] - U_t[NP_t] M_a[P_t, NP_s].
 
 The Hall census of (M, e) groups the subrepresentations U by the pair of
 isomorphism classes (class of M/U, class of U):
@@ -21,68 +26,161 @@ g = #{U <= M : U iso V_sub, M/U iso V_quot} is one dictionary entry, and
 the quiver Grassmannian point count |Gr_e(M)(F_p)| is the total mass.
 Censuses are cached per (quiver, prime, class of M, e); the cache key uses
 the Krull-Schmidt decomposition, so isomorphic ambient modules share one
-census.
+census.  Sub and quotient are classified through the `catalog.decompose`
+memo, read with the bytes of their Python-int matrices; only a module the
+memo has not seen is built as a `Rep`.
 """
 
 import itertools
+from collections import namedtuple
 
 import numpy as np
 
-from . import catalog, linalg, rep
+from . import catalog, linalg
 from .errors import BudgetExceeded
 from .qpoly import gaussian_binomial
 
 DEFAULT_SUBSPACE_BUDGET = 2_000_000
 
+# One enumerated subspace U of F_p^n: `basis` is U as an n x k int64 matrix,
+# `rows` the same entries as n lists of k Python ints, `pivots` the rows P
+# with U[P] = I and `others` the remaining rows NP, both increasing.
+_Echelon = namedtuple("_Echelon", "basis pivots others rows")
+
+
+def _echelon_subspaces(n, k, p):
+    """Yield (pivots, others, rows) per k-subspace of F_p^n, in the order of
+    `subspace_bases`: `rows` lists the n rows of the reduced column echelon
+    basis as Python ints."""
+    if k < 0 or k > n:
+        return
+    for pivots in itertools.combinations(range(n), k):
+        others = tuple(r for r in range(n) if r not in pivots)
+        # free entries (row r, column c) sit below the pivot of column c
+        free = [(r, c) for c in range(k) for r in range(pivots[c] + 1, n) if r not in pivots]
+        template = [[0] * k for _ in range(n)]
+        for c, r in enumerate(pivots):
+            template[r][c] = 1
+        for values in itertools.product(range(p), repeat=len(free)):
+            rows = [row[:] for row in template]
+            for (r, c), v in zip(free, values):
+                rows[r][c] = v
+            yield pivots, others, rows
+
 
 def subspace_bases(n, k, p):
     """Yield one canonical basis (n x k int64 matrix) per k-subspace of F_p^n.
 
-    Built from the reduced row echelon forms of k x n matrices: choose
-    pivot columns c_1 < ... < c_k, put the identity there, zeros left of
-    each pivot, and free values at the positions right of a pivot that are
-    not themselves pivot columns.  The transpose of each such matrix is
-    returned, so columns are the basis vectors.
+    The basis is the transpose of a reduced row echelon form: choose pivot
+    rows r_1 < ... < r_k, put the identity there, zeros above each pivot,
+    and free values at the positions below a pivot that are not themselves
+    pivot rows.  Columns are the basis vectors.
     """
-    if k < 0 or k > n:
-        return
-    if k == 0:
-        yield np.zeros((n, 0), dtype=np.int64)
-        return
-    for pivots in itertools.combinations(range(n), k):
-        free = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivots
-        ]
-        base = np.zeros((k, n), dtype=np.int64)
-        for i, c in enumerate(pivots):
-            base[i, c] = 1
-        if not free:
-            yield np.ascontiguousarray(base.T)
-            continue
-        for values in itertools.product(range(p), repeat=len(free)):
-            m = base.copy()
-            for (i, j), v in zip(free, values):
-                m[i, j] = v
-            yield np.ascontiguousarray(m.T)
+    for _, _, rows in _echelon_subspaces(n, k, p):
+        yield np.array(rows, dtype=np.int64).reshape(n, k)
 
 
 def subspace_count(n, k, p):
     return gaussian_binomial(n, k, p)
 
 
-def _arrow_image_ok(M, a, U_s, U_t, p):
-    img = linalg.matmul_mod(M.mats[a], U_s, p)
-    if img.shape[1] == 0 or not img.any():
-        return True
-    return bool(linalg.column_space_contains(U_t, img, p))
+def _image(mat_rows, U_rows, p):
+    """M_a U as Python-int rows."""
+    cols = list(zip(*U_rows))
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in mat_rows]
+
+
+def _contains(img, U, p):
+    """True when the columns of `img` lie in the span of the echelon basis
+    U: their coordinates are img[P], so img[NP] must equal U[NP] img[P]."""
+    top = [img[r] for r in U.pivots]
+    for r in U.others:
+        coeffs = U.rows[r]
+        for j, x in enumerate(img[r]):
+            if (x - sum(c * t[j] for c, t in zip(coeffs, top))) % p:
+                return False
+    return True
+
+
+def _quotient_block(mat_rows, U_s, U_t, p):
+    """Matrix of M_a on M/U: M_a[NP_t, NP_s] - U_t[NP_t] M_a[P_t, NP_s]."""
+    top = [[mat_rows[r][j] for j in U_s.others] for r in U_t.pivots]
+    return [
+        [
+            (mat_rows[r][j] - sum(c * t[i] for c, t in zip(U_t.rows[r], top))) % p
+            for i, j in enumerate(U_s.others)
+        ]
+        for r in U_t.others
+    ]
+
+
+def _search_space(M, e, vertices, budget):
+    total = 1
+    for v in vertices:
+        total *= subspace_count(M.dims[v], e[v], M.p)
+    if total > budget:
+        raise BudgetExceeded(
+            f"subspace search space {total} exceeds budget {budget}"
+        )
+
+
+def _echelon_walk(M, e, order):
+    """Enumerate subspaces U_v of dimension e_v at the vertices of `order`
+    (topologically ordered) with M_a U_s inside U_t for every arrow between
+    two of them.
+
+    Returns (candidates, images, walk): candidates[v] lists the `_Echelon`
+    subspaces at v, images[a][i] is M_a U_s for candidate i at the source
+    of a (for every arrow whose source is in `order`), and `walk` yields
+    one list of candidate indices per vertex for each admissible choice
+    (the same list object, updated in place).
+    """
+    Q, p = M.quiver, M.p
+    candidates = [None] * Q.n
+    for v in order:
+        candidates[v] = [
+            _Echelon(np.array(rows, dtype=np.int64).reshape(M.dims[v], e[v]), pivots, others, rows)
+            for pivots, others, rows in _echelon_subspaces(M.dims[v], e[v], p)
+        ]
+    images = [None] * len(Q.arrows)
+    pos = {v: idx for idx, v in enumerate(order)}
+    # arrows checked when their target, the later endpoint, is chosen
+    checks = [[] for _ in order]
+    for a, (s, t) in enumerate(Q.arrows):
+        if s in pos:
+            rows = M.mats[a].tolist()
+            images[a] = [_image(rows, U.rows, p) for U in candidates[s]]
+            if t in pos:
+                checks[pos[t]].append((images[a], s))
+    chosen = [None] * Q.n
+
+    def walk(idx=0):
+        if idx == len(order):
+            yield chosen
+            return
+        v = order[idx]
+        for i, U in enumerate(candidates[v]):
+            for imgs, s in checks[idx]:
+                if not _contains(imgs[chosen[s]], U, p):
+                    break
+            else:
+                chosen[v] = i
+                yield from walk(idx + 1)
+
+    return candidates, images, walk
 
 
 def subrep_bases(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
-    """Yield per-vertex bases (tuple of n_i x e_i matrices) of all
-    subrepresentations of M with dimension vector e."""
+    """Yield (bases, sub, quot) for every subrepresentation U of M with
+    dimension vector e.
+
+    bases[i] is the reduced column echelon basis of U_i (a dims[i] x e_i
+    int64 matrix).  sub[a] and quot[a] are the matrices of arrow a on U
+    and on M/U, as read-only lists of Python-int rows, in the bases that
+    `rep.sub_quotient_pair(M, bases)` uses: the columns of bases[i] for
+    U_i and the standard vectors at its non-pivot rows for M_i/U_i.  So
+    they equal that function's matrices entry for entry.
+    """
     Q, p = M.quiver, M.p
     n = Q.n
     e = tuple(int(x) for x in e)
@@ -90,43 +188,17 @@ def subrep_bases(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
         raise ValueError("dimension vector has wrong length")
     if any(e[i] < 0 or e[i] > M.dims[i] for i in range(n)):
         return
-    total = 1
-    for i in range(n):
-        total *= subspace_count(M.dims[i], e[i], p)
-    if total > budget:
-        raise BudgetExceeded(
-            f"subspace search space {total} exceeds budget {budget}"
-        )
-    order = Q.topological_order()
-    pos = {v: idx for idx, v in enumerate(order)}
-    # arrows to check as soon as vertex v is assigned: both ends known
-    checks = [[] for _ in range(n)]
-    for a, (s, t) in enumerate(Q.arrows):
-        later = s if pos[s] > pos[t] else t
-        checks[later].append(a)
-    candidates = [None] * n
-    for v in order:
-        candidates[v] = list(subspace_bases(M.dims[v], e[v], p))
-    chosen = [None] * n
-
-    def walk(idx):
-        if idx == n:
-            yield tuple(chosen)
-            return
-        v = order[idx]
-        for U in candidates[v]:
-            chosen[v] = U
-            ok = True
-            for a in checks[v]:
-                s, t = Q.arrows[a]
-                if not _arrow_image_ok(M, a, chosen[s], chosen[t], p):
-                    ok = False
-                    break
-            if ok:
-                yield from walk(idx + 1)
-        chosen[v] = None
-
-    yield from walk(0)
+    _search_space(M, e, range(n), budget)
+    candidates, images, walk = _echelon_walk(M, e, Q.topological_order())
+    mats = [m.tolist() for m in M.mats]
+    for chosen in walk():
+        U = [candidates[v][chosen[v]] for v in range(n)]
+        sub, quot = [], []
+        for a, (s, t) in enumerate(Q.arrows):
+            img = images[a][chosen[s]]
+            sub.append([img[r] for r in U[t].pivots])
+            quot.append(_quotient_block(mats[a], U[s], U[t], p))
+        yield tuple(u.basis for u in U), sub, quot
 
 
 _RANK_DIST_CACHE = {}
@@ -190,51 +262,21 @@ def grassmannian_count(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
             for w, cnt in enumerate(dist)
             if cnt
         )
-    total = 1
-    for v in order[:-1]:
-        total *= subspace_count(M.dims[v], e[v], p)
-    if total > budget:
-        raise BudgetExceeded(
-            f"subspace search space {total} exceeds budget {budget}"
-        )
-    pos = {v: idx for idx, v in enumerate(order)}
-    checks = [[] for _ in range(n)]
-    arrows_into_last = []
-    for a, (s, t) in enumerate(Q.arrows):
-        if t == last:
-            arrows_into_last.append((a, s))
-        else:
-            checks[max(s, t, key=lambda v: pos[v])].append(a)
-    candidates = {v: list(subspace_bases(M.dims[v], e[v], p)) for v in order[:-1]}
-    chosen = [None] * n
+    vertices = order[:-1]
+    _search_space(M, e, vertices, budget)
+    _, images, walk = _echelon_walk(M, e, vertices)
+    into_last = [(images[a], s) for a, (s, t) in enumerate(Q.arrows) if t == last]
+    # subspaces at the last vertex containing a span of dimension w
+    choices = [subspace_count(M.dims[last] - w, e[last] - w, p) for w in range(M.dims[last] + 1)]
+    width = sum(e[s] for _, s in into_last)
     count = 0
-
-    def walk(idx):
-        nonlocal count
-        if idx == n - 1:
-            blocks = [
-                linalg.matmul_mod(M.mats[a], chosen[s], p)
-                for a, s in arrows_into_last
-            ]
-            blocks = [b for b in blocks if b.size]
-            if blocks:
-                joint = np.ascontiguousarray(np.hstack(blocks))
-                w = int(linalg.rank_mod(joint, p))
-            else:
-                w = 0
-            count += subspace_count(M.dims[last] - w, e[last] - w, p)
-            return
-        v = order[idx]
-        for U in candidates[v]:
-            chosen[v] = U
-            if all(
-                _arrow_image_ok(M, a, chosen[Q.arrows[a][0]], chosen[Q.arrows[a][1]], p)
-                for a in checks[v]
-            ):
-                walk(idx + 1)
-        chosen[v] = None
-
-    walk(0)
+    for chosen in walk():
+        # rows of [M_a U_s | ...] over the arrows into the last vertex
+        joint = [
+            list(itertools.chain.from_iterable(row))
+            for row in zip(*(imgs[chosen[s]] for imgs, s in into_last))
+        ]
+        count += choices[linalg.rank_rows(joint, width, p)]
     return count
 
 
@@ -252,10 +294,15 @@ def hall_census(M, e, budget=DEFAULT_SUBSPACE_BUDGET, key_classes=None):
     cache_key = (M.quiver.key, M.p, key_classes, tuple(int(x) for x in e))
     if cache_key in _CENSUS_CACHE:
         return _CENSUS_CACHE[cache_key]
+    Q, p = M.quiver, M.p
+    e = cache_key[3]
+    quot_dims = tuple(d - k for d, k in zip(M.dims, e))
     out = {}
-    for bases in subrep_bases(M, e, budget=budget):
-        sub, quot = rep.sub_quotient_pair(M, bases)
-        key = (catalog.decompose(quot), catalog.decompose(sub))
+    for _, sub, quot in subrep_bases(M, e, budget=budget):
+        key = (
+            catalog._decompose_rows(Q, p, quot_dims, quot),
+            catalog._decompose_rows(Q, p, e, sub),
+        )
         out[key] = out.get(key, 0) + 1
     _CENSUS_CACHE[cache_key] = out
     return out

@@ -219,6 +219,10 @@ def test_rref_rank_nullspace_match_loop_oracle(pm):
     assert np.array_equal(pivots, o_pivots) and pivots.dtype == np.int64
     assert np.array_equal(B, C)
     assert linalg.rank_mod(M, p) == o_rank
+    rows = M.tolist()
+    row_lists = list(rows)
+    assert linalg.rank_rows(rows, M.shape[1], p) == o_rank
+    assert row_lists == M.tolist()  # the row lists are not changed in place
     K = linalg.nullspace_mod(M, p)
     assert K.dtype == np.int64 and np.array_equal(K, _oracle_nullspace(M, p))
     assert not ((M @ K) % p).any()

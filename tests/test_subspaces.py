@@ -9,21 +9,82 @@ Hand-derived values:
 """
 
 import itertools
+from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hallchar import catalog, linalg, rep, subspaces
 from hallchar.errors import BudgetExceeded
-from hallchar.quiver import kronecker_quiver, linear_quiver
+from hallchar.quiver import Quiver, kronecker_quiver, linear_quiver
 
 A2 = linear_quiver(2)
+A3 = linear_quiver(3)
+A3_SINK = Quiver(3, [(0, 1), (2, 1)])
+A3_SOURCE = Quiver(3, [(1, 0), (1, 2)])
+D4 = Quiver(4, [(0, 1), (2, 1), (1, 3)])
 K = kronecker_quiver()
 
 
-def grassmannian_count_brute(M, e, budget=subspaces.DEFAULT_SUBSPACE_BUDGET):
-    """Reference count by full enumeration of subrepresentation tuples."""
-    return sum(1 for _ in subspaces.subrep_bases(M, e, budget=budget))
+def grassmannian_count_brute(M, e):
+    """Reference count: every tuple of subspaces of dimension e, kept when
+    each arrow image lies in the target subspace by rank, so it shares no
+    code with the echelon containment check that `subspaces` uses."""
+    p = M.p
+    per_vertex = [list(subspaces.subspace_bases(d, k, p)) for d, k in zip(M.dims, e)]
+    return sum(
+        all(
+            linalg.column_space_contains(bases[t], (M.mats[a] @ bases[s]) % p, p)
+            for a, (s, t) in enumerate(M.quiver.arrows)
+        )
+        for bases in itertools.product(*per_vertex)
+    )
+
+
+def hall_census_oracle(M, e):
+    """The census built one subrepresentation at a time: construct U and
+    M/U with `rep.sub_quotient_pair` and decompose both."""
+    out = {}
+    for bases, _, _ in subspaces.subrep_bases(M, e):
+        sub, quot = rep.sub_quotient_pair(M, bases)
+        key = (catalog.decompose(quot), catalog.decompose(sub))
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _result(fn, *args):
+    """fn(*args), or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared across paths, never swallowed
+        return type(exc)
+
+
+@st.composite
+def modules(draw, quivers, primes, max_dim, max_total):
+    """A module over one of `quivers`: random matrices, or a direct sum of
+    two random parts so that censuses see split modules too."""
+    Q = draw(st.sampled_from(quivers))
+    p = draw(st.sampled_from(primes))
+    dims = draw(
+        st.lists(st.integers(0, max_dim), min_size=Q.n, max_size=Q.n).filter(
+            lambda d: sum(d) <= max_total
+        )
+    )
+
+    def random_part(part):
+        mats = []
+        for s, t in Q.arrows:
+            size = part[t] * part[s]
+            entries = draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+            mats.append(np.array(entries, dtype=np.int64).reshape(part[t], part[s]))
+        return rep.Rep(Q, p, part, mats)
+
+    if draw(st.booleans()):
+        return random_part(dims)
+    first = [draw(st.integers(0, d)) for d in dims]
+    return rep.direct_sum(random_part(first), random_part([d - f for d, f in zip(dims, first)]))
 
 
 def test_subspace_enumeration_counts_and_uniqueness():
@@ -174,3 +235,138 @@ def test_image_rank_distribution_total():
     for k in range(3):
         dist = subspaces.image_rank_distribution(M, k)
         assert int(dist.sum()) == subspaces.subspace_count(2, k, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(modules([A2, A3, A3_SINK, D4, K], [2, 3, 5], max_dim=3, max_total=4))
+def test_hall_census_matches_per_subrep_oracle(M):
+    """Every census, from cold caches, equals the census built by
+    `sub_quotient_pair` and `decompose`, exceptions included, and its mass
+    is the rank-checked subrepresentation count."""
+    for e in itertools.product(*[range(d + 1) for d in M.dims]):
+        subspaces.clear_census_cache()
+        got = _result(subspaces.hall_census, M, e)
+        subspaces.clear_census_cache()
+        want = _result(hall_census_oracle, M, e)
+        assert got == want
+        if isinstance(want, dict):
+            assert subspaces.census_total(got) == grassmannian_count_brute(M, e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(modules([A2, A3, A3_SINK, D4, K], [2, 3, 5], max_dim=3, max_total=4))
+def test_echelon_blocks_equal_sub_quotient_pair(M):
+    """The Python-int blocks are `sub_quotient_pair`'s matrices byte for
+    byte, so the census reads the decompose memo under the same keys."""
+    Q, p = M.quiver, M.p
+    for e in itertools.product(*[range(d + 1) for d in M.dims]):
+        for bases, sub, quot in subspaces.subrep_bases(M, e):
+            U, MU = rep.sub_quotient_pair(M, bases)
+            for a in range(len(Q.arrows)):
+                for blocks, mat in ((sub, U.mats[a]), (quot, MU.mats[a])):
+                    assert len(blocks[a]) == mat.shape[0]
+                    assert array("q", itertools.chain.from_iterable(blocks[a])).tobytes() == (
+                        mat.tobytes()
+                    )
+
+
+def test_census_classes_read_the_decompose_memo(monkeypatch):
+    """A sub or quotient the memo holds is classified without calling
+    `decompose`: the census key bytes equal the `Rep` bytes."""
+    p = 3
+    M = rep.direct_sum(
+        catalog.module_from_class(A3, ("root", (1, 1, 1)), p),
+        catalog.module_from_class(A3, ("root", (0, 1, 1)), p),
+    )
+    seen = []
+    subspaces.clear_census_cache()
+    for bases, sub, quot in subspaces.subrep_bases(M, (0, 1, 1)):
+        U, MU = rep.sub_quotient_pair(M, bases)
+        seen.append((sub, quot, catalog.decompose(U), catalog.decompose(MU), MU.dims))
+
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("decompose called on a memo hit")
+
+    monkeypatch.setattr(catalog, "decompose", no_decompose)
+    assert len(seen) > 1
+    for sub, quot, sub_classes, quot_classes, quot_dims in seen:
+        assert catalog._decompose_rows(A3, p, (0, 1, 1), sub) == sub_classes
+        assert catalog._decompose_rows(A3, p, quot_dims, quot) == quot_classes
+
+
+def test_echelon_containment_rejects_non_subrep():
+    """On P(1) over 1 -> 2 the line at vertex 1 alone is not a
+    subrepresentation: its image is not in the zero subspace at vertex 2."""
+    p = 3
+    P1 = catalog.module_from_class(A2, ("root", (1, 1)), p)
+    (U1,) = [subspaces._Echelon(None, *c) for c in subspaces._echelon_subspaces(1, 1, p)]
+    (zero,) = [subspaces._Echelon(None, *c) for c in subspaces._echelon_subspaces(1, 0, p)]
+    img = subspaces._image(P1.mats[0].tolist(), U1.rows, p)
+    assert not subspaces._contains(img, zero, p)
+    assert subspaces._contains(img, U1, p)
+    assert list(subspaces.subrep_bases(P1, (1, 0))) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_echelon_containment_matches_rank_check(data):
+    """M_a U_s inside U_t by echelon coordinates iff by rank, for every
+    pair of echelon subspaces."""
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    ds, dt = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    ks, kt = data.draw(st.integers(0, ds)), data.draw(st.integers(0, dt))
+    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=dt * ds, max_size=dt * ds))
+    A = np.array(entries, dtype=np.int64).reshape(dt, ds)
+    sources = list(subspaces._echelon_subspaces(ds, ks, p))
+    targets = list(subspaces._echelon_subspaces(dt, kt, p))
+    for _, _, rows_s in sources:
+        img = subspaces._image(A.tolist(), rows_s, p)
+        basis_s = np.array(rows_s, dtype=np.int64).reshape(ds, ks)
+        for pivots, others, rows_t in targets:
+            U_t = subspaces._Echelon(None, pivots, others, rows_t)
+            basis_t = np.array(rows_t, dtype=np.int64).reshape(dt, kt)
+            assert subspaces._contains(img, U_t, p) == linalg.column_space_contains(
+                basis_t, (A @ basis_s) % p, p
+            )
+
+
+def test_hall_census_does_not_build_sub_quotient_pairs(monkeypatch):
+    """The census reads sub and quotient off echelon coordinates: with
+    `sub_quotient_pair` raising, every census is unchanged."""
+    p = 3
+    cases = [
+        (rep.direct_sum(
+            catalog.module_from_class(A3, ("root", (1, 1, 1)), p),
+            catalog.module_from_class(A3, ("root", (0, 1, 1)), p),
+        ), (1, 1, 1)),
+        (rep.direct_sum(
+            catalog.module_from_class(D4, ("root", (1, 1, 1, 1)), p),
+            rep.Rep.simple(D4, p, 1),
+        ), (0, 1, 1, 1)),
+        (rep.direct_sum(
+            catalog.module_from_class(K, ("P", 1), p),
+            catalog.module_from_class(K, ("Rc", 2, 1), p),
+        ), (1, 2)),
+    ]
+    want = []
+    for M, e in cases:
+        subspaces.clear_census_cache()
+        want.append(hall_census_oracle(M, e))
+
+    def raises(*args, **kwargs):
+        raise AssertionError("sub_quotient_pair called")
+
+    monkeypatch.setattr(rep, "sub_quotient_pair", raises)
+    for (M, e), census in zip(cases, want):
+        subspaces.clear_census_cache()
+        assert subspaces.hall_census(M, e) == census
+        assert census
+
+
+@settings(max_examples=80, deadline=None)
+@given(modules([A3, A3_SINK, A3_SOURCE, D4], [2, 3], max_dim=2, max_total=6), st.data())
+def test_grassmannian_count_matches_brute_a3_d4(M, data):
+    """The walk over all vertices but the last, closed by a rank at the
+    last vertex, against the rank-checked enumeration of all vertices."""
+    e = tuple(data.draw(st.integers(0, d)) for d in M.dims)
+    assert subspaces.grassmannian_count(M, e) == grassmannian_count_brute(M, e)
