@@ -421,13 +421,19 @@ def aut_count(M, decomp=None):
 
 
 def module_from_classes(quiver, classes, p):
-    """Direct sum of catalog modules for a decomposition ((cls, mult), ...)."""
-    parts = []
-    for cls, mult in classes:
-        parts.extend([module_from_class(quiver, cls, p)] * mult)
-    if not parts:
-        return Rep.zero(quiver, p)
-    return rep.direct_sum(*parts)
+    """Direct sum of catalog modules for a decomposition ((cls, mult), ...),
+    in the given order of the classes.  Memoized in `_MODULE_CACHE`, so
+    callers share one read-only `Rep` per (quiver, classes, p)."""
+    classes = tuple(classes)
+    key = (quiver.key, classes, p)
+    M = _MODULE_CACHE.get(key)
+    if M is None:
+        parts = []
+        for cls, mult in classes:
+            parts.extend([module_from_class(quiver, cls, p)] * mult)
+        M = rep.direct_sum(*parts) if parts else Rep.zero(quiver, p)
+        _MODULE_CACHE[key] = M
+    return M
 
 
 _AUT_CACHE = {}
@@ -630,12 +636,9 @@ class ModuleSymbol:
         self.atoms = tuple(
             sorted(merged.items(), key=lambda am: class_sort_key(am[0]))
         )
+        self.dims = decomposition_dims(quiver, self.atoms)
 
     # -- data ----------------------------------------------------------------
-
-    @property
-    def dims(self):
-        return decomposition_dims(self.quiver, self.atoms)
 
     def total_dim(self):
         return sum(self.dims)

@@ -61,8 +61,9 @@ def _ints(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _checked_primes(primes, symbols):
-    floor = catalog.min_prime_for_symbols(symbols)
+def _checked_primes(primes, floor):
+    """The sorted distinct `primes`, each checked to be a prime >= `floor`,
+    the smallest prime that keeps the operands' tube points distinct."""
     for p in primes:
         if catalog.primes_from(p, 1) != [p]:
             raise _CliError(f"{p} is not prime")
@@ -74,13 +75,14 @@ def _checked_primes(primes, symbols):
     return sorted(set(primes))
 
 
-def _exact_primes(args, symbols):
-    """Prime list for the per-prime verifiers (green-ff, assoc)."""
+def _exact_primes(args, floor):
+    """Prime list for the per-prime verifiers (green-ff, assoc) on operands
+    whose smallest admissible prime is `floor`."""
     primes = list(args.primes or ())
     if not primes:
-        primes = catalog.primes_from(catalog.min_prime_for_symbols(symbols), 2)
+        primes = catalog.primes_from(floor, 2)
     primes += list(args.verify_primes or ())
-    return _checked_primes(primes, symbols)
+    return _checked_primes(primes, floor)
 
 
 def _build_parser():
@@ -175,8 +177,8 @@ def _cmd_hall(args, quiver):
 
 def _cmd_census(args, quiver):
     L = catalog.parse_symbol(args.module, quiver)
-    primes = args.primes or catalog.primes_from(L.min_prime(), 1)
-    primes = _checked_primes(primes, (L,))
+    floor = L.min_prime()
+    primes = _checked_primes(args.primes or catalog.primes_from(floor, 1), floor)
     blocks = []
     for p in primes:
         M = L.instantiate(p)
@@ -226,7 +228,8 @@ def _single_report(args, quiver, table=None):
     if theorem in _GREEN:
         xi, eta, xi2, eta2 = map(parse, _need(args, "xi", "eta", "xi-prime", "eta-prime"))
         if theorem == "green-ff":
-            primes = _exact_primes(args, (xi, eta, xi2, eta2))
+            floor = catalog.min_prime_for_symbols((xi, eta, xi2, eta2))
+            primes = _exact_primes(args, floor)
             return verify.verify_green_ff(xi, eta, xi2, eta2, primes=primes,
                                           budget=args.budget)
         if theorem == "green-degenerate":
@@ -244,7 +247,8 @@ def _single_report(args, quiver, table=None):
         return verify.verify_cc2(xi2, tuple(rho), table=table,
                                  budget=args.budget, verify=nverify)
     x, y1, y2, l1, l2 = map(parse, _need(args, "x", "y1", "y2", "l1", "l2"))
-    primes = _exact_primes(args, (x, y1, y2, l1, l2))
+    floor = catalog.min_prime_for_symbols((x, y1, y2, l1, l2))
+    primes = _exact_primes(args, floor)
     return verify.verify_assoc(x, y1, y2, l1, l2, primes=primes, budget=args.budget)
 
 
@@ -267,11 +271,15 @@ def _sweep_instances(args, quiver):
     nverify = len(args.verify_primes) if args.verify_primes else 2
     instances = []
     if theorem in _GREEN:
+        exact_primes = {}  # the green-ff prime list of each floor, checked once
         for xi, eta, xi2, eta2 in _green_instances(quiver, cap):
             label = {"xi": str(xi), "eta": str(eta),
                      "xi_prime": str(xi2), "eta_prime": str(eta2)}
             if theorem == "green-ff":
-                primes = _exact_primes(args, (xi, eta, xi2, eta2))
+                floor = catalog.min_prime_for_symbols((xi, eta, xi2, eta2))
+                if floor not in exact_primes:
+                    exact_primes[floor] = _exact_primes(args, floor)
+                primes = exact_primes[floor]
                 run = lambda a=xi, b=eta, c=xi2, d=eta2, ps=primes: \
                     verify.verify_green_ff(a, b, c, d, primes=ps, budget=args.budget)
             elif theorem == "green-degenerate":

@@ -55,6 +55,9 @@ class Rep:
                     f"({self.dims[t]}, {self.dims[s]})"
                 )
         self.mats = tuple(np.ascontiguousarray(m) for m in mats)
+        # memos hand the same Rep to many callers, so nobody may write to it
+        for m in self.mats:
+            m.setflags(write=False)
 
     @classmethod
     def zero(cls, quiver, p):

@@ -112,8 +112,27 @@ def middle_from_cocycle(X, Y, flat):
 
 
 def ext_middle_census(X, Y, budget=DEFAULT_EXT_BUDGET):
-    """{middle_classes: #extension classes}, total mass p^{dim Ext^1}."""
+    """{middle_classes: #extension classes}, total mass p^{dim Ext^1}.
+
+    Memoized, like `catalog.decompose`, on the exact matrices of X and Y:
+    the census is stored with dim Ext^1 in `subspaces._CENSUS_CACHE` under
+    an "ext" key, so `subspaces.clear_census_cache()` forgets it.  Budget
+    and cross-check behave as without the memo: a hit raises
+    `BudgetExceeded` when p^{dim Ext^1} exceeds `budget`, exactly as a
+    fresh call would, and every miss checks the cocycle complement
+    against dim Ext^1 from the Euler form.  Callers must not mutate the
+    returned dict.
+    """
     p = X.p
+    key = (
+        "ext", X.quiver.key, p, X.dims, Y.dims,
+        tuple(m.tobytes() for m in X.mats + Y.mats),
+    )
+    cached = subspaces._CENSUS_CACHE.get(key)
+    if cached is not None:
+        e_dim, census = cached
+        _check_ext_budget(p, e_dim, budget)
+        return census
     basis = ext_complement_basis(X, Y)
     e_dim = basis.shape[1]
     expected = rep.ext1_dim(X, Y)
@@ -121,17 +140,22 @@ def ext_middle_census(X, Y, budget=DEFAULT_EXT_BUDGET):
         raise VerificationMismatch(
             f"cocycle complement dimension {e_dim} != dim Ext^1 = {expected}"
         )
-    if p**e_dim > budget:
-        raise BudgetExceeded(f"{p}^{e_dim} extension classes exceed budget")
+    _check_ext_budget(p, e_dim, budget)
     census = {}
     for coeffs in itertools.product(range(p), repeat=e_dim):
         flat = (basis @ np.array(coeffs, dtype=np.int64)) % p if e_dim else np.zeros(
             basis.shape[0], dtype=np.int64
         )
         mid = middle_from_cocycle(X, Y, flat)
-        key = catalog.decompose(mid)
-        census[key] = census.get(key, 0) + 1
+        key_mid = catalog.decompose(mid)
+        census[key_mid] = census.get(key_mid, 0) + 1
+    subspaces._CENSUS_CACHE[key] = (e_dim, census)
     return census
+
+
+def _check_ext_budget(p, e_dim, budget):
+    if p**e_dim > budget:
+        raise BudgetExceeded(f"{p}^{e_dim} extension classes exceed budget")
 
 
 def split_middle_classes(X, Y):

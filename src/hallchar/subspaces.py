@@ -26,9 +26,10 @@ g = #{U <= M : U iso V_sub, M/U iso V_quot} is one dictionary entry, and
 the quiver Grassmannian point count |Gr_e(M)(F_p)| is the total mass.
 Censuses are cached per (quiver, prime, class of M, e); the cache key uses
 the Krull-Schmidt decomposition, so isomorphic ambient modules share one
-census.  Sub and quotient are classified through the `catalog.decompose`
-memo, read with the bytes of their Python-int matrices; only a module the
-memo has not seen is built as a `Rep`.
+census, and a module outside the catalogue is not cached.  Sub and
+quotient are classified through the `catalog.decompose` memo, read with the
+bytes of their Python-int matrices; only a module the memo has not seen is
+built as a `Rep`.
 """
 
 import itertools
@@ -37,7 +38,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import catalog, linalg
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, OutsideCatalog
 from .qpoly import gaussian_binomial
 
 DEFAULT_SUBSPACE_BUDGET = 2_000_000
@@ -287,15 +288,24 @@ def hall_census(M, e, budget=DEFAULT_SUBSPACE_BUDGET, key_classes=None):
     """Census {(quot_classes, sub_classes): count} of subreps of M.
 
     `key_classes` may pass the decomposition of M when already known, to
-    stabilize the cache key without recomputing it.
+    stabilize the cache key without recomputing it.  A module the catalog
+    cannot decompose (`OutsideCatalog`) has no cache key: its census is
+    computed and returned without being stored.
     """
+    e = tuple(int(x) for x in e)
     if key_classes is None:
-        key_classes = catalog.decompose(M)
-    cache_key = (M.quiver.key, M.p, key_classes, tuple(int(x) for x in e))
-    if cache_key in _CENSUS_CACHE:
-        return _CENSUS_CACHE[cache_key]
+        try:
+            key_classes = catalog.decompose(M)
+        except OutsideCatalog:
+            return _census(M, e, budget)
+    cache_key = (M.quiver.key, M.p, key_classes, e)
+    if cache_key not in _CENSUS_CACHE:
+        _CENSUS_CACHE[cache_key] = _census(M, e, budget)
+    return _CENSUS_CACHE[cache_key]
+
+
+def _census(M, e, budget):
     Q, p = M.quiver, M.p
-    e = cache_key[3]
     quot_dims = tuple(d - k for d, k in zip(M.dims, e))
     out = {}
     for _, sub, quot in subrep_bases(M, e, budget=budget):
@@ -304,7 +314,6 @@ def hall_census(M, e, budget=DEFAULT_SUBSPACE_BUDGET, key_classes=None):
             catalog._decompose_rows(Q, p, e, sub),
         )
         out[key] = out.get(key, 0) + 1
-    _CENSUS_CACHE[cache_key] = out
     return out
 
 
@@ -316,7 +325,9 @@ def hall_number(L, quot_classes, sub_classes, budget=DEFAULT_SUBSPACE_BUDGET):
 
 
 def clear_census_cache():
-    """Forget every census and the decompositions they were built from."""
+    """Forget every census (Hall censuses and the extension censuses of
+    `strata.ext_middle_census`) and the decompositions they were built
+    from."""
     _CENSUS_CACHE.clear()
     _RANK_DIST_CACHE.clear()
     catalog._DECOMPOSE_CACHE.clear()

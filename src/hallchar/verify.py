@@ -203,11 +203,29 @@ def _census_entries(M, key_classes, budget):
     return out
 
 
-def _split_entries(cls, mods, budget):
-    """The census entries ((gam, delt), c1) of xi' and ((alp, bet), c2) of
-    eta', materialized as "xi2" and "eta2", whose products run over the
-    splittings of Green's formula."""
-    return [_census_entries(mods[k], cls[k], budget) for k in ("xi2", "eta2")]
+def _splittings(cls, mods, xi_dims, eta_dims, budget):
+    """Yield ((gam, delt, alp, bet), c1 * c2, e1, e2) over the splittings of
+    Green's formula: census entries ((gam, delt), c1) of xi' at e1 and
+    ((alp, bet), c2) of eta' at e2 (materialized as "xi2" and "eta2") with
+    dim gam + dim alp = dim xi and dim delt + dim bet = dim eta.
+
+    A sub of dimension e1 has a quotient of dimension dim xi' - e1, so these
+    are the pairs with e1 + e2 = dim eta, provided dim xi' + dim eta' =
+    dim xi + dim eta; otherwise there are none.  No other census is
+    computed.  The order is that of the full product of the two entry lists.
+    """
+    xi2, eta2 = mods["xi2"], mods["eta2"]
+    if _dims_sum(xi2.dims, eta2.dims) != _dims_sum(xi_dims, eta_dims):
+        return
+    for e1 in itertools.product(*[range(d + 1) for d in xi2.dims]):
+        e2 = tuple(y - x for y, x in zip(eta_dims, e1))
+        if any(x < 0 or x > d for x, d in zip(e2, eta2.dims)):
+            continue
+        census1 = subspaces.hall_census(xi2, e1, budget=budget, key_classes=cls["xi2"])
+        census2 = subspaces.hall_census(eta2, e2, budget=budget, key_classes=cls["eta2"])
+        for (gam, delt), c1 in census1.items():
+            for (alp, bet), c2 in census2.items():
+                yield (gam, delt, alp, bet), c1 * c2, e1, e2
 
 
 def _hom_strata(M1, M2, projective, budget):
@@ -355,42 +373,32 @@ def _green_ff_at_prime(quiver, xi, eta, xi2, eta2, p, budget):
     # of eta'; the cross Hall numbers tie them to xi and eta.
     rhs = Fraction(0)
     n_rhs = 0
-    entries_xi2, entries_eta2 = _split_entries(cls, mods, budget)
-    for (gam, delt), c1 in entries_xi2:
-        dims_gam = catalog.decomposition_dims(quiver, gam)
-        dims_delt = catalog.decomposition_dims(quiver, delt)
-        for (alp, bet), c2 in entries_eta2:
-            dims_alp = catalog.decomposition_dims(quiver, alp)
-            if _dims_sum(dims_gam, dims_alp) != xi.dims:
-                continue
-            dims_bet = catalog.decomposition_dims(quiver, bet)
-            if _dims_sum(dims_delt, dims_bet) != eta.dims:
-                continue
-            g3 = _hall_fp(mods["xi"], _fp(gam), _fp(alp), dims_alp, budget, cls["xi"])
-            if g3 == 0:
-                continue
-            g4 = _hall_fp(
-                mods["eta"], _fp(delt), _fp(bet), dims_bet, budget, cls["eta"]
-            )
-            if g4 == 0:
-                continue
-            v_gam = catalog.module_from_classes(quiver, gam, p)
-            v_bet = catalog.module_from_classes(quiver, bet, p)
-            weight = Fraction(
-                p ** rep.ext1_dim(v_gam, v_bet), p ** rep.hom_dim(v_gam, v_bet)
-            )
-            n_rhs += 1
-            rhs += (
-                weight
-                * c1
-                * c2
-                * g3
-                * g4
-                * catalog.aut_count_of_classes(quiver, alp, p)
-                * catalog.aut_count_of_classes(quiver, bet, p)
-                * catalog.aut_count_of_classes(quiver, delt, p)
-                * catalog.aut_count_of_classes(quiver, gam, p)
-            )
+    for (gam, delt, alp, bet), c, _, e2 in _splittings(
+        cls, mods, xi.dims, eta.dims, budget
+    ):
+        dims_alp = tuple(d - x for d, x in zip(eta2.dims, e2))
+        g3 = _hall_fp(mods["xi"], _fp(gam), _fp(alp), dims_alp, budget, cls["xi"])
+        if g3 == 0:
+            continue
+        g4 = _hall_fp(mods["eta"], _fp(delt), _fp(bet), e2, budget, cls["eta"])
+        if g4 == 0:
+            continue
+        v_gam = catalog.module_from_classes(quiver, gam, p)
+        v_bet = catalog.module_from_classes(quiver, bet, p)
+        weight = Fraction(
+            p ** rep.ext1_dim(v_gam, v_bet), p ** rep.hom_dim(v_gam, v_bet)
+        )
+        n_rhs += 1
+        rhs += (
+            weight
+            * c
+            * g3
+            * g4
+            * catalog.aut_count_of_classes(quiver, alp, p)
+            * catalog.aut_count_of_classes(quiver, bet, p)
+            * catalog.aut_count_of_classes(quiver, delt, p)
+            * catalog.aut_count_of_classes(quiver, gam, p)
+        )
     return lhs, rhs, {"middle_terms": n_lam, "splitting_terms": n_rhs}
 
 
@@ -422,13 +430,12 @@ def verify_green_degenerate(
             L.instantiate(p), fpxi, fpeta, eta.dims, budget, L.concrete_classes(p)
         )
         rhs = 0
-        entries_xi2, entries_eta2 = _split_entries(
-            *_materialize(p, xi2=xi2, eta2=eta2), budget
-        )
-        for (gam, delt), c1 in entries_xi2:
-            for (alp, bet), c2 in entries_eta2:
-                if _merge_fp(gam, alp) == fpxi and _merge_fp(delt, bet) == fpeta:
-                    rhs += c1 * c2
+        cls, mods = _materialize(p, xi2=xi2, eta2=eta2)
+        for (gam, delt, alp, bet), c, _, _ in _splittings(
+            cls, mods, xi.dims, eta.dims, budget
+        ):
+            if _merge_fp(gam, alp) == fpxi and _merge_fp(delt, bet) == fpeta:
+                rhs += c
         return {"lhs": lhs, "rhs": rhs}
 
     bound = max(
@@ -508,8 +515,9 @@ def verify_green_degenerate_all(
         ):
             key = ("lhs", _fp(quot), _fp(sub))
             out[key] = out.get(key, 0) + c
-        entries_xi2, entries_eta2 = _split_entries(
-            *_materialize(p, xi2=xi2, eta2=eta2), budget
+        cls, mods = _materialize(p, xi2=xi2, eta2=eta2)
+        entries_xi2, entries_eta2 = (
+            _census_entries(mods[k], cls[k], budget) for k in ("xi2", "eta2")
         )
         for (gam, delt), c1 in entries_xi2:
             for (alp, bet), c2 in entries_eta2:
@@ -650,7 +658,8 @@ def _green_projective_blocks(quiver, xi2, eta2, xi, eta, p, budget):
         g = _hall_fp(lam_mod, fps["xi"], fps["eta"], eta.dims, budget, lam)
         block_i += _exact_quotient(c, p, "nonsplit extension stratum") * g
 
-    # blocks (ii) and (iii) run over splitting tuples.  Split submodules
+    # blocks (ii) and (iii) run over the splitting tuples of the dimension
+    # vectors of xi and eta (`_splittings`).  Split submodules
     # U = (U cap xi') + (U cap eta') of L correspond exactly to the diagonal
     # splitting tuples, so block (iv)'s split count is the diagonal census
     # product.
@@ -658,55 +667,31 @@ def _green_projective_blocks(quiver, xi2, eta2, xi, eta, p, budget):
     block_iii = 0
     n_split = 0
     hom_xi2_eta2 = rep.hom_dim(mods["xi2"], mods["eta2"])
-    entries_xi2, entries_eta2 = _split_entries(cls, mods, budget)
-    for (gam, delt), c1 in entries_xi2:
-        for (alp, bet), c2 in entries_eta2:
-            diag = (
-                _merge_fp(gam, alp) == fps["xi"]
-                and _merge_fp(delt, bet) == fps["eta"]
+    for (gam, delt, alp, bet), c, e1, e2 in _splittings(
+        cls, mods, xi.dims, eta.dims, budget
+    ):
+        v_gam = catalog.module_from_classes(quiver, gam, p)
+        v_alp = catalog.module_from_classes(quiver, alp, p)
+        v_delt = catalog.module_from_classes(quiver, delt, p)
+        v_bet = catalog.module_from_classes(quiver, bet, p)
+        if _merge_fp(gam, alp) == fps["xi"] and _merge_fp(delt, bet) == fps["eta"]:
+            n_split += c
+            dims_gam = tuple(d - x for d, x in zip(xi2.dims, e1))
+            bracket = (
+                hom_xi2_eta2
+                - rep.hom_dim(v_gam, v_alp)
+                - rep.hom_dim(v_delt, v_bet)
+                - quiver.euler_form(dims_gam, e2)
             )
-            if diag:
-                n_split += c1 * c2
-                v_gam = catalog.module_from_classes(quiver, gam, p)
-                v_alp = catalog.module_from_classes(quiver, alp, p)
-                v_delt = catalog.module_from_classes(quiver, delt, p)
-                v_bet = catalog.module_from_classes(quiver, bet, p)
-                bracket = (
-                    hom_xi2_eta2
-                    - rep.hom_dim(v_gam, v_alp)
-                    - rep.hom_dim(v_delt, v_bet)
-                    - quiver.euler_form(
-                        catalog.decomposition_dims(quiver, gam),
-                        catalog.decomposition_dims(quiver, bet),
-                    )
-                )
-                block_iii += bracket * c1 * c2
-            else:
-                dims_ga = _dims_sum(
-                    catalog.decomposition_dims(quiver, gam),
-                    catalog.decomposition_dims(quiver, alp),
-                )
-                if dims_ga != xi.dims:
-                    continue
-                dims_db = _dims_sum(
-                    catalog.decomposition_dims(quiver, delt),
-                    catalog.decomposition_dims(quiver, bet),
-                )
-                if dims_db != eta.dims:
-                    continue
-                v_gam = catalog.module_from_classes(quiver, gam, p)
-                v_alp = catalog.module_from_classes(quiver, alp, p)
-                n1 = _ext_stratum_fp(v_gam, v_alp, fps["xi"], budget)
-                if n1 == 0:
-                    continue
-                v_delt = catalog.module_from_classes(quiver, delt, p)
-                v_bet = catalog.module_from_classes(quiver, bet, p)
-                n2 = _ext_stratum_fp(v_delt, v_bet, fps["eta"], budget)
-                if n2 == 0:
-                    continue
-                block_ii += (
-                    _exact_quotient(n1 * n2, p, "joint extension stratum") * c1 * c2
-                )
+            block_iii += bracket * c
+            continue
+        n1 = _ext_stratum_fp(v_gam, v_alp, fps["xi"], budget)
+        if n1 == 0:
+            continue
+        n2 = _ext_stratum_fp(v_delt, v_bet, fps["eta"], budget)
+        if n2 == 0:
+            continue
+        block_ii += _exact_quotient(n1 * n2, p, "joint extension stratum") * c
 
     # block (iv): projectivized nonsplit Hall variety of L = xi' + eta'
     n_all = _hall_fp(

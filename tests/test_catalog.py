@@ -451,3 +451,31 @@ def test_clear_census_cache_clears_decompose_memo(cold_memo, hom_dim_calls):
     hom_dim_calls.clear()
     decompose(M)
     assert hom_dim_calls
+
+
+# -- the module memo -----------------------------------------------------------
+
+
+def test_module_from_classes_memo_is_the_direct_sum_and_read_only():
+    p = 3
+    cases = [
+        (A3, ((("root", (1, 1, 0)), 2), (("root", (0, 1, 1)), 1))),
+        (K, ((("P", 1), 1), (("Rc", 2, 2), 1), (("I", 0), 2))),
+        (K, ()),
+    ]
+    for Q, classes in cases:
+        M = catalog.module_from_classes(Q, classes, p)
+        assert catalog.module_from_classes(Q, classes, p) is M
+        parts = [module_from_class(Q, cls, p) for cls, mult in classes for _ in range(mult)]
+        want = rep.direct_sum(*parts) if parts else rep.Rep.zero(Q, p)
+        assert M.dims == want.dims
+        assert [m.tobytes() for m in M.mats] == [m.tobytes() for m in want.mats]
+        for m in M.mats:
+            with pytest.raises(ValueError, match="read-only"):
+                m[...] = 0
+
+
+def test_symbol_dims_match_decomposition():
+    for text, Q in (("2*M[1,1,0]+S3", A3), ("P[1,2]+R(1,1)@0", K), ("0", K)):
+        sym = parse_symbol(text, Q)
+        assert sym.dims == catalog.decomposition_dims(Q, sym.atoms)

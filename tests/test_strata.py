@@ -17,7 +17,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hallchar import catalog, rep, strata
+from hallchar import catalog, rep, strata, subspaces
 from hallchar.catalog import INF, module_from_class
 from hallchar.errors import BudgetExceeded
 from hallchar.quiver import Quiver, kronecker_quiver, linear_quiver
@@ -130,6 +130,62 @@ def test_ext_budget():
     N = rep.direct_sum(*[simple(K, p, 1)] * 3)
     with pytest.raises(BudgetExceeded):
         strata.ext_middle_census(M, N, budget=100)  # 5^18 classes
+
+
+@pytest.fixture
+def ext1_calls(monkeypatch):
+    """Count the dim Ext^1 cross-checks, which run on memo misses only."""
+    calls = []
+    real = rep.ext1_dim
+
+    def counting(X, Y):
+        calls.append(1)
+        return real(X, Y)
+
+    monkeypatch.setattr(rep, "ext1_dim", counting)
+    return calls
+
+
+def test_ext_memo_hit_equals_cold_census(ext1_calls):
+    p = 3
+    X = module_from_class(K, ("Rc", 0, 1), p)
+    Y = rep.direct_sum(simple(K, p, 1), module_from_class(K, ("Rc", 0, 1), p))
+    subspaces.clear_census_cache()
+    cold = strata.ext_middle_census(X, Y)
+    assert len(ext1_calls) == 1
+    hit = strata.ext_middle_census(X, Y)
+    assert len(ext1_calls) == 1
+    assert hit == cold
+    # an equal copy of X hits the same entry: the key is the exact matrices
+    again = rep.Rep(K, p, X.dims, [m.copy() for m in X.mats])
+    assert strata.ext_middle_census(again, Y) == cold
+    assert len(ext1_calls) == 1
+    subspaces.clear_census_cache()
+    assert strata.ext_middle_census(X, Y) == cold
+    assert len(ext1_calls) == 2
+
+
+def test_ext_memo_hit_keeps_budget(ext1_calls):
+    p = 3
+    X, Y = simple(K, p, 0), simple(K, p, 1)  # 3^2 extension classes
+    subspaces.clear_census_cache()
+    with pytest.raises(BudgetExceeded) as cold:
+        strata.ext_middle_census(X, Y, budget=8)
+    assert strata.ext_middle_census(X, Y, budget=9) == strata.ext_middle_census(X, Y)
+    calls = len(ext1_calls)
+    with pytest.raises(BudgetExceeded) as hit:
+        strata.ext_middle_census(X, Y, budget=8)
+    assert len(ext1_calls) == calls
+    assert str(hit.value) == str(cold.value)
+
+
+def test_clear_census_cache_clears_ext_memo():
+    p = 2
+    X, Y = simple(A2, p, 0), simple(A2, p, 1)
+    strata.ext_middle_census(X, Y)
+    assert any(key[0] == "ext" for key in subspaces._CENSUS_CACHE)
+    subspaces.clear_census_cache()
+    assert not subspaces._CENSUS_CACHE
 
 
 def test_hom_census_simple():

@@ -13,7 +13,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hallchar import catalog, linalg, rep, subspaces
 from hallchar.errors import BudgetExceeded
@@ -237,8 +237,15 @@ def test_image_rank_distribution_total():
         assert int(dist.sum()) == subspaces.subspace_count(2, k, p)
 
 
+# a Kronecker module at a degree-2 tube point over F_2 (x^2 + x + 1 is
+# irreducible): `decompose` raises OutsideCatalog on it, but its censuses at
+# e = (0, 1), (0, 2) and (1, 2) stay inside the catalogue
+OUTSIDE_CATALOG = rep.Rep(K, 2, (2, 2), [np.eye(2, dtype=np.int64), [[0, 1], [1, 1]]])
+
+
 @settings(max_examples=60, deadline=None)
 @given(modules([A2, A3, A3_SINK, D4, K], [2, 3, 5], max_dim=3, max_total=4))
+@example(OUTSIDE_CATALOG)
 def test_hall_census_matches_per_subrep_oracle(M):
     """Every census, from cold caches, equals the census built by
     `sub_quotient_pair` and `decompose`, exceptions included, and its mass
@@ -251,6 +258,15 @@ def test_hall_census_matches_per_subrep_oracle(M):
         assert got == want
         if isinstance(want, dict):
             assert subspaces.census_total(got) == grassmannian_count_brute(M, e)
+
+
+def test_hall_census_outside_catalog_is_not_memoized():
+    subspaces.clear_census_cache()
+    census = subspaces.hall_census(OUTSIDE_CATALOG, (0, 1))
+    assert census == {(((("I", 1), 1),), ((("P", 0), 1),)): 3}
+    assert not subspaces._CENSUS_CACHE
+    # the classes of its sub and quotient are memoized as usual
+    assert catalog._DECOMPOSE_CACHE
 
 
 @settings(max_examples=40, deadline=None)

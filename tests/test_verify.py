@@ -4,14 +4,19 @@ Every expected value in this file is derived by hand in a comment next to
 the assertion (submodule counts on two-vertex representations, |GL_1| =
 p - 1 automorphism counts, eigenline counts on the Kronecker quiver) or
 is an exact string reproduced from such a derivation.  Nothing here is a
-snapshot of the code's own output accepted on faith.
+snapshot of the code's own output accepted on faith.  The splitting-sum
+tests at the end compare the verifiers against the full product of census
+entries, filtered by dimension, which this file keeps as an oracle.
 """
 
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from hallchar import catalog, cluster, qpoly, strata, symspace, verify
+from hallchar import catalog, cluster, qpoly, rep, strata, symspace, verify
 from hallchar.errors import UnsupportedQuiver, VerificationMismatch
 from hallchar.quiver import kronecker_quiver, linear_quiver
 
@@ -399,3 +404,133 @@ def test_assoc_projective_remainder_raises(monkeypatch):
         verify.verify_assoc(
             sym("S1"), sym("0"), sym("0"), sym("S2"), sym("R(1,1)@0"), primes=(3,)
         )
+
+
+# ---------------------------------------------------------------------------
+# the splitting sum against the full product of census entries
+# ---------------------------------------------------------------------------
+
+BUDGET = verify.DEFAULT_SUBSPACE_BUDGET
+
+
+def _split_entries_oracle(cls, mods):
+    """Every census entry of xi' and of eta', over every subdimension."""
+    return [verify._census_entries(mods[k], cls[k], BUDGET) for k in ("xi2", "eta2")]
+
+
+def green_ff_rhs_oracle(quiver, xi, eta, xi2, eta2, p):
+    """Green's right-hand side at p and its number of terms, from the full
+    product of the census entries of xi' and eta', filtered by dimension."""
+    cls, mods = verify._materialize(p, xi=xi, eta=eta, xi2=xi2, eta2=eta2)
+    entries_xi2, entries_eta2 = _split_entries_oracle(cls, mods)
+    rhs, n_rhs = Fraction(0), 0
+    for (gam, delt), c1 in entries_xi2:
+        dims_gam = catalog.decomposition_dims(quiver, gam)
+        dims_delt = catalog.decomposition_dims(quiver, delt)
+        for (alp, bet), c2 in entries_eta2:
+            dims_alp = catalog.decomposition_dims(quiver, alp)
+            dims_bet = catalog.decomposition_dims(quiver, bet)
+            if verify._dims_sum(dims_gam, dims_alp) != xi.dims:
+                continue
+            if verify._dims_sum(dims_delt, dims_bet) != eta.dims:
+                continue
+            fp = verify._fp
+            g3 = verify._hall_fp(mods["xi"], fp(gam), fp(alp), dims_alp, BUDGET)
+            g4 = verify._hall_fp(mods["eta"], fp(delt), fp(bet), dims_bet, BUDGET)
+            if g3 == 0 or g4 == 0:
+                continue
+            v_gam = catalog.module_from_classes(quiver, gam, p)
+            v_bet = catalog.module_from_classes(quiver, bet, p)
+            weight = Fraction(p ** rep.ext1_dim(v_gam, v_bet), p ** rep.hom_dim(v_gam, v_bet))
+            auts = 1
+            for classes in (alp, bet, delt, gam):
+                auts *= catalog.aut_count_of_classes(quiver, classes, p)
+            rhs += weight * c1 * c2 * g3 * g4 * auts
+            n_rhs += 1
+    return rhs, n_rhs
+
+
+def projective_split_blocks_oracle(quiver, xi2, eta2, xi, eta, p):
+    """Blocks (ii) and (iii) of the projective Green identity at p and the
+    split count of block (iv), from the same filtered full product."""
+    cls, mods = verify._materialize(p, xi=xi, eta=eta, xi2=xi2, eta2=eta2)
+    fpxi, fpeta = verify._fp(cls["xi"]), verify._fp(cls["eta"])
+    entries_xi2, entries_eta2 = _split_entries_oracle(cls, mods)
+    hom_xi2_eta2 = rep.hom_dim(mods["xi2"], mods["eta2"])
+    block_ii = block_iii = n_split = 0
+    for (gam, delt), c1 in entries_xi2:
+        for (alp, bet), c2 in entries_eta2:
+            dims = [catalog.decomposition_dims(quiver, x) for x in (gam, delt, alp, bet)]
+            if verify._dims_sum(dims[0], dims[2]) != xi.dims:
+                continue
+            if verify._dims_sum(dims[1], dims[3]) != eta.dims:
+                continue
+            v_gam, v_delt, v_alp, v_bet = (
+                catalog.module_from_classes(quiver, x, p) for x in (gam, delt, alp, bet)
+            )
+            if verify._merge_fp(gam, alp) == fpxi and verify._merge_fp(delt, bet) == fpeta:
+                n_split += c1 * c2
+                bracket = (
+                    hom_xi2_eta2
+                    - rep.hom_dim(v_gam, v_alp)
+                    - rep.hom_dim(v_delt, v_bet)
+                    - quiver.euler_form(dims[0], dims[3])
+                )
+                block_iii += bracket * c1 * c2
+                continue
+            n1 = verify._ext_stratum_fp(v_gam, v_alp, fpxi, BUDGET)
+            n2 = verify._ext_stratum_fp(v_delt, v_bet, fpeta, BUDGET)
+            block_ii += verify._exact_quotient(n1 * n2, p, "joint stratum") * c1 * c2
+    return block_ii, block_iii, n_split
+
+
+@st.composite
+def green_tuples(draw, quiver, totals):
+    """(xi, eta, xi', eta', p): (xi', eta') splits one total dimension vector
+    and (xi, eta) splits the same one or any other (often not admissible);
+    p is one of the two smallest primes the tube tags allow."""
+    xi2, eta2 = draw(st.sampled_from(symspace.split_pairs(quiver, draw(st.sampled_from(totals)))))
+    other = xi2.direct_sum(eta2).dims if draw(st.booleans()) else draw(st.sampled_from(totals))
+    xi, eta = draw(st.sampled_from(symspace.split_pairs(quiver, other)))
+    floor = catalog.min_prime_for_symbols((xi, eta, xi2, eta2))
+    return xi, eta, xi2, eta2, draw(st.sampled_from(catalog.primes_from(floor, 2)))
+
+
+A3_TOTALS = list(itertools.product(range(3), range(2), range(2)))
+K_TOTALS = [d for d in itertools.product(range(3), repeat=2) if sum(d) <= 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(green_tuples(A3, A3_TOTALS))
+def test_green_ff_splitting_sum_matches_full_product(case):
+    xi, eta, xi2, eta2, p = case
+    _, rhs, detail = verify._green_ff_at_prime(A3, xi, eta, xi2, eta2, p, BUDGET)
+    assert (rhs, detail["splitting_terms"]) == green_ff_rhs_oracle(A3, xi, eta, xi2, eta2, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(green_tuples(A3, A3_TOTALS), green_tuples(K, K_TOTALS)))
+def test_green_projective_splitting_blocks_match_full_product(case):
+    xi, eta, xi2, eta2, p = case
+    quiver = xi.quiver
+    blocks = verify._green_projective_blocks(quiver, xi2, eta2, xi, eta, p, BUDGET)
+    block_ii, block_iii, n_split = projective_split_blocks_oracle(quiver, xi2, eta2, xi, eta, p)
+    assert (blocks["off_diagonal"], blocks["diagonal"]) == (block_ii, block_iii)
+    cls, mods = verify._materialize(p, xi=xi, eta=eta, xi2=xi2, eta2=eta2)
+    n_all = verify._hall_fp(
+        rep.direct_sum(mods["xi2"], mods["eta2"]),
+        verify._fp(cls["xi"]), verify._fp(cls["eta"]), eta.dims, BUDGET,
+    )
+    assert blocks["hall_variety"] * (p - 1) == n_all - n_split
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.one_of(green_tuples(A3, A3_TOTALS), green_tuples(K, K_TOTALS)))
+def test_green_degenerate_splitting_sum_matches_bulk(case):
+    """The single-tuple verifier reads only the splitting censuses; the bulk
+    verifier still sums the full product, filtered by fingerprint."""
+    xi, eta, xi2, eta2, _ = case
+    assume(verify._dims_sum(xi.dims, eta.dims) == verify._dims_sum(xi2.dims, eta2.dims))
+    single = verify.verify_green_degenerate(xi, eta, xi2, eta2)
+    (term,) = verify.verify_green_degenerate_all(xi2, eta2, [(xi, eta)]).terms
+    assert (single.lhs, single.rhs) == (str(term["lhs"]), str(term["rhs"]))
