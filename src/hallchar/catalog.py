@@ -22,23 +22,23 @@ Supported catalogs
 
 Decomposition
 -------------
-Multiplicities of indecomposable summands are computed from exact Hom
-dimension counts via almost-split sequences.  For an indecomposable Z
-which is not injective, with sequence 0 -> Z -> E -> Z' -> 0,
+Multiplicities come from exact Hom dimensions through almost-split
+sequences.  For an indecomposable Z that is not injective, with sequence
+0 -> Z -> E -> Z' -> 0, the maps Z -> M that do not factor through E are
+the split injections onto Z-summands, so
 
     mult_Z(M) = dim Hom(Z, M) - dim Hom(E, M) + dim Hom(Z', M),
 
-because the cokernel of Hom(E, M) -> Hom(Z, M) ... precisely: the maps
-Z -> M that do not factor through E are exactly the split injections onto
-Z-summands, and their count is mult * dim End(Z)/rad = mult here.  Dually,
-for non-projective Z with sequence 0 -> Z'' -> E -> Z -> 0,
+and dually with Hom(M, -).  Other summands cancel, so the formula stays
+exact when part of M is outside the catalog; the check sum(mult * dims) =
+dims(M) catches that part.  On the Kronecker quiver no catalog module is
+built: each dim Hom is k*d - rank of a block-bidiagonal matrix on the
+pencil (A, B): V1 -> V2 of M (Gantmacher, Theory of Matrices II, ch. XII),
+with the signs dropped, since they do not change the rank:
 
-    mult_Z(M) = dim Hom(M, Z) - dim Hom(M, E) + dim Hom(M, Z'').
-
-Contributions of any other summand cancel in the alternating sum, so the
-formula is exact even in the presence of summands outside the catalog;
-those reveal themselves through the final mass check
-sum(mult * dims) = dims(M).
+    Hom(P_n, M)       n*d1 - rank, n - 1 block rows [.. B A ..]; P_0, P_1: d2, d1
+    Hom(M, I_n)       the same on (A^T, B^T), with d1 and d2 swapped
+    Hom(R_lam(m), M)  m*d1 - rank, m block rows [.. B-lam*A A ..]; [.. A B ..] at inf
 
 Symbols
 -------
@@ -65,7 +65,7 @@ from array import array
 
 import numpy as np
 
-from . import rep
+from . import linalg, rep
 from .errors import ComputationError, OutsideCatalog, UnsupportedQuiver
 from .quiver import _unimodular_inverse
 from .rep import Rep
@@ -262,8 +262,9 @@ _DECOMPOSE_CACHE = {}
 def decompose(M, certify=False):
     """Krull-Schmidt decomposition of M as ((class, mult), ...).
 
-    Raises OutsideCatalog when part of M is not matched by the catalog
-    (Kronecker regulars at points with larger residue field) and
+    Kronecker modules are decomposed from ranks of their pencil (module
+    docstring).  Raises OutsideCatalog when part of M is not matched by the
+    catalog (Kronecker regulars at points with larger residue field) and
     UnsupportedQuiver for quivers with no catalog at all.
     """
     Q = M.quiver
@@ -352,55 +353,53 @@ def _decompose_dynkin(M):
     return decomp
 
 
-def _kron_hom(Q, p, cls, M, reverse=False):
-    if cls[0] == "Rc" and cls[2] == 0:
-        return 0
-    X = module_from_class(Q, cls, p)
-    return rep.hom_dim(M, X) if reverse else rep.hom_dim(X, M)
+def _pencil_hom(X, Y, rows, cols, d_in, p):
+    """cols * d_in - rank of `rows` block rows, row i holding X in block
+    column i and Y in block column i + 1 < cols (lists of Python-int rows)."""
+    width = cols * d_in
+    mat = []
+    for i in range(rows):
+        for x, y in zip(X, Y):
+            row = [0] * (i * d_in) + x + (y if i + 1 < cols else [])
+            mat.append(row + [0] * (width - len(row)))
+    return width - linalg.rank_rows(mat, width, p)
 
 
 def _decompose_kronecker(M):
     Q, p = M.quiver, M.p
     d1, d2 = M.dims
+    A, B = (m.tolist() for m in M.mats)
     out = []
-    # preprojectives P_n (not injective): almost-split sequence starting at
-    # P_n is 0 -> P_n -> P_{n+1}^2 -> P_{n+2} -> 0
-    for n in range(0, d1 + 1):
-        if n + 1 > d2:
+    # 0 -> P_n -> P_{n+1}^2 -> P_{n+2} -> 0, and dually for I_n
+    for kind, top, X, Y, d_in, d_out in (
+        ("P", min(d1, d2 - 1), B, A, d1, d2),
+        ("I", min(d2, d1 - 1), M.mats[1].T.tolist(), M.mats[0].T.tolist(), d2, d1),
+    ):
+        h = [d_out, d_in] + [_pencil_hom(X, Y, n - 1, n, d_in, p) for n in range(2, top + 3)]
+        for n in range(top + 1):
+            mult = h[n] - 2 * h[n + 1] + h[n + 2]
+            if mult:
+                out.append(((kind, n), mult))
+    # tubes: 0 -> R_m -> R_{m-1} + R_{m+1} -> R_m -> 0; dim Hom(R_lam(m), I_n) = m
+    n_inj = sum(mult for cls, mult in out if cls[0] == "I")
+    reg = d1 - decomposition_dims(Q, out)[0]
+    for lam in list(range(p)) + [INF]:
+        if reg <= 0:
             break
-        mult = (
-            _kron_hom(Q, p, ("P", n), M)
-            - 2 * _kron_hom(Q, p, ("P", n + 1), M)
-            + _kron_hom(Q, p, ("P", n + 2), M)
+        C, D = (A, B) if lam == INF else (
+            [[(b - lam * a) % p for a, b in zip(ra, rb)] for ra, rb in zip(A, B)], A
         )
-        if mult:
-            out.append((("P", n), mult))
-    # preinjectives I_n (not projective): sequence ending at I_n is
-    # 0 -> I_{n+2} -> I_{n+1}^2 -> I_n -> 0
-    for n in range(0, d2 + 1):
-        if n + 1 > d1:
-            break
-        mult = (
-            _kron_hom(Q, p, ("I", n), M, reverse=True)
-            - 2 * _kron_hom(Q, p, ("I", n + 1), M, reverse=True)
-            + _kron_hom(Q, p, ("I", n + 2), M, reverse=True)
-        )
-        if mult:
-            out.append((("I", n), mult))
-    # regulars: homogeneous tubes, sequence 0 -> R_m -> R_{m-1}+R_{m+1} -> R_m -> 0
-    remaining = np.array(M.dims) - np.array(decomposition_dims(Q, out))
-    if remaining.any():
-        for lam in list(range(p)) + [INF]:
-            if _kron_hom(Q, p, ("Rc", lam, 1), M) == 0:
-                continue
-            for m in range(1, min(d1, d2) + 1):
-                mult = (
-                    2 * _kron_hom(Q, p, ("Rc", lam, m), M)
-                    - _kron_hom(Q, p, ("Rc", lam, m - 1), M)
-                    - _kron_hom(Q, p, ("Rc", lam, m + 1), M)
-                )
-                if mult:
-                    out.append((("Rc", lam, m), mult))
+        h = [0, _pencil_hom(C, D, 1, 1, d1, p)]
+        if h[1] == n_inj:
+            continue
+        for m in range(1, min(d1, d2) + 1):
+            h.append(_pencil_hom(C, D, m + 1, m + 1, d1, p))
+            mult = 2 * h[m] - h[m - 1] - h[m + 1]
+            if mult:
+                out.append((("Rc", lam, m), mult))
+                reg -= m * mult
+            if h[m + 1] - h[m] == n_inj:
+                break  # no Jordan block at lam is longer than m
     for cls, mult in out:
         if mult < 0:
             raise ComputationError(f"negative multiplicity {mult} for {cls}")

@@ -13,12 +13,14 @@ Hand-derived facts used below:
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hallchar import catalog, linalg, rep, subspaces
 from hallchar.catalog import (
     INF,
     ModuleSymbol,
     decompose,
+    decomposition_dims,
     fingerprint_of_classes,
     lam_of_tag,
     min_prime_for_symbols,
@@ -27,16 +29,19 @@ from hallchar.catalog import (
     next_prime,
     parse_symbol,
     primes_from,
+    sort_classes,
     translate_class,
     translate_class_inverse,
 )
 from hallchar.errors import ComputationError, OutsideCatalog
 from hallchar.quiver import Quiver, _unimodular_inverse, kronecker_quiver, linear_quiver
 from test_rep import aut_count_brute
+from test_subspaces import _result
 
 K = kronecker_quiver()
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
+D4 = Quiver(4, [(0, 1), (2, 1), (1, 3)])
 
 
 def test_kronecker_catalog_modules():
@@ -360,6 +365,21 @@ def cold_memo(monkeypatch):
 
 
 @pytest.fixture
+def decomposer_calls(monkeypatch):
+    """Count the calls into the Dynkin and Kronecker decomposers, the work
+    a memo hit saves."""
+    calls = []
+    for name in ("_decompose_dynkin", "_decompose_kronecker"):
+
+        def counting(M, real=getattr(catalog, name)):
+            calls.append(1)
+            return real(M)
+
+        monkeypatch.setattr(catalog, name, counting)
+    return calls
+
+
+@pytest.fixture
 def hom_dim_calls(monkeypatch):
     """Count the calls of rep.hom_dim made through the catalog."""
     calls = []
@@ -381,14 +401,14 @@ def _a3_sample(p):
     )
 
 
-def test_decompose_memo_repeat_solves_no_hom(cold_memo, hom_dim_calls):
+def test_decompose_memo_repeat_solves_no_hom(cold_memo, decomposer_calls):
     for M in (_a3_sample(3), module_from_class(K, ("Rc", 2, 2), 3)):
         first = decompose(M)
-        solved = len(hom_dim_calls)
+        solved = len(decomposer_calls)
         assert solved > 0
         assert decompose(M) == first
-        assert len(hom_dim_calls) == solved
-        hom_dim_calls.clear()
+        assert len(decomposer_calls) == solved
+        decomposer_calls.clear()
 
 
 def _random_invertible(n, p, rng):
@@ -479,3 +499,223 @@ def test_symbol_dims_match_decomposition():
     for text, Q in (("2*M[1,1,0]+S3", A3), ("P[1,2]+R(1,1)@0", K), ("0", K)):
         sym = parse_symbol(text, Q)
         assert sym.dims == catalog.decomposition_dims(Q, sym.atoms)
+
+
+# -- Kronecker decomposition from pencil ranks -----------------------------------
+
+
+def _kron_hom(Q, p, cls, M, reverse=False):
+    if cls[0] == "Rc" and cls[2] == 0:
+        return 0
+    X = module_from_class(Q, cls, p)
+    return rep.hom_dim(M, X) if reverse else rep.hom_dim(X, M)
+
+
+def decompose_kronecker_oracle(M):
+    """The Hom-scan decomposer the rank route replaced: every Hom dimension
+    is solved against a catalogue module with `rep.hom_dim`."""
+    Q, p = M.quiver, M.p
+    d1, d2 = M.dims
+    out = []
+    # preprojectives P_n (not injective): almost-split sequence starting at
+    # P_n is 0 -> P_n -> P_{n+1}^2 -> P_{n+2} -> 0
+    for n in range(0, d1 + 1):
+        if n + 1 > d2:
+            break
+        mult = (
+            _kron_hom(Q, p, ("P", n), M)
+            - 2 * _kron_hom(Q, p, ("P", n + 1), M)
+            + _kron_hom(Q, p, ("P", n + 2), M)
+        )
+        if mult:
+            out.append((("P", n), mult))
+    # preinjectives I_n (not projective): sequence ending at I_n is
+    # 0 -> I_{n+2} -> I_{n+1}^2 -> I_n -> 0
+    for n in range(0, d2 + 1):
+        if n + 1 > d1:
+            break
+        mult = (
+            _kron_hom(Q, p, ("I", n), M, reverse=True)
+            - 2 * _kron_hom(Q, p, ("I", n + 1), M, reverse=True)
+            + _kron_hom(Q, p, ("I", n + 2), M, reverse=True)
+        )
+        if mult:
+            out.append((("I", n), mult))
+    # regulars: homogeneous tubes, sequence 0 -> R_m -> R_{m-1}+R_{m+1} -> R_m -> 0
+    remaining = np.array(M.dims) - np.array(decomposition_dims(Q, out))
+    if remaining.any():
+        for lam in list(range(p)) + [INF]:
+            if _kron_hom(Q, p, ("Rc", lam, 1), M) == 0:
+                continue
+            for m in range(1, min(d1, d2) + 1):
+                mult = (
+                    2 * _kron_hom(Q, p, ("Rc", lam, m), M)
+                    - _kron_hom(Q, p, ("Rc", lam, m - 1), M)
+                    - _kron_hom(Q, p, ("Rc", lam, m + 1), M)
+                )
+                if mult:
+                    out.append((("Rc", lam, m), mult))
+    for cls, mult in out:
+        if mult < 0:
+            raise ComputationError(f"negative multiplicity {mult} for {cls}")
+    decomp = sort_classes(out)
+    if decomposition_dims(Q, decomp) != M.dims:
+        raise OutsideCatalog(
+            "part of the module lives in a tube at a point of P^1 with "
+            "residue field larger than F_p"
+        )
+    return decomp
+
+
+def _irreducible_quadratics(p):
+    """(a, b) with t^2 - a*t - b irreducible over F_p, i.e. without a root."""
+    return [
+        (a, b)
+        for a in range(p)
+        for b in range(p)
+        if all((x * x - a * x - b) % p for x in range(p))
+    ]
+
+
+def _degree2_tube_module(p, f, m):
+    """F_p[t]/f^m at the degree-2 point of P^1 given by f = t^2 - a*t - b:
+    A = Id, B block upper bidiagonal with the companion matrix of f on the
+    diagonal and Id_2 beside it (f is separable, so f(B) != 0 for m = 2)."""
+    a, b = f
+    B = np.zeros((2 * m, 2 * m), dtype=np.int64)
+    for i in range(0, 2 * m, 2):
+        B[i : i + 2, i : i + 2] = [[0, b], [1, a]]
+        if i + 2 < 2 * m:
+            B[i : i + 2, i + 2 : i + 4] = np.eye(2, dtype=np.int64)
+    return rep.Rep(K, p, (2 * m, 2 * m), [np.eye(2 * m, dtype=np.int64), B])
+
+
+@st.composite
+def kronecker_modules(draw, max_dims=(4, 4)):
+    """A random pencil, or a conjugated direct sum of P_n, I_n, ("Rc", lam, m)
+    and degree-2 tube modules, over F_p for p in {2, 3, 5, 7}."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    if draw(st.booleans()):
+        d1, d2 = (draw(st.integers(0, d)) for d in max_dims)
+        mats = []
+        for _ in range(2):
+            entries = draw(st.lists(st.integers(0, p - 1), min_size=d1 * d2, max_size=d1 * d2))
+            mats.append(np.array(entries, dtype=np.int64).reshape(d2, d1))
+        return rep.Rep(K, p, (d1, d2), mats)
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["P", "I", "Rc", "deg2"]))
+        if kind in ("P", "I"):
+            part = module_from_class(K, (kind, draw(st.integers(0, 3))), p)
+        elif kind == "Rc":
+            lam = draw(st.sampled_from(list(range(p)) + [INF]))
+            part = module_from_class(K, ("Rc", lam, draw(st.integers(1, 3))), p)
+        else:
+            f = draw(st.sampled_from(_irreducible_quadratics(p)))
+            part = _degree2_tube_module(p, f, draw(st.integers(1, 2)))
+        dims = [sum(d) for d in zip(part.dims, *(q.dims for q in parts))]
+        if all(d <= top for d, top in zip(dims, max_dims)):
+            parts.append(part)
+    M = rep.direct_sum(*parts) if parts else rep.Rep.zero(K, p)
+    return _conjugate(M, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kronecker_modules())
+@example(rep.Rep(K, 2, (2, 2), [np.eye(2, dtype=np.int64), [[0, 1], [1, 1]]]))
+@example(rep.direct_sum(_degree2_tube_module(3, (0, 2), 1), module_from_class(K, ("Rc", 1, 2), 3)))
+@example(rep.direct_sum(_degree2_tube_module(2, (1, 1), 1), module_from_class(K, ("I", 1), 2)))
+def test_decompose_kronecker_matches_hom_scan_oracle(M):
+    """From a cold memo, the rank route returns the oracle's decomposition
+    or raises the oracle's exception type."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catalog, "_DECOMPOSE_CACHE", {})
+        got = _result(decompose, M)
+    assert got == _result(decompose_kronecker_oracle, M)
+
+
+def test_decompose_kronecker_builds_no_catalog_module(cold_memo, hom_dim_calls, monkeypatch):
+    built = []
+    real = catalog.module_from_class
+    M = rep.direct_sum(
+        real(K, ("P", 1), 5), real(K, ("Rc", 3, 2), 5), real(K, ("I", 0), 5)
+    )
+    monkeypatch.setattr(catalog, "module_from_class", lambda *args: built.append(args))
+    assert decompose(M) == ((("P", 1), 1), (("Rc", 3, 2), 1), (("I", 0), 1))
+    assert hom_dim_calls == [] and built == []
+
+
+def _pencil_test_modules(p):
+    rng = np.random.default_rng(p)
+    dims = [(0, 0), (0, 2), (2, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3), (3, 3)]
+    mods = [rep.random_rep(K, d, p, rng) for d in dims]
+    parts = [("P", 1), ("Rc", 0, 2), ("Rc", INF, 1), ("I", 0)]
+    mods.append(rep.direct_sum(*(module_from_class(K, cls, p) for cls in parts)))
+    return mods
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pencil_rank_formulas_match_hom_dim(p):
+    """Each Hom dimension the Kronecker decomposer reads off the pencil
+    (A, B) of M, against `rep.hom_dim` on the catalogue module."""
+    pencil_hom = catalog._pencil_hom
+    for M in _pencil_test_modules(p):
+        d1, d2 = M.dims
+        A, B = (m.tolist() for m in M.mats)
+        At, Bt = (m.T.tolist() for m in M.mats)
+        # P_0 and I_0 are the simples at vertices 2 and 1; P_1 and I_1 give
+        # no block rows, so the rank formula reads d1 and d2 for them
+        assert rep.hom_dim(module_from_class(K, ("P", 0), p), M) == d2
+        assert rep.hom_dim(M, module_from_class(K, ("I", 0), p)) == d1
+        assert pencil_hom(B, A, 0, 1, d1, p) == d1
+        assert pencil_hom(Bt, At, 0, 1, d2, p) == d2
+        for n in range(1, 4):
+            P, I = (module_from_class(K, (kind, n), p) for kind in "PI")
+            assert rep.hom_dim(P, M) == pencil_hom(B, A, n - 1, n, d1, p)
+            assert rep.hom_dim(M, I) == pencil_hom(Bt, At, n - 1, n, d2, p)
+        for lam in list(range(p)) + [INF]:
+            if lam == INF:
+                C, D = A, B
+            else:
+                C = [[(b - lam * a) % p for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+                D = A
+            for m in range(4):
+                R = module_from_class(K, ("Rc", lam, m), p)
+                assert rep.hom_dim(R, M) == pencil_hom(C, D, m, m, d1, p)
+
+
+@st.composite
+def summand_pairs(draw):
+    """Two random modules over A_3, a D_4 orientation or Kronecker at
+    p in {2, 3, 5}, and a seed for conjugating their direct sum."""
+    Q = draw(st.sampled_from([A3, D4, K]))
+    p = draw(st.sampled_from([2, 3, 5]))
+
+    def part():
+        dims = draw(st.lists(st.integers(0, 2), min_size=Q.n, max_size=Q.n))
+        mats = []
+        for s, t in Q.arrows:
+            size = dims[t] * dims[s]
+            entries = draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+            mats.append(np.array(entries, dtype=np.int64).reshape(dims[t], dims[s]))
+        return rep.Rep(Q, p, dims, mats)
+
+    return part(), part(), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(summand_pairs())
+def test_decompose_direct_sum_merges_the_parts(case):
+    """decompose of a conjugated X + Y is the merge of decompose(X) and
+    decompose(Y); a part outside the catalogue keeps the sum outside."""
+    X, Y, seed = case
+    got = _result(decompose, _conjugate(rep.direct_sum(X, Y), np.random.default_rng(seed)))
+    parts = [_result(decompose, X), _result(decompose, Y)]
+    if OutsideCatalog in parts:
+        assert got is OutsideCatalog
+        return
+    merged = {}
+    for decomp in parts:
+        for cls, mult in decomp:
+            merged[cls] = merged.get(cls, 0) + mult
+    assert got == sort_classes(merged.items())
