@@ -36,6 +36,7 @@ import argparse
 import itertools
 import json
 import sys
+import types
 
 import numpy as np
 
@@ -262,61 +263,77 @@ def _green_instances(quiver, cap):
     return out
 
 
+def _sampled(args, pool):
+    """The pool, or its --sample subsample in pool order."""
+    if args.sample is None or args.sample >= len(pool):
+        return pool
+    keep = np.random.default_rng(args.seed).choice(len(pool), size=args.sample, replace=False)
+    return [pool[i] for i in sorted(keep)]
+
+
+def _degenerate_runners(instances, budget, nverify):
+    """One runner per (xi, eta, xi', eta') instance; the instances sharing
+    (xi', eta') share one verify_green_degenerate_all call, made when the
+    first of them runs."""
+    groups, slots, reports = {}, [], {}
+    for xi, eta, xi2, eta2 in instances:
+        pairs = groups.setdefault((xi2, eta2), [])
+        slots.append(((xi2, eta2), len(pairs)))
+        pairs.append((xi, eta))
+
+    def run(group, i):
+        if group not in reports:
+            reports[group] = verify.verify_green_degenerate_all(
+                *group, groups[group], budget=budget, verify=nverify
+            )
+        term = reports[group].terms[i]
+        return types.SimpleNamespace(
+            lhs=str(term["lhs"]), rhs=str(term["rhs"]), equal=term["equal"]
+        )
+
+    return [lambda g=group, i=i: run(g, i) for group, i in slots]
+
+
 def _sweep_instances(args, quiver):
-    """(label, runner) pairs for every instance of the --all sweep."""
+    """(label, runner) pairs for the instances of the --all sweep that
+    --sample keeps; labels and runners are built for those alone."""
     theorem = args.theorem
     if args.max_dim is None:
         raise _CliError("--all requires --max-dim")
     cap = args.max_dim
     nverify = len(args.verify_primes) if args.verify_primes else 2
-    instances = []
     if theorem in _GREEN:
-        exact_primes = {}  # the green-ff prime list of each floor, checked once
-        for xi, eta, xi2, eta2 in _green_instances(quiver, cap):
-            label = {"xi": str(xi), "eta": str(eta),
-                     "xi_prime": str(xi2), "eta_prime": str(eta2)}
-            if theorem == "green-ff":
-                floor = catalog.min_prime_for_symbols((xi, eta, xi2, eta2))
-                if floor not in exact_primes:
-                    exact_primes[floor] = _exact_primes(args, floor)
-                primes = exact_primes[floor]
-                run = lambda a=xi, b=eta, c=xi2, d=eta2, ps=primes: \
-                    verify.verify_green_ff(a, b, c, d, primes=ps, budget=args.budget)
-            elif theorem == "green-degenerate":
-                run = lambda a=xi, b=eta, c=xi2, d=eta2: \
-                    verify.verify_green_degenerate(a, b, c, d, budget=args.budget,
-                                                   verify=nverify)
-            else:
-                run = lambda a=xi, b=eta, c=xi2, d=eta2: \
-                    verify.verify_green_projective(c, d, a, b, budget=args.budget,
-                                                   verify=nverify)
-            instances.append((label, run))
-    elif theorem == "cc1":
-        table = cluster.CharTable(quiver, budget=args.budget, verify=nverify)
-        indecs = symspace.indecomposable_symbols(quiver, cap)
-        for xi2, eta2 in itertools.permutations(indecs, 2):
-            label = {"xi_prime": str(xi2), "eta_prime": str(eta2)}
-            run = lambda a=xi2, b=eta2: verify.verify_cc1(
-                a, b, table=table, budget=args.budget, verify=nverify)
-            instances.append((label, run))
-    elif theorem == "cc2":
-        table = cluster.CharTable(quiver, budget=args.budget, verify=nverify)
-        sinks = catalog.simple_projective_vertices(quiver)
-        for xi2 in symspace.indecomposable_symbols(quiver, cap):
-            for v in sinks:
-                rho = tuple(1 if i == v else 0 for i in range(quiver.n))
-                label = {"xi_prime": str(xi2), "rho": list(rho)}
-                run = lambda a=xi2, r=rho: verify.verify_cc2(
-                    a, r, table=table, budget=args.budget, verify=nverify)
-                instances.append((label, run))
-    else:
+        kept = _sampled(args, _green_instances(quiver, cap))
+        if theorem == "green-degenerate":
+            runs = _degenerate_runners(kept, args.budget, nverify)
+        elif theorem == "green-ff":
+            floors = [catalog.min_prime_for_symbols(ops) for ops in kept]
+            primes = {f: _exact_primes(args, f) for f in dict.fromkeys(floors)}
+            runs = [lambda ops=ops, ps=primes[f]: verify.verify_green_ff(
+                        *ops, primes=ps, budget=args.budget)
+                    for ops, f in zip(kept, floors)]
+        else:
+            runs = [lambda a=xi, b=eta, c=xi2, d=eta2: verify.verify_green_projective(
+                        c, d, a, b, budget=args.budget, verify=nverify)
+                    for xi, eta, xi2, eta2 in kept]
+        names = ("xi", "eta", "xi_prime", "eta_prime")
+        return [(dict(zip(names, map(str, ops))), run) for ops, run in zip(kept, runs)]
+    if theorem not in ("cc1", "cc2"):
         raise _CliError("--all is not supported for assoc (five free operands); "
                         "pass the tuple explicitly")
-    if args.sample is not None and args.sample < len(instances):
-        rng = np.random.default_rng(args.seed)
-        keep = sorted(rng.choice(len(instances), size=args.sample, replace=False))
-        instances = [instances[i] for i in keep]
-    return instances
+    table = cluster.CharTable(quiver, budget=args.budget, verify=nverify)
+    indecs = symspace.indecomposable_symbols(quiver, cap)
+    if theorem == "cc1":
+        return [({"xi_prime": str(a), "eta_prime": str(b)},
+                 lambda a=a, b=b: verify.verify_cc1(
+                     a, b, table=table, budget=args.budget, verify=nverify))
+                for a, b in _sampled(args, list(itertools.permutations(indecs, 2)))]
+    pool = [(xi2, tuple(int(i == v) for i in range(quiver.n)))
+            for xi2 in indecs for v in catalog.simple_projective_vertices(quiver)]
+    return [({"xi_prime": str(a), "rho": list(r)},
+             lambda a=a, r=r: verify.verify_cc2(
+                 a, r, table=table, budget=args.budget, verify=nverify))
+            for a, r in _sampled(args, pool)]
 
 
 def _cmd_verify(args, quiver):

@@ -17,6 +17,8 @@ values, a per-term breakdown, and timings.
 * verify_green_degenerate: the specialization at q = 1, where only split
   middles survive:  g^{xi'+eta'}_{xi,eta}(1) equals the number (at q = 1)
   of ways to split xi and eta compatibly with subreps of xi' and eta'.
+  verify_green_degenerate_all checks one (xi', eta') against many
+  (xi, eta); both read one table of the two sides per (xi', eta').
 
 * verify_green_projective: the q = 1 identity between projectivized
   counts (Euler characteristics of projectivized strata), in four blocks:
@@ -98,7 +100,7 @@ def _report(theorem, inputs, lhs, rhs, equal, terms, polys, t0):
         equal=bool(equal),
         terms=terms,
         polynomials=[str(f) for f in polys],
-        timing_ms=(time.time() - t0) * 1000.0,
+        timing_ms=(time.perf_counter() - t0) * 1000.0,
     )
 
 
@@ -304,7 +306,7 @@ def verify_green_ff(xi, eta, xi2, eta2, primes=None, budget=DEFAULT_SUBSPACE_BUD
     tube per point of P^1), so there is no prime-independent bookkeeping
     that stays exact; on Dynkin quivers classes are field-independent.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     quiver = _same_quiver(xi, eta, xi2, eta2)
     if not quiver.is_dynkin():
         raise UnsupportedQuiver(
@@ -416,35 +418,14 @@ def verify_green_degenerate(
     evaluated at 1.  RHS: sum over (quot, sub) strata (gam, delt) of xi'
     and (alp, bet) of eta' with gam+alp = xi and delt+bet = eta of
     g^{xi'}_{gam,delt} g^{eta'}_{alp,bet}, interpolated and evaluated at 1.
+    Reads one key of `_green_degenerate_table`.
     """
-    t0 = time.time()
-    quiver = _same_quiver(xi, eta, xi2, eta2)
-    symbols = (xi, eta, xi2, eta2)
+    t0 = time.perf_counter()
+    _same_quiver(xi, eta, xi2, eta2)
     admissible = _dims_sum(xi.dims, eta.dims) == _dims_sum(xi2.dims, eta2.dims)
-    L = xi2.direct_sum(eta2)
-
-    def counts(p):
-        fpxi = _fp(xi.concrete_classes(p))
-        fpeta = _fp(eta.concrete_classes(p))
-        lhs = _hall_fp(
-            L.instantiate(p), fpxi, fpeta, eta.dims, budget, L.concrete_classes(p)
-        )
-        rhs = 0
-        cls, mods = _materialize(p, xi2=xi2, eta2=eta2)
-        for (gam, delt, alp, bet), c, _, _ in _splittings(
-            cls, mods, xi.dims, eta.dims, budget
-        ):
-            if _merge_fp(gam, alp) == fpxi and _merge_fp(delt, bet) == fpeta:
-                rhs += c
-        return {"lhs": lhs, "rhs": rhs}
-
-    bound = max(
-        _max_sub_degree(L.dims, eta.dims),
-        _max_sub_degree_any(xi2.dims) + _max_sub_degree_any(eta2.dims),
+    ((lhs_poly, rhs_poly),) = _green_degenerate_table(
+        xi2, eta2, [(xi, eta)], budget, verify
     )
-    min_prime = max(s.min_prime() for s in symbols)
-    table = qpoly.counting_table(counts, bound, min_prime, verify)
-    lhs_poly, rhs_poly = table["lhs"], table["rhs"]
     lhs, rhs = lhs_poly.at_one(), rhs_poly.at_one()
     inputs = {
         "xi": str(xi),
@@ -458,14 +439,7 @@ def verify_green_degenerate(
         {"side": "rhs", "polynomial": str(rhs_poly)},
     ]
     return _report(
-        "green_degenerate",
-        inputs,
-        lhs,
-        rhs,
-        lhs == rhs,
-        terms,
-        [lhs_poly, rhs_poly],
-        t0,
+        "green_degenerate", inputs, lhs, rhs, lhs == rhs, terms, [lhs_poly, rhs_poly], t0
     )
 
 
@@ -484,37 +458,59 @@ def verify_green_degenerate_all(
 ):
     """Degenerate Green identity for one (xi', eta') against many (xi, eta).
 
-    All per-prime censuses depend only on (xi', eta'); the (xi, eta)
-    dependence is a fingerprint lookup.  Both sides are tabulated by
-    (fingerprint of xi, fingerprint of eta) in one interpolation sweep,
-    then compared at q = 1 for every requested pair.  Equivalent to
-    running verify_green_degenerate on each tuple, at a fraction of the
-    cost.  Every pair must satisfy dim xi + dim eta = dim xi' + dim eta'.
+    One `_green_degenerate_table` sweep serves every pair; the report has
+    one term per pair, in input order, and pairs with equal fingerprints
+    share one computation.  Each term equals verify_green_degenerate on
+    that tuple.  Every pair must satisfy dim xi + dim eta = dim xi' +
+    dim eta'.
     """
-    t0 = time.time()
-    quiver = _same_quiver(xi2, eta2, *itertools.chain.from_iterable(pairs))
-    L = xi2.direct_sum(eta2)
-    wanted = {}
+    t0 = time.perf_counter()
+    _same_quiver(xi2, eta2, *itertools.chain.from_iterable(pairs))
+    total = _dims_sum(xi2.dims, eta2.dims)
     for xi, eta in pairs:
-        if _dims_sum(xi.dims, eta.dims) != L.dims:
-            raise ValueError(
-                f"pair ({xi}, {eta}) has total dims != {L.dims}"
-            )
-        wanted.setdefault((xi.fingerprint(), eta.fingerprint()), (xi, eta))
-    symbols = [xi2, eta2] + [s for pair in pairs for s in pair]
-    min_prime = max(s.min_prime() for s in symbols)
-    bound = max(
-        _max_sub_degree_any(L.dims),
-        _max_sub_degree_any(xi2.dims) + _max_sub_degree_any(eta2.dims),
+        if _dims_sum(xi.dims, eta.dims) != total:
+            raise ValueError(f"pair ({xi}, {eta}) has total dims != {total}")
+    terms = []
+    sides = _green_degenerate_table(xi2, eta2, pairs, budget, verify)
+    for (xi, eta), (lhs_poly, rhs_poly) in zip(pairs, sides):
+        lhs, rhs = lhs_poly.at_one(), rhs_poly.at_one()
+        terms.append(
+            {"xi": str(xi), "eta": str(eta), "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
+        )
+    n_equal = sum(t["equal"] for t in terms)
+    inputs = {"xi_prime": str(xi2), "eta_prime": str(eta2), "pairs": len(terms)}
+    lhs, rhs = f"{n_equal}/{len(terms)} equal", f"{len(terms)} pairs"
+    return _report(
+        "green_degenerate_all", inputs, lhs, rhs, n_equal == len(terms), terms, [], t0
     )
+
+
+def _green_degenerate_table(xi2, eta2, pairs, budget, verify):
+    """[(lhs, rhs)]: both sides of the degenerate Green identity as counting
+    polynomials, one pair per requested (xi, eta) in input order, from one
+    interpolation sweep keyed by (fp xi, fp eta).
+
+    At each prime the LHS sums the census of L = xi' + eta' at each dim
+    eta requested; the RHS sums c1 * c2 over the product of the census
+    entries ((gam, delt), c1) of xi' and ((alp, bet), c2) of eta', keyed
+    by the fingerprints of gam + alp and delt + bet.  Only requested keys
+    are kept and fitted; a key that counts 0 at every prime, such as any
+    pair with dim xi + dim eta != dim L, reads as the zero polynomial.
+    """
+    L = xi2.direct_sum(eta2)
+    fps = [(xi.fingerprint(), eta.fingerprint()) for xi, eta in pairs]
+    wanted = set(fps)
+    dims = {(xi.dims, eta.dims) for xi, eta in pairs}
+    eta_dims = sorted(e for x, e in dims if _dims_sum(x, e) == L.dims)
 
     def counts(p):
         out = {}
-        for (quot, sub), c in _census_entries(
-            L.instantiate(p), L.concrete_classes(p), budget
-        ):
-            key = ("lhs", _fp(quot), _fp(sub))
-            out[key] = out.get(key, 0) + c
+        M, M_classes = L.instantiate(p), L.concrete_classes(p)
+        for e in eta_dims:
+            census = subspaces.hall_census(M, e, budget=budget, key_classes=M_classes)
+            for (quot, sub), c in census.items():
+                key = ("lhs", _fp(quot), _fp(sub))
+                out[key] = out.get(key, 0) + c
         cls, mods = _materialize(p, xi2=xi2, eta2=eta2)
         entries_xi2, entries_eta2 = (
             _census_entries(mods[k], cls[k], budget) for k in ("xi2", "eta2")
@@ -523,37 +519,17 @@ def verify_green_degenerate_all(
             for (alp, bet), c2 in entries_eta2:
                 key = ("rhs", _merge_fp(gam, alp), _merge_fp(delt, bet))
                 out[key] = out.get(key, 0) + c1 * c2
-        return out
+        return {key: c for key, c in out.items() if key[1:] in wanted}
 
+    bound = max(
+        [_max_sub_degree(L.dims, e) for e in eta_dims]
+        + [_max_sub_degree_any(xi2.dims) + _max_sub_degree_any(eta2.dims)]
+    )
+    symbols = [xi2, eta2, *itertools.chain.from_iterable(pairs)]
+    min_prime = max(s.min_prime() for s in symbols)
     table = qpoly.counting_table(counts, bound, min_prime, verify)
     zero = QPolynomial([])
-    terms = []
-    equal = True
-    n_equal = 0
-    for (fx, fe), (xi, eta) in wanted.items():
-        lhs = table.get(("lhs", fx, fe), zero).at_one()
-        rhs = table.get(("rhs", fx, fe), zero).at_one()
-        ok = lhs == rhs
-        equal = equal and ok
-        n_equal += ok
-        terms.append(
-            {"xi": str(xi), "eta": str(eta), "lhs": lhs, "rhs": rhs, "equal": ok}
-        )
-    inputs = {
-        "xi_prime": str(xi2),
-        "eta_prime": str(eta2),
-        "pairs": len(wanted),
-    }
-    return _report(
-        "green_degenerate_all",
-        inputs,
-        f"{n_equal}/{len(wanted)} equal",
-        f"{len(wanted)} pairs",
-        equal,
-        terms,
-        [],
-        t0,
-    )
+    return [(table.get(("lhs", *key), zero), table.get(("rhs", *key), zero)) for key in fps]
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +554,7 @@ def verify_green_projective(
     Verifies (i) = (ii) + (iii) - (iv) after interpolation at q = 1; each
     block is an exact integer at every prime (free scaling actions).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     quiver = _same_quiver(xi2, eta2, xi, eta)
     symbols = (xi2, eta2, xi, eta)
     admissible = _dims_sum(xi.dims, eta.dims) == _dims_sum(xi2.dims, eta2.dims)
@@ -718,7 +694,7 @@ def verify_assoc(X, Y1, Y2, L1, L2, primes=None, budget=DEFAULT_SUBSPACE_BUDGET)
     checked per prime, in the affine form (h = raw stratum counts) and
     the projectivized form (zero map removed, strata divided by p - 1).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     quiver = _same_quiver(X, Y1, Y2, L1, L2)
     if primes is None:
         primes = _common_primes((X, Y1, Y2, L1, L2), 2)
@@ -855,7 +831,7 @@ def verify_cc1(
     where a stratum has kernel bet and cokernel I0 + C with I0 injective
     and C injective-free, gam = tau^{-1} C + (projective part of xi').
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     quiver = _same_quiver(xi2, eta2)
     if table is None:
         table = cluster.CharTable(quiver, budget=budget, verify=verify)
@@ -952,7 +928,7 @@ def verify_cc2(xi2, rho, table=None, budget=DEFAULT_SUBSPACE_BUDGET, verify=2):
     has kernel delta and injective cokernel I', a Hom(P, xi') stratum has
     projective kernel P' and cokernel gam.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     quiver = xi2.quiver
     rho = tuple(int(x) for x in rho)
     if len(rho) != quiver.n or any(x < 0 for x in rho):

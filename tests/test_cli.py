@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from hallchar import cluster, rep, strata, subspaces, verify
+from hallchar import cli, cluster, rep, strata, subspaces, verify
 from hallchar.cli import main
 from hallchar.laurent import LaurentPoly
+from hallchar.quiver import kronecker_quiver, linear_quiver
 from hallchar.verify import VerificationReport
+from test_verify import green_degenerate_oracle
 
 
 def run(capsys, *argv):
@@ -97,6 +99,57 @@ def test_verify_green_ff_sweep(capsys):
     )
     assert rc == 0
     assert "green-ff: 45/45 EQUAL" in out
+
+
+def test_verify_green_degenerate_sweep(capsys):
+    # the same 45 instances as the green-ff sweep above
+    rc, out, _ = run(
+        capsys, "verify", "green-degenerate", "--quiver", "a2",
+        "--all", "--max-dim", "1,1",
+    )
+    assert rc == 0
+    assert "green-degenerate: 45/45 EQUAL" in out
+
+
+@pytest.mark.parametrize("max_dim", [(1, 2), (2, 2)])
+def test_verify_green_degenerate_sweep_json_matches_oracle(capsys, max_dim):
+    # Every instance, in _green_instances order, against the per-tuple
+    # oracle.  At (2,2) the raw splits (R@0, R@0), (R@1, R@0) and
+    # (R@0, R@1) share fingerprints, so the three read one table key.
+    rc, out, _ = run(
+        capsys, "verify", "green-degenerate", "--quiver", "kronecker",
+        "--all", "--max-dim", ",".join(map(str, max_dim)), "--json",
+    )
+    assert rc == 0
+    data = json.loads(out)
+    pool = cli._green_instances(kronecker_quiver(), max_dim)
+    assert data["total"] == data["equal_count"] == len(pool) == {(1, 2): 198, (2, 2): 1507}[max_dim]
+    for inst, tup in zip(data["instances"], pool):
+        assert (inst["xi"], inst["eta"], inst["xi_prime"], inst["eta_prime"]) == tuple(map(str, tup))
+        assert (inst["lhs"], inst["rhs"]) == tuple(map(str, green_degenerate_oracle(*tup)))
+
+
+def test_green_degenerate_sweep_reads_the_bulk_table(monkeypatch, capsys):
+    def refuse(*a, **k):
+        raise AssertionError("the sweep called the single-tuple verifier")
+
+    groups = []
+    bulk = verify.verify_green_degenerate_all
+
+    def counted(xi2, eta2, pairs, **k):
+        groups.append((xi2, eta2))
+        return bulk(xi2, eta2, pairs, **k)
+
+    monkeypatch.setattr(verify, "verify_green_degenerate", refuse)
+    monkeypatch.setattr(verify, "verify_green_degenerate_all", counted)
+    rc, out, _ = run(
+        capsys, "verify", "green-degenerate", "--quiver", "a2",
+        "--all", "--max-dim", "1,1",
+    )
+    assert rc == 0 and "45/45 EQUAL" in out
+    pool = cli._green_instances(linear_quiver(2), (1, 1))
+    expected = list(dict.fromkeys((xi2, eta2) for _, _, xi2, eta2 in pool))
+    assert len(expected) == 11 and groups == expected
 
 
 def test_verify_cc1_sweep(capsys):

@@ -5,8 +5,10 @@ the assertion (submodule counts on two-vertex representations, |GL_1| =
 p - 1 automorphism counts, eigenline counts on the Kronecker quiver) or
 is an exact string reproduced from such a derivation.  Nothing here is a
 snapshot of the code's own output accepted on faith.  The splitting-sum
-tests at the end compare the verifiers against the full product of census
-entries, filtered by dimension, which this file keeps as an oracle.
+tests at the end compare the green-ff and projective verifiers against
+the full product of census entries, filtered by dimension, and the
+degenerate verifiers against a per-tuple splitting sum; this file keeps
+both as oracles.
 """
 
 import itertools
@@ -14,7 +16,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hallchar import catalog, cluster, qpoly, rep, strata, symspace, verify
 from hallchar.errors import UnsupportedQuiver, VerificationMismatch
@@ -124,7 +126,7 @@ def test_green_degenerate_zero_case():
     assert r.equal and r.lhs == "0" and r.rhs == "0"
 
 
-def test_green_degenerate_dims_flag():
+def test_green_degenerate_dims_flag(monkeypatch):
     # Mismatched total dimensions make every stratum empty; the verifier
     # reports 0 = 0 but flags the bookkeeping failure.
     r = verify.verify_green_degenerate(
@@ -132,6 +134,23 @@ def test_green_degenerate_dims_flag():
     )
     assert r.equal and r.lhs == "0" and r.rhs == "0"
     assert r.inputs["dims_admissible"] is False
+    # (xi, eta; xi', eta') = (0, 2*S_1; S_1, S_2): dim eta = (2,0) lies
+    # outside the box of dim L = (1,1), so L has no subrep of that
+    # dimension and no splitting e' + e'' = (2,0) exists.  Both sides are
+    # 0, and no census is asked for a dimension vector outside its module.
+    calls = []
+    hall_census = verify.subspaces.hall_census
+    monkeypatch.setattr(
+        verify.subspaces,
+        "hall_census",
+        lambda M, e, **k: calls.append((M.dims, tuple(e))) or hall_census(M, e, **k),
+    )
+    r = verify.verify_green_degenerate(
+        sym("0", A2), sym("2*S1", A2), sym("S1", A2), sym("S2", A2)
+    )
+    assert r.equal and r.lhs == "0" and r.rhs == "0"
+    assert r.inputs["dims_admissible"] is False
+    assert all(x <= d for dims, e in calls for x, d in zip(e, dims))
 
 
 def test_green_degenerate_cross_tube_kronecker():
@@ -150,20 +169,45 @@ def test_green_degenerate_cross_tube_kronecker():
 
 
 def test_green_degenerate_all_matches_single():
-    # The bulk verifier computes literally the same sums as the per-tuple
-    # one, reorganized around shared censuses; check term-by-term
-    # agreement over every ordered split of total dims (1,2) on A_2.
+    # Check the bulk verifier term by term against the per-tuple oracle
+    # (the census of L at dim eta and Green's splitting sum, kept at the
+    # end of this file) over every ordered split of total dims (1,2) on
+    # A_2; the single-tuple verifier reads the same table as the bulk one.
     xi2, eta2 = sym("M[1,1]", A2), sym("S2", A2)
     pairs = symspace.split_pairs(A2, (1, 2))
     bulk = verify.verify_green_degenerate_all(xi2, eta2, pairs)
     assert bulk.equal and len(bulk.terms) == len(pairs)
     for (xi, eta), term in zip(pairs, bulk.terms):
+        oracle = tuple(map(str, green_degenerate_oracle(xi, eta, xi2, eta2)))
         single = verify.verify_green_degenerate(xi, eta, xi2, eta2)
         assert term["xi"] == str(xi) and term["eta"] == str(eta)
-        assert (str(term["lhs"]), str(term["rhs"])) == (single.lhs, single.rhs)
+        assert (str(term["lhs"]), str(term["rhs"])) == oracle == (single.lhs, single.rhs)
         assert term["equal"] == single.equal == True  # noqa: E712
     # at least one nonzero stratum exists in this sweep
-    assert any(t["lhs"] != "0" for t in bulk.terms)
+    assert any(t["lhs"] != 0 for t in bulk.terms)
+
+
+def test_green_degenerate_all_one_term_per_pair():
+    # On the Kronecker quiver at total dims (2,2) the raw splits
+    # (R@0, R@0), (R@1, R@0) and (R@0, R@1) share the fingerprints
+    # (regular simple, regular simple): the bulk verifier reports one term
+    # per requested pair, in input order, and fits one (lhs, rhs) pair of
+    # polynomials per distinct fingerprint pair.  In L = R@0 + R@1 the
+    # two eigenlines give 2 for the shared pair (see the cross-tube test
+    # above), and the submodule 2*P[0,1] (all of vertex 2) gives 1 for
+    # (2*I[1,0], 2*P[0,1]).
+    r0, r1 = sym("R(1,1)@0"), sym("R(1,1)@1")
+    pairs = [(r0, r0), (sym("2*I[1,0]"), sym("2*P[0,1]")), (r1, r0), (r0, r1)]
+    before = qpoly.VERIFIED_FITS
+    r = verify.verify_green_degenerate_all(r0, r1, pairs)
+    assert qpoly.VERIFIED_FITS - before == 4
+    assert r.inputs["pairs"] == 4 and r.lhs == "4/4 equal"
+    assert [(t["xi"], t["eta"]) for t in r.terms] == [
+        (str(xi), str(eta)) for xi, eta in pairs
+    ]
+    assert [(t["lhs"], t["rhs"]) for t in r.terms] == [(2, 2), (1, 1), (2, 2), (2, 2)]
+    for (xi, eta), t in zip(pairs, r.terms):
+        assert (t["lhs"], t["rhs"]) == green_degenerate_oracle(xi, eta, r0, r1)
 
 
 def test_green_degenerate_all_dims_precondition():
@@ -418,6 +462,36 @@ def _split_entries_oracle(cls, mods):
     return [verify._census_entries(mods[k], cls[k], BUDGET) for k in ("xi2", "eta2")]
 
 
+def green_degenerate_oracle(xi, eta, xi2, eta2):
+    """(lhs, rhs) of the degenerate Green identity at q = 1 for one tuple:
+    the Hall census of L = xi' + eta' at dim eta alone, and Green's
+    splitting sum over e' + e'' = dim eta (`verify._splittings`) filtered
+    by fingerprint, each fitted in q and evaluated at 1."""
+    L = xi2.direct_sum(eta2)
+
+    def counts(p):
+        fpxi, fpeta = verify._fp(xi.concrete_classes(p)), verify._fp(eta.concrete_classes(p))
+        lhs = verify._hall_fp(
+            L.instantiate(p), fpxi, fpeta, eta.dims, BUDGET, L.concrete_classes(p)
+        )
+        rhs = 0
+        cls, mods = verify._materialize(p, xi2=xi2, eta2=eta2)
+        for (gam, delt, alp, bet), c, _, _ in verify._splittings(
+            cls, mods, xi.dims, eta.dims, BUDGET
+        ):
+            if verify._merge_fp(gam, alp) == fpxi and verify._merge_fp(delt, bet) == fpeta:
+                rhs += c
+        return {"lhs": lhs, "rhs": rhs}
+
+    bound = max(
+        verify._max_sub_degree(L.dims, eta.dims),
+        verify._max_sub_degree_any(xi2.dims) + verify._max_sub_degree_any(eta2.dims),
+    )
+    min_prime = max(s.min_prime() for s in (xi, eta, xi2, eta2))
+    table = qpoly.counting_table(counts, bound, min_prime, 2)
+    return table["lhs"].at_one(), table["rhs"].at_one()
+
+
 def green_ff_rhs_oracle(quiver, xi, eta, xi2, eta2, p):
     """Green's right-hand side at p and its number of terms, from the full
     product of the census entries of xi' and eta', filtered by dimension."""
@@ -527,10 +601,12 @@ def test_green_projective_splitting_blocks_match_full_product(case):
 @settings(max_examples=15, deadline=None)
 @given(st.one_of(green_tuples(A3, A3_TOTALS), green_tuples(K, K_TOTALS)))
 def test_green_degenerate_splitting_sum_matches_bulk(case):
-    """The single-tuple verifier reads only the splitting censuses; the bulk
-    verifier still sums the full product, filtered by fingerprint."""
+    """The table the two degenerate verifiers read sums the census-entry
+    product; the oracle reads only the splitting censuses."""
     xi, eta, xi2, eta2, _ = case
-    assume(verify._dims_sum(xi.dims, eta.dims) == verify._dims_sum(xi2.dims, eta2.dims))
+    oracle = green_degenerate_oracle(xi, eta, xi2, eta2)
     single = verify.verify_green_degenerate(xi, eta, xi2, eta2)
-    (term,) = verify.verify_green_degenerate_all(xi2, eta2, [(xi, eta)]).terms
-    assert (single.lhs, single.rhs) == (str(term["lhs"]), str(term["rhs"]))
+    assert (single.lhs, single.rhs) == tuple(map(str, oracle))
+    if verify._dims_sum(xi.dims, eta.dims) == verify._dims_sum(xi2.dims, eta2.dims):
+        (term,) = verify.verify_green_degenerate_all(xi2, eta2, [(xi, eta)]).terms
+        assert (term["lhs"], term["rhs"]) == oracle
