@@ -65,7 +65,7 @@ from array import array
 
 import numpy as np
 
-from . import linalg, rep
+from . import linalg, memo, rep
 from .errors import ComputationError, OutsideCatalog, UnsupportedQuiver
 from .quiver import _unimodular_inverse
 from .rep import Rep
@@ -82,8 +82,6 @@ INF = "inf"
 #   ('R', tag, m)     Kronecker regular at an abstract tagged tube (symbols)
 #   ('S', i) ('proj', i) ('inj', i)   vertex atoms on general acyclic quivers
 # ---------------------------------------------------------------------------
-
-_MODULE_CACHE = {}
 
 
 def jordan_block(lam, m):
@@ -154,11 +152,9 @@ def _dynkin_indec(quiver, root, p):
     )
 
 
+@memo.memoized(lambda quiver, cls, p: (quiver.key, cls, p))
 def module_from_class(quiver, cls, p):
-    """The representation named by a concrete class label."""
-    key = (quiver.key, cls, p)
-    if key in _MODULE_CACHE:
-        return _MODULE_CACHE[key]
+    """The representation named by a concrete class label (memoized)."""
     kind = cls[0]
     if kind == "root":
         M = _dynkin_indec(quiver, tuple(cls[1]), p)
@@ -192,7 +188,6 @@ def module_from_class(quiver, cls, p):
         M = rep.opposite_rep(_projective_rep(opp, cls[1], p), opp=quiver)
     else:
         raise ValueError(f"unknown class label {cls!r}")
-    _MODULE_CACHE[key] = M
     return M
 
 
@@ -256,66 +251,52 @@ def decomposition_dims(quiver, decomp):
 # ---------------------------------------------------------------------------
 
 
-_DECOMPOSE_CACHE = {}
-
-
-def decompose(M, certify=False):
+@memo.memoized(lambda M: M.key)
+def decompose(M):
     """Krull-Schmidt decomposition of M as ((class, mult), ...).
 
     Kronecker modules are decomposed from ranks of their pencil (module
     docstring).  Raises OutsideCatalog when part of M is not matched by the
     catalog (Kronecker regulars at points with larger residue field) and
-    UnsupportedQuiver for quivers with no catalog at all.
+    UnsupportedQuiver for quivers with no catalog at all.  Memoized on
+    `M.key`, the exact matrices of M; a module that raises raises again on
+    every call.
     """
     Q = M.quiver
     if M.total_dim() == 0:
         return ()
-    # Rep stores contiguous int64 matrices reduced mod p whose shapes follow
-    # from dims, so the bytes identify M exactly.  Only results are stored:
-    # a module that raises raises again on every call.
-    key = (Q.key, M.p, M.dims, tuple(m.tobytes() for m in M.mats))
-    decomp = _DECOMPOSE_CACHE.get(key)
-    if decomp is None:
-        if Q.is_dynkin():
-            decomp = _decompose_dynkin(M)
-        elif Q.is_kronecker():
-            decomp = _decompose_kronecker(M)
-        else:
-            raise UnsupportedQuiver(
-                "decomposition is only available for Dynkin and Kronecker quivers"
-            )
-        _DECOMPOSE_CACHE[key] = decomp
-    if certify:
-        again = module_from_classes(Q, decomp, M.p)
-        if not rep.is_isomorphic(M, again):
-            raise ComputationError("decomposition certificate failed")
-    return decomp
+    if Q.is_dynkin():
+        return _decompose_dynkin(M)
+    if Q.is_kronecker():
+        return _decompose_kronecker(M)
+    raise UnsupportedQuiver(
+        "decomposition is only available for Dynkin and Kronecker quivers"
+    )
 
 
 def _decompose_rows(quiver, p, dims, blocks):
     """`decompose` of the module with dimension vector `dims` whose arrow
     matrices are `blocks` (lists of Python-int rows in [0, p)).
 
-    The memo is read with the same bytes a `Rep` of these matrices has,
-    since array("q") and int64 share the machine's 8-byte layout, so only
-    a module the memo has not seen is built and decomposed.
+    The `decompose` memo is read with the key a `Rep` of these matrices
+    has, since array("q") and int64 share the machine's 8-byte layout, so
+    only a module the memo has not seen is built and decomposed.
     """
     if not any(dims):
         return ()
-    mat_bytes = tuple(array("q", itertools.chain.from_iterable(b)).tobytes() for b in blocks)
-    decomp = _DECOMPOSE_CACHE.get((quiver.key, p, dims, mat_bytes))
+    mat_bytes = (array("q", itertools.chain.from_iterable(b)).tobytes() for b in blocks)
+    key = Rep.key_of(quiver, p, dims, mat_bytes)
+    decomp = memo.TABLES["catalog.decompose"].get(key)
     if decomp is None:
         mats = [
             np.array(b, dtype=np.int64).reshape(dims[t], dims[s])
             for b, (s, t) in zip(blocks, quiver.arrows)
         ]
-        decomp = decompose(rep.Rep(quiver, p, dims, mats))
+        decomp = decompose(Rep(quiver, p, dims, mats))
     return decomp
 
 
-_DYNKIN_SOLVE_CACHE = {}
-
-
+@memo.memoized(lambda Q, p: (Q.key, p))
 def _dynkin_hom_data(Q, p):
     """Roots, their indecomposables and the integer inverse of the Hom table.
 
@@ -324,15 +305,11 @@ def _dynkin_hom_data(Q, p):
     an Auslander-Reiten order, hence unimodular, so it is inverted once per
     (quiver, p) and every decomposition is an integer product A^{-1} v.
     """
-    key = (Q.key, p)
-    if key in _DYNKIN_SOLVE_CACHE:
-        return _DYNKIN_SOLVE_CACHE[key]
     roots = Q.positive_roots()
     reps = [module_from_class(Q, ("root", r), p) for r in roots]
     k = len(roots)
     A = [[rep.hom_dim(reps[s], reps[r]) for s in range(k)] for r in range(k)]
     inv = np.array(_unimodular_inverse(A), dtype=np.int64)
-    _DYNKIN_SOLVE_CACHE[key] = (roots, reps, inv)
     return roots, reps, inv
 
 
@@ -419,33 +396,23 @@ def aut_count(M, decomp=None):
     return rep.aut_count_from_mults(M, [mult for _, mult in decomp])
 
 
+@memo.memoized(lambda quiver, classes, p: (quiver.key, tuple(classes), p))
 def module_from_classes(quiver, classes, p):
     """Direct sum of catalog modules for a decomposition ((cls, mult), ...),
-    in the given order of the classes.  Memoized in `_MODULE_CACHE`, so
-    callers share one read-only `Rep` per (quiver, classes, p)."""
-    classes = tuple(classes)
-    key = (quiver.key, classes, p)
-    M = _MODULE_CACHE.get(key)
-    if M is None:
-        parts = []
-        for cls, mult in classes:
-            parts.extend([module_from_class(quiver, cls, p)] * mult)
-        M = rep.direct_sum(*parts) if parts else Rep.zero(quiver, p)
-        _MODULE_CACHE[key] = M
-    return M
+    in the given order of the classes.  Memoized, so callers share one
+    read-only `Rep` per (quiver, classes, p)."""
+    parts = []
+    for cls, mult in classes:
+        parts.extend([module_from_class(quiver, cls, p)] * mult)
+    return rep.direct_sum(*parts) if parts else Rep.zero(quiver, p)
 
 
-_AUT_CACHE = {}
-
-
+@memo.memoized(lambda quiver, classes, p: (quiver.key, sort_classes(classes), p))
 def aut_count_of_classes(quiver, classes, p):
-    """|Aut| of the module with the given decomposition, cached."""
+    """|Aut| of the module with the given decomposition (memoized)."""
     classes = sort_classes(classes)
-    key = (quiver.key, classes, p)
-    if key not in _AUT_CACHE:
-        M = module_from_classes(quiver, classes, p)
-        _AUT_CACHE[key] = rep.aut_count_from_mults(M, [m for _, m in classes])
-    return _AUT_CACHE[key]
+    M = module_from_classes(quiver, classes, p)
+    return rep.aut_count_from_mults(M, [m for _, m in classes])
 
 
 # ---------------------------------------------------------------------------

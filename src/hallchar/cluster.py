@@ -34,7 +34,7 @@ import itertools
 
 import numpy as np
 
-from . import catalog, qpoly, subspaces
+from . import catalog, memo, qpoly, subspaces
 from .errors import VerificationMismatch
 from .laurent import LaurentPoly
 from .subspaces import BudgetExceeded, DEFAULT_SUBSPACE_BUDGET
@@ -82,11 +82,9 @@ def _subdim_vectors(d):
     return itertools.product(*[range(int(di) + 1) for di in d])
 
 
-_CHI_CACHE = {}
-
-
+@memo.memoized(lambda sym, e, budget=None, verify=None: (sym.key, tuple(int(x) for x in e)))
 def chi_grassmannian(sym, e, budget=DEFAULT_SUBSPACE_BUDGET, verify=2):
-    """Euler characteristic chi(Gr_e) of the module class `sym`.
+    """Euler characteristic chi(Gr_e) of the module class `sym` (memoized).
 
     Interpolates #Gr_e(F_p) over primes p >= sym.min_prime() and evaluates
     the verified counting polynomial at q = 1.  Returns 0 when e is not a
@@ -98,18 +96,13 @@ def chi_grassmannian(sym, e, budget=DEFAULT_SUBSPACE_BUDGET, verify=2):
         raise ValueError(f"dimension vector {e} has wrong length for {d}")
     if any(ei < 0 or ei > di for ei, di in zip(e, d)):
         return 0
-    cache_key = (sym.key, e)
-    if cache_key in _CHI_CACHE:
-        return _CHI_CACHE[cache_key]
     poly = qpoly.counting_polynomial(
         lambda p: subspaces.grassmannian_count(sym.instantiate(p), e, budget=budget),
         grassmannian_degree_bound(d, e),
         min_prime=sym.min_prime(),
         verify=verify,
     )
-    chi = poly.at_one()
-    _CHI_CACHE[cache_key] = chi
-    return chi
+    return poly.at_one()
 
 
 def char_of_symbol(sym, budget=DEFAULT_SUBSPACE_BUDGET, verify=2):
@@ -223,8 +216,8 @@ class CharTable:
 
     Each new character is computed by the per-dimension-vector path; then
 
-    * when the stratified census fits in `check_budget`, the character is
-      recomputed by the stratum path and the two must agree exactly;
+    * when the stratified census fits in `DEFAULT_CHECK_BUDGET`, the character
+      is recomputed by the stratum path and the two must agree exactly;
     * for decomposable classes, multiplicativity X_{A + B} = X_A X_B is
       checked against the table (splitting off one indecomposable).
 
@@ -232,19 +225,10 @@ class CharTable:
     is skipped silently when the enumeration exceeds its budget.
     """
 
-    def __init__(
-        self,
-        quiver,
-        budget=DEFAULT_SUBSPACE_BUDGET,
-        verify=2,
-        check_budget=DEFAULT_CHECK_BUDGET,
-        checks=True,
-    ):
+    def __init__(self, quiver, budget=DEFAULT_SUBSPACE_BUDGET, verify=2):
         self.quiver = quiver
         self.budget = budget
         self.verify = verify
-        self.check_budget = check_budget
-        self.checks = checks
         self._memo = {}
 
     def char(self, sym):
@@ -258,9 +242,8 @@ class CharTable:
         # memoize before the checks: the multiplicativity check recurses
         # into char() for the summands and must terminate.
         self._memo[key] = value
-        if self.checks:
-            self._check_strata(sym, value)
-            self._check_multiplicative(sym, value)
+        self._check_strata(sym, value)
+        self._check_multiplicative(sym, value)
         return value
 
     def char_of_classes(self, classes):
@@ -269,7 +252,7 @@ class CharTable:
 
     def _check_strata(self, sym, value):
         try:
-            again = char_by_strata(sym, budget=self.check_budget, verify=self.verify)
+            again = char_by_strata(sym, budget=DEFAULT_CHECK_BUDGET, verify=self.verify)
         except BudgetExceeded:
             return
         if again != value:

@@ -40,10 +40,6 @@ class QPolynomial:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
 
-    @classmethod
-    def constant(cls, c):
-        return cls([c])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else -1
@@ -245,15 +241,6 @@ def divide_by_q_minus_1(poly):
     # the final accumulated value is the remainder poly(1) = 0; drop it
     out.pop()
     return QPolynomial(list(reversed(out)))
-
-
-def projectivize(poly, contains_zero=True):
-    """Point count of P(S) from the count of a scaling-stable set S.
-
-    With `contains_zero`, |P(S)|(q) = (|S|(q) - 1)/(q - 1).
-    """
-    shifted = poly - 1 if contains_zero else poly
-    return divide_by_q_minus_1(shifted)
 
 
 def gaussian_binomial(n, k, q):

@@ -75,6 +75,20 @@ class Rep:
         ]
         return cls(quiver, p, dims, mats)
 
+    @staticmethod
+    def key_of(quiver, p, dims, mat_bytes):
+        """The `key` of the module with these dims whose arrow matrices, as
+        int64 arrays, have the bytes `mat_bytes`."""
+        return (quiver.key, p, dims, tuple(mat_bytes))
+
+    @property
+    def key(self):
+        """Hashable identity for memo keys: (quiver key, p, dims, bytes of
+        each arrow matrix).  The matrices are contiguous int64, reduced
+        mod p, with shapes that follow from dims, so the bytes identify
+        this exact module."""
+        return Rep.key_of(self.quiver, self.p, self.dims, (m.tobytes() for m in self.mats))
+
     def total_dim(self):
         return sum(self.dims)
 

@@ -44,7 +44,7 @@ import itertools
 
 import numpy as np
 
-from . import catalog, linalg, rep, subspaces
+from . import catalog, linalg, memo, rep, subspaces
 from .errors import BudgetExceeded, VerificationMismatch
 from .rep import Rep
 
@@ -114,25 +114,23 @@ def middle_from_cocycle(X, Y, flat):
 def ext_middle_census(X, Y, budget=DEFAULT_EXT_BUDGET):
     """{middle_classes: #extension classes}, total mass p^{dim Ext^1}.
 
-    Memoized, like `catalog.decompose`, on the exact matrices of X and Y:
-    the census is stored with dim Ext^1 in `subspaces._CENSUS_CACHE` under
-    an "ext" key, so `subspaces.clear_census_cache()` forgets it.  Budget
-    and cross-check behave as without the memo: a hit raises
-    `BudgetExceeded` when p^{dim Ext^1} exceeds `budget`, exactly as a
-    fresh call would, and every miss checks the cocycle complement
-    against dim Ext^1 from the Euler form.  Callers must not mutate the
-    returned dict.
+    Memoized, like `catalog.decompose`, on the exact matrices of X and Y
+    (`Rep.key`), in a table of its own that `memo.clear()` empties.  The
+    key leaves out the budget, and budget and cross-check behave as
+    without the memo: a hit raises `BudgetExceeded` when p^{dim Ext^1}
+    exceeds `budget`, exactly as a fresh call would, and every miss checks
+    the cocycle complement against dim Ext^1 from the Euler form.  Callers
+    must not mutate the returned dict.
     """
+    e_dim, census = _ext_census(X, Y, budget)
+    _check_ext_budget(X.p, e_dim, budget)
+    return census
+
+
+@memo.memoized(lambda X, Y, budget: (X.key, Y.key))
+def _ext_census(X, Y, budget):
+    """(dim Ext^1(X, Y), extension census), memoized without the budget."""
     p = X.p
-    key = (
-        "ext", X.quiver.key, p, X.dims, Y.dims,
-        tuple(m.tobytes() for m in X.mats + Y.mats),
-    )
-    cached = subspaces._CENSUS_CACHE.get(key)
-    if cached is not None:
-        e_dim, census = cached
-        _check_ext_budget(p, e_dim, budget)
-        return census
     basis = ext_complement_basis(X, Y)
     e_dim = basis.shape[1]
     expected = rep.ext1_dim(X, Y)
@@ -149,8 +147,7 @@ def ext_middle_census(X, Y, budget=DEFAULT_EXT_BUDGET):
         mid = middle_from_cocycle(X, Y, flat)
         key_mid = catalog.decompose(mid)
         census[key_mid] = census.get(key_mid, 0) + 1
-    subspaces._CENSUS_CACHE[key] = (e_dim, census)
-    return census
+    return e_dim, census
 
 
 def _check_ext_budget(p, e_dim, budget):

@@ -24,12 +24,14 @@ isomorphism classes (class of M/U, class of U):
 A single census answers every Hall number g over the ambient module M:
 g = #{U <= M : U iso V_sub, M/U iso V_quot} is one dictionary entry, and
 the quiver Grassmannian point count |Gr_e(M)(F_p)| is the total mass.
-Censuses are cached per (quiver, prime, class of M, e); the cache key uses
-the Krull-Schmidt decomposition, so isomorphic ambient modules share one
-census, and a module outside the catalogue is not cached.  Sub and
-quotient are classified through the `catalog.decompose` memo, read with the
-bytes of their Python-int matrices; only a module the memo has not seen is
-built as a `Rep`.
+Censuses are memoized (`memo.memoized`) per (quiver, prime, class of M,
+e); the key uses the Krull-Schmidt decomposition, so isomorphic ambient
+modules share one census, and a module outside the catalogue is not
+stored.  Sub and quotient are classified through the `catalog.decompose`
+memo, read with the bytes of their Python-int matrices; only a module the
+memo has not seen is built as a `Rep`.  The rank distributions of two-vertex
+quivers are memoized on the exact matrices (`Rep.key`).  `memo.clear()`
+forgets them all.
 """
 
 import itertools
@@ -37,7 +39,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import catalog, linalg
+from . import catalog, linalg, memo
 from .errors import BudgetExceeded, OutsideCatalog
 from .qpoly import gaussian_binomial
 
@@ -202,34 +204,24 @@ def subrep_bases(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
         yield tuple(u.basis for u in U), sub, quot
 
 
-_RANK_DIST_CACHE = {}
-
-
+@memo.memoized(lambda M, k: (M.key, int(k)))
 def image_rank_distribution(M, k):
     """counts[w] = #{k-subspaces U of the source space with
-    dim(sum of arrow images of U) = w}, for a two-vertex quiver."""
+    dim(sum of arrow images of U) = w}, for a two-vertex quiver (memoized
+    on the exact matrices of M)."""
     src = M.quiver.topological_order()[0]
-    key = (
-        M.quiver.key,
-        M.p,
-        int(k),
-        tuple(m.tobytes() for m in M.mats),
-        tuple(M.dims),
-    )
-    if key not in _RANK_DIST_CACHE:
-        p, k = M.p, int(k)
-        d1, d2 = M.dims[src], M.dims[1 - src]
-        counts = np.zeros(min(d2, len(M.mats) * k) + 1, dtype=np.int64)
-        if not M.mats or k == 0 or d2 == 0:
-            counts[0] = gaussian_binomial(d1, k, p)
-        else:
-            # row i * #arrows + a is row i of arrow a, so each product
-            # reshapes to the d2 x (#arrows * k) matrix [A_1 U | A_2 U | ...]
-            arrows = np.stack(M.mats, axis=1).reshape(-1, d1)
-            for U in subspace_bases(d1, k, p):
-                counts[linalg.rank_mod((arrows @ U).reshape(d2, -1), p)] += 1
-        _RANK_DIST_CACHE[key] = counts
-    return _RANK_DIST_CACHE[key]
+    p, k = M.p, int(k)
+    d1, d2 = M.dims[src], M.dims[1 - src]
+    counts = np.zeros(min(d2, len(M.mats) * k) + 1, dtype=np.int64)
+    if not M.mats or k == 0 or d2 == 0:
+        counts[0] = gaussian_binomial(d1, k, p)
+    else:
+        # row i * #arrows + a is row i of arrow a, so each product
+        # reshapes to the d2 x (#arrows * k) matrix [A_1 U | A_2 U | ...]
+        arrows = np.stack(M.mats, axis=1).reshape(-1, d1)
+        for U in subspace_bases(d1, k, p):
+            counts[linalg.rank_mod((arrows @ U).reshape(d2, -1), p)] += 1
+    return counts
 
 
 def grassmannian_count(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
@@ -281,15 +273,12 @@ def grassmannian_count(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
     return count
 
 
-_CENSUS_CACHE = {}
-
-
 def hall_census(M, e, budget=DEFAULT_SUBSPACE_BUDGET, key_classes=None):
     """Census {(quot_classes, sub_classes): count} of subreps of M.
 
     `key_classes` may pass the decomposition of M when already known, to
-    stabilize the cache key without recomputing it.  A module the catalog
-    cannot decompose (`OutsideCatalog`) has no cache key: its census is
+    stabilize the memo key without recomputing it.  A module the catalog
+    cannot decompose (`OutsideCatalog`) has no memo key: its census is
     computed and returned without being stored.
     """
     e = tuple(int(x) for x in e)
@@ -298,10 +287,13 @@ def hall_census(M, e, budget=DEFAULT_SUBSPACE_BUDGET, key_classes=None):
             key_classes = catalog.decompose(M)
         except OutsideCatalog:
             return _census(M, e, budget)
-    cache_key = (M.quiver.key, M.p, key_classes, e)
-    if cache_key not in _CENSUS_CACHE:
-        _CENSUS_CACHE[cache_key] = _census(M, e, budget)
-    return _CENSUS_CACHE[cache_key]
+    return _class_census(M, e, budget, key_classes)
+
+
+@memo.memoized(lambda M, e, budget, classes: (M.quiver.key, M.p, classes, e))
+def _class_census(M, e, budget, classes):
+    """`_census` of M at e, memoized on the decomposition `classes` of M."""
+    return _census(M, e, budget)
 
 
 def _census(M, e, budget):
@@ -322,15 +314,6 @@ def hall_number(L, quot_classes, sub_classes, budget=DEFAULT_SUBSPACE_BUDGET):
     e = catalog.decomposition_dims(L.quiver, sub_classes)
     census = hall_census(L, e, budget=budget)
     return census.get((catalog.sort_classes(quot_classes), catalog.sort_classes(sub_classes)), 0)
-
-
-def clear_census_cache():
-    """Forget every census (Hall censuses and the extension censuses of
-    `strata.ext_middle_census`) and the decompositions they were built
-    from."""
-    _CENSUS_CACHE.clear()
-    _RANK_DIST_CACHE.clear()
-    catalog._DECOMPOSE_CACHE.clear()
 
 
 def census_total(census):

@@ -25,7 +25,7 @@ p^(sum over arrows of d_s d_t) of the representation space.
 
 import itertools
 
-from . import catalog
+from . import catalog, memo
 from .catalog import ModuleSymbol
 
 __all__ = [
@@ -184,15 +184,14 @@ def indecomposable_symbols(quiver, cap):
     return out
 
 
-_POOL_CACHE = {}
+@memo.memoized(lambda quiver, cap: (quiver.key, cap))
+def _symbol_pool(quiver, cap):
+    return all_symbols_up_to(quiver, cap)
 
 
 def random_symbol(quiver, rng, cap):
     """A uniformly random iso-class with dimensions <= cap."""
-    key = (quiver.key, tuple(int(c) for c in cap))
-    if key not in _POOL_CACHE:
-        _POOL_CACHE[key] = all_symbols_up_to(quiver, cap)
-    pool = _POOL_CACHE[key]
+    pool = _symbol_pool(quiver, tuple(int(c) for c in cap))
     return pool[int(rng.integers(len(pool)))]
 
 

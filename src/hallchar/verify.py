@@ -47,7 +47,7 @@ import json
 import time
 from fractions import Fraction
 
-from . import catalog, cluster, qpoly, rep, strata, subspaces
+from . import catalog, cluster, memo, qpoly, rep, strata, subspaces
 from .errors import UnsupportedQuiver
 from .laurent import LaurentPoly
 from .qpoly import QPolynomial
@@ -108,15 +108,10 @@ def _report(theorem, inputs, lhs, rhs, equal, terms, polys, t0):
 # shared helpers
 # ---------------------------------------------------------------------------
 
-_FP_CACHE = {}
-
-
+@memo.memoized(lambda classes: classes)
 def _fp(classes):
     """fingerprint_of_classes, memoized on the (hashable) decomposition."""
-    out = _FP_CACHE.get(classes)
-    if out is None:
-        out = _FP_CACHE[classes] = catalog.fingerprint_of_classes(classes)
-    return out
+    return catalog.fingerprint_of_classes(classes)
 
 
 def _same_quiver(*symbols):
@@ -196,37 +191,45 @@ def _materialize(p, **symbols):
     return cls, mods
 
 
-def _census_entries(M, key_classes, budget):
-    """All ((quot, sub), count) over every subdimension vector of M."""
+def _split_dims(xi2_dims, eta2_dims, dims):
+    """[(e1, e2)]: the sub-dimension vectors of xi' and eta' that Green's
+    formula pairs, for each (dim xi, dim eta) in `dims`.  A sub of
+    dimension e1 has a quotient of dimension dim xi' - e1, so these are the
+    pairs with e1 + e2 = dim eta, provided dim xi' + dim eta' = dim xi +
+    dim eta; otherwise there are none."""
     out = []
-    for e in itertools.product(*[range(d + 1) for d in M.dims]):
-        census = subspaces.hall_census(M, e, budget=budget, key_classes=key_classes)
-        out.extend(census.items())
+    for xi_dims, eta_dims in dims:
+        if any(a + b != x + y for a, b, x, y in zip(xi2_dims, eta2_dims, xi_dims, eta_dims)):
+            continue
+        # 0 <= e1 <= dim xi' and 0 <= e2 = dim eta - e1 <= dim eta'
+        ranges = [
+            range(max(0, y - d2), min(d1, y) + 1)
+            for d1, d2, y in zip(xi2_dims, eta2_dims, eta_dims)
+        ]
+        for e1 in itertools.product(*ranges):
+            out.append((e1, tuple(y - x for y, x in zip(eta_dims, e1))))
     return out
 
 
-def _splittings(cls, mods, xi_dims, eta_dims, budget):
+def _splittings(cls, mods, splits, budget):
     """Yield ((gam, delt, alp, bet), c1 * c2, e1, e2) over the splittings of
-    Green's formula: census entries ((gam, delt), c1) of xi' at e1 and
-    ((alp, bet), c2) of eta' at e2 (materialized as "xi2" and "eta2") with
-    dim gam + dim alp = dim xi and dim delt + dim bet = dim eta.
-
-    A sub of dimension e1 has a quotient of dimension dim xi' - e1, so these
-    are the pairs with e1 + e2 = dim eta, provided dim xi' + dim eta' =
-    dim xi + dim eta; otherwise there are none.  No other census is
-    computed.  The order is that of the full product of the two entry lists.
+    Green's formula at the (e1, e2) in `splits` (`_split_dims`): census
+    entries ((gam, delt), c1) of xi' at e1 and ((alp, bet), c2) of eta' at
+    e2 (materialized as "xi2" and "eta2"), so dim gam + dim alp = dim xi
+    and dim delt + dim bet = dim eta.  Each census is read once and no
+    other census is computed.
     """
-    xi2, eta2 = mods["xi2"], mods["eta2"]
-    if _dims_sum(xi2.dims, eta2.dims) != _dims_sum(xi_dims, eta_dims):
-        return
-    for e1 in itertools.product(*[range(d + 1) for d in xi2.dims]):
-        e2 = tuple(y - x for y, x in zip(eta_dims, e1))
-        if any(x < 0 or x > d for x, d in zip(e2, eta2.dims)):
-            continue
-        census1 = subspaces.hall_census(xi2, e1, budget=budget, key_classes=cls["xi2"])
-        census2 = subspaces.hall_census(eta2, e2, budget=budget, key_classes=cls["eta2"])
-        for (gam, delt), c1 in census1.items():
-            for (alp, bet), c2 in census2.items():
+    census1 = {
+        e: subspaces.hall_census(mods["xi2"], e, budget=budget, key_classes=cls["xi2"])
+        for e in dict.fromkeys(e1 for e1, _ in splits)
+    }
+    census2 = {
+        e: subspaces.hall_census(mods["eta2"], e, budget=budget, key_classes=cls["eta2"])
+        for e in dict.fromkeys(e2 for _, e2 in splits)
+    }
+    for e1, e2 in splits:
+        for (gam, delt), c1 in census1[e1].items():
+            for (alp, bet), c2 in census2[e2].items():
                 yield (gam, delt, alp, bet), c1 * c2, e1, e2
 
 
@@ -375,9 +378,8 @@ def _green_ff_at_prime(quiver, xi, eta, xi2, eta2, p, budget):
     # of eta'; the cross Hall numbers tie them to xi and eta.
     rhs = Fraction(0)
     n_rhs = 0
-    for (gam, delt, alp, bet), c, _, e2 in _splittings(
-        cls, mods, xi.dims, eta.dims, budget
-    ):
+    splits = _split_dims(xi2.dims, eta2.dims, [(xi.dims, eta.dims)])
+    for (gam, delt, alp, bet), c, _, e2 in _splittings(cls, mods, splits, budget):
         dims_alp = tuple(d - x for d, x in zip(eta2.dims, e2))
         g3 = _hall_fp(mods["xi"], _fp(gam), _fp(alp), dims_alp, budget, cls["xi"])
         if g3 == 0:
@@ -443,14 +445,10 @@ def verify_green_degenerate(
     )
 
 
-_MERGE_FP_CACHE = {}
-
-
+@memo.memoized(lambda classes1, classes2: (classes1, classes2))
 def _merge_fp(classes1, classes2):
-    key = (classes1, classes2)
-    if key not in _MERGE_FP_CACHE:
-        _MERGE_FP_CACHE[key] = _fp(_merge_classes(classes1, classes2))
-    return _MERGE_FP_CACHE[key]
+    """The fingerprint of the direct sum of two decompositions (memoized)."""
+    return _fp(_merge_classes(classes1, classes2))
 
 
 def verify_green_degenerate_all(
@@ -490,18 +488,19 @@ def _green_degenerate_table(xi2, eta2, pairs, budget, verify):
     polynomials, one pair per requested (xi, eta) in input order, from one
     interpolation sweep keyed by (fp xi, fp eta).
 
-    At each prime the LHS sums the census of L = xi' + eta' at each dim
-    eta requested; the RHS sums c1 * c2 over the product of the census
-    entries ((gam, delt), c1) of xi' and ((alp, bet), c2) of eta', keyed
-    by the fingerprints of gam + alp and delt + bet.  Only requested keys
-    are kept and fitted; a key that counts 0 at every prime, such as any
-    pair with dim xi + dim eta != dim L, reads as the zero polynomial.
+    At each prime the LHS sums the census of L = xi' + eta' at each
+    requested dim eta, and the RHS sums Green's splittings at each
+    requested (dim xi, dim eta) (`_splittings`), keyed by the fingerprints
+    of gam + alp and delt + bet.  Only requested keys are kept and fitted;
+    a key that counts 0 at every prime, such as any pair with dim xi +
+    dim eta != dim L, reads as the zero polynomial.
     """
     L = xi2.direct_sum(eta2)
     fps = [(xi.fingerprint(), eta.fingerprint()) for xi, eta in pairs]
     wanted = set(fps)
-    dims = {(xi.dims, eta.dims) for xi, eta in pairs}
+    dims = sorted({(xi.dims, eta.dims) for xi, eta in pairs})
     eta_dims = sorted(e for x, e in dims if _dims_sum(x, e) == L.dims)
+    splits = _split_dims(xi2.dims, eta2.dims, dims)
 
     def counts(p):
         out = {}
@@ -512,13 +511,9 @@ def _green_degenerate_table(xi2, eta2, pairs, budget, verify):
                 key = ("lhs", _fp(quot), _fp(sub))
                 out[key] = out.get(key, 0) + c
         cls, mods = _materialize(p, xi2=xi2, eta2=eta2)
-        entries_xi2, entries_eta2 = (
-            _census_entries(mods[k], cls[k], budget) for k in ("xi2", "eta2")
-        )
-        for (gam, delt), c1 in entries_xi2:
-            for (alp, bet), c2 in entries_eta2:
-                key = ("rhs", _merge_fp(gam, alp), _merge_fp(delt, bet))
-                out[key] = out.get(key, 0) + c1 * c2
+        for (gam, delt, alp, bet), c, _, _ in _splittings(cls, mods, splits, budget):
+            key = ("rhs", _merge_fp(gam, alp), _merge_fp(delt, bet))
+            out[key] = out.get(key, 0) + c
         return {key: c for key, c in out.items() if key[1:] in wanted}
 
     bound = max(
@@ -643,9 +638,8 @@ def _green_projective_blocks(quiver, xi2, eta2, xi, eta, p, budget):
     block_iii = 0
     n_split = 0
     hom_xi2_eta2 = rep.hom_dim(mods["xi2"], mods["eta2"])
-    for (gam, delt, alp, bet), c, e1, e2 in _splittings(
-        cls, mods, xi.dims, eta.dims, budget
-    ):
+    splits = _split_dims(xi2.dims, eta2.dims, [(xi.dims, eta.dims)])
+    for (gam, delt, alp, bet), c, e1, e2 in _splittings(cls, mods, splits, budget):
         v_gam = catalog.module_from_classes(quiver, gam, p)
         v_alp = catalog.module_from_classes(quiver, alp, p)
         v_delt = catalog.module_from_classes(quiver, delt, p)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hallchar import catalog, linalg, rep, subspaces
+from hallchar import catalog, linalg, memo, rep
 from hallchar.catalog import (
     INF,
     ModuleSymbol,
@@ -84,12 +84,20 @@ def test_dynkin_indec_nonlinear_orientation():
         assert rep.hom_dim(M, M) == 1
 
 
+def _certified(M):
+    """decompose(M), certified by an isomorphism between M and the direct
+    sum of the catalogue modules it names."""
+    decomp = decompose(M)
+    assert rep.is_isomorphic(M, catalog.module_from_classes(M.quiver, decomp, M.p)), decomp
+    return decomp
+
+
 def test_decompose_dynkin():
     p = 2
     s1 = rep.Rep.simple(A2, p, 0)
     P1 = module_from_class(A2, ("root", (1, 1)), p)
     M = rep.direct_sum(P1, s1)
-    assert decompose(M, certify=True) == (
+    assert _certified(M) == (
         (("root", (1, 0)), 1),
         (("root", (1, 1)), 1),
     )
@@ -102,18 +110,18 @@ def test_decompose_dynkin():
     )
     # full-rank map on dims (2,2): P(1)^2
     F = rep.Rep(A2, p, (2, 2), [np.eye(2, dtype=np.int64)])
-    assert decompose(F, certify=True) == ((("root", (1, 1)), 2),)
+    assert _certified(F) == ((("root", (1, 1)), 2),)
     assert decompose(rep.Rep.zero(A2, p)) == ()
 
 
 def test_decompose_kronecker_catalog_cases():
     p = 3
     P1 = module_from_class(K, ("P", 1), p)
-    assert decompose(P1, certify=True) == ((("P", 1), 1),)
+    assert _certified(P1) == ((("P", 1), 1),)
     M = rep.direct_sum(
         module_from_class(K, ("Rc", 0, 1), p), module_from_class(K, ("Rc", 1, 1), p)
     )
-    assert decompose(M, certify=True) == (
+    assert _certified(M) == (
         (("Rc", 0, 1), 1),
         (("Rc", 1, 1), 1),
     )
@@ -127,13 +135,13 @@ def test_decompose_kronecker_catalog_cases():
         module_from_class(K, ("P", 0), p),
         module_from_class(K, ("I", 0), p),
     )
-    assert decompose(mixed, certify=True) == ((("P", 0), 1), (("I", 0), 1))
+    assert _certified(mixed) == ((("P", 0), 1), (("I", 0), 1))
     big = rep.direct_sum(
         module_from_class(K, ("P", 1), p),
         module_from_class(K, ("I", 1), p),
         module_from_class(K, ("Rc", INF, 1), p),
     )
-    assert decompose(big, certify=True) == (
+    assert _certified(big) == (
         (("P", 1), 1),
         (("Rc", INF, 1), 1),
         (("I", 1), 1),
@@ -149,7 +157,7 @@ def test_decompose_kronecker_outside_catalog():
         with pytest.raises(OutsideCatalog):
             decompose(M)
     N = rep.Rep(K, 5, (2, 2), [np.eye(2, dtype=np.int64), B])
-    assert decompose(N, certify=True) == ((("Rc", 3, 2), 1),)
+    assert _certified(N) == ((("Rc", 3, 2), 1),)
 
 
 def test_aut_count_via_decomposition():
@@ -341,7 +349,7 @@ def test_decompose_dynkin_sum_of_all_indecomposables(quiver, p):
     roots = quiver.positive_roots()
     assert len(roots) == (6 if quiver.n == 3 else 12)
     M = rep.direct_sum(*(module_from_class(quiver, ("root", r), p) for r in roots))
-    decomp = decompose(M, certify=True)
+    decomp = _certified(M)
     assert decomp == catalog.sort_classes([(("root", r), 1) for r in roots])
 
 
@@ -357,11 +365,11 @@ def test_dynkin_hom_table_inverse_checks():
 
 
 @pytest.fixture
-def cold_memo(monkeypatch):
-    """An empty decomposition memo for this test only."""
-    memo = {}
-    monkeypatch.setattr(catalog, "_DECOMPOSE_CACHE", memo)
-    return memo
+def cold_memo():
+    """Every memo empty for this test; returns the decomposition table."""
+    memo.clear()
+    yield memo.TABLES["catalog.decompose"]
+    memo.clear()
 
 
 @pytest.fixture
@@ -440,7 +448,7 @@ def test_decompose_memo_conjugated_copy(cold_memo):
         first = decompose(M)
         N = _conjugate(M, rng)
         assert any(not np.array_equal(a, b) for a, b in zip(M.mats, N.mats))
-        assert decompose(N, certify=True) == first
+        assert _certified(N) == first
     assert len(cold_memo) == 4
 
 
@@ -453,24 +461,18 @@ def test_decompose_memo_does_not_store_outside_catalog(cold_memo):
     assert cold_memo == {}
 
 
-def test_decompose_memo_hit_still_certifies(cold_memo, monkeypatch):
-    M = _a3_sample(2)
-    expected = decompose(M)
-    assert decompose(M, certify=True) == expected
-    monkeypatch.setattr(rep, "is_isomorphic", lambda *args, **kwargs: False)
-    with pytest.raises(ComputationError, match="certificate"):
-        decompose(M, certify=True)
-
-
-def test_clear_census_cache_clears_decompose_memo(cold_memo, hom_dim_calls):
-    M = _a3_sample(3)
-    decompose(M)
-    assert cold_memo
-    subspaces.clear_census_cache()
-    assert cold_memo == {}
-    hom_dim_calls.clear()
-    decompose(M)
-    assert hom_dim_calls
+def test_certificate_rejects_a_wrong_memo_entry(cold_memo, monkeypatch):
+    """`_certified` checks every call, a memo hit included: a decomposition
+    with the right dimension vector but the wrong summands is stored once
+    and rejected on the miss and on the hit."""
+    p = 2
+    M = rep.direct_sum(module_from_class(A2, ("root", (1, 1)), p), rep.Rep.simple(A2, p, 0))
+    wrong = ((("root", (0, 1)), 1), (("root", (1, 0)), 2))
+    monkeypatch.setattr(catalog, "_decompose_dynkin", lambda M: wrong)
+    for _ in range(2):
+        with pytest.raises(AssertionError):
+            _certified(M)
+    assert list(cold_memo.values()) == [wrong]
 
 
 # -- the module memo -----------------------------------------------------------
@@ -628,9 +630,8 @@ def kronecker_modules(draw, max_dims=(4, 4)):
 def test_decompose_kronecker_matches_hom_scan_oracle(M):
     """From a cold memo, the rank route returns the oracle's decomposition
     or raises the oracle's exception type."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(catalog, "_DECOMPOSE_CACHE", {})
-        got = _result(decompose, M)
+    memo.clear()
+    got = _result(decompose, M)
     assert got == _result(decompose_kronecker_oracle, M)
 
 

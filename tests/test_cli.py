@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hallchar import cli, cluster, rep, strata, subspaces, verify
+from hallchar import cli, cluster, memo, rep, strata, verify
 from hallchar.cli import main
 from hallchar.laurent import LaurentPoly
 from hallchar.quiver import kronecker_quiver, linear_quiver
@@ -259,7 +259,7 @@ def test_char_table_cross_check_failure_exits_2(monkeypatch, capsys):
 def test_ext_dimension_check_failure_exits_2(monkeypatch, capsys):
     # the cocycle complement no longer matches dim Ext^1 from the Euler form;
     # the cross-check runs on a miss of the Ext census memo, so start cold
-    subspaces.clear_census_cache()
+    memo.clear()
     ext1_dim = rep.ext1_dim
     monkeypatch.setattr(rep, "ext1_dim", lambda X, Y: ext1_dim(X, Y) + 1)
     rc, out, _ = run(

@@ -21,7 +21,6 @@ from hallchar.qpoly import (
     divide_by_q_minus_1,
     gaussian_binomial,
     lagrange_integer,
-    projectivize,
 )
 
 
@@ -134,15 +133,16 @@ def test_divide_by_q_minus_1():
 
 
 def test_projectivize_euler_characteristics():
-    # affine cone of P^1 is A^2: chi(P^1) = 2
-    line = projectivize(QPolynomial([0, 0, 1]))
+    # |P(S)| = (|S| - [0 in S]) / (q - 1); affine cone of P^1 is A^2:
+    # chi(P^1) = 2
+    line = divide_by_q_minus_1(QPolynomial([0, 0, 1]) - 1)
     assert line.coeffs == (1, 1)
     assert line.at_one() == 2
     # chi(P^2) = 3
-    plane = projectivize(QPolynomial([0, 0, 0, 1]))
+    plane = divide_by_q_minus_1(QPolynomial([0, 0, 0, 1]) - 1)
     assert plane.at_one() == 3
     # a set without 0: two scaling orbits
-    assert projectivize(QPolynomial([-2, 2]), contains_zero=False).at_one() == 2
+    assert divide_by_q_minus_1(QPolynomial([-2, 2])).at_one() == 2
 
 
 def test_gaussian_binomial():

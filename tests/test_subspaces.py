@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hallchar import catalog, linalg, rep, subspaces
+from hallchar import catalog, linalg, memo, rep, subspaces
 from hallchar.errors import BudgetExceeded
 from hallchar.quiver import Quiver, kronecker_quiver, linear_quiver
 
@@ -160,7 +160,7 @@ def test_hall_census_kronecker():
 
 def test_census_cache_shared_between_isomorphic_modules():
     p = 3
-    subspaces.clear_census_cache()
+    memo.clear()
     P1 = catalog.module_from_class(A2, ("root", (1, 1)), p)
     # a conjugated copy of P(1): same class, different matrices
     P1b = rep.Rep(A2, p, (1, 1), [np.array([[2]], dtype=np.int64)])
@@ -251,9 +251,9 @@ def test_hall_census_matches_per_subrep_oracle(M):
     `sub_quotient_pair` and `decompose`, exceptions included, and its mass
     is the rank-checked subrepresentation count."""
     for e in itertools.product(*[range(d + 1) for d in M.dims]):
-        subspaces.clear_census_cache()
+        memo.clear()
         got = _result(subspaces.hall_census, M, e)
-        subspaces.clear_census_cache()
+        memo.clear()
         want = _result(hall_census_oracle, M, e)
         assert got == want
         if isinstance(want, dict):
@@ -261,12 +261,12 @@ def test_hall_census_matches_per_subrep_oracle(M):
 
 
 def test_hall_census_outside_catalog_is_not_memoized():
-    subspaces.clear_census_cache()
+    memo.clear()
     census = subspaces.hall_census(OUTSIDE_CATALOG, (0, 1))
     assert census == {(((("I", 1), 1),), ((("P", 0), 1),)): 3}
-    assert not subspaces._CENSUS_CACHE
+    assert not memo.TABLES["subspaces._class_census"]
     # the classes of its sub and quotient are memoized as usual
-    assert catalog._DECOMPOSE_CACHE
+    assert memo.TABLES["catalog.decompose"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -295,7 +295,7 @@ def test_census_classes_read_the_decompose_memo(monkeypatch):
         catalog.module_from_class(A3, ("root", (0, 1, 1)), p),
     )
     seen = []
-    subspaces.clear_census_cache()
+    memo.clear()
     for bases, sub, quot in subspaces.subrep_bases(M, (0, 1, 1)):
         U, MU = rep.sub_quotient_pair(M, bases)
         seen.append((sub, quot, catalog.decompose(U), catalog.decompose(MU), MU.dims))
@@ -366,7 +366,7 @@ def test_hall_census_does_not_build_sub_quotient_pairs(monkeypatch):
     ]
     want = []
     for M, e in cases:
-        subspaces.clear_census_cache()
+        memo.clear()
         want.append(hall_census_oracle(M, e))
 
     def raises(*args, **kwargs):
@@ -374,7 +374,7 @@ def test_hall_census_does_not_build_sub_quotient_pairs(monkeypatch):
 
     monkeypatch.setattr(rep, "sub_quotient_pair", raises)
     for (M, e), census in zip(cases, want):
-        subspaces.clear_census_cache()
+        memo.clear()
         assert subspaces.hall_census(M, e) == census
         assert census
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hallchar import catalog, cluster, qpoly, rep, strata, symspace, verify
+from hallchar import catalog, cluster, qpoly, rep, strata, subspaces, symspace, verify
 from hallchar.errors import UnsupportedQuiver, VerificationMismatch
 from hallchar.quiver import kronecker_quiver, linear_quiver
 
@@ -459,7 +459,14 @@ BUDGET = verify.DEFAULT_SUBSPACE_BUDGET
 
 def _split_entries_oracle(cls, mods):
     """Every census entry of xi' and of eta', over every subdimension."""
-    return [verify._census_entries(mods[k], cls[k], BUDGET) for k in ("xi2", "eta2")]
+    out = []
+    for k in ("xi2", "eta2"):
+        M = mods[k]
+        entries = []
+        for e in itertools.product(*[range(d + 1) for d in M.dims]):
+            entries.extend(subspaces.hall_census(M, e, budget=BUDGET, key_classes=cls[k]).items())
+        out.append(entries)
+    return out
 
 
 def green_degenerate_oracle(xi, eta, xi2, eta2):
@@ -476,9 +483,8 @@ def green_degenerate_oracle(xi, eta, xi2, eta2):
         )
         rhs = 0
         cls, mods = verify._materialize(p, xi2=xi2, eta2=eta2)
-        for (gam, delt, alp, bet), c, _, _ in verify._splittings(
-            cls, mods, xi.dims, eta.dims, BUDGET
-        ):
+        splits = verify._split_dims(xi2.dims, eta2.dims, [(xi.dims, eta.dims)])
+        for (gam, delt, alp, bet), c, _, _ in verify._splittings(cls, mods, splits, BUDGET):
             if verify._merge_fp(gam, alp) == fpxi and verify._merge_fp(delt, bet) == fpeta:
                 rhs += c
         return {"lhs": lhs, "rhs": rhs}
