@@ -461,6 +461,17 @@ def test_decompose_memo_does_not_store_outside_catalog(cold_memo):
     assert cold_memo == {}
 
 
+def test_clear_census_cache_clears_decompose_memo(cold_memo, decomposer_calls):
+    M = _a3_sample(3)
+    decompose(M)
+    assert cold_memo
+    memo.clear()
+    assert cold_memo == {}
+    decomposer_calls.clear()
+    decompose(M)
+    assert decomposer_calls
+
+
 def test_certificate_rejects_a_wrong_memo_entry(cold_memo, monkeypatch):
     """`_certified` checks every call, a memo hit included: a decomposition
     with the right dimension vector but the wrong summands is stored once

@@ -179,6 +179,15 @@ def test_ext_memo_hit_keeps_budget(ext1_calls):
     assert str(hit.value) == str(cold.value)
 
 
+def test_clear_census_cache_clears_ext_memo():
+    p = 2
+    X, Y = simple(A2, p, 0), simple(A2, p, 1)
+    strata.ext_middle_census(X, Y)
+    assert memo.TABLES["strata._ext_census"]
+    memo.clear()
+    assert not memo.TABLES["strata._ext_census"]
+
+
 def test_hom_census_simple():
     for p in (2, 5):
         S = simple(A2, p, 0)
