@@ -407,10 +407,12 @@ def module_from_classes(quiver, classes, p):
     return rep.direct_sum(*parts) if parts else Rep.zero(quiver, p)
 
 
-@memo.memoized(lambda quiver, classes, p: (quiver.key, sort_classes(classes), p))
+@memo.memoized(lambda quiver, classes, p: (quiver.key, tuple(classes), p))
 def aut_count_of_classes(quiver, classes, p):
-    """|Aut| of the module with the given decomposition (memoized)."""
-    classes = sort_classes(classes)
+    """|Aut| of the module with the given decomposition (memoized).  The
+    count does not depend on the order of the classes, so the memo key keeps
+    the order it is given: decompositions and concrete classes arrive
+    sorted, and a hit costs no sort."""
     M = module_from_classes(quiver, classes, p)
     return rep.aut_count_from_mults(M, [m for _, m in classes])
 
@@ -521,6 +523,27 @@ def fingerprint_of_classes(pairs):
     return (tuple(rigid), tuple(groups))
 
 
+# Interned ids: one small int per symbol (quiver, atoms) and per fingerprint,
+# drawn from one counter that is never reset.  `memo.clear()` forgets which
+# key had which id, but never hands an id out twice, so an id held by a
+# live `ModuleSymbol` stays valid: its per-id data is derived again from
+# the symbol on the next read.
+_IDS = itertools.count()
+
+
+@memo.memoized(lambda fingerprint: fingerprint)
+def _fingerprint_id(fingerprint):
+    return next(_IDS)
+
+
+@memo.memoized(lambda pairs: pairs)
+def fingerprint_id(pairs):
+    """Small-int id of `fingerprint_of_classes(pairs)` (memoized on the
+    hashable decomposition `pairs`): two decompositions have the same id
+    exactly when they have the same fingerprint, until `memo.clear()`."""
+    return _fingerprint_id(fingerprint_of_classes(pairs))
+
+
 # ---------------------------------------------------------------------------
 # abstract tube tags
 # ---------------------------------------------------------------------------
@@ -588,7 +611,14 @@ _ATOM_DIMS = re.compile(r"^([A-Z])[\[\(]([\d,\s]+)[\]\)](?:@(\d+))?$")
 
 
 class ModuleSymbol:
-    """A formal direct sum of catalog atoms over a fixed quiver."""
+    """A formal direct sum of catalog atoms over a fixed quiver.
+
+    `id` is the symbol's interned id (`_symbol_id`): equal symbols built in
+    the same memo epoch share it, and everything derived from the symbol
+    alone (text, fingerprint, tags, min prime, and per prime its concrete
+    classes and module) is memoized per id, computed the first time it is
+    read.
+    """
 
     def __init__(self, quiver, atoms):
         self.quiver = quiver
@@ -603,6 +633,7 @@ class ModuleSymbol:
             sorted(merged.items(), key=lambda am: class_sort_key(am[0]))
         )
         self.dims = decomposition_dims(quiver, self.atoms)
+        self.id = _symbol_id(quiver, self.atoms)
 
     # -- data ----------------------------------------------------------------
 
@@ -616,13 +647,17 @@ class ModuleSymbol:
         return tuple(m for _, m in self.atoms)
 
     def tags(self):
-        return sorted({a[1] for a, _ in self.atoms if a[0] == "R"})
+        return list(_symbol_tags(self))
 
     def indec_count(self):
         return sum(m for _, m in self.atoms)
 
     def fingerprint(self):
-        return fingerprint_of_classes(self.atoms)
+        return _symbol_fingerprint(self)
+
+    def fingerprint_id(self):
+        """The interned id of `fingerprint()` (see `fingerprint_id`)."""
+        return _symbol_fingerprint_id(self)
 
     @property
     def key(self):
@@ -637,28 +672,18 @@ class ModuleSymbol:
     # -- materialization -------------------------------------------------------
 
     def admissible_prime(self, p):
-        return prime_admissible_for_tags(self.tags(), p)
+        return prime_admissible_for_tags(_symbol_tags(self), p)
 
     def min_prime(self):
-        return min_prime_for_tags(self.tags())
+        return _symbol_min_prime(self)
 
     def concrete_classes(self, p):
         """The per-prime decomposition this symbol materializes to."""
-        if not self.admissible_prime(p):
-            raise ValueError(
-                f"prime {p} too small: tube tags {self.tags()} collide mod {p}"
-            )
-        out = []
-        for atom, mult in self.atoms:
-            if atom[0] == "R":
-                out.append((("Rc", lam_of_tag(atom[1], p), atom[2]), mult))
-            else:
-                out.append((atom, mult))
-        return sort_classes(out)
+        return _concrete_classes(self, p)
 
     def instantiate(self, p):
         """A representation over F_p in this symbol's isomorphism class."""
-        return module_from_classes(self.quiver, self.concrete_classes(p), p)
+        return _instantiate(self, p)
 
     def direct_sum(self, *others):
         atoms = list(self.atoms)
@@ -671,16 +696,68 @@ class ModuleSymbol:
     # -- printing --------------------------------------------------------------
 
     def __str__(self):
-        if not self.atoms:
-            return "0"
-        parts = []
-        for atom, mult in self.atoms:
-            text = _atom_str(self.quiver, atom)
-            parts.append(f"{mult}*{text}" if mult > 1 else text)
-        return "+".join(parts)
+        return _symbol_text(self)
 
     def __repr__(self):
         return f"ModuleSymbol({self})"
+
+
+@memo.memoized(lambda quiver, atoms: (quiver.key, atoms))
+def _symbol_id(quiver, atoms):
+    """The interned id of the symbol (quiver, sorted atoms)."""
+    return next(_IDS)
+
+
+@memo.memoized(lambda sym: sym.id)
+def _symbol_text(sym):
+    if not sym.atoms:
+        return "0"
+    parts = []
+    for atom, mult in sym.atoms:
+        text = _atom_str(sym.quiver, atom)
+        parts.append(f"{mult}*{text}" if mult > 1 else text)
+    return "+".join(parts)
+
+
+@memo.memoized(lambda sym: sym.id)
+def _symbol_fingerprint(sym):
+    return fingerprint_of_classes(sym.atoms)
+
+
+@memo.memoized(lambda sym: sym.id)
+def _symbol_fingerprint_id(sym):
+    return _fingerprint_id(_symbol_fingerprint(sym))
+
+
+@memo.memoized(lambda sym: sym.id)
+def _symbol_tags(sym):
+    """The sorted tube tags of the symbol, as a tuple."""
+    return tuple(sorted({a[1] for a, _ in sym.atoms if a[0] == "R"}))
+
+
+@memo.memoized(lambda sym: sym.id)
+def _symbol_min_prime(sym):
+    return min_prime_for_tags(_symbol_tags(sym))
+
+
+@memo.memoized(lambda sym, p: (sym.id, p))
+def _concrete_classes(sym, p):
+    if not sym.admissible_prime(p):
+        raise ValueError(
+            f"prime {p} too small: tube tags {sym.tags()} collide mod {p}"
+        )
+    out = []
+    for atom, mult in sym.atoms:
+        if atom[0] == "R":
+            out.append((("Rc", lam_of_tag(atom[1], p), atom[2]), mult))
+        else:
+            out.append((atom, mult))
+    return sort_classes(out)
+
+
+@memo.memoized(lambda sym, p: (sym.id, p))
+def _instantiate(sym, p):
+    return module_from_classes(sym.quiver, _concrete_classes(sym, p), p)
 
 
 def _atom_str(quiver, atom):
@@ -832,7 +909,7 @@ def abstract_symbol_from_classes(quiver, pairs):
 def min_prime_for_symbols(symbols):
     tags = set()
     for s in symbols:
-        tags.update(s.tags())
+        tags.update(_symbol_tags(s))
     return min_prime_for_tags(tags)
 
 

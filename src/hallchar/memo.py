@@ -16,7 +16,11 @@ correct result, are left out of it.  A call that raises stores nothing, so
 it raises again on every call.  Results are shared between callers, who
 must not mutate them.
 
-`clear()` empties every table.
+`clear()` empties every table.  The interned ids of module symbols and
+fingerprints (`catalog.ModuleSymbol.id`, `catalog.fingerprint_id`) come
+from one counter that `clear()` does not reset: an id is never handed out
+twice, so a symbol built before a clear keeps a valid id, and its per-id
+data is derived again on the next read.
 """
 
 import functools

@@ -35,6 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import memo
 from .errors import ComputationError
 
 
@@ -223,16 +224,10 @@ class Quiver:
 
         These are exactly the dimension vectors of the indecomposable
         representations.  Coordinates of roots of the A/D/E diagrams are
-        bounded by 6, so a box search is exhaustive.
+        bounded by 6, so a box search is exhaustive.  The search runs once
+        per quiver (memoized on `key`).
         """
-        if not self.is_dynkin():
-            raise ValueError("positive roots are only enumerated for Dynkin quivers")
-        roots = []
-        for d in itertools.product(range(7), repeat=self.n):
-            if any(d) and self.tits_form(d) == 1:
-                roots.append(tuple(d))
-        roots.sort(key=lambda v: (sum(v), v))
-        return roots
+        return list(_positive_roots(self))
 
     def opposite(self):
         """The quiver with all arrows reversed."""
@@ -249,6 +244,18 @@ class Quiver:
             for name, (s, t) in zip(self.arrow_names, self.arrows)
         )
         return f"Quiver({self.n} vertices; {arrows})"
+
+
+@memo.memoized(lambda quiver: quiver.key)
+def _positive_roots(quiver):
+    if not quiver.is_dynkin():
+        raise ValueError("positive roots are only enumerated for Dynkin quivers")
+    roots = []
+    for d in itertools.product(range(7), repeat=quiver.n):
+        if any(d) and quiver.tits_form(d) == 1:
+            roots.append(tuple(d))
+    roots.sort(key=lambda v: (sum(v), v))
+    return tuple(roots)
 
 
 def _unimodular_inverse(A):

@@ -281,7 +281,7 @@ def hall_census(M, e, budget=DEFAULT_SUBSPACE_BUDGET, key_classes=None):
     cannot decompose (`OutsideCatalog`) has no memo key: its census is
     computed and returned without being stored.
     """
-    e = tuple(int(x) for x in e)
+    e = tuple(map(int, e))
     if key_classes is None:
         try:
             key_classes = catalog.decompose(M)

@@ -140,16 +140,27 @@ def _merge_classes(*decomps):
     return catalog.sort_classes(acc.items())
 
 
-def _hall_fp(M, quot_fpr, sub_fpr, e, budget, key_classes=None):
-    """Hall number of M with fingerprint-matched quotient and sub types."""
-    if any(x < 0 or x > d for x, d in zip(e, M.dims)):
-        return 0
-    census = subspaces.hall_census(M, e, budget=budget, key_classes=key_classes)
-    return sum(
-        c
-        for (quot, sub), c in census.items()
-        if _fp(quot) == quot_fpr and _fp(sub) == sub_fpr
-    )
+def _hall_fp(M, quot_fid, sub_fid, e, budget, key_classes=None):
+    """Hall number of M with the quotient and sub types whose fingerprint
+    ids (`catalog.fingerprint_id`) are `quot_fid` and `sub_fid`: one lookup
+    in the census view of (M, e), which is empty when e is out of range.
+    `key_classes` may pass the decomposition of M when already known."""
+    if key_classes is None:
+        key_classes = catalog.decompose(M)
+    return _census_view(M, e, budget, key_classes).get((quot_fid, sub_fid), 0)
+
+
+@memo.memoized(lambda M, e, budget, classes: (M.quiver.key, M.p, classes, e))
+def _census_view(M, e, budget, classes):
+    """{(fingerprint id of quot, fingerprint id of sub): count} of
+    `subspaces.hall_census(M, e)`, memoized per decomposition `classes` of
+    M, dimension vector e and prime."""
+    out = {}
+    census = subspaces.hall_census(M, e, budget=budget, key_classes=classes)
+    for (quot, sub), c in census.items():
+        key = (catalog.fingerprint_id(quot), catalog.fingerprint_id(sub))
+        out[key] = out.get(key, 0) + c
+    return out
 
 
 def _group_by_fp(entries, fp=_fp, drop=None):
@@ -184,10 +195,7 @@ def _exact_quotient(n, p, what):
 def _materialize(p, **symbols):
     """({name: concrete classes}, {name: module}) of the symbols at p."""
     cls = {name: sym.concrete_classes(p) for name, sym in symbols.items()}
-    mods = {
-        name: catalog.module_from_classes(symbols[name].quiver, c, p)
-        for name, c in cls.items()
-    }
+    mods = {name: sym.instantiate(p) for name, sym in symbols.items()}
     return cls, mods
 
 
@@ -352,58 +360,81 @@ def verify_green_ff(xi, eta, xi2, eta2, primes=None, budget=DEFAULT_SUBSPACE_BUD
 
 def _green_ff_at_prime(quiver, xi, eta, xi2, eta2, p, budget):
     cls, mods = _materialize(p, xi=xi, eta=eta, xi2=xi2, eta2=eta2)
-    auts = {k: catalog.aut_count_of_classes(quiver, v, p) for k, v in cls.items()}
-    fps = {k: _fp(v) for k, v in cls.items()}
+    aut = catalog.aut_count_of_classes
+    fid = catalog.fingerprint_id
+    f_xi, f_eta = xi.fingerprint_id(), eta.fingerprint_id()
+    f_xi2, f_eta2 = xi2.fingerprint_id(), eta2.fingerprint_id()
+    auts = (
+        aut(quiver, cls["xi"], p) * aut(quiver, cls["eta"], p)
+        * aut(quiver, cls["xi2"], p) * aut(quiver, cls["eta2"], p)
+    )
 
-    # LHS: middles lam with g^lam_{xi',eta'} != 0 are exactly the middles of
-    # extension classes of xi' by eta'; on a Dynkin quiver the fingerprint
-    # is the isomorphism class, so each middle type contributes once.
-    lam_census = strata.ext_middle_census(mods["xi2"], mods["eta2"], budget=budget)
-    lhs = Fraction(0)
-    n_lam = 0
-    for _, lam in _group_by_fp(lam_census.items()).values():
-        lam_mod = catalog.module_from_classes(quiver, lam, p)
-        g1 = _hall_fp(lam_mod, fps["xi"], fps["eta"], eta.dims, budget, lam)
+    # LHS: auts * sum g1 g2 / a_lam, summed as num / den.
+    num, den, n_lam = 0, 1, 0
+    for lam, lam_mod, a_lam in _green_ff_middles(xi2, eta2, p, budget):
+        g1 = _hall_fp(lam_mod, f_xi, f_eta, eta.dims, budget, lam)
         if g1 == 0:
             continue
-        g2 = _hall_fp(lam_mod, fps["xi2"], fps["eta2"], eta2.dims, budget, lam)
+        g2 = _hall_fp(lam_mod, f_xi2, f_eta2, eta2.dims, budget, lam)
         if g2 == 0:
             continue
         n_lam += 1
-        a_lam = catalog.aut_count_of_classes(quiver, lam, p)
-        lhs += Fraction(g1 * g2, a_lam)
-    lhs *= auts["xi"] * auts["eta"] * auts["xi2"] * auts["eta2"]
+        num, den = num * a_lam + g1 * g2 * den, den * a_lam
+    lhs = Fraction(num * auts, den)
 
     # RHS: (gam, delt) = (quot, sub) types of subreps of xi', (alp, bet)
-    # of eta'; the cross Hall numbers tie them to xi and eta.
-    rhs = Fraction(0)
-    n_rhs = 0
-    splits = _split_dims(xi2.dims, eta2.dims, [(xi.dims, eta.dims)])
-    for (gam, delt, alp, bet), c, _, e2 in _splittings(cls, mods, splits, budget):
-        dims_alp = tuple(d - x for d, x in zip(eta2.dims, e2))
-        g3 = _hall_fp(mods["xi"], _fp(gam), _fp(alp), dims_alp, budget, cls["xi"])
-        if g3 == 0:
-            continue
-        g4 = _hall_fp(mods["eta"], _fp(delt), _fp(bet), e2, budget, cls["eta"])
-        if g4 == 0:
-            continue
-        v_gam = catalog.module_from_classes(quiver, gam, p)
-        v_bet = catalog.module_from_classes(quiver, bet, p)
-        weight = Fraction(
-            p ** rep.ext1_dim(v_gam, v_bet), p ** rep.hom_dim(v_gam, v_bet)
-        )
-        n_rhs += 1
-        rhs += (
-            weight
-            * c
-            * g3
-            * g4
-            * catalog.aut_count_of_classes(quiver, alp, p)
-            * catalog.aut_count_of_classes(quiver, bet, p)
-            * catalog.aut_count_of_classes(quiver, delt, p)
-            * catalog.aut_count_of_classes(quiver, gam, p)
-        )
+    # of eta'; the cross Hall numbers tie them to xi and eta.  The terms of
+    # one (e1, e2) share the weight p^-euler (`_green_ff_splits`), so they
+    # are summed as integers, and the sums over a common power of p.
+    parts, n_rhs = [], 0
+    for e1, e2, dims_alp, euler in _green_ff_splits(quiver, xi.dims, eta.dims, xi2.dims, eta2.dims):
+        total = 0
+        for (gam, delt, alp, bet), c, _, _ in _splittings(cls, mods, [(e1, e2)], budget):
+            g3 = _hall_fp(mods["xi"], fid(gam), fid(alp), dims_alp, budget, cls["xi"])
+            if g3 == 0:
+                continue
+            g4 = _hall_fp(mods["eta"], fid(delt), fid(bet), e2, budget, cls["eta"])
+            if g4 == 0:
+                continue
+            n_rhs += 1
+            total += (
+                c * g3 * g4
+                * aut(quiver, alp, p) * aut(quiver, bet, p)
+                * aut(quiver, delt, p) * aut(quiver, gam, p)
+            )
+        parts.append((total, euler))
+    top = max([0] + [k for _, k in parts])
+    rhs = Fraction(sum(t * p ** (top - k) for t, k in parts), p ** top)
     return lhs, rhs, {"middle_terms": n_lam, "splitting_terms": n_rhs}
+
+
+@memo.memoized(lambda xi2, eta2, p, budget: (xi2.id, eta2.id, p, budget))
+def _green_ff_middles(xi2, eta2, p, budget):
+    """((lam, module of lam, |Aut lam|), ...): one middle class per
+    fingerprint among the extensions of xi' by eta' at p.  On a Dynkin
+    quiver the fingerprint is the isomorphism class, and the middles lam
+    with g^lam_{xi',eta'} != 0 are exactly these."""
+    quiver = xi2.quiver
+    census = strata.ext_middle_census(xi2.instantiate(p), eta2.instantiate(p), budget=budget)
+    return tuple(
+        (lam, catalog.module_from_classes(quiver, lam, p), catalog.aut_count_of_classes(quiver, lam, p))
+        for _, lam in _group_by_fp(census.items()).values()
+    )
+
+
+@memo.memoized(lambda quiver, *dims: (quiver.key, dims))
+def _green_ff_splits(quiver, xi_dims, eta_dims, xi2_dims, eta2_dims):
+    """((e1, e2, dim alp, euler), ...) per (e1, e2) of `_split_dims`, with
+    dim alp = dim eta' - e2 and euler = <dim gam, dim bet> for dim gam =
+    dim xi' - e1 and dim bet = e2.  On a hereditary algebra dim Hom - dim
+    Ext^1 is the Euler form, so Green's weight |Ext^1(gam, bet)| /
+    |Hom(gam, bet)| is p^-euler whatever gam and bet are."""
+    out = []
+    for e1, e2 in _split_dims(xi2_dims, eta2_dims, [(xi_dims, eta_dims)]):
+        dims_gam = tuple(d - x for d, x in zip(xi2_dims, e1))
+        dims_alp = tuple(d - x for d, x in zip(eta2_dims, e2))
+        out.append((e1, e2, dims_alp, quiver.euler_form(dims_gam, e2)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +649,7 @@ def _ext_stratum_fp(X, Y, target_fpr, budget):
 def _green_projective_blocks(quiver, xi2, eta2, xi, eta, p, budget):
     cls, mods = _materialize(p, xi=xi, eta=eta, xi2=xi2, eta2=eta2)
     fps = {k: _fp(v) for k, v in cls.items()}
+    f_xi, f_eta = xi.fingerprint_id(), eta.fingerprint_id()
     L = rep.direct_sum(mods["xi2"], mods["eta2"])
     split_fpr = _fp(_merge_classes(cls["xi2"], cls["eta2"]))
 
@@ -626,7 +658,7 @@ def _green_projective_blocks(quiver, xi2, eta2, xi, eta, p, budget):
     block_i = 0
     for c, lam in _group_by_fp(lam_census.items(), drop=split_fpr).values():
         lam_mod = catalog.module_from_classes(quiver, lam, p)
-        g = _hall_fp(lam_mod, fps["xi"], fps["eta"], eta.dims, budget, lam)
+        g = _hall_fp(lam_mod, f_xi, f_eta, eta.dims, budget, lam)
         block_i += _exact_quotient(c, p, "nonsplit extension stratum") * g
 
     # blocks (ii) and (iii) run over the splitting tuples of the dimension
@@ -665,7 +697,7 @@ def _green_projective_blocks(quiver, xi2, eta2, xi, eta, p, budget):
 
     # block (iv): projectivized nonsplit Hall variety of L = xi' + eta'
     n_all = _hall_fp(
-        L, fps["xi"], fps["eta"], eta.dims, budget,
+        L, f_xi, f_eta, eta.dims, budget,
         _merge_classes(cls["xi2"], cls["eta2"]),
     )
     block_iv = _exact_quotient(n_all - n_split, p, "nonsplit Hall stratum")
@@ -736,6 +768,7 @@ def _assoc_sides(quiver, X, Y1, Y2, L1, L2, p, form, direction, budget):
         "Y1": _fp(Y1.concrete_classes(p)),
         "Y2": _fp(Y2.concrete_classes(p)),
     }
+    fids = {"X": X.fingerprint_id(), "Y1": Y1.fingerprint_id(), "Y2": Y2.fingerprint_id()}
     m_l1 = L1.instantiate(p)
     m_l2 = L2.instantiate(p)
     projective = form == "projective"
@@ -748,7 +781,7 @@ def _assoc_sides(quiver, X, Y1, Y2, L1, L2, p, form, direction, budget):
             if h == 0 or _fp(coker) != fps["X"]:
                 continue
             ker_mod = catalog.module_from_classes(quiver, ker, p)
-            lhs += h * _hall_fp(ker_mod, fps["Y2"], fps["Y1"], Y1.dims, budget)
+            lhs += h * _hall_fp(ker_mod, fids["Y2"], fids["Y1"], Y1.dims, budget)
         # RHS: subreps Y1 <= L1 with quotient L1', then maps L1' -> L2
         rhs = 0
         census_g = subspaces.hall_census(
@@ -772,7 +805,7 @@ def _assoc_sides(quiver, X, Y1, Y2, L1, L2, p, form, direction, budget):
         if h == 0 or _fp(ker) != fy:
             continue
         coker_mod = catalog.module_from_classes(quiver, coker, p)
-        lhs += h * _hall_fp(coker_mod, fx2, fx1, x1_dims, budget)
+        lhs += h * _hall_fp(coker_mod, fids["Y2"], fids["X"], x1_dims, budget)
     # RHS: subreps L2' <= L2 with quotient X2, then maps L1 -> L2'
     rhs = 0
     e = tuple(a - b for a, b in zip(L2.dims, x2_dims))

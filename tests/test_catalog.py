@@ -281,8 +281,13 @@ def test_symbol_min_prime_and_admissibility():
     s = parse_symbol("R(1,1)@0+R(1,1)@1+R(1,1)@3", K)
     assert s.min_prime() == 3
     assert not s.admissible_prime(2)
+    # the message lists the tags, and keeps doing so once they are memoized
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"tube tags \[0, 1, 3\] collide mod 2$"):
+            s.concrete_classes(2)
     with pytest.raises(ValueError):
         s.instantiate(2)
+    assert s.tags() == [0, 1, 3]
     # tag 2 is the point at infinity, never collides
     assert parse_symbol("R(1,1)@0+R(1,1)@2", K).min_prime() == 2
     # tags 1 and 4 materialize to 1 and 3: they collide mod 2, split mod 3

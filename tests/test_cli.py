@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hallchar import cli, cluster, memo, rep, strata, verify
+from hallchar import catalog, cli, cluster, memo, rep, strata, verify
 from hallchar.cli import main
 from hallchar.laurent import LaurentPoly
 from hallchar.quiver import kronecker_quiver, linear_quiver
@@ -290,3 +290,27 @@ def test_projective_stratum_remainder_exits_2(monkeypatch, capsys):
     data = json.loads(out)
     assert data["error"]["type"] == "VerificationMismatch"
     assert "not divisible by p - 1 = 2" in data["error"]["message"]
+
+
+def test_green_ff_sweep_second_pass_derives_no_symbol_data(capsys, monkeypatch):
+    """Per-symbol data is derived once: a second identical green-ff sweep
+    computes no fingerprint, no concrete classes and no symbol text."""
+    calls = []
+    for owner, name in (
+        (catalog, "fingerprint_of_classes"),
+        (catalog, "_atom_str"),
+        (catalog.ModuleSymbol, "admissible_prime"),  # read only on a concrete-classes miss
+    ):
+        real = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    argv = ["verify", "green-ff", "--quiver", "a3", "--all", "--max-dim", "1,1,1", "--json"]
+    memo.clear()
+    rc, first, _ = run(capsys, *argv)
+    assert rc == 0
+    assert set(calls) == {"fingerprint_of_classes", "_atom_str", "admissible_prime"}
+    calls.clear()
+    rc, second, _ = run(capsys, *argv)
+    assert rc == 0 and second == first
+    assert calls == []

@@ -21,6 +21,17 @@ TABLES = {
     "catalog._dynkin_hom_data",
     "catalog.module_from_classes",
     "catalog.aut_count_of_classes",
+    "catalog._fingerprint_id",
+    "catalog.fingerprint_id",
+    "catalog._symbol_id",
+    "catalog._symbol_text",
+    "catalog._symbol_fingerprint",
+    "catalog._symbol_fingerprint_id",
+    "catalog._symbol_tags",
+    "catalog._symbol_min_prime",
+    "catalog._concrete_classes",
+    "catalog._instantiate",
+    "quiver._positive_roots",
     "subspaces.image_rank_distribution",
     "subspaces._class_census",
     "strata._ext_census",
@@ -28,6 +39,9 @@ TABLES = {
     "symspace._symbol_pool",
     "verify._fp",
     "verify._merge_fp",
+    "verify._census_view",
+    "verify._green_ff_middles",
+    "verify._green_ff_splits",
 }
 
 
@@ -43,6 +57,10 @@ def _fill_every_table():
     cluster.chi_grassmannian(catalog.parse_symbol("S1", A2), (1, 0))
     symspace.random_symbol(A2, np.random.default_rng(0), (1, 1))
     verify._merge_fp(classes, classes)
+    S1_sym = catalog.parse_symbol("S1", A2)
+    S2_sym = catalog.parse_symbol("S2", A2)
+    verify.verify_green_ff(S1_sym, S2_sym, S1_sym, S2_sym, primes=[p])
+    S1_sym.min_prime()
 
 
 def test_clear_empties_every_table(monkeypatch):
@@ -114,3 +132,33 @@ def test_memoized_functions_are_plain_functions_of_their_module(module, name):
     fn = getattr(module, name)
     assert inspect.isfunction(fn)
     assert fn.__module__ == module.__name__
+
+
+def _report_without_timing(report):
+    out = report.to_dict()
+    del out["timing_ms"]
+    return out
+
+
+def test_symbols_survive_clear():
+    """A symbol keeps its interned id across `memo.clear()`; the ids are
+    never handed out again, so its per-id data is derived afresh and the
+    reports do not change."""
+    A3 = linear_quiver(3)
+    xi, eta, xi2, eta2 = (catalog.parse_symbol(t, A3) for t in ("M[1,1,0]", "S3", "S1", "M[0,1,1]"))
+    pairs = symspace.split_pairs(A3, (1, 1, 1))
+    ids = [s.id for s in (xi, eta, xi2, eta2)]
+    runs = []
+    for _ in range(2):
+        runs.append((
+            _report_without_timing(verify.verify_green_ff(xi, eta, xi2, eta2)),
+            _report_without_timing(verify.verify_green_degenerate_all(xi2, eta2, pairs)),
+        ))
+        memo.clear()
+    assert runs[0] == runs[1]
+    assert runs[0][0]["equal"] and runs[0][1]["equal"]
+    assert [s.id for s in (xi, eta, xi2, eta2)] == ids
+    # an equal symbol built after the clear gets a fresh id and the same data
+    again = catalog.parse_symbol("M[1,1,0]", A3)
+    assert again == xi and again.id not in ids
+    assert (str(again), again.fingerprint_id()) == (str(xi), xi.fingerprint_id())

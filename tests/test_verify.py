@@ -7,14 +7,16 @@ is an exact string reproduced from such a derivation.  Nothing here is a
 snapshot of the code's own output accepted on faith.  The splitting-sum
 tests at the end compare the green-ff and projective verifiers against
 the full product of census entries, filtered by dimension, and the
-degenerate verifiers against a per-tuple splitting sum; this file keeps
-both as oracles.
+degenerate verifiers against a per-tuple splitting sum, and the
+fingerprint-keyed census view against a rescan of the census; this file
+keeps all three as oracles.
 """
 
 import itertools
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -457,6 +459,52 @@ def test_assoc_projective_remainder_raises(monkeypatch):
 BUDGET = verify.DEFAULT_SUBSPACE_BUDGET
 
 
+def hall_fp_rescan(M, quot_fpr, sub_fpr, e, key_classes=None):
+    """Hall number of M with fingerprint-matched quotient and sub types, by
+    a rescan of the whole census that compares fingerprints entry by entry."""
+    if any(x < 0 or x > d for x, d in zip(e, M.dims)):
+        return 0
+    census = subspaces.hall_census(M, e, budget=BUDGET, key_classes=key_classes)
+    return sum(
+        c
+        for (quot, sub), c in census.items()
+        if catalog.fingerprint_of_classes(quot) == quot_fpr
+        and catalog.fingerprint_of_classes(sub) == sub_fpr
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_census_view_matches_rescan(data):
+    """`verify._hall_fp` reads one entry of the fingerprint-keyed census
+    view; on random A_3 modules it equals the rescan, for the pairs in the
+    census, for pairs of symbols of the right dimensions and out of range."""
+    p = data.draw(st.sampled_from([2, 3]), label="p")
+    dims = data.draw(st.tuples(*[st.integers(0, 2)] * 3), label="dims")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    M = rep.random_rep(A3, dims, p, np.random.default_rng(seed))
+    e = data.draw(st.tuples(*[st.integers(0, d + 1) for d in dims]), label="e")
+    key_classes = data.draw(st.sampled_from([None, catalog.decompose(M)]), label="key")
+    pairs = []
+    if all(x <= d for x, d in zip(e, dims)):
+        census = subspaces.hall_census(M, e, budget=BUDGET)
+        pairs += [(catalog.fingerprint_of_classes(q), catalog.fingerprint_of_classes(s))
+                  for q, s in census]
+        quot_dims = tuple(d - x for d, x in zip(dims, e))
+        pairs.append(tuple(
+            data.draw(st.sampled_from(symspace.symbols_with_dims(A3, d))).fingerprint()
+            for d in (quot_dims, e)
+        ))
+    else:
+        pairs.append((catalog.fingerprint_of_classes(catalog.decompose(M)), ((), ())))
+    for quot_fpr, sub_fpr in pairs:
+        view = verify._hall_fp(
+            M, catalog._fingerprint_id(quot_fpr), catalog._fingerprint_id(sub_fpr),
+            e, BUDGET, key_classes,
+        )
+        assert view == hall_fp_rescan(M, quot_fpr, sub_fpr, e, key_classes)
+
+
 def _split_entries_oracle(cls, mods):
     """Every census entry of xi' and of eta', over every subdimension."""
     out = []
@@ -478,9 +526,7 @@ def green_degenerate_oracle(xi, eta, xi2, eta2):
 
     def counts(p):
         fpxi, fpeta = verify._fp(xi.concrete_classes(p)), verify._fp(eta.concrete_classes(p))
-        lhs = verify._hall_fp(
-            L.instantiate(p), fpxi, fpeta, eta.dims, BUDGET, L.concrete_classes(p)
-        )
+        lhs = hall_fp_rescan(L.instantiate(p), fpxi, fpeta, eta.dims, L.concrete_classes(p))
         rhs = 0
         cls, mods = verify._materialize(p, xi2=xi2, eta2=eta2)
         splits = verify._split_dims(xi2.dims, eta2.dims, [(xi.dims, eta.dims)])
@@ -515,8 +561,8 @@ def green_ff_rhs_oracle(quiver, xi, eta, xi2, eta2, p):
             if verify._dims_sum(dims_delt, dims_bet) != eta.dims:
                 continue
             fp = verify._fp
-            g3 = verify._hall_fp(mods["xi"], fp(gam), fp(alp), dims_alp, BUDGET)
-            g4 = verify._hall_fp(mods["eta"], fp(delt), fp(bet), dims_bet, BUDGET)
+            g3 = hall_fp_rescan(mods["xi"], fp(gam), fp(alp), dims_alp)
+            g4 = hall_fp_rescan(mods["eta"], fp(delt), fp(bet), dims_bet)
             if g3 == 0 or g4 == 0:
                 continue
             v_gam = catalog.module_from_classes(quiver, gam, p)
@@ -597,9 +643,9 @@ def test_green_projective_splitting_blocks_match_full_product(case):
     block_ii, block_iii, n_split = projective_split_blocks_oracle(quiver, xi2, eta2, xi, eta, p)
     assert (blocks["off_diagonal"], blocks["diagonal"]) == (block_ii, block_iii)
     cls, mods = verify._materialize(p, xi=xi, eta=eta, xi2=xi2, eta2=eta2)
-    n_all = verify._hall_fp(
+    n_all = hall_fp_rescan(
         rep.direct_sum(mods["xi2"], mods["eta2"]),
-        verify._fp(cls["xi"]), verify._fp(cls["eta"]), eta.dims, BUDGET,
+        verify._fp(cls["xi"]), verify._fp(cls["eta"]), eta.dims,
     )
     assert blocks["hall_variety"] * (p - 1) == n_all - n_split
 
