@@ -122,29 +122,19 @@ def char_by_strata(sym, budget=DEFAULT_SUBSPACE_BUDGET, verify=2):
     """Cluster character via Hall strata (independent of char_of_symbol).
 
     For each subdimension vector e the census of subrepresentations is
-    grouped by the fingerprint of (quotient class, sub class); each group's
-    count is interpolated as its own polynomial in q and evaluated at 1, so
-    chi(Gr_e) is assembled stratum by stratum instead of from whole-space
-    point counts.
+    grouped by the fingerprint of (quotient class, sub class)
+    (`subspaces.census_view`); each group's count is interpolated as its
+    own polynomial in q and evaluated at 1, so chi(Gr_e) is assembled
+    stratum by stratum instead of from whole-space point counts.
     """
     quiver = sym.quiver
     d = sym.dims
     total = LaurentPoly.zero(quiver.n)
     for e in _subdim_vectors(d):
-
-        def count_fn(p, e=e):
-            census = subspaces.hall_census(sym.instantiate(p), e, budget=budget)
-            out = {}
-            for (quot, sub), cnt in census.items():
-                key = (
-                    catalog.fingerprint_of_classes(quot),
-                    catalog.fingerprint_of_classes(sub),
-                )
-                out[key] = out.get(key, 0) + cnt
-            return out
-
         table = qpoly.counting_table(
-            count_fn,
+            lambda p, e=e: subspaces.census_view(
+                sym.instantiate(p), e, budget, sym.concrete_classes(p)
+            ),
             grassmannian_degree_bound(d, e),
             min_prime=sym.min_prime(),
             verify=verify,
@@ -239,11 +229,12 @@ class CharTable:
         if key in self._memo:
             return self._memo[key]
         value = char_of_symbol(sym, budget=self.budget, verify=self.verify)
-        # memoize before the checks: the multiplicativity check recurses
-        # into char() for the summands and must terminate.
-        self._memo[key] = value
+        # stored only once both checks pass, so a failed check raises again
+        # on the next call; the multiplicativity check recurses into char()
+        # for strictly smaller summands, so it ends without the entry.
         self._check_strata(sym, value)
         self._check_multiplicative(sym, value)
+        self._memo[key] = value
         return value
 
     def char_of_classes(self, classes):

@@ -17,6 +17,7 @@ of F_q^* away from 0 (e.g. nonzero extension classes), |P(S)| =
 by q - 1, and NotDivisible signals a miscounted family.
 """
 
+import itertools
 import operator
 from fractions import Fraction
 
@@ -216,13 +217,14 @@ def counting_table(count_fn, degree_bound, min_prime=2, verify=2):
     `count_fn(p)` returns a dict {key: exact count over F_p}.  Each key's
     count is fitted to its own polynomial (keys absent from a prime's
     table count as 0 there) and checked on `verify` extra primes, exactly
-    as in counting_polynomial.  Returns {key: QPolynomial}.
+    as in counting_polynomial.  Returns {key: QPolynomial} with the keys in
+    the order first seen, prime by prime, so no order follows a key hash.
     """
     ps = _sweep_primes(degree_bound, min_prime, verify)
     tables = [count_fn(p) for p in ps]
     return {
         key: _fit_and_check(ps, [t.get(key, 0) for t in tables], degree_bound + 1, key)
-        for key in set().union(*tables)
+        for key in dict.fromkeys(itertools.chain.from_iterable(tables))
     }
 
 

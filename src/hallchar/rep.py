@@ -58,6 +58,11 @@ class Rep:
         # memos hand the same Rep to many callers, so nobody may write to it
         for m in self.mats:
             m.setflags(write=False)
+        # Hashable identity for memo keys: (quiver key, p, dims, bytes of each
+        # arrow matrix).  The matrices are contiguous int64, reduced mod p,
+        # with shapes that follow from dims, so the bytes identify this exact
+        # module; they are read-only, so the key is built once, here.
+        self.key = Rep.key_of(quiver, self.p, self.dims, (m.tobytes() for m in self.mats))
 
     @classmethod
     def zero(cls, quiver, p):
@@ -80,14 +85,6 @@ class Rep:
         """The `key` of the module with these dims whose arrow matrices, as
         int64 arrays, have the bytes `mat_bytes`."""
         return (quiver.key, p, dims, tuple(mat_bytes))
-
-    @property
-    def key(self):
-        """Hashable identity for memo keys: (quiver key, p, dims, bytes of
-        each arrow matrix).  The matrices are contiguous int64, reduced
-        mod p, with shapes that follow from dims, so the bytes identify
-        this exact module."""
-        return Rep.key_of(self.quiver, self.p, self.dims, (m.tobytes() for m in self.mats))
 
     def total_dim(self):
         return sum(self.dims)

@@ -29,9 +29,11 @@ e); the key uses the Krull-Schmidt decomposition, so isomorphic ambient
 modules share one census, and a module outside the catalogue is not
 stored.  Sub and quotient are classified through the `catalog.decompose`
 memo, read with the bytes of their Python-int matrices; only a module the
-memo has not seen is built as a `Rep`.  The rank distributions of two-vertex
-quivers are memoized on the exact matrices (`Rep.key`).  `memo.clear()`
-forgets them all.
+memo has not seen is built as a `Rep`.  `census_view` groups a census by
+the fingerprint ids of (quotient, sub), so a fingerprint-matched Hall
+number is one lookup.  The rank distributions of two-vertex quivers are
+memoized on the exact matrices (`Rep.key`).  `memo.clear()` forgets them
+all.
 """
 
 import itertools
@@ -294,6 +296,18 @@ def hall_census(M, e, budget=DEFAULT_SUBSPACE_BUDGET, key_classes=None):
 def _class_census(M, e, budget, classes):
     """`_census` of M at e, memoized on the decomposition `classes` of M."""
     return _census(M, e, budget)
+
+
+@memo.memoized(lambda M, e, budget, classes: (M.quiver.key, M.p, classes, e))
+def census_view(M, e, budget, classes):
+    """{(fingerprint id of quot, fingerprint id of sub): count}: the census
+    of (M, e) grouped by `catalog.fingerprint_id`, memoized like it on the
+    decomposition `classes` of M.  An out-of-range e reads an empty view."""
+    out = {}
+    for (quot, sub), c in hall_census(M, e, budget=budget, key_classes=classes).items():
+        key = (catalog.fingerprint_id(quot), catalog.fingerprint_id(sub))
+        out[key] = out.get(key, 0) + c
+    return out
 
 
 def _census(M, e, budget):

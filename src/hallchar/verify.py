@@ -36,9 +36,10 @@ values, a per-term breakdown, and timings.
   products of cluster characters with Euler-characteristic-weighted sums
   over extension middles and homomorphism strata.
 
-Isomorphism tests between per-prime decompositions are fingerprint
-comparisons throughout; q = 1 values come from interpolating per-prime
-counts (verified on extra primes) and evaluating at 1.
+Isomorphism tests between per-prime decompositions are fingerprint-id
+comparisons throughout (`catalog.fingerprint_id`); q = 1 values come from
+interpolating per-prime counts (verified on extra primes) and evaluating
+at 1.
 """
 
 import dataclasses
@@ -108,12 +109,6 @@ def _report(theorem, inputs, lhs, rhs, equal, terms, polys, t0):
 # shared helpers
 # ---------------------------------------------------------------------------
 
-@memo.memoized(lambda classes: classes)
-def _fp(classes):
-    """fingerprint_of_classes, memoized on the (hashable) decomposition."""
-    return catalog.fingerprint_of_classes(classes)
-
-
 def _same_quiver(*symbols):
     quiver = symbols[0].quiver
     for s in symbols[1:]:
@@ -143,31 +138,19 @@ def _merge_classes(*decomps):
 def _hall_fp(M, quot_fid, sub_fid, e, budget, key_classes=None):
     """Hall number of M with the quotient and sub types whose fingerprint
     ids (`catalog.fingerprint_id`) are `quot_fid` and `sub_fid`: one lookup
-    in the census view of (M, e), which is empty when e is out of range.
-    `key_classes` may pass the decomposition of M when already known."""
+    in `subspaces.census_view` of (M, e), which is empty when e is out of
+    range.  `key_classes` may pass the decomposition of M when already
+    known."""
     if key_classes is None:
         key_classes = catalog.decompose(M)
-    return _census_view(M, e, budget, key_classes).get((quot_fid, sub_fid), 0)
+    return subspaces.census_view(M, e, budget, key_classes).get((quot_fid, sub_fid), 0)
 
 
-@memo.memoized(lambda M, e, budget, classes: (M.quiver.key, M.p, classes, e))
-def _census_view(M, e, budget, classes):
-    """{(fingerprint id of quot, fingerprint id of sub): count} of
-    `subspaces.hall_census(M, e)`, memoized per decomposition `classes` of
-    M, dimension vector e and prime."""
-    out = {}
-    census = subspaces.hall_census(M, e, budget=budget, key_classes=classes)
-    for (quot, sub), c in census.items():
-        key = (catalog.fingerprint_id(quot), catalog.fingerprint_id(sub))
-        out[key] = out.get(key, 0) + c
-    return out
-
-
-def _group_by_fp(entries, fp=_fp, drop=None):
-    """Sum (key, count) entries by fp(key): {fingerprint: (count, key)}.
+def _group_by_fp(entries, fp=catalog.fingerprint_id, drop=None):
+    """Sum (key, count) entries by fp(key): {fingerprint id: (count, key)}.
 
     The first key seen stands for its group; entries with count 0 and the
-    group whose fingerprint is `drop` are left out.
+    group whose fingerprint id is `drop` are left out.
     """
     out = {}
     for key, c in entries:
@@ -258,19 +241,20 @@ def _hom_strata(M1, M2, projective, budget):
     }
 
 
-def _hom_stratum_fp(M1, M2, coker_fpr, ker_fpr, projective, budget):
-    """The maps M1 -> M2 whose (coker, ker) fingerprints match, counted in
-    the affine or the projective form of `_hom_strata`."""
+def _hom_stratum_fp(M1, M2, coker_fid, ker_fid, projective, budget):
+    """The maps M1 -> M2 whose (coker, ker) fingerprint ids match, counted
+    in the affine or the projective form of `_hom_strata`."""
+    fid = catalog.fingerprint_id
     return sum(
         c
         for (coker, ker), c in _hom_strata(M1, M2, projective, budget).items()
-        if _fp(coker) == coker_fpr and _fp(ker) == ker_fpr
+        if fid(coker) == coker_fid and fid(ker) == ker_fid
     )
 
 
 def _hom_strata_counter(source, target, budget):
     """count_fn(p) for `_grouped_table`: the nonzero maps source -> target,
-    grouped by the fingerprints of (coker, ker)."""
+    grouped by the fingerprint ids of (coker, ker)."""
 
     def hom_strata(p):
         zero_key = (
@@ -282,7 +266,7 @@ def _hom_strata_counter(source, target, budget):
         )
         return _group_by_fp(
             ((key, c - (key == zero_key)) for key, c in census.items()),
-            lambda key: (_fp(key[0]), _fp(key[1])),
+            lambda key: tuple(map(catalog.fingerprint_id, key)),
         )
 
     return hom_strata
@@ -478,8 +462,8 @@ def verify_green_degenerate(
 
 @memo.memoized(lambda classes1, classes2: (classes1, classes2))
 def _merge_fp(classes1, classes2):
-    """The fingerprint of the direct sum of two decompositions (memoized)."""
-    return _fp(_merge_classes(classes1, classes2))
+    """The fingerprint id of the direct sum of two decompositions (memoized)."""
+    return catalog.fingerprint_id(_merge_classes(classes1, classes2))
 
 
 def verify_green_degenerate_all(
@@ -517,17 +501,17 @@ def verify_green_degenerate_all(
 def _green_degenerate_table(xi2, eta2, pairs, budget, verify):
     """[(lhs, rhs)]: both sides of the degenerate Green identity as counting
     polynomials, one pair per requested (xi, eta) in input order, from one
-    interpolation sweep keyed by (fp xi, fp eta).
+    interpolation sweep keyed by the fingerprint ids of (xi, eta).
 
-    At each prime the LHS sums the census of L = xi' + eta' at each
+    At each prime the LHS reads the census view of L = xi' + eta' at each
     requested dim eta, and the RHS sums Green's splittings at each
-    requested (dim xi, dim eta) (`_splittings`), keyed by the fingerprints
-    of gam + alp and delt + bet.  Only requested keys are kept and fitted;
+    requested (dim xi, dim eta) (`_splittings`), keyed by the fingerprint
+    ids of gam + alp and delt + bet.  Only requested keys are kept and fitted;
     a key that counts 0 at every prime, such as any pair with dim xi +
     dim eta != dim L, reads as the zero polynomial.
     """
     L = xi2.direct_sum(eta2)
-    fps = [(xi.fingerprint(), eta.fingerprint()) for xi, eta in pairs]
+    fps = [(xi.fingerprint_id(), eta.fingerprint_id()) for xi, eta in pairs]
     wanted = set(fps)
     dims = sorted({(xi.dims, eta.dims) for xi, eta in pairs})
     eta_dims = sorted(e for x, e in dims if _dims_sum(x, e) == L.dims)
@@ -537,10 +521,8 @@ def _green_degenerate_table(xi2, eta2, pairs, budget, verify):
         out = {}
         M, M_classes = L.instantiate(p), L.concrete_classes(p)
         for e in eta_dims:
-            census = subspaces.hall_census(M, e, budget=budget, key_classes=M_classes)
-            for (quot, sub), c in census.items():
-                key = ("lhs", _fp(quot), _fp(sub))
-                out[key] = out.get(key, 0) + c
+            for fids, c in subspaces.census_view(M, e, budget, M_classes).items():
+                out["lhs", *fids] = c
         cls, mods = _materialize(p, xi2=xi2, eta2=eta2)
         for (gam, delt, alp, bet), c, _, _ in _splittings(cls, mods, splits, budget):
             key = ("rhs", _merge_fp(gam, alp), _merge_fp(delt, bet))
@@ -640,23 +622,23 @@ def _dim_splits(dims):
     return out
 
 
-def _ext_stratum_fp(X, Y, target_fpr, budget):
-    """#extension classes of X by Y whose middle fingerprint matches."""
+def _ext_stratum_fp(X, Y, target_fid, budget):
+    """#extension classes of X by Y whose middle has fingerprint id
+    `target_fid`."""
     census = strata.ext_middle_census(X, Y, budget=budget)
-    return sum(c for mid, c in census.items() if _fp(mid) == target_fpr)
+    return sum(c for mid, c in census.items() if catalog.fingerprint_id(mid) == target_fid)
 
 
 def _green_projective_blocks(quiver, xi2, eta2, xi, eta, p, budget):
     cls, mods = _materialize(p, xi=xi, eta=eta, xi2=xi2, eta2=eta2)
-    fps = {k: _fp(v) for k, v in cls.items()}
     f_xi, f_eta = xi.fingerprint_id(), eta.fingerprint_id()
     L = rep.direct_sum(mods["xi2"], mods["eta2"])
-    split_fpr = _fp(_merge_classes(cls["xi2"], cls["eta2"]))
+    split_fid = _merge_fp(cls["xi2"], cls["eta2"])
 
     # block (i): nonsplit middles, projectivized, against Hall numbers
     lam_census = strata.ext_middle_census(mods["xi2"], mods["eta2"], budget=budget)
     block_i = 0
-    for c, lam in _group_by_fp(lam_census.items(), drop=split_fpr).values():
+    for c, lam in _group_by_fp(lam_census.items(), drop=split_fid).values():
         lam_mod = catalog.module_from_classes(quiver, lam, p)
         g = _hall_fp(lam_mod, f_xi, f_eta, eta.dims, budget, lam)
         block_i += _exact_quotient(c, p, "nonsplit extension stratum") * g
@@ -676,7 +658,7 @@ def _green_projective_blocks(quiver, xi2, eta2, xi, eta, p, budget):
         v_alp = catalog.module_from_classes(quiver, alp, p)
         v_delt = catalog.module_from_classes(quiver, delt, p)
         v_bet = catalog.module_from_classes(quiver, bet, p)
-        if _merge_fp(gam, alp) == fps["xi"] and _merge_fp(delt, bet) == fps["eta"]:
+        if _merge_fp(gam, alp) == f_xi and _merge_fp(delt, bet) == f_eta:
             n_split += c
             dims_gam = tuple(d - x for d, x in zip(xi2.dims, e1))
             bracket = (
@@ -687,10 +669,10 @@ def _green_projective_blocks(quiver, xi2, eta2, xi, eta, p, budget):
             )
             block_iii += bracket * c
             continue
-        n1 = _ext_stratum_fp(v_gam, v_alp, fps["xi"], budget)
+        n1 = _ext_stratum_fp(v_gam, v_alp, f_xi, budget)
         if n1 == 0:
             continue
-        n2 = _ext_stratum_fp(v_delt, v_bet, fps["eta"], budget)
+        n2 = _ext_stratum_fp(v_delt, v_bet, f_eta, budget)
         if n2 == 0:
             continue
         block_ii += _exact_quotient(n1 * n2, p, "joint extension stratum") * c
@@ -763,11 +745,7 @@ def verify_assoc(X, Y1, Y2, L1, L2, primes=None, budget=DEFAULT_SUBSPACE_BUDGET)
 
 
 def _assoc_sides(quiver, X, Y1, Y2, L1, L2, p, form, direction, budget):
-    fps = {
-        "X": _fp(X.concrete_classes(p)),
-        "Y1": _fp(Y1.concrete_classes(p)),
-        "Y2": _fp(Y2.concrete_classes(p)),
-    }
+    fid = catalog.fingerprint_id
     fids = {"X": X.fingerprint_id(), "Y1": Y1.fingerprint_id(), "Y2": Y2.fingerprint_id()}
     m_l1 = L1.instantiate(p)
     m_l2 = L2.instantiate(p)
@@ -778,7 +756,7 @@ def _assoc_sides(quiver, X, Y1, Y2, L1, L2, p, form, direction, budget):
         # LHS: strata of Hom(L1, L2) with coker = X, graded by ker type Y
         lhs = 0
         for (coker, ker), h in census_h.items():
-            if h == 0 or _fp(coker) != fps["X"]:
+            if h == 0 or fid(coker) != fids["X"]:
                 continue
             ker_mod = catalog.module_from_classes(quiver, ker, p)
             lhs += h * _hall_fp(ker_mod, fids["Y2"], fids["Y1"], Y1.dims, budget)
@@ -788,24 +766,24 @@ def _assoc_sides(quiver, X, Y1, Y2, L1, L2, p, form, direction, budget):
             m_l1, Y1.dims, budget=budget, key_classes=L1.concrete_classes(p)
         )
         for (quot, sub), c in census_g.items():
-            if _fp(sub) != fps["Y1"]:
+            if fid(sub) != fids["Y1"]:
                 continue
             quot_mod = catalog.module_from_classes(quiver, quot, p)
             rhs += c * _hom_stratum_fp(
-                quot_mod, m_l2, fps["X"], fps["Y2"], projective, budget
+                quot_mod, m_l2, fids["X"], fids["Y2"], projective, budget
             )
         return lhs, rhs
 
     # dual direction: (X1, X2, Y) := (X, Y2, Y1)
-    fx1, fx2, fy = fps["X"], fps["Y2"], fps["Y1"]
+    fx1, fx2, fy = fids["X"], fids["Y2"], fids["Y1"]
     x1_dims, x2_dims, y_dims = X.dims, Y2.dims, Y1.dims
     # LHS: strata of Hom(L1, L2) with ker = Y, graded by coker type X'
     lhs = 0
     for (coker, ker), h in census_h.items():
-        if h == 0 or _fp(ker) != fy:
+        if h == 0 or fid(ker) != fy:
             continue
         coker_mod = catalog.module_from_classes(quiver, coker, p)
-        lhs += h * _hall_fp(coker_mod, fids["Y2"], fids["X"], x1_dims, budget)
+        lhs += h * _hall_fp(coker_mod, fx2, fx1, x1_dims, budget)
     # RHS: subreps L2' <= L2 with quotient X2, then maps L1 -> L2'
     rhs = 0
     e = tuple(a - b for a, b in zip(L2.dims, x2_dims))
@@ -814,7 +792,7 @@ def _assoc_sides(quiver, X, Y1, Y2, L1, L2, p, form, direction, budget):
             m_l2, e, budget=budget, key_classes=L2.concrete_classes(p)
         )
         for (quot, sub), c in census_g.items():
-            if _fp(quot) != fx2:
+            if fid(quot) != fx2:
                 continue
             sub_mod = catalog.module_from_classes(quiver, sub, p)
             rhs += c * _hom_stratum_fp(m_l1, sub_mod, fx1, fy, projective, budget)
@@ -829,8 +807,8 @@ def _assoc_sides(quiver, X, Y1, Y2, L1, L2, p, form, direction, budget):
 def _grouped_table(count_fn, bound, min_prime, verify):
     """counting_table plus a representative key instance per fingerprint.
 
-    count_fn(p) -> {fingerprint_key: (count, representative)}; returns
-    ({fingerprint_key: QPolynomial}, {fingerprint_key: representative}).
+    count_fn(p) -> {fingerprint id key: (count, representative)}; returns
+    ({fingerprint id key: QPolynomial}, {fingerprint id key: representative}).
     """
     reps_ = {}
 
@@ -880,13 +858,11 @@ def verify_cc1(
 
     # term 1: nonsplit extension middles
     def middles(p):
-        split_fpr = _fp(
-            _merge_classes(xi2.concrete_classes(p), eta2.concrete_classes(p))
-        )
+        split_fid = _merge_fp(xi2.concrete_classes(p), eta2.concrete_classes(p))
         census = strata.ext_middle_census(
             xi2.instantiate(p), eta2.instantiate(p), budget=budget
         )
-        return _group_by_fp(census.items(), drop=split_fpr)
+        return _group_by_fp(census.items(), drop=split_fid)
 
     table1, reps1 = _grouped_table(middles, ext_dim, min_prime, verify)
     nvars = quiver.n

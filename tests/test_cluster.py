@@ -10,6 +10,7 @@ import pytest
 
 from hallchar import catalog, cluster
 from hallchar.catalog import parse_symbol
+from hallchar.errors import OutsideCatalog, VerificationMismatch
 from hallchar.laurent import LaurentPoly
 from hallchar.quiver import kronecker_quiver, linear_quiver
 
@@ -158,6 +159,24 @@ def test_chartable_memo_and_checks():
     )
     with pytest.raises(ValueError):
         T.char(parse_symbol("S1", A2))
+
+
+def test_chartable_failed_check_stores_nothing(monkeypatch):
+    """A character whose cross-check raises is not kept: the next call
+    computes and checks it again, and raises again."""
+    T = cluster.CharTable(K)
+    sym = parse_symbol("R(1,1)@0", K)
+    monkeypatch.setattr(cluster, "char_by_strata", lambda *a, **k: LaurentPoly.zero(2))
+    for _ in range(2):
+        with pytest.raises(VerificationMismatch):
+            T.char(sym)
+    monkeypatch.undo()
+    assert T.char(sym) == cluster.char_of_symbol(sym)
+    # a sub or quotient in the strata check of P[2,3] lies at a degree-2 point
+    big = parse_symbol("P[2,3]", K)
+    for _ in range(2):
+        with pytest.raises(OutsideCatalog):
+            T.char(big)
 
 
 def test_chartable_char_of_classes_concrete():

@@ -34,12 +34,11 @@ TABLES = {
     "quiver._positive_roots",
     "subspaces.image_rank_distribution",
     "subspaces._class_census",
+    "subspaces.census_view",
     "strata._ext_census",
     "cluster.chi_grassmannian",
     "symspace._symbol_pool",
-    "verify._fp",
     "verify._merge_fp",
-    "verify._census_view",
     "verify._green_ff_middles",
     "verify._green_ff_splits",
 }
@@ -114,6 +113,15 @@ def test_no_module_level_cache_dicts():
     for info in pkgutil.iter_modules(hallchar.__path__):
         module = importlib.import_module(f"hallchar.{info.name}")
         assert [name for name in vars(module) if name.endswith("_CACHE")] == []
+
+
+def test_only_catalog_computes_fingerprints():
+    """The isomorphism-class key is decided in `catalog`: every other module
+    compares and groups classes by `catalog.fingerprint_id`."""
+    for info in pkgutil.iter_modules(hallchar.__path__):
+        if info.name != "catalog":
+            source = inspect.getsource(importlib.import_module(f"hallchar.{info.name}"))
+            assert "fingerprint_of_classes" not in source, info.name
 
 
 @pytest.mark.parametrize(

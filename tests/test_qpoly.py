@@ -18,6 +18,7 @@ from hallchar.errors import (
 from hallchar.qpoly import (
     QPolynomial,
     counting_polynomial,
+    counting_table,
     divide_by_q_minus_1,
     gaussian_binomial,
     lagrange_integer,
@@ -109,6 +110,15 @@ def test_counting_polynomial_fits_and_verifies():
     assert f.at_one() == 3  # chi(P^2)
     with pytest.raises(VerificationMismatch):
         counting_polynomial(lambda p: p if p <= 3 else p + 1, degree_bound=1)
+
+
+def test_counting_table_keys_in_first_seen_order():
+    # keys in the order the per-prime tables first list them, prime by
+    # prime; a key absent at a prime counts 0 there
+    tables = {2: {"b": 1, "a": 2}, 3: {"c": 0, "a": 2, "b": 1}, 5: {"a": 2, "b": 1}}
+    table = counting_table(lambda p: tables[p], 1, verify=1)
+    assert list(table) == ["b", "a", "c"]
+    assert [f.coeffs for f in table.values()] == [(1,), (2,), ()]
 
 
 def test_counting_polynomial_min_prime():

@@ -154,6 +154,17 @@ def test_direct_sum():
         rep.direct_sum(s1(2), s1(3))
 
 
+def test_key_is_built_once(monkeypatch):
+    calls = []
+    key_of = rep.Rep.key_of
+    monkeypatch.setattr(rep.Rep, "key_of", staticmethod(lambda *a: calls.append(1) or key_of(*a)))
+    M = rep.direct_sum(s1(3), p1(3))
+    built = len(calls)
+    assert M.key is M.key
+    assert len(calls) == built
+    assert M.key == key_of(A2, 3, M.dims, (m.tobytes() for m in M.mats))
+
+
 def test_is_isomorphic_basic():
     p = 3
     assert rep.is_isomorphic(s1(p), s1(p))

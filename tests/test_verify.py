@@ -12,14 +12,19 @@ fingerprint-keyed census view against a rescan of the census; this file
 keeps all three as oracles.
 """
 
+import collections
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hallchar
 from hallchar import catalog, cluster, qpoly, rep, strata, subspaces, symspace, verify
 from hallchar.errors import UnsupportedQuiver, VerificationMismatch
 from hallchar.quiver import kronecker_quiver, linear_quiver
@@ -409,6 +414,50 @@ def test_cc2_bad_rho(table_a2):
         verify.verify_cc2(sym("S1", A2), (0, -1), table=table_a2)
 
 
+# cc1 on the ordered pairs of Kronecker indecomposables up to (2, 2) whose
+# sum stays within (3, 3), sharing one CharTable (a pair whose table raises
+# OutsideCatalog is skipped), and cc2 on each of them against three rho:
+# the reports as JSON, timing aside.  R(2,2)@0 with itself takes minutes.
+_HASH_SEED_PROBE = """
+import itertools, json
+from hallchar import cluster, symspace, verify
+from hallchar.errors import OutsideCatalog
+from hallchar.quiver import kronecker_quiver
+
+K = kronecker_quiver()
+table = cluster.CharTable(K)
+syms = symspace.indecomposable_symbols(K, (2, 2))
+reports = []
+for xi2, eta2 in itertools.product(syms, repeat=2):
+    if all(a + b <= 3 for a, b in zip(xi2.dims, eta2.dims)):
+        try:
+            reports.append(verify.verify_cc1(xi2, eta2, table=table))
+        except OutsideCatalog:
+            pass
+for xi2, rho in itertools.product(syms, [(1, 0), (0, 1), (1, 1)]):
+    reports.append(verify.verify_cc2(xi2, rho, table=table))
+for report in reports:
+    report.timing_ms = 0
+print(json.dumps([report.to_dict() for report in reports]))
+"""
+
+
+def test_cluster_reports_do_not_depend_on_the_hash_seed():
+    """Term order follows first-seen order, not the hash of the keys."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hallchar.__file__)))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _HASH_SEED_PROBE],
+            env=dict(env, PYTHONHASHSEED=seed), stdout=subprocess.PIPE, text=True,
+        )
+        for seed in ("1", "2")
+    ]
+    outs = [proc.communicate(timeout=300)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert outs[0] == outs[1]
+    assert any(len(report["terms"]) > 3 for report in json.loads(outs[0]))
+
+
 # ---------------------------------------------------------------------------
 # interpolation audit trail
 # ---------------------------------------------------------------------------
@@ -459,6 +508,24 @@ def test_assoc_projective_remainder_raises(monkeypatch):
 BUDGET = verify.DEFAULT_SUBSPACE_BUDGET
 
 
+fingerprint = catalog.fingerprint_of_classes
+
+
+def merged_fingerprint(classes1, classes2):
+    """The fingerprint of the direct sum of two decompositions."""
+    acc = collections.Counter()
+    for cls, mult in itertools.chain(classes1, classes2):
+        acc[cls] += mult
+    return fingerprint(acc.items())
+
+
+def ext_stratum_rescan(X, Y, target_fpr):
+    """#extension classes of X by Y whose middle has the fingerprint
+    `target_fpr`, by a rescan of the extension census."""
+    census = strata.ext_middle_census(X, Y, budget=BUDGET)
+    return sum(c for mid, c in census.items() if fingerprint(mid) == target_fpr)
+
+
 def hall_fp_rescan(M, quot_fpr, sub_fpr, e, key_classes=None):
     """Hall number of M with fingerprint-matched quotient and sub types, by
     a rescan of the whole census that compares fingerprints entry by entry."""
@@ -468,8 +535,7 @@ def hall_fp_rescan(M, quot_fpr, sub_fpr, e, key_classes=None):
     return sum(
         c
         for (quot, sub), c in census.items()
-        if catalog.fingerprint_of_classes(quot) == quot_fpr
-        and catalog.fingerprint_of_classes(sub) == sub_fpr
+        if fingerprint(quot) == quot_fpr and fingerprint(sub) == sub_fpr
     )
 
 
@@ -488,15 +554,14 @@ def test_census_view_matches_rescan(data):
     pairs = []
     if all(x <= d for x, d in zip(e, dims)):
         census = subspaces.hall_census(M, e, budget=BUDGET)
-        pairs += [(catalog.fingerprint_of_classes(q), catalog.fingerprint_of_classes(s))
-                  for q, s in census]
+        pairs += [(fingerprint(q), fingerprint(s)) for q, s in census]
         quot_dims = tuple(d - x for d, x in zip(dims, e))
         pairs.append(tuple(
             data.draw(st.sampled_from(symspace.symbols_with_dims(A3, d))).fingerprint()
             for d in (quot_dims, e)
         ))
     else:
-        pairs.append((catalog.fingerprint_of_classes(catalog.decompose(M)), ((), ())))
+        pairs.append((fingerprint(catalog.decompose(M)), ((), ())))
     for quot_fpr, sub_fpr in pairs:
         view = verify._hall_fp(
             M, catalog._fingerprint_id(quot_fpr), catalog._fingerprint_id(sub_fpr),
@@ -525,13 +590,13 @@ def green_degenerate_oracle(xi, eta, xi2, eta2):
     L = xi2.direct_sum(eta2)
 
     def counts(p):
-        fpxi, fpeta = verify._fp(xi.concrete_classes(p)), verify._fp(eta.concrete_classes(p))
+        fpxi, fpeta = fingerprint(xi.concrete_classes(p)), fingerprint(eta.concrete_classes(p))
         lhs = hall_fp_rescan(L.instantiate(p), fpxi, fpeta, eta.dims, L.concrete_classes(p))
         rhs = 0
         cls, mods = verify._materialize(p, xi2=xi2, eta2=eta2)
         splits = verify._split_dims(xi2.dims, eta2.dims, [(xi.dims, eta.dims)])
         for (gam, delt, alp, bet), c, _, _ in verify._splittings(cls, mods, splits, BUDGET):
-            if verify._merge_fp(gam, alp) == fpxi and verify._merge_fp(delt, bet) == fpeta:
+            if merged_fingerprint(gam, alp) == fpxi and merged_fingerprint(delt, bet) == fpeta:
                 rhs += c
         return {"lhs": lhs, "rhs": rhs}
 
@@ -560,9 +625,8 @@ def green_ff_rhs_oracle(quiver, xi, eta, xi2, eta2, p):
                 continue
             if verify._dims_sum(dims_delt, dims_bet) != eta.dims:
                 continue
-            fp = verify._fp
-            g3 = hall_fp_rescan(mods["xi"], fp(gam), fp(alp), dims_alp)
-            g4 = hall_fp_rescan(mods["eta"], fp(delt), fp(bet), dims_bet)
+            g3 = hall_fp_rescan(mods["xi"], fingerprint(gam), fingerprint(alp), dims_alp)
+            g4 = hall_fp_rescan(mods["eta"], fingerprint(delt), fingerprint(bet), dims_bet)
             if g3 == 0 or g4 == 0:
                 continue
             v_gam = catalog.module_from_classes(quiver, gam, p)
@@ -580,7 +644,7 @@ def projective_split_blocks_oracle(quiver, xi2, eta2, xi, eta, p):
     """Blocks (ii) and (iii) of the projective Green identity at p and the
     split count of block (iv), from the same filtered full product."""
     cls, mods = verify._materialize(p, xi=xi, eta=eta, xi2=xi2, eta2=eta2)
-    fpxi, fpeta = verify._fp(cls["xi"]), verify._fp(cls["eta"])
+    fpxi, fpeta = fingerprint(cls["xi"]), fingerprint(cls["eta"])
     entries_xi2, entries_eta2 = _split_entries_oracle(cls, mods)
     hom_xi2_eta2 = rep.hom_dim(mods["xi2"], mods["eta2"])
     block_ii = block_iii = n_split = 0
@@ -594,7 +658,7 @@ def projective_split_blocks_oracle(quiver, xi2, eta2, xi, eta, p):
             v_gam, v_delt, v_alp, v_bet = (
                 catalog.module_from_classes(quiver, x, p) for x in (gam, delt, alp, bet)
             )
-            if verify._merge_fp(gam, alp) == fpxi and verify._merge_fp(delt, bet) == fpeta:
+            if merged_fingerprint(gam, alp) == fpxi and merged_fingerprint(delt, bet) == fpeta:
                 n_split += c1 * c2
                 bracket = (
                     hom_xi2_eta2
@@ -604,8 +668,8 @@ def projective_split_blocks_oracle(quiver, xi2, eta2, xi, eta, p):
                 )
                 block_iii += bracket * c1 * c2
                 continue
-            n1 = verify._ext_stratum_fp(v_gam, v_alp, fpxi, BUDGET)
-            n2 = verify._ext_stratum_fp(v_delt, v_bet, fpeta, BUDGET)
+            n1 = ext_stratum_rescan(v_gam, v_alp, fpxi)
+            n2 = ext_stratum_rescan(v_delt, v_bet, fpeta)
             block_ii += verify._exact_quotient(n1 * n2, p, "joint stratum") * c1 * c2
     return block_ii, block_iii, n_split
 
@@ -645,7 +709,7 @@ def test_green_projective_splitting_blocks_match_full_product(case):
     cls, mods = verify._materialize(p, xi=xi, eta=eta, xi2=xi2, eta2=eta2)
     n_all = hall_fp_rescan(
         rep.direct_sum(mods["xi2"], mods["eta2"]),
-        verify._fp(cls["xi"]), verify._fp(cls["eta"]), eta.dims,
+        fingerprint(cls["xi"]), fingerprint(cls["eta"]), eta.dims,
     )
     assert blocks["hall_variety"] * (p - 1) == n_all - n_split
 
