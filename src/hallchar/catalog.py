@@ -40,6 +40,17 @@ with the signs dropped, since they do not change the rank:
     Hom(M, I_n)       the same on (A^T, B^T), with d1 and d2 swapped
     Hom(R_lam(m), M)  m*d1 - rank, m block rows [.. B-lam*A A ..]; [.. A B ..] at inf
 
+On a Dynkin quiver the multiplicities are one integer product A^{-1} v
+with the inverse Hom table of the indecomposables, fixed per (quiver, p),
+and v[r] = dim Hom(M, X_r) = unknowns - rank of the Hom constraint rows
+(`rep.hom_constraint_rows`).
+
+Both families are classified from the Python-int rows of M's matrices by
+one entry, `_classify_rows`, and no `Rep` is built: `decompose(M)` passes
+M's rows, and `_decompose_rows` classifies the rows of a census's sub or
+quotient on a memo miss, storing the result in the `decompose` table under
+the key a `Rep` of those matrices would have.
+
 Symbols
 -------
 A module symbol is a formal direct sum of catalog atoms, written e.g.
@@ -255,50 +266,54 @@ def decomposition_dims(quiver, decomp):
 def decompose(M):
     """Krull-Schmidt decomposition of M as ((class, mult), ...).
 
-    Kronecker modules are decomposed from ranks of their pencil (module
-    docstring).  Raises OutsideCatalog when part of M is not matched by the
-    catalog (Kronecker regulars at points with larger residue field) and
+    Classifies the Python-int rows of M's matrices (`_classify_rows`).
+    Raises OutsideCatalog when part of M is not matched by the catalog
+    (Kronecker regulars at points with larger residue field) and
     UnsupportedQuiver for quivers with no catalog at all.  Memoized on
     `M.key`, the exact matrices of M; a module that raises raises again on
     every call.
     """
-    Q = M.quiver
-    if M.total_dim() == 0:
-        return ()
-    if Q.is_dynkin():
-        return _decompose_dynkin(M)
-    if Q.is_kronecker():
-        return _decompose_kronecker(M)
-    raise UnsupportedQuiver(
-        "decomposition is only available for Dynkin and Kronecker quivers"
-    )
+    return _classify_rows(M.quiver, M.p, M.dims, [m.tolist() for m in M.mats])
 
 
 def _decompose_rows(quiver, p, dims, blocks):
     """`decompose` of the module with dimension vector `dims` whose arrow
     matrices are `blocks` (lists of Python-int rows in [0, p)).
 
-    The `decompose` memo is read with the key a `Rep` of these matrices
-    has, since array("q") and int64 share the machine's 8-byte layout, so
-    only a module the memo has not seen is built and decomposed.
+    The `decompose` memo is read, and a miss is stored, under the key a
+    `Rep` of these matrices has, since array("q") and int64 share the
+    machine's 8-byte layout; no `Rep` is built.
     """
     if not any(dims):
         return ()
     mat_bytes = (array("q", itertools.chain.from_iterable(b)).tobytes() for b in blocks)
     key = Rep.key_of(quiver, p, dims, mat_bytes)
-    decomp = memo.TABLES["catalog.decompose"].get(key)
+    table = memo.TABLES["catalog.decompose"]
+    decomp = table.get(key)
     if decomp is None:
-        mats = [
-            np.array(b, dtype=np.int64).reshape(dims[t], dims[s])
-            for b, (s, t) in zip(blocks, quiver.arrows)
-        ]
-        decomp = decompose(Rep(quiver, p, dims, mats))
+        decomp = table[key] = _classify_rows(quiver, p, dims, blocks)
     return decomp
+
+
+def _classify_rows(quiver, p, dims, blocks):
+    """The one classifier behind `decompose` and `_decompose_rows`: the
+    decomposition of the module (dims, blocks), blocks as in
+    `_decompose_rows`."""
+    if not any(dims):
+        return ()
+    if quiver.is_dynkin():
+        return _decompose_dynkin(quiver, p, dims, blocks)
+    if quiver.is_kronecker():
+        return _decompose_kronecker(quiver, p, dims, blocks)
+    raise UnsupportedQuiver(
+        "decomposition is only available for Dynkin and Kronecker quivers"
+    )
 
 
 @memo.memoized(lambda Q, p: (Q.key, p))
 def _dynkin_hom_data(Q, p):
-    """Roots, their indecomposables and the integer inverse of the Hom table.
+    """Roots, the (dims, Python-int rows) of their indecomposables, and the
+    integer inverse of the Hom table, as lists of Python ints.
 
     The table A[r][s] = dim Hom(X_s, X_r) relates the multiplicities m of a
     module M to v[r] = dim Hom(M, X_r) by A m = v.  It is unitriangular in
@@ -309,23 +324,28 @@ def _dynkin_hom_data(Q, p):
     reps = [module_from_class(Q, ("root", r), p) for r in roots]
     k = len(roots)
     A = [[rep.hom_dim(reps[s], reps[r]) for s in range(k)] for r in range(k)]
-    inv = np.array(_unimodular_inverse(A), dtype=np.int64)
-    return roots, reps, inv
+    indecs = [(X.dims, [m.tolist() for m in X.mats]) for X in reps]
+    return roots, indecs, _unimodular_inverse(A)
 
 
-def _decompose_dynkin(M):
-    Q, p = M.quiver, M.p
-    roots, reps_, inv = _dynkin_hom_data(Q, p)
-    v = np.array([rep.hom_dim(M, X) for X in reps_], dtype=np.int64)
+def _decompose_dynkin(Q, p, dims, blocks):
+    """Each v[r] = dim Hom(M, X_r) is unknowns - rank of the Python-int
+    constraint rows of `rep.hom_constraint_rows`; no Hom space is solved."""
+    roots, indecs, inv = _dynkin_hom_data(Q, p)
+    v = []
+    for x_dims, x_blocks in indecs:
+        unknowns, rows = rep.hom_constraint_rows(Q, p, dims, blocks, x_dims, x_blocks)
+        v.append(unknowns - linalg.rank_rows(rows, unknowns, p))
     out = []
-    for root, mult in zip(roots, (inv @ v).tolist()):
+    for root, row in zip(roots, inv):
+        mult = sum(a * b for a, b in zip(row, v))
         if mult == 0:
             continue
         if mult < 0:
             raise ComputationError(f"negative multiplicity {mult} for {root}")
         out.append((("root", root), mult))
     decomp = sort_classes(out)
-    if decomposition_dims(Q, decomp) != M.dims:
+    if decomposition_dims(Q, decomp) != tuple(dims):
         raise OutsideCatalog("dimension mass not matched by Dynkin catalog")
     return decomp
 
@@ -342,15 +362,20 @@ def _pencil_hom(X, Y, rows, cols, d_in, p):
     return width - linalg.rank_rows(mat, width, p)
 
 
-def _decompose_kronecker(M):
-    Q, p = M.quiver, M.p
-    d1, d2 = M.dims
-    A, B = (m.tolist() for m in M.mats)
+def _transpose(rows, ncols):
+    return [list(col) for col in zip(*rows)] if rows else [[] for _ in range(ncols)]
+
+
+def _decompose_kronecker(Q, p, dims, blocks):
+    """Decomposition of the pencil `blocks` = (A, B), d2 x d1 Python-int
+    rows, from the ranks of the module docstring."""
+    d1, d2 = dims
+    A, B = blocks
     out = []
     # 0 -> P_n -> P_{n+1}^2 -> P_{n+2} -> 0, and dually for I_n
     for kind, top, X, Y, d_in, d_out in (
         ("P", min(d1, d2 - 1), B, A, d1, d2),
-        ("I", min(d2, d1 - 1), M.mats[1].T.tolist(), M.mats[0].T.tolist(), d2, d1),
+        ("I", min(d2, d1 - 1), _transpose(B, d1), _transpose(A, d1), d2, d1),
     ):
         h = [d_out, d_in] + [_pencil_hom(X, Y, n - 1, n, d_in, p) for n in range(2, top + 3)]
         for n in range(top + 1):
@@ -381,7 +406,7 @@ def _decompose_kronecker(M):
         if mult < 0:
             raise ComputationError(f"negative multiplicity {mult} for {cls}")
     decomp = sort_classes(out)
-    if decomposition_dims(Q, decomp) != M.dims:
+    if decomposition_dims(Q, decomp) != tuple(dims):
         raise OutsideCatalog(
             "part of the module lives in a tube at a point of P^1 with "
             "residue field larger than F_p"

@@ -134,52 +134,58 @@ def _hom_offsets(M, N):
     return offsets, pos
 
 
-def hom_constraint_matrix(M, N):
-    """Matrix C with Hom(M, N) = ker C, unknowns = stacked row-major vec(f_i).
+def hom_constraint_rows(quiver, p, m_dims, m_rows, n_dims, n_rows):
+    """(unknowns, rows): the matrix C with Hom(M, N) = ker C as lists of
+    Python ints in [0, p), for modules given by dimension vectors and arrow
+    matrices as lists of Python-int rows in [0, p).  The unknowns are the
+    stacked row-major vec(f_i), f_i of shape (n_i, m_i).
 
-    For each arrow a: s -> t the condition f_t M_a - N_a f_s = 0 expands to
-    (I (x) M_a^T) vec(f_t) - (N_a (x) I) vec(f_s) = 0 with (x) the Kronecker
-    product and vec the row-major flattening.  Row (x, y) of an arrow's
-    block is entry (x, y) of f_t M_a - N_a f_s, so both Kronecker factors
-    are written into place through 4-d views (x, y, row of f, column of f).
+    For each arrow a: s -> t the condition f_t M_a - N_a f_s = 0 gives one
+    row per entry (x, y) of f_t M_a - N_a f_s, with M_a[z, y] at unknown
+    f_t[x, z] and -N_a[x, w] at unknown f_s[w, y]: the rows of
+    (I (x) M_a^T) vec(f_t) - (N_a (x) I) vec(f_s), with (x) the Kronecker
+    product.  Arrows with no entries give no rows.
     """
-    offsets, total = _hom_offsets(M, N)
-    arrows = M.quiver.arrows
-    C = np.zeros(
-        (sum(N.dims[t] * M.dims[s] for s, t in arrows), total), dtype=np.int64
+    offsets, unknowns = [], 0
+    for m, n in zip(m_dims, n_dims):
+        offsets.append(unknowns)
+        unknowns += m * n
+    rows = []
+    for (s, t), Ma, Na in zip(quiver.arrows, m_rows, n_rows):
+        ds, dt, es = m_dims[s], m_dims[t], n_dims[s]
+        for x in range(n_dims[t]):
+            base = offsets[t] + x * dt
+            Nx = Na[x]
+            for y in range(ds):
+                row = [0] * unknowns
+                for z in range(dt):
+                    row[base + z] = Ma[z][y]
+                col = offsets[s] + y
+                for w in range(es):
+                    if Nx[w]:
+                        row[col + w * ds] = p - Nx[w]
+                rows.append(row)
+    return unknowns, rows
+
+
+def _hom_rows(M, N):
+    return hom_constraint_rows(
+        M.quiver, M.p, M.dims, [m.tolist() for m in M.mats], N.dims, [m.tolist() for m in N.mats]
     )
-    r0 = 0
-    for a, (s, t) in enumerate(arrows):
-        et, ds = N.dims[t], M.dims[s]
-        if et * ds == 0:
-            continue
-        rows = C[r0 : r0 + et * ds]
-        r0 += et * ds
-        dt, es = M.dims[t], N.dims[s]
-        # (I (x) M_a^T)[(x, y), (x, z)] = M_a[z, y]
-        bt = rows[:, offsets[t] : offsets[t] + et * dt].reshape(et, ds, et, dt)
-        mt = M.mats[a].T
-        for x in range(et):
-            bt[x, :, x, :] = mt
-        # -(N_a (x) I)[(x, y), (w, y)] = -N_a[x, w]
-        bs = rows[:, offsets[s] : offsets[s] + es * ds].reshape(et, ds, es, ds)
-        neg = -N.mats[a]
-        for y in range(ds):
-            bs[:, y, :, y] = neg
-    C %= M.p
-    return C
+
+
+def hom_constraint_matrix(M, N):
+    """Matrix C with Hom(M, N) = ker C, unknowns = stacked row-major vec(f_i)
+    (`hom_constraint_rows` as an int64 array)."""
+    unknowns, rows = _hom_rows(M, N)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), unknowns)
 
 
 def hom_dim(M, N):
     """dim_{F_p} Hom(M, N)."""
     _check_compatible(M, N)
-    offsets, total = _hom_offsets(M, N)
-    if total == 0:
-        return 0
-    C = hom_constraint_matrix(M, N)
-    if C.shape[0] == 0:
-        return total
-    return total - int(linalg.rank_mod(C, M.p))
+    unknowns, rows = _hom_rows(M, N)
+    return unknowns - linalg.rank_rows(rows, unknowns, M.p)
 
 
 def hom_basis(M, N):

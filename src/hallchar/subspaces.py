@@ -4,7 +4,11 @@ Subspaces of F_p^n of dimension k are enumerated through their reduced
 column echelon normal form: the canonical basis matrix U is determined by
 its pivot rows P (where U[P] is the identity) and the free entries below
 each pivot in the other rows NP, so each subspace appears exactly once and
-the total matches the Gaussian binomial [n choose k]_p.
+the total matches the Gaussian binomial [n choose k]_p.  The candidates of
+one (n, k, p), with their basis arrays and Python-int rows, are built once
+and shared by every enumeration (`_echelon_table`, memoized) when there
+are at most ECHELON_TABLE_MAX of them; a larger space is built afresh for
+each enumeration, so a frontier case never pins its candidates.
 
 A subrepresentation of M with dimension vector e is a choice of subspace
 U_i of dimension e_i at every vertex with M_a U_s inside U_t for all
@@ -12,9 +16,15 @@ arrows a: s -> t.  Enumeration walks the vertices in topological order so
 every arrow is checked as soon as both endpoints are fixed.  The check
 reads echelon coordinates off Python-int rows, with no rank: writing
 img = M_a U_s, containment holds exactly when img[NP] = U_t[NP] img[P].
-The same coordinates give both halves of the subrepresentation: the
-matrix of a on U is img[P], and on M/U (in the basis of the standard
-vectors at the rows NP) it is M_a[NP_t, NP_s] - U_t[NP_t] M_a[P_t, NP_s].
+The walk keeps, per source candidate and target vertex, the list of
+target candidates that contain the images of all arrows between them
+(both Kronecker arrows at once), computed the first time that source
+candidate is chosen; a vertex with arrows from several sources (the
+middle of A_3 with both arrows in, a D_4 sink) takes the candidates on
+all of their lists.  The same
+coordinates give both halves of the subrepresentation: the matrix of a
+on U is img[P], and on M/U (in the basis of the standard vectors at the
+rows NP) it is M_a[NP_t, NP_s] - U_t[NP_t] M_a[P_t, NP_s].
 
 The Hall census of (M, e) groups the subrepresentations U by the pair of
 isomorphism classes (class of M/U, class of U):
@@ -28,12 +38,12 @@ Censuses are memoized (`memo.memoized`) per (quiver, prime, class of M,
 e); the key uses the Krull-Schmidt decomposition, so isomorphic ambient
 modules share one census, and a module outside the catalogue is not
 stored.  Sub and quotient are classified through the `catalog.decompose`
-memo, read with the bytes of their Python-int matrices; only a module the
-memo has not seen is built as a `Rep`.  `census_view` groups a census by
-the fingerprint ids of (quotient, sub), so a fingerprint-matched Hall
-number is one lookup.  The rank distributions of two-vertex quivers are
-memoized on the exact matrices (`Rep.key`).  `memo.clear()` forgets them
-all.
+memo, read with the bytes of their Python-int matrices; a module the memo
+has not seen is classified from the same rows, so a census never builds
+a `Rep`.  `census_view` groups a census by the fingerprint ids of
+(quotient, sub), so a fingerprint-matched Hall number is one lookup.  The
+rank distributions of two-vertex quivers are memoized on the exact
+matrices (`Rep.key`).  `memo.clear()` forgets them all.
 """
 
 import itertools
@@ -46,6 +56,15 @@ from .errors import BudgetExceeded, OutsideCatalog
 from .qpoly import gaussian_binomial
 
 DEFAULT_SUBSPACE_BUDGET = 2_000_000
+
+# The largest [n choose k]_p whose candidate table is kept.  A table holds
+# about 0.8 kB per subspace at n = 4 (basis array, rows and index tuples;
+# 628 kB for the 806 of [4 choose 2]_5 under tracemalloc), so one table
+# stays under 1 MB.  Every space the test suite and the
+# benchmark's workloads enumerate fits (the largest is [4 choose 2]_5 =
+# 806); a larger space is built for each call and dropped after it, so a
+# frontier enumeration pins no memory beyond its own run.
+ECHELON_TABLE_MAX = 1024
 
 # One enumerated subspace U of F_p^n: `basis` is U as an n x k int64 matrix,
 # `rows` the same entries as n lists of k Python ints, `pivots` the rows P
@@ -73,16 +92,44 @@ def _echelon_subspaces(n, k, p):
             yield pivots, others, rows
 
 
+def _echelons(n, k, p):
+    """Yield the `_Echelon` k-subspaces of F_p^n, in enumeration order."""
+    for pivots, others, rows in _echelon_subspaces(n, k, p):
+        basis = np.array(rows, dtype=np.int64).reshape(n, k)
+        basis.setflags(write=False)
+        yield _Echelon(basis, pivots, others, rows)
+
+
+@memo.memoized(lambda n, k, p: (n, k, p))
+def _echelon_table(n, k, p):
+    """The `_Echelon` k-subspaces of F_p^n as one shared tuple (memoized;
+    read through `_candidates`, which stores only tables of at most
+    ECHELON_TABLE_MAX subspaces)."""
+    return tuple(_echelons(n, k, p))
+
+
+def _candidates(n, k, p, count):
+    """The `_Echelon` k-subspaces of F_p^n in enumeration order, given their
+    number `count` = [n choose k]_p: the shared table when count <=
+    ECHELON_TABLE_MAX, else a generator that builds them for this call
+    only."""
+    if count <= ECHELON_TABLE_MAX:
+        return _echelon_table(n, k, p)
+    return _echelons(n, k, p)
+
+
 def subspace_bases(n, k, p):
     """Yield one canonical basis (n x k int64 matrix) per k-subspace of F_p^n.
 
     The basis is the transpose of a reduced row echelon form: choose pivot
     rows r_1 < ... < r_k, put the identity there, zeros above each pivot,
     and free values at the positions below a pivot that are not themselves
-    pivot rows.  Columns are the basis vectors.
+    pivot rows.  Columns are the basis vectors.  The arrays are read-only:
+    they come from the shared candidate table where there is one
+    (`_candidates`).
     """
-    for _, _, rows in _echelon_subspaces(n, k, p):
-        yield np.array(rows, dtype=np.int64).reshape(n, k)
+    for U in _candidates(n, k, p, subspace_count(n, k, p)):
+        yield U.basis
 
 
 def subspace_count(n, k, p):
@@ -119,58 +166,79 @@ def _quotient_block(mat_rows, U_s, U_t, p):
     ]
 
 
-def _search_space(M, e, vertices, budget):
-    total = 1
-    for v in vertices:
-        total *= subspace_count(M.dims[v], e[v], M.p)
-    if total > budget:
-        raise BudgetExceeded(
-            f"subspace search space {total} exceeds budget {budget}"
-        )
-
-
-def _echelon_walk(M, e, order):
+def _echelon_walk(M, e, order, budget):
     """Enumerate subspaces U_v of dimension e_v at the vertices of `order`
     (topologically ordered) with M_a U_s inside U_t for every arrow between
-    two of them.
+    two of them.  Raises BudgetExceeded, before any enumeration, when the
+    product of the subspace counts exceeds `budget`.
 
     Returns (candidates, images, walk): candidates[v] lists the `_Echelon`
     subspaces at v, images[a][i] is M_a U_s for candidate i at the source
     of a (for every arrow whose source is in `order`), and `walk` yields
     one list of candidate indices per vertex for each admissible choice
     (the same list object, updated in place).
+
+    An arrow a: s -> t is checked when t, the later endpoint, is chosen,
+    together with the other arrows s -> t.  For each candidate i at s the
+    walk keeps the increasing list of the candidates at t that contain
+    M_a U_s[i] for all of them, computed with `_contains` the first time i
+    is chosen; a vertex with arrows from several sources takes the
+    candidates on all of their lists.
     """
     Q, p = M.quiver, M.p
+    counts = {v: subspace_count(M.dims[v], e[v], p) for v in order}
+    total = 1
+    for c in counts.values():
+        total *= c
+    if total > budget:
+        raise BudgetExceeded(
+            f"subspace search space {total} exceeds budget {budget}"
+        )
     candidates = [None] * Q.n
     for v in order:
-        candidates[v] = [
-            _Echelon(np.array(rows, dtype=np.int64).reshape(M.dims[v], e[v]), pivots, others, rows)
-            for pivots, others, rows in _echelon_subspaces(M.dims[v], e[v], p)
-        ]
+        candidates[v] = tuple(_candidates(M.dims[v], e[v], p, counts[v]))
     images = [None] * len(Q.arrows)
     pos = {v: idx for idx, v in enumerate(order)}
-    # arrows checked when their target, the later endpoint, is chosen
-    checks = [[] for _ in order]
+    # one check per (source, target) pair: parallel arrows are checked
+    # together, on the columns of all their images
+    checks = [{} for _ in order]
     for a, (s, t) in enumerate(Q.arrows):
         if s in pos:
             rows = M.mats[a].tolist()
             images[a] = [_image(rows, U.rows, p) for U in candidates[s]]
             if t in pos:
-                checks[pos[t]].append((images[a], s))
+                checks[pos[t]].setdefault(s, []).append(a)
+    # known[i]: the targets containing M_a U_s[i] for each checked a, on first use
+    checks = [[(s, arrows, {}) for s, arrows in c.items()] for c in checks]
     chosen = [None] * Q.n
+
+    def admissible(targets, s, arrows, known):
+        i = chosen[s]
+        try:
+            return known[i]
+        except KeyError:
+            img = [list(itertools.chain.from_iterable(r)) for r in zip(*(images[a][i] for a in arrows))]
+            out = known[i] = [j for j, U in enumerate(targets) if _contains(img, U, p)]
+            return out
 
     def walk(idx=0):
         if idx == len(order):
             yield chosen
             return
         v = order[idx]
-        for i, U in enumerate(candidates[v]):
-            for imgs, s in checks[idx]:
-                if not _contains(imgs[chosen[s]], U, p):
-                    break
+        targets = candidates[v]
+        if not checks[idx]:
+            indices = range(len(targets))
+        else:
+            first, *rest = (admissible(targets, *check) for check in checks[idx])
+            if rest:
+                rest = [set(r) for r in rest]
+                indices = [j for j in first if all(j in r for r in rest)]
             else:
-                chosen[v] = i
-                yield from walk(idx + 1)
+                indices = first
+        for i in indices:
+            chosen[v] = i
+            yield from walk(idx + 1)
 
     return candidates, images, walk
 
@@ -193,8 +261,7 @@ def subrep_bases(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
         raise ValueError("dimension vector has wrong length")
     if any(e[i] < 0 or e[i] > M.dims[i] for i in range(n)):
         return
-    _search_space(M, e, range(n), budget)
-    candidates, images, walk = _echelon_walk(M, e, Q.topological_order())
+    candidates, images, walk = _echelon_walk(M, e, Q.topological_order(), budget)
     mats = [m.tolist() for m in M.mats]
     for chosen in walk():
         U = [candidates[v][chosen[v]] for v in range(n)]
@@ -221,8 +288,10 @@ def image_rank_distribution(M, k):
         # row i * #arrows + a is row i of arrow a, so each product
         # reshapes to the d2 x (#arrows * k) matrix [A_1 U | A_2 U | ...]
         arrows = np.stack(M.mats, axis=1).reshape(-1, d1)
+        width = len(M.mats) * k
         for U in subspace_bases(d1, k, p):
-            counts[linalg.rank_mod((arrows @ U).reshape(d2, -1), p)] += 1
+            joint = ((arrows @ U) % p).reshape(d2, width).tolist()
+            counts[linalg.rank_rows(joint, width, p)] += 1
     return counts
 
 
@@ -258,8 +327,7 @@ def grassmannian_count(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
             if cnt
         )
     vertices = order[:-1]
-    _search_space(M, e, vertices, budget)
-    _, images, walk = _echelon_walk(M, e, vertices)
+    _, images, walk = _echelon_walk(M, e, vertices, budget)
     into_last = [(images[a], s) for a, (s, t) in enumerate(Q.arrows) if t == last]
     # subspaces at the last vertex containing a span of dimension w
     choices = [subspace_count(M.dims[last] - w, e[last] - w, p) for w in range(M.dims[last] + 1)]

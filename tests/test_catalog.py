@@ -35,13 +35,14 @@ from hallchar.catalog import (
 )
 from hallchar.errors import ComputationError, OutsideCatalog
 from hallchar.quiver import Quiver, _unimodular_inverse, kronecker_quiver, linear_quiver
-from test_rep import aut_count_brute
-from test_subspaces import _result
+from test_rep import aut_count_brute, kron_constraint_matrix
+from test_subspaces import _result, modules
 
 K = kronecker_quiver()
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
 D4 = Quiver(4, [(0, 1), (2, 1), (1, 3)])
+A3_SOURCE = Quiver(3, [(1, 0), (1, 2)])
 
 
 def test_kronecker_catalog_modules():
@@ -384,9 +385,9 @@ def decomposer_calls(monkeypatch):
     calls = []
     for name in ("_decompose_dynkin", "_decompose_kronecker"):
 
-        def counting(M, real=getattr(catalog, name)):
+        def counting(*args, real=getattr(catalog, name)):
             calls.append(1)
-            return real(M)
+            return real(*args)
 
         monkeypatch.setattr(catalog, name, counting)
     return calls
@@ -484,7 +485,7 @@ def test_certificate_rejects_a_wrong_memo_entry(cold_memo, monkeypatch):
     p = 2
     M = rep.direct_sum(module_from_class(A2, ("root", (1, 1)), p), rep.Rep.simple(A2, p, 0))
     wrong = ((("root", (0, 1)), 1), (("root", (1, 0)), 2))
-    monkeypatch.setattr(catalog, "_decompose_dynkin", lambda M: wrong)
+    monkeypatch.setattr(catalog, "_decompose_dynkin", lambda *args: wrong)
     for _ in range(2):
         with pytest.raises(AssertionError):
             _certified(M)
@@ -736,3 +737,64 @@ def test_decompose_direct_sum_merges_the_parts(case):
         for cls, mult in decomp:
             merged[cls] = merged.get(cls, 0) + mult
     assert got == sort_classes(merged.items())
+
+
+# -- rows-level classification against the Hom-solve decomposer ----------------
+
+
+def _oracle_hom_dim(M, N):
+    """dim Hom(M, N) solved on the Kronecker-product constraint matrix."""
+    C = kron_constraint_matrix(M, N)
+    return C.shape[1] - int(linalg.rank_mod(C, M.p))
+
+
+def _oracle_dynkin_hom_data(Q, p):
+    roots = Q.positive_roots()
+    reps = [module_from_class(Q, ("root", r), p) for r in roots]
+    k = len(roots)
+    A = [[_oracle_hom_dim(reps[s], reps[r]) for s in range(k)] for r in range(k)]
+    inv = np.array(_unimodular_inverse(A), dtype=np.int64)
+    return roots, reps, inv
+
+
+def decompose_dynkin_oracle(M):
+    """The numpy Dynkin decomposer the rows-level classifier replaced: one
+    Hom solve per positive root and the inverse Hom table as an int64
+    product, with its Hom dimensions from `kron_constraint_matrix`."""
+    Q, p = M.quiver, M.p
+    roots, reps_, inv = _oracle_dynkin_hom_data(Q, p)
+    v = np.array([_oracle_hom_dim(M, X) for X in reps_], dtype=np.int64)
+    out = []
+    for root, mult in zip(roots, (inv @ v).tolist()):
+        if mult == 0:
+            continue
+        if mult < 0:
+            raise ComputationError(f"negative multiplicity {mult} for {root}")
+        out.append((("root", root), mult))
+    decomp = sort_classes(out)
+    if decomposition_dims(Q, decomp) != M.dims:
+        raise OutsideCatalog("dimension mass not matched by Dynkin catalog")
+    return decomp
+
+
+@settings(max_examples=100, deadline=None)
+@given(modules([A3, A3_SOURCE, D4, K], [2, 3, 5], max_dim=3, max_total=5))
+@example(rep.Rep(K, 2, (2, 2), [np.eye(2, dtype=np.int64), [[0, 1], [1, 1]]]))
+def test_rows_classifier_matches_hom_solve_oracle(M):
+    """From cold memos, the classifier of Python-int rows (read by the
+    census) and `decompose` both return the Hom-solve oracle's
+    decomposition, or raise its exception type."""
+    Q, p = M.quiver, M.p
+    oracle = decompose_dynkin_oracle if Q.is_dynkin() else decompose_kronecker_oracle
+    want = _result(oracle, M)
+    memo.clear()
+    blocks = [m.tolist() for m in M.mats]
+    assert _result(catalog._decompose_rows, Q, p, M.dims, blocks) == want
+    memo.clear()
+    assert _result(decompose, M) == want
+    # a rows-level miss is stored under `M.key`, where `decompose` reads it
+    if isinstance(want, tuple) and any(M.dims):
+        memo.clear()
+        catalog._decompose_rows(Q, p, M.dims, blocks)
+        assert memo.TABLES["catalog.decompose"] == {M.key: want}
+

@@ -32,6 +32,7 @@ TABLES = {
     "catalog._concrete_classes",
     "catalog._instantiate",
     "quiver._positive_roots",
+    "subspaces._echelon_table",
     "subspaces.image_rank_distribution",
     "subspaces._class_census",
     "subspaces.census_view",
@@ -52,6 +53,7 @@ def _fill_every_table():
     catalog.aut_count_of_classes(A2, classes, p)
     subspaces.hall_census(M, (1, 0))
     subspaces.image_rank_distribution(M, 1)
+    list(subspaces.subspace_bases(2, 1, p))
     strata.ext_middle_census(S1, S2)
     cluster.chi_grassmannian(catalog.parse_symbol("S1", A2), (1, 0))
     symspace.random_symbol(A2, np.random.default_rng(0), (1, 1))
@@ -72,7 +74,7 @@ def test_clear_empties_every_table(monkeypatch):
     # the work is done again after a clear
     calls = []
     real = catalog._decompose_dynkin
-    monkeypatch.setattr(catalog, "_decompose_dynkin", lambda M: calls.append(1) or real(M))
+    monkeypatch.setattr(catalog, "_decompose_dynkin", lambda *args: calls.append(1) or real(*args))
     _fill_every_table()
     assert calls
 

@@ -24,6 +24,7 @@ A3 = linear_quiver(3)
 A3_SINK = Quiver(3, [(0, 1), (2, 1)])
 A3_SOURCE = Quiver(3, [(1, 0), (1, 2)])
 D4 = Quiver(4, [(0, 1), (2, 1), (1, 3)])
+D4_SINK = Quiver(4, [(0, 3), (1, 3), (2, 3)])
 K = kronecker_quiver()
 
 
@@ -386,3 +387,57 @@ def test_grassmannian_count_matches_brute_a3_d4(M, data):
     last vertex, against the rank-checked enumeration of all vertices."""
     e = tuple(data.draw(st.integers(0, d)) for d in M.dims)
     assert subspaces.grassmannian_count(M, e) == grassmannian_count_brute(M, e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(modules([D4_SINK, K], [2, 3], max_dim=2, max_total=4))
+def test_hall_census_matches_oracle_where_checks_intersect(M):
+    """On the D_4 orientation whose sink has arrows from three sources the
+    walk intersects three admissible lists at one vertex, and on Kronecker
+    it checks two parallel arrows at once; every census still equals the
+    per-subrep oracle from cold caches."""
+    for e in itertools.product(*[range(d + 1) for d in M.dims]):
+        memo.clear()
+        got = _result(subspaces.hall_census, M, e)
+        memo.clear()
+        assert got == _result(hall_census_oracle, M, e)
+
+
+def test_echelon_table_is_shared_up_to_the_size_constant():
+    """Spaces with at most ECHELON_TABLE_MAX subspaces read one shared table;
+    a larger space is built for the call and never stored."""
+    memo.clear()
+    table = memo.TABLES["subspaces._echelon_table"]
+    assert subspaces.subspace_count(4, 2, 5) <= subspaces.ECHELON_TABLE_MAX
+    assert subspaces.subspace_count(4, 2, 7) > subspaces.ECHELON_TABLE_MAX
+    first = list(subspaces.subspace_bases(4, 2, 5))
+    assert list(table) == [(4, 2, 5)]
+    assert all(a is b for a, b in zip(first, subspaces.subspace_bases(4, 2, 5)))
+    assert sum(1 for _ in subspaces.subspace_bases(4, 2, 7)) == subspaces.subspace_count(4, 2, 7)
+    assert list(table) == [(4, 2, 5)]
+    with pytest.raises(ValueError):
+        first[0][0, 0] = 1
+
+
+def test_dynkin_census_miss_builds_no_rep(monkeypatch):
+    """A census of a Dynkin module classifies every sub and quotient it has
+    not seen from Python-int rows: no `Rep` is constructed."""
+    p = 3
+    M = rep.direct_sum(
+        catalog.module_from_class(D4, ("root", (1, 1, 1, 1)), p),
+        catalog.module_from_class(D4, ("root", (0, 1, 0, 1)), p),
+    )
+    memo.clear()
+    classes = catalog.decompose(M)
+    seen = len(memo.TABLES["catalog.decompose"])
+    built = []
+    real = rep.Rep.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(rep.Rep, "__init__", counting)
+    census = subspaces.hall_census(M, (0, 1, 1, 1), key_classes=classes)
+    assert census and len(memo.TABLES["catalog.decompose"]) > seen
+    assert built == []
