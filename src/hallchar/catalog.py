@@ -674,9 +674,6 @@ class ModuleSymbol:
     def tags(self):
         return list(_symbol_tags(self))
 
-    def indec_count(self):
-        return sum(m for _, m in self.atoms)
-
     def fingerprint(self):
         return _symbol_fingerprint(self)
 

@@ -14,9 +14,15 @@ L_i = Y_i + X_i and block matrices
     L_a = [[ Y_a, d_a ],
            [  0 , X_a ]],
 
-which contains Y as a subrepresentation with quotient X.  Enumerating one
-cocycle per class (a basis of a complement of B^1) and decomposing the
-middles yields the extension census
+which contains Y as a subrepresentation with quotient X.  B^1 is the
+column span of the Hom constraint matrix of (X, Y) (`rep.hom_constraint_rows`,
+one row per cocycle coordinate), so the unit vectors at the non-pivot
+columns of its row-reduced transpose, the free coordinates, span a
+complement of B^1: one cocycle per class is a choice of values at the free
+coordinates and 0 elsewhere.  Each middle is built as Python-int rows and
+classified by `catalog._decompose_rows`, under the `decompose` memo key
+its `Rep` would have, so no `Rep` is built per cocycle.  Counting the
+middles by class yields the extension census
 
     ext_middle_census(X, Y)[middle_classes] = #{e in Ext^1(X,Y) : mid(e) iso}
 
@@ -42,73 +48,44 @@ a cross-check oracle.
 
 import itertools
 
-import numpy as np
-
 from . import catalog, linalg, memo, rep, subspaces
 from .errors import BudgetExceeded, VerificationMismatch
-from .rep import Rep
 
 DEFAULT_EXT_BUDGET = 1_000_000
 
 
-def _cocycle_layout(X, Y):
-    """Offsets of vec(d_a) inside the flat cocycle coordinate vector."""
-    offsets = []
-    pos = 0
-    for (s, t) in X.quiver.arrows:
-        offsets.append(pos)
-        pos += Y.dims[t] * X.dims[s]
-    return offsets, pos
+def _free_coordinates(X, Y, x_rows, y_rows):
+    """The free flat cocycle coordinates (vec(d_a), row-major, arrow by
+    arrow), increasing: those whose unit vectors span a complement of B^1.
 
-
-def coboundary_matrix(X, Y):
-    """Matrix of f |-> (Y_a f_s - f_t X_a)_a in flat coordinates.
-
-    Columns are indexed by the stacked vec(f_i), rows by the stacked
-    vec(d_a); row-major vec throughout, as in the Hom solver.  The map is
-    the negative of the Hom constraint f |-> (f_t X_a - Y_a f_s)_a, whose
-    matrix has this row and column layout.
+    `rep.hom_constraint_rows(X, Y)` has one row per cocycle coordinate in
+    this layout, and its columns span B^1 (the coboundary map is its
+    negative), so the free coordinates are the non-pivot columns of its
+    row-reduced transpose.  x_rows and y_rows are the arrow matrices of X
+    and Y as Python-int rows.
     """
-    return (-rep.hom_constraint_matrix(X, Y)) % X.p
+    _, rows = rep.hom_constraint_rows(X.quiver, X.p, X.dims, x_rows, Y.dims, y_rows)
+    pivots = set(linalg._rref_rows([list(col) for col in zip(*rows)], len(rows), X.p))
+    return [j for j in range(len(rows)) if j not in pivots]
 
 
-def ext_complement_basis(X, Y):
-    """Flat cocycle vectors representing a basis of Ext^1(X, Y)."""
-    p = X.p
-    _, c_total = _cocycle_layout(X, Y)
-    if c_total == 0:
-        return np.zeros((c_total, 0), dtype=np.int64)
-    cb = coboundary_matrix(X, Y)
-    if cb.shape[1] == 0:
-        span_pivots = set()
-    else:
-        B = np.ascontiguousarray(cb.T % p)
-        r, pivots = linalg.rref_mod(B, p)
-        span_pivots = {int(pivots[i]) for i in range(r)}
-    free = [j for j in range(c_total) if j not in span_pivots]
-    out = np.zeros((c_total, len(free)), dtype=np.int64)
-    for k, j in enumerate(free):
-        out[j, k] = 1
-    return out
-
-
-def middle_from_cocycle(X, Y, flat):
-    """The middle term of the extension of X by Y with the given cocycle."""
-    Q, p = X.quiver, X.p
-    offsets, _ = _cocycle_layout(X, Y)
-    dims = [Y.dims[i] + X.dims[i] for i in range(Q.n)]
-    mats = []
-    for a, (s, t) in enumerate(Q.arrows):
-        m = np.zeros((dims[t], dims[s]), dtype=np.int64)
-        yt, xs = Y.dims[t], X.dims[s]
-        m[:yt, : Y.dims[s]] = Y.mats[a]
-        m[yt:, Y.dims[s] :] = X.mats[a]
-        if yt and xs:
-            m[:yt, Y.dims[s] :] = flat[offsets[a] : offsets[a] + yt * xs].reshape(
-                yt, xs
-            )
-        mats.append(m)
-    return Rep(Q, p, dims, mats)
+def _middles(X, Y, x_rows, y_rows, free):
+    """Yield the arrow matrices, as Python-int rows, of the middle term of
+    each cocycle that is 0 off the free coordinates, its values there
+    running over F_p in `itertools.product` order."""
+    arrows, pos = [], 0
+    for (s, _), Xa, Ya in zip(X.quiver.arrows, x_rows, y_rows):
+        # rows of Y_a, where d_a starts in the flat cocycle, its width, [0 X_a]
+        arrows.append((Ya, pos, X.dims[s], [[0] * Y.dims[s] + row for row in Xa]))
+        pos += len(Ya) * X.dims[s]
+    flat = [0] * pos
+    for coeffs in itertools.product(range(X.p), repeat=len(free)):
+        for j, v in zip(free, coeffs):
+            flat[j] = v
+        yield [
+            [row + flat[at + x * w : at + x * w + w] for x, row in enumerate(Ya)] + bottom
+            for Ya, at, w, bottom in arrows
+        ]
 
 
 def ext_middle_census(X, Y, budget=DEFAULT_EXT_BUDGET):
@@ -119,8 +96,8 @@ def ext_middle_census(X, Y, budget=DEFAULT_EXT_BUDGET):
     key leaves out the budget, and budget and cross-check behave as
     without the memo: a hit raises `BudgetExceeded` when p^{dim Ext^1}
     exceeds `budget`, exactly as a fresh call would, and every miss checks
-    the cocycle complement against dim Ext^1 from the Euler form.  Callers
-    must not mutate the returned dict.
+    the number of free cocycle coordinates against dim Ext^1 from the
+    Euler form.  Callers must not mutate the returned dict.
     """
     e_dim, census = _ext_census(X, Y, budget)
     _check_ext_budget(X.p, e_dim, budget)
@@ -130,22 +107,22 @@ def ext_middle_census(X, Y, budget=DEFAULT_EXT_BUDGET):
 @memo.memoized(lambda X, Y, budget: (X.key, Y.key))
 def _ext_census(X, Y, budget):
     """(dim Ext^1(X, Y), extension census), memoized without the budget."""
-    p = X.p
-    basis = ext_complement_basis(X, Y)
-    e_dim = basis.shape[1]
+    Q, p = X.quiver, X.p
+    x_rows = [m.tolist() for m in X.mats]
+    y_rows = [m.tolist() for m in Y.mats]
+    free = _free_coordinates(X, Y, x_rows, y_rows)
+    e_dim = len(free)
     expected = rep.ext1_dim(X, Y)
     if e_dim != expected:
         raise VerificationMismatch(
             f"cocycle complement dimension {e_dim} != dim Ext^1 = {expected}"
         )
     _check_ext_budget(p, e_dim, budget)
+    # a tuple, so the decompose memo key is the middle's `Rep.key`
+    dims = tuple(y + x for y, x in zip(Y.dims, X.dims))
     census = {}
-    for coeffs in itertools.product(range(p), repeat=e_dim):
-        flat = (basis @ np.array(coeffs, dtype=np.int64)) % p if e_dim else np.zeros(
-            basis.shape[0], dtype=np.int64
-        )
-        mid = middle_from_cocycle(X, Y, flat)
-        key_mid = catalog.decompose(mid)
+    for blocks in _middles(X, Y, x_rows, y_rows, free):
+        key_mid = catalog._decompose_rows(Q, p, dims, blocks)
         census[key_mid] = census.get(key_mid, 0) + 1
     return e_dim, census
 

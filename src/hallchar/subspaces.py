@@ -5,10 +5,12 @@ column echelon normal form: the canonical basis matrix U is determined by
 its pivot rows P (where U[P] is the identity) and the free entries below
 each pivot in the other rows NP, so each subspace appears exactly once and
 the total matches the Gaussian binomial [n choose k]_p.  The candidates of
-one (n, k, p), with their basis arrays and Python-int rows, are built once
-and shared by every enumeration (`_echelon_table`, memoized) when there
-are at most ECHELON_TABLE_MAX of them; a larger space is built afresh for
-each enumeration, so a frontier case never pins its candidates.
+one (n, k, p), each U as Python-int rows with its pivot and other rows,
+are built once and shared by every enumeration (`_echelon_table`,
+memoized) when there are at most ECHELON_TABLE_MAX of them; a larger
+space is built afresh for each enumeration, so a frontier case never pins
+its candidates.  The tables hold no numpy arrays: `subspace_bases` builds
+an int64 basis array from each candidate's rows for its callers.
 
 A subrepresentation of M with dimension vector e is a choice of subspace
 U_i of dimension e_i at every vertex with M_a U_s inside U_t for all
@@ -58,24 +60,23 @@ from .qpoly import gaussian_binomial
 DEFAULT_SUBSPACE_BUDGET = 2_000_000
 
 # The largest [n choose k]_p whose candidate table is kept.  A table holds
-# about 0.8 kB per subspace at n = 4 (basis array, rows and index tuples;
-# 628 kB for the 806 of [4 choose 2]_5 under tracemalloc), so one table
-# stays under 1 MB.  Every space the test suite and the
+# about 0.45 kB per subspace at n = 4 (rows and index tuples; 364 kB for
+# the 806 of [4 choose 2]_5 under tracemalloc), so one table stays under
+# 1 MB.  Every space the test suite and the
 # benchmark's workloads enumerate fits (the largest is [4 choose 2]_5 =
 # 806); a larger space is built for each call and dropped after it, so a
 # frontier enumeration pins no memory beyond its own run.
 ECHELON_TABLE_MAX = 1024
 
-# One enumerated subspace U of F_p^n: `basis` is U as an n x k int64 matrix,
-# `rows` the same entries as n lists of k Python ints, `pivots` the rows P
-# with U[P] = I and `others` the remaining rows NP, both increasing.
-_Echelon = namedtuple("_Echelon", "basis pivots others rows")
+# One enumerated subspace U of F_p^n: `rows` lists its reduced column echelon
+# basis as n lists of k Python ints, `pivots` the rows P with U[P] = I and
+# `others` the remaining rows NP, both increasing.
+_Echelon = namedtuple("_Echelon", "pivots others rows")
 
 
-def _echelon_subspaces(n, k, p):
-    """Yield (pivots, others, rows) per k-subspace of F_p^n, in the order of
-    `subspace_bases`: `rows` lists the n rows of the reduced column echelon
-    basis as Python ints."""
+def _echelons(n, k, p):
+    """Yield the `_Echelon` k-subspaces of F_p^n, in the order of
+    `subspace_bases`."""
     if k < 0 or k > n:
         return
     for pivots in itertools.combinations(range(n), k):
@@ -89,15 +90,7 @@ def _echelon_subspaces(n, k, p):
             rows = [row[:] for row in template]
             for (r, c), v in zip(free, values):
                 rows[r][c] = v
-            yield pivots, others, rows
-
-
-def _echelons(n, k, p):
-    """Yield the `_Echelon` k-subspaces of F_p^n, in enumeration order."""
-    for pivots, others, rows in _echelon_subspaces(n, k, p):
-        basis = np.array(rows, dtype=np.int64).reshape(n, k)
-        basis.setflags(write=False)
-        yield _Echelon(basis, pivots, others, rows)
+            yield _Echelon(pivots, others, rows)
 
 
 @memo.memoized(lambda n, k, p: (n, k, p))
@@ -124,12 +117,11 @@ def subspace_bases(n, k, p):
     The basis is the transpose of a reduced row echelon form: choose pivot
     rows r_1 < ... < r_k, put the identity there, zeros above each pivot,
     and free values at the positions below a pivot that are not themselves
-    pivot rows.  Columns are the basis vectors.  The arrays are read-only:
-    they come from the shared candidate table where there is one
-    (`_candidates`).
+    pivot rows.  Columns are the basis vectors.  Each array is built from
+    the candidate's rows (`_candidates`) for this call.
     """
     for U in _candidates(n, k, p, subspace_count(n, k, p)):
-        yield U.basis
+        yield np.array(U.rows, dtype=np.int64).reshape(n, k)
 
 
 def subspace_count(n, k, p):
@@ -247,12 +239,13 @@ def subrep_bases(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
     """Yield (bases, sub, quot) for every subrepresentation U of M with
     dimension vector e.
 
-    bases[i] is the reduced column echelon basis of U_i (a dims[i] x e_i
-    int64 matrix).  sub[a] and quot[a] are the matrices of arrow a on U
-    and on M/U, as read-only lists of Python-int rows, in the bases that
-    `rep.sub_quotient_pair(M, bases)` uses: the columns of bases[i] for
-    U_i and the standard vectors at its non-pivot rows for M_i/U_i.  So
-    they equal that function's matrices entry for entry.
+    bases[i] is the reduced column echelon basis of U_i, as dims[i] rows of
+    e_i Python ints.  sub[a] and quot[a] are the matrices of arrow a on U
+    and on M/U, as Python-int rows, in the bases that
+    `rep.sub_quotient_pair` uses given these bases as int64 arrays: the
+    columns of bases[i] for U_i and the standard vectors at its non-pivot
+    rows for M_i/U_i.  So they equal that function's matrices entry for
+    entry.  All of these lists are read-only.
     """
     Q, p = M.quiver, M.p
     n = Q.n
@@ -270,7 +263,7 @@ def subrep_bases(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
             img = images[a][chosen[s]]
             sub.append([img[r] for r in U[t].pivots])
             quot.append(_quotient_block(mats[a], U[s], U[t], p))
-        yield tuple(u.basis for u in U), sub, quot
+        yield tuple(u.rows for u in U), sub, quot
 
 
 @memo.memoized(lambda M, k: (M.key, int(k)))

@@ -12,18 +12,23 @@ Hand-derived values (1 -> 2 and Kronecker):
     p-1 isomorphisms.
 """
 
+import ast
+import inspect
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hallchar import catalog, memo, rep, strata
+from hallchar import catalog, linalg, memo, rep, strata
 from hallchar.catalog import INF, module_from_class
-from hallchar.errors import BudgetExceeded
+from hallchar.errors import BudgetExceeded, OutsideCatalog
 from hallchar.quiver import Quiver, kronecker_quiver, linear_quiver
+from hallchar.rep import Rep
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
+D4 = Quiver(4, [(0, 1), (2, 1), (1, 3)])
 K = kronecker_quiver()
 
 
@@ -54,6 +59,111 @@ def hom_census_brute(L1, L2, cap=200000):
         key = (catalog.decompose(cok), catalog.decompose(ker))
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def _cocycle_layout(X, Y):
+    """Offsets of vec(d_a) inside the flat cocycle coordinate vector."""
+    offsets = []
+    pos = 0
+    for (s, t) in X.quiver.arrows:
+        offsets.append(pos)
+        pos += Y.dims[t] * X.dims[s]
+    return offsets, pos
+
+
+def kron_coboundary_matrix(X, Y):
+    """Reference: f |-> (Y_a f_s - f_t X_a)_a assembled from np.kron blocks."""
+    p = X.p
+    c_off, c_total = _cocycle_layout(X, Y)
+    f_off, f_total = rep._hom_offsets(X, Y)
+    out = np.zeros((c_total, f_total), dtype=np.int64)
+    for a, (s, t) in enumerate(X.quiver.arrows):
+        rows = slice(c_off[a], c_off[a] + Y.dims[t] * X.dims[s])
+        # vec(Y_a f_s) = (Y_a (x) I) vec(f_s)
+        bs = np.kron(Y.mats[a], np.eye(X.dims[s], dtype=np.int64))
+        out[rows, f_off[s] : f_off[s] + Y.dims[s] * X.dims[s]] += bs
+        # vec(f_t X_a) = (I (x) X_a^T) vec(f_t)
+        bt = np.kron(np.eye(Y.dims[t], dtype=np.int64), X.mats[a].T)
+        out[rows, f_off[t] : f_off[t] + Y.dims[t] * X.dims[t]] -= bt
+    return out % p
+
+
+def ext_complement_basis(X, Y):
+    """Flat cocycle vectors representing a basis of Ext^1(X, Y)."""
+    p = X.p
+    _, c_total = _cocycle_layout(X, Y)
+    if c_total == 0:
+        return np.zeros((c_total, 0), dtype=np.int64)
+    cb = kron_coboundary_matrix(X, Y)
+    if cb.shape[1] == 0:
+        span_pivots = set()
+    else:
+        B = np.ascontiguousarray(cb.T % p)
+        r, pivots = linalg.rref_mod(B, p)
+        span_pivots = {int(pivots[i]) for i in range(r)}
+    free = [j for j in range(c_total) if j not in span_pivots]
+    out = np.zeros((c_total, len(free)), dtype=np.int64)
+    for k, j in enumerate(free):
+        out[j, k] = 1
+    return out
+
+
+def middle_from_cocycle(X, Y, flat):
+    """The middle term of the extension of X by Y with the given cocycle."""
+    Q, p = X.quiver, X.p
+    offsets, _ = _cocycle_layout(X, Y)
+    dims = [Y.dims[i] + X.dims[i] for i in range(Q.n)]
+    mats = []
+    for a, (s, t) in enumerate(Q.arrows):
+        m = np.zeros((dims[t], dims[s]), dtype=np.int64)
+        yt, xs = Y.dims[t], X.dims[s]
+        m[:yt, : Y.dims[s]] = Y.mats[a]
+        m[yt:, Y.dims[s] :] = X.mats[a]
+        if yt and xs:
+            m[:yt, Y.dims[s] :] = flat[offsets[a] : offsets[a] + yt * xs].reshape(
+                yt, xs
+            )
+        mats.append(m)
+    return Rep(Q, p, dims, mats)
+
+
+def oracle_middles(X, Y):
+    """Oracle: one `Rep` middle per class, one matmul per cocycle on the
+    numpy complement basis, in `itertools.product` order."""
+    basis = ext_complement_basis(X, Y)
+    for coeffs in itertools.product(range(X.p), repeat=basis.shape[1]):
+        yield middle_from_cocycle(X, Y, (basis @ np.array(coeffs, dtype=np.int64)) % X.p)
+
+
+def ext_census_oracle(X, Y, budget=strata.DEFAULT_EXT_BUDGET):
+    """Oracle: the extension census with every middle built as a `Rep`
+    and classified by `decompose`."""
+    if X.p ** ext_complement_basis(X, Y).shape[1] > budget:
+        raise BudgetExceeded("extension classes exceed budget")
+    census = {}
+    for mid in oracle_middles(X, Y):
+        key = catalog.decompose(mid)
+        census[key] = census.get(key, 0) + 1
+    return census
+
+
+def free_coordinates(X, Y):
+    return strata._free_coordinates(X, Y, [m.tolist() for m in X.mats], [m.tolist() for m in Y.mats])
+
+
+def row_middles(X, Y):
+    """The middles `ext_middle_census` classifies, as arrow-matrix rows."""
+    x_rows, y_rows = [m.tolist() for m in X.mats], [m.tolist() for m in Y.mats]
+    free = strata._free_coordinates(X, Y, x_rows, y_rows)
+    return list(strata._middles(X, Y, x_rows, y_rows, free))
+
+
+def _result(fn, *args):
+    """fn(*args), or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared across paths, never swallowed
+        return type(exc)
 
 
 def test_ext_middle_census_a2():
@@ -98,27 +208,37 @@ def test_ext_middle_census_kronecker_tubes():
 
 
 def test_middle_from_cocycle_kronecker():
+    """The rows middles are the numpy oracle's matrices, cocycle by cocycle
+    in the same order, so they share its `decompose` memo keys."""
     p = 5
     X, Y = simple(K, p, 0), simple(K, p, 1)
-    basis = strata.ext_complement_basis(X, Y)
+    basis = ext_complement_basis(X, Y)
     assert basis.shape == (2, 2)
     lam = 3
     flat = np.array([1, lam], dtype=np.int64)  # A = 1, B = lam
-    mid = strata.middle_from_cocycle(X, Y, flat)
+    mid = middle_from_cocycle(X, Y, flat)
     assert catalog.decompose(mid) == ((("Rc", lam, 1), 1),)
+    blocks = row_middles(X, Y)
+    assert len(blocks) == p**2
+    assert blocks == [[m.tolist() for m in M.mats] for M in oracle_middles(X, Y)]
+    assert catalog._decompose_rows(K, p, mid.dims, blocks[1 * p + lam]) == catalog.decompose(mid)
     # the middle always contains Y as a subrep with quotient X
     self_ext = module_from_class(K, ("Rc", 0, 1), p)
-    basis2 = strata.ext_complement_basis(self_ext, self_ext)
+    basis2 = ext_complement_basis(self_ext, self_ext)
     assert basis2.shape[1] == 1  # dim Ext^1(R, R) = 1
-    mid2 = strata.middle_from_cocycle(self_ext, self_ext, basis2[:, 0])
+    mid2 = middle_from_cocycle(self_ext, self_ext, basis2[:, 0])
     assert catalog.decompose(mid2) == ((("Rc", 0, 2), 1),)
+    blocks2 = row_middles(self_ext, self_ext)
+    assert blocks2 == [[m.tolist() for m in M.mats] for M in oracle_middles(self_ext, self_ext)]
+    assert catalog._decompose_rows(K, p, mid2.dims, blocks2[1]) == ((("Rc", 0, 2), 1),)
 
 
 def test_ext_complement_with_nontrivial_coboundaries():
     p = 3
     P1 = module_from_class(A2, ("root", (1, 1)), p)
     # C^1 is one-dimensional but entirely coboundaries: Ext^1(P(1), P(1)) = 0
-    assert strata.ext_complement_basis(P1, P1).shape == (1, 0)
+    assert free_coordinates(P1, P1) == []
+    assert ext_complement_basis(P1, P1).shape == (1, 0)
     assert strata.ext_middle_census(P1, P1) == {
         ((("root", (1, 1)), 2),): 1
     }
@@ -240,30 +360,17 @@ def test_hom_census_a3():
     assert strata.hom_census(P2, I2) == hom_census_brute(P2, I2)
 
 
-def kron_coboundary_matrix(X, Y):
-    """Reference: f |-> (Y_a f_s - f_t X_a)_a assembled from np.kron blocks."""
-    p = X.p
-    c_off, c_total = strata._cocycle_layout(X, Y)
-    f_off, f_total = rep._hom_offsets(X, Y)
-    out = np.zeros((c_total, f_total), dtype=np.int64)
-    for a, (s, t) in enumerate(X.quiver.arrows):
-        rows = slice(c_off[a], c_off[a] + Y.dims[t] * X.dims[s])
-        # vec(Y_a f_s) = (Y_a (x) I) vec(f_s)
-        bs = np.kron(Y.mats[a], np.eye(X.dims[s], dtype=np.int64))
-        out[rows, f_off[s] : f_off[s] + Y.dims[s] * X.dims[s]] += bs
-        # vec(f_t X_a) = (I (x) X_a^T) vec(f_t)
-        bt = np.kron(np.eye(Y.dims[t], dtype=np.int64), X.mats[a].T)
-        out[rows, f_off[t] : f_off[t] + Y.dims[t] * X.dims[t]] -= bt
-    return out % p
-
-
 @pytest.mark.parametrize(
     "quiver",
-    [A3, K, Quiver(4, [(0, 1), (2, 1), (1, 3)])],
+    [A3, K, D4],
     ids=["a3", "kronecker", "d4"],
 )
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_coboundary_matrix_matches_kronecker_form(quiver, p):
+    """The free cocycle coordinates, read off `rep.hom_constraint_rows`, are
+    the non-pivot columns of the row-reduced transpose of the np.kron
+    coboundary matrix: their unit vectors are the oracle's complement
+    basis, and there are dim Ext^1 of them."""
     rng = np.random.default_rng(10 + p)
     zero_seen = False
     for _ in range(40):
@@ -272,9 +379,98 @@ def test_coboundary_matrix_matches_kronecker_form(quiver, p):
         zero_seen |= 0 in d + e
         X = rep.random_rep(quiver, d, p, rng)
         Y = rep.random_rep(quiver, e, p, rng)
-        got = strata.coboundary_matrix(X, Y)
-        ref = kron_coboundary_matrix(X, Y)
-        assert got.dtype == ref.dtype
-        assert got.shape == ref.shape
-        assert np.array_equal(got, ref)
+        free = free_coordinates(X, Y)
+        units = np.zeros((kron_coboundary_matrix(X, Y).shape[0], len(free)), dtype=np.int64)
+        units[free, range(len(free))] = 1
+        assert np.array_equal(ext_complement_basis(X, Y), units)
+        assert len(free) == rep.ext1_dim(X, Y)
     assert zero_seen
+
+
+@st.composite
+def module_pairs(draw):
+    """(X, Y) over A_3, D_4 or Kronecker at p in {2, 3, 5}, random matrices
+    of total dimension at most 3 each."""
+    Q = draw(st.sampled_from([A3, D4, K]))
+    p = draw(st.sampled_from([2, 3, 5]))
+
+    def module():
+        dims = draw(
+            st.lists(st.integers(0, 2), min_size=Q.n, max_size=Q.n).filter(lambda d: sum(d) <= 3)
+        )
+        mats = []
+        for s, t in Q.arrows:
+            size = dims[t] * dims[s]
+            entries = draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+            mats.append(np.array(entries, dtype=np.int64).reshape(dims[t], dims[s]))
+        return rep.Rep(Q, p, dims, mats)
+
+    return module(), module()
+
+
+@settings(max_examples=80, deadline=None)
+@given(module_pairs())
+def test_ext_census_matches_numpy_oracle(pair):
+    """From cold memos, the rows census equals the census of `Rep` middles
+    built on the numpy complement basis, dict and key order alike,
+    exceptions included."""
+    X, Y = pair
+    budget = 625
+    memo.clear()
+    got = _result(strata.ext_middle_census, X, Y, budget)
+    memo.clear()
+    want = _result(ext_census_oracle, X, Y, budget)
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got.items()) == list(want.items())
+    else:
+        assert got == want
+
+
+def test_ext_middle_outside_catalog_raises_and_stores_nothing():
+    """Over F_2 one middle of Ext^1(I_1, P_0) is the Kronecker module at the
+    degree-2 point x^2 + x + 1: the census raises on every call and stores
+    nothing in its memo."""
+    p = 2
+    X, Y = module_from_class(K, ("I", 1), p), module_from_class(K, ("P", 0), p)
+    memo.clear()
+    for _ in range(2):
+        with pytest.raises(OutsideCatalog):
+            strata.ext_middle_census(X, Y)
+    assert not memo.TABLES["strata._ext_census"]
+
+
+def test_ext_census_miss_builds_no_rep(monkeypatch):
+    """An Ext census miss classifies every middle from Python-int rows: no
+    `Rep` is constructed."""
+    p = 3
+    cases = [
+        (simple(K, p, 0), simple(K, p, 1)),
+        (module_from_class(K, ("Rc", 0, 1), p), module_from_class(K, ("P", 1), p)),
+        (catalog.parse_symbol("I2", A3).instantiate(p), catalog.parse_symbol("P2", A3).instantiate(p)),
+        (simple(D4, p, 1), rep.direct_sum(simple(D4, p, 0), simple(D4, p, 3))),
+    ]
+    memo.clear()
+    for X, Y in cases:
+        catalog.decompose(X)  # the per-(quiver, p) classifier data
+    built = []
+    real = Rep.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Rep, "__init__", counting)
+    for X, Y in cases:
+        assert sum(strata.ext_middle_census(X, Y).values()) > 1
+    assert built == []
+
+
+def test_strata_imports_neither_numpy_nor_rep():
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(strata))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module} | {alias.name for alias in node.names}
+    assert "numpy" not in imported and "Rep" not in imported
+    assert not hasattr(strata, "np") and not hasattr(strata, "Rep")

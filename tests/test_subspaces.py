@@ -43,12 +43,18 @@ def grassmannian_count_brute(M, e):
     )
 
 
+def basis_arrays(bases, e):
+    """The row bases of `subrep_bases` as the int64 arrays that
+    `rep.sub_quotient_pair` takes."""
+    return [np.array(rows, dtype=np.int64).reshape(len(rows), k) for rows, k in zip(bases, e)]
+
+
 def hall_census_oracle(M, e):
     """The census built one subrepresentation at a time: construct U and
     M/U with `rep.sub_quotient_pair` and decompose both."""
     out = {}
     for bases, _, _ in subspaces.subrep_bases(M, e):
-        sub, quot = rep.sub_quotient_pair(M, bases)
+        sub, quot = rep.sub_quotient_pair(M, basis_arrays(bases, e))
         key = (catalog.decompose(quot), catalog.decompose(sub))
         out[key] = out.get(key, 0) + 1
     return out
@@ -278,7 +284,7 @@ def test_echelon_blocks_equal_sub_quotient_pair(M):
     Q, p = M.quiver, M.p
     for e in itertools.product(*[range(d + 1) for d in M.dims]):
         for bases, sub, quot in subspaces.subrep_bases(M, e):
-            U, MU = rep.sub_quotient_pair(M, bases)
+            U, MU = rep.sub_quotient_pair(M, basis_arrays(bases, e))
             for a in range(len(Q.arrows)):
                 for blocks, mat in ((sub, U.mats[a]), (quot, MU.mats[a])):
                     assert len(blocks[a]) == mat.shape[0]
@@ -298,7 +304,7 @@ def test_census_classes_read_the_decompose_memo(monkeypatch):
     seen = []
     memo.clear()
     for bases, sub, quot in subspaces.subrep_bases(M, (0, 1, 1)):
-        U, MU = rep.sub_quotient_pair(M, bases)
+        U, MU = rep.sub_quotient_pair(M, basis_arrays(bases, (0, 1, 1)))
         seen.append((sub, quot, catalog.decompose(U), catalog.decompose(MU), MU.dims))
 
     def no_decompose(*args, **kwargs):
@@ -316,8 +322,8 @@ def test_echelon_containment_rejects_non_subrep():
     subrepresentation: its image is not in the zero subspace at vertex 2."""
     p = 3
     P1 = catalog.module_from_class(A2, ("root", (1, 1)), p)
-    (U1,) = [subspaces._Echelon(None, *c) for c in subspaces._echelon_subspaces(1, 1, p)]
-    (zero,) = [subspaces._Echelon(None, *c) for c in subspaces._echelon_subspaces(1, 0, p)]
+    (U1,) = subspaces._echelons(1, 1, p)
+    (zero,) = subspaces._echelons(1, 0, p)
     img = subspaces._image(P1.mats[0].tolist(), U1.rows, p)
     assert not subspaces._contains(img, zero, p)
     assert subspaces._contains(img, U1, p)
@@ -334,14 +340,13 @@ def test_echelon_containment_matches_rank_check(data):
     ks, kt = data.draw(st.integers(0, ds)), data.draw(st.integers(0, dt))
     entries = data.draw(st.lists(st.integers(0, p - 1), min_size=dt * ds, max_size=dt * ds))
     A = np.array(entries, dtype=np.int64).reshape(dt, ds)
-    sources = list(subspaces._echelon_subspaces(ds, ks, p))
-    targets = list(subspaces._echelon_subspaces(dt, kt, p))
-    for _, _, rows_s in sources:
-        img = subspaces._image(A.tolist(), rows_s, p)
-        basis_s = np.array(rows_s, dtype=np.int64).reshape(ds, ks)
-        for pivots, others, rows_t in targets:
-            U_t = subspaces._Echelon(None, pivots, others, rows_t)
-            basis_t = np.array(rows_t, dtype=np.int64).reshape(dt, kt)
+    sources = list(subspaces._echelons(ds, ks, p))
+    targets = list(subspaces._echelons(dt, kt, p))
+    for U_s in sources:
+        img = subspaces._image(A.tolist(), U_s.rows, p)
+        (basis_s,) = basis_arrays([U_s.rows], [ks])
+        for U_t in targets:
+            (basis_t,) = basis_arrays([U_t.rows], [kt])
             assert subspaces._contains(img, U_t, p) == linalg.column_space_contains(
                 basis_t, (A @ basis_s) % p, p
             )
@@ -410,13 +415,25 @@ def test_echelon_table_is_shared_up_to_the_size_constant():
     table = memo.TABLES["subspaces._echelon_table"]
     assert subspaces.subspace_count(4, 2, 5) <= subspaces.ECHELON_TABLE_MAX
     assert subspaces.subspace_count(4, 2, 7) > subspaces.ECHELON_TABLE_MAX
-    first = list(subspaces.subspace_bases(4, 2, 5))
+    bases = list(subspaces.subspace_bases(4, 2, 5))
     assert list(table) == [(4, 2, 5)]
-    assert all(a is b for a, b in zip(first, subspaces.subspace_bases(4, 2, 5)))
+    shared = table[(4, 2, 5)]
+    assert [U.rows for U in shared] == [b.tolist() for b in bases]
+    again = subspaces._candidates(4, 2, 5, len(shared))
+    assert len(again) == len(shared) and all(a is b for a, b in zip(shared, again))
     assert sum(1 for _ in subspaces.subspace_bases(4, 2, 7)) == subspaces.subspace_count(4, 2, 7)
     assert list(table) == [(4, 2, 5)]
-    with pytest.raises(ValueError):
-        first[0][0, 0] = 1
+
+
+def test_echelon_table_holds_no_arrays():
+    """A shared `_Echelon` entry keeps rows and index tuples only; the
+    arrays of `subspace_bases` are built from them per call."""
+    memo.clear()
+    for n, k, p in [(4, 2, 5), (3, 1, 2), (2, 0, 3), (2, 2, 3)]:
+        table = subspaces._echelon_table(n, k, p)
+        assert len(table) == subspaces.subspace_count(n, k, p)
+        for U in table:
+            assert not any(isinstance(field, np.ndarray) for field in U)
 
 
 def test_dynkin_census_miss_builds_no_rep(monkeypatch):
