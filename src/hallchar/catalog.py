@@ -3,12 +3,11 @@ a textual grammar for naming modules.
 
 Supported catalogs
 ------------------
-* Dynkin quivers: indecomposables correspond to positive roots.  For the
-  equioriented A_n quiver these are interval modules (built directly);
-  for other Dynkin orientations the unique indecomposable with a given
-  root as dimension vector is found by seeded random search (a generic
-  representation of a root dimension vector is the indecomposable one,
-  recognized by dim End = 1).
+* Dynkin quivers, in any orientation: indecomposables correspond to
+  positive roots, and each is tau^m I(i) for an injective I(i).  One
+  deterministic walk (`_coxeter_walk`) applies the Coxeter functor of
+  Bernstein-Gelfand-Ponomarev, tau = C^+, to each injective until it is
+  zero, giving every indecomposable over every F_p.
 
 * Kronecker quiver (two parallel arrows): the indecomposables are
     - preprojectives  P_n with dims (n, n+1),   A = [I; 0], B = [0; I]
@@ -71,7 +70,6 @@ tags when the materialized points stay pairwise distinct mod p.
 
 import itertools
 import re
-import zlib
 from array import array
 
 import numpy as np
@@ -104,63 +102,72 @@ def jordan_block(lam, m):
     return J
 
 
-def _is_linear_a_n(quiver):
-    return quiver.arrows == tuple((i, i + 1) for i in range(quiver.n - 1))
-
-
-def _stable_seed(*parts):
-    return zlib.crc32(repr(parts).encode()) & 0xFFFFFFFF
-
-
-def _paths_from(quiver, i):
+def _paths_from(n, arrows, i):
     """All paths starting at i, as tuples of arrow indices, grouped by end."""
-    by_end = [[] for _ in range(quiver.n)]
+    by_end = [[] for _ in range(n)]
     stack = [(i, ())]
     while stack:
         v, path = stack.pop()
         by_end[v].append(path)
-        for a, (s, t) in enumerate(quiver.arrows):
+        for a, (s, t) in enumerate(arrows):
             if s == v:
                 stack.append((t, path + (a,)))
-    for v in range(quiver.n):
+    for v in range(n):
         by_end[v].sort()
     return by_end
 
 
-def _projective_rep(quiver, i, p):
-    """P(i): basis at v = paths i -> v; arrows act by composition."""
-    paths = _paths_from(quiver, i)
-    index = [{path: k for k, path in enumerate(paths[v])} for v in range(quiver.n)]
-    dims = [len(paths[v]) for v in range(quiver.n)]
+def _projective_mats(n, arrows, i):
+    """(dims, arrow matrices) of P(i) over the quiver (n, arrows): basis at v
+    = paths i -> v; arrows act by composition."""
+    paths = _paths_from(n, arrows, i)
+    index = [{path: k for k, path in enumerate(paths[v])} for v in range(n)]
+    dims = [len(paths[v]) for v in range(n)]
     mats = []
-    for a, (s, t) in enumerate(quiver.arrows):
+    for a, (s, t) in enumerate(arrows):
         m = np.zeros((dims[t], dims[s]), dtype=np.int64)
         for col, path in enumerate(paths[s]):
             m[index[t][path + (a,)], col] = 1
         mats.append(m)
-    return Rep(quiver, p, dims, mats)
+    return dims, mats
 
 
-def _dynkin_indec(quiver, root, p):
-    if _is_linear_a_n(quiver):
-        # interval module: all coordinates 0/1 and the support contiguous
-        mats = []
-        for (s, t) in quiver.arrows:
-            if root[s] and root[t]:
-                mats.append(np.ones((1, 1), dtype=np.int64))
-            else:
-                mats.append(np.zeros((root[t], root[s]), dtype=np.int64))
-        return Rep(quiver, p, root, mats)
-    # generic search: a representation of a root dimension vector is the
-    # indecomposable iff its endomorphism ring is F_p
-    for attempt in range(96):
-        rng = np.random.default_rng(_stable_seed("indec", quiver.key, root, p, attempt))
-        M = rep.random_rep(quiver, root, p, rng)
-        if rep.hom_dim(M, M) == 1:
-            return M
-    raise ComputationError(
-        f"could not construct the indecomposable of dimension {root} over F_{p}"
-    )
+def _injective_mats(quiver, i):
+    """(dims, arrow matrices) of I(i): the projective over the reversed arrows, transposed."""
+    dims, mats = _projective_mats(quiver.n, [(t, s) for (s, t) in quiver.arrows], i)
+    return dims, [m.T for m in mats]
+
+
+@memo.memoized(lambda quiver, p: (quiver.key, p))
+def _coxeter_walk(quiver, p):
+    """{root: indecomposable} of a Dynkin quiver over F_p: each injective
+    walked down tau^m I(i) until it is zero, tau being the Coxeter functor
+    C^+ of Bernstein-Gelfand-Ponomarev.  In reverse topological order each
+    vertex k is a sink; reflecting there replaces M_k by the kernel of
+    (+)_{a: j -> k} M_a, whose coordinate blocks become the reversed arrows.
+    Each step checks dim tau M against `quiver.coxeter(dim M)`."""
+    if not quiver.is_dynkin():
+        raise UnsupportedQuiver("Dynkin indecomposables need a Dynkin quiver")
+    sinks = [
+        (k, [(a, s + t - k) for a, (s, t) in enumerate(quiver.arrows) if k in (s, t)])
+        for k in reversed(quiver.topological_order())
+    ]
+    table = {}
+    for i in range(quiver.n):
+        dims, mats = _injective_mats(quiver, i)
+        while any(dims):
+            root = tuple(dims)
+            table[root] = Rep(quiver, p, dims, mats)
+            for k, at_k in sinks:
+                blocks = [mats[a] for a, _ in at_k] or [np.zeros((dims[k], 0), dtype=np.int64)]
+                ker = linalg.nullspace_mod(np.hstack(blocks), p)
+                dims[k] = ker.shape[1]
+                for a, j in at_k:
+                    mats[a], ker = ker[: dims[j]], ker[dims[j] :]
+            cox = quiver.coxeter(root)
+            if tuple(dims) != (cox if min(cox) >= 0 else (0,) * quiver.n):
+                raise ComputationError(f"tau of {root} has dimension {tuple(dims)}, not {cox}")
+    return table
 
 
 @memo.memoized(lambda quiver, cls, p: (quiver.key, cls, p))
@@ -168,7 +175,9 @@ def module_from_class(quiver, cls, p):
     """The representation named by a concrete class label (memoized)."""
     kind = cls[0]
     if kind == "root":
-        M = _dynkin_indec(quiver, tuple(cls[1]), p)
+        M = _coxeter_walk(quiver, p).get(tuple(cls[1]))
+        if M is None:
+            raise ComputationError(f"{cls[1]} is not the dimension of an indecomposable")
     elif kind == "P":
         n = cls[1]
         A = np.vstack([np.eye(n, dtype=np.int64), np.zeros((1, n), dtype=np.int64)])
@@ -192,11 +201,9 @@ def module_from_class(quiver, cls, p):
     elif kind == "S":
         M = Rep.simple(quiver, p, cls[1])
     elif kind == "proj":
-        M = _projective_rep(quiver, cls[1], p)
+        M = Rep(quiver, p, *_projective_mats(quiver.n, quiver.arrows, cls[1]))
     elif kind == "inj":
-        # I(i) is the dual of the projective at i over the opposite quiver
-        opp = quiver.opposite()
-        M = rep.opposite_rep(_projective_rep(opp, cls[1], p), opp=quiver)
+        M = Rep(quiver, p, *_injective_mats(quiver, cls[1]))
     else:
         raise ValueError(f"unknown class label {cls!r}")
     return M

@@ -30,7 +30,6 @@ i.e. one `vertices <n>` line, then `arrow <id> <src> <dst>` lines with
 1-based vertex numbers.
 """
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -223,9 +222,9 @@ class Quiver:
         """All nonzero d >= 0 with q(d) = 1, for a Dynkin quiver.
 
         These are exactly the dimension vectors of the indecomposable
-        representations.  Coordinates of roots of the A/D/E diagrams are
-        bounded by 6, so a box search is exhaustive.  The search runs once
-        per quiver (memoized on `key`).
+        representations, each tau^m I(i) of an injective, so they are the
+        Coxeter orbits of the injective dimension vectors, kept while every
+        coordinate is >= 0.  Sorted by (total, d); memoized on `key`.
         """
         return list(_positive_roots(self))
 
@@ -250,12 +249,13 @@ class Quiver:
 def _positive_roots(quiver):
     if not quiver.is_dynkin():
         raise ValueError("positive roots are only enumerated for Dynkin quivers")
-    roots = []
-    for d in itertools.product(range(7), repeat=quiver.n):
-        if any(d) and quiver.tits_form(d) == 1:
-            roots.append(tuple(d))
-    roots.sort(key=lambda v: (sum(v), v))
-    return tuple(roots)
+    roots = set()
+    for i in range(quiver.n):
+        d = quiver.injective_dim(i)
+        while min(d) >= 0:
+            roots.add(d)
+            d = quiver.coxeter(d)
+    return tuple(sorted(roots, key=lambda v: (sum(v), v)))
 
 
 def _unimodular_inverse(A):

@@ -11,10 +11,15 @@ Hand-derived facts used below:
   * On 1 -> 2: tau S_1 = S_2; P(1) and S_2 projective, S_1 injective.
 """
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import hallchar
 from hallchar import catalog, linalg, memo, rep
 from hallchar.catalog import (
     INF,
@@ -33,8 +38,9 @@ from hallchar.catalog import (
     translate_class,
     translate_class_inverse,
 )
-from hallchar.errors import ComputationError, OutsideCatalog
+from hallchar.errors import ComputationError, OutsideCatalog, UnsupportedQuiver
 from hallchar.quiver import Quiver, _unimodular_inverse, kronecker_quiver, linear_quiver
+from test_quiver import dynkin_quiver
 from test_rep import aut_count_brute, kron_constraint_matrix
 from test_subspaces import _result, modules
 
@@ -83,6 +89,54 @@ def test_dynkin_indec_nonlinear_orientation():
         M = module_from_class(Q, ("root", root), p)
         assert M.dims == root
         assert rep.hom_dim(M, M) == 1
+
+
+E_QUIVERS = {
+    f"e{n}-{name}": dynkin_quiver("E", n, [flip and k % 2 == 0 for k in range(n - 1)])
+    for n in (6, 7, 8)
+    for name, flip in (("path", False), ("alternating", True))
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("quiver", list(E_QUIVERS.values()), ids=list(E_QUIVERS))
+def test_coxeter_walk_builds_every_e_root(quiver, p, monkeypatch):
+    """Every root of E_6, E_7 and E_8 in two orientations has its
+    indecomposable, certified by dims and End = F_p, with no random search.
+    The walk table is read directly: the E_8 Hom table takes seconds per
+    prime."""
+
+    def no_random(*args, **kwargs):
+        raise AssertionError("random_rep called")
+
+    monkeypatch.setattr(rep, "random_rep", no_random)
+    memo.clear()
+    table = catalog._coxeter_walk(quiver, p)
+    assert sorted(table) == sorted(quiver.positive_roots())
+    for root, M in table.items():
+        assert M.dims == root
+        assert rep.hom_dim(M, M) == 1
+
+
+def test_coxeter_walk_checks_every_step(monkeypatch):
+    with pytest.raises(ComputationError, match="not the dimension of an indecomposable"):
+        module_from_class(A3, ("root", (1, 0, 1)), 2)
+    with pytest.raises(UnsupportedQuiver):
+        module_from_class(K, ("root", (1, 0)), 2)
+    memo.clear()
+    monkeypatch.setattr(Quiver, "coxeter", lambda self, d: tuple(d))
+    with pytest.raises(ComputationError, match=r"tau of \(1, 1, 0\) has dimension \(0, 0, 1\), not \(1, 1, 0\)"):
+        catalog._coxeter_walk(A3_SOURCE, 2)
+    assert not memo.TABLES["catalog._coxeter_walk"]
+
+
+def test_one_dynkin_construction_path():
+    """The Coxeter walk is the only way a Dynkin indecomposable is built:
+    no module of hallchar draws random matrices or hashes a seed."""
+    for info in pkgutil.iter_modules(hallchar.__path__):
+        source = inspect.getsource(importlib.import_module(f"hallchar.{info.name}"))
+        assert "zlib" not in source, info.name
+        assert "random_rep(" not in source.replace("def random_rep(", ""), info.name
 
 
 def _certified(M):

@@ -232,6 +232,23 @@ def test_quiver_file_loading(tmp_path, capsys):
     assert "x2^-1 + x1*x2^-1" in out
 
 
+def test_e6_quiver_file_at_p2(tmp_path, capsys):
+    """E_6 as 1 -> 2 -> 3 -> 4 -> 5, 3 -> 6: decompositions over F_2 read
+    every root's indecomposable, among them (1, 2, 3, 2, 1, 2)."""
+    qfile = tmp_path / "e6.txt"
+    qfile.write_text(
+        "vertices 6\narrow a 1 2\narrow b 2 3\narrow c 3 4\narrow d 4 5\narrow e 3 6\n"
+    )
+    rc, out, _ = run(
+        capsys, "hall", "--quiver", str(qfile), "--module", "S1+S2", "--quot", "S1", "--sub", "S2"
+    )
+    assert rc == 0
+    assert "= 1\n" in out
+    rc, out, _ = run(capsys, "verify", "cc1", "--quiver", str(qfile), "--xi", "S1", "--eta", "S2")
+    assert rc == 0
+    assert out.startswith("[cc1] EQUAL")
+
+
 def test_not_equal_exit_code(monkeypatch, capsys):
     fake = VerificationReport(
         theorem="cc1", inputs={}, lhs="1", rhs="2", equal=False,

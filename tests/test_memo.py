@@ -16,6 +16,7 @@ A2 = linear_quiver(2)
 K = kronecker_quiver()
 
 TABLES = {
+    "catalog._coxeter_walk",
     "catalog.module_from_class",
     "catalog.decompose",
     "catalog._dynkin_hom_data",

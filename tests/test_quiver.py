@@ -5,6 +5,8 @@ Expected values below are hand-derived from the definitions:
   * Coxeter matrix Phi = -E E^{-T} with E = I - A acting on row vectors
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -129,6 +131,59 @@ def test_dynkin_detection_and_roots():
     K = kronecker_quiver()
     with pytest.raises(ValueError):
         K.positive_roots()
+
+
+def dynkin_edges(kind, n):
+    """The A/D/E diagram on n vertices as edges (i, j): the path 0 - 1 - ...,
+    and for D_n and E_n the last vertex hung on vertex n - 3 or 2."""
+    path = n if kind == "A" else n - 1
+    edges = [(i, i + 1) for i in range(path - 1)]
+    if kind != "A":
+        edges.append(({"D": n - 3, "E": 2}[kind], n - 1))
+    return edges
+
+
+def dynkin_quiver(kind, n, flips):
+    """The diagram with edge k oriented i -> j, or j -> i when flips[k]."""
+    return Quiver(n, [(t, s) if f else (s, t) for (s, t), f in zip(dynkin_edges(kind, n), flips)])
+
+
+def dynkin_orientations(kind, n):
+    """Strategy: the diagram in a random orientation."""
+    return st.lists(st.booleans(), min_size=n - 1, max_size=n - 1).map(
+        lambda flips: dynkin_quiver(kind, n, flips)
+    )
+
+
+def tits_box_roots(Q):
+    """Every nonzero d in [0, 6]^n with q(d) = 1, sorted like
+    `positive_roots`: the exhaustive box search (the roots of the A/D/E
+    diagrams have coordinates at most 6)."""
+    box = np.array(list(itertools.product(range(7), repeat=Q.n)), dtype=np.int64)[1:]
+    q = np.einsum("ki,ij,kj->k", box, Q.euler_matrix, box)
+    return sorted(map(tuple, box[q == 1].tolist()), key=lambda v: (sum(v), v))
+
+
+ROOT_COUNTS = (
+    [("A", n, n * (n + 1) // 2) for n in range(1, 9)]
+    + [("D", n, n * (n - 1)) for n in range(4, 9)]
+    + [("E", 6, 36), ("E", 7, 63), ("E", 8, 120)]
+)
+
+
+@pytest.mark.parametrize("alternate", [False, True], ids=["path", "alternating"])
+@pytest.mark.parametrize(
+    "kind, n, count", ROOT_COUNTS, ids=[f"{k}{n}" for k, n, _ in ROOT_COUNTS]
+)
+def test_positive_roots_are_coxeter_orbits(kind, n, count, alternate):
+    """n(n+1)/2 roots for A_n, n(n-1) for D_n, 36, 63 and 120 for E_6, E_7
+    and E_8, each of Tits form 1; up to n = 6 they equal the box search."""
+    Q = dynkin_quiver(kind, n, [alternate and k % 2 == 0 for k in range(n - 1)])
+    roots = Q.positive_roots()
+    assert len(roots) == len(set(roots)) == count
+    assert all(min(d) >= 0 and Q.tits_form(d) == 1 for d in roots)
+    if n <= 6:
+        assert roots == tits_box_roots(Q)
 
 
 def test_topological_order():

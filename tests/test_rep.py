@@ -13,6 +13,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hallchar import rep
 from hallchar.errors import BudgetExceeded
@@ -256,18 +257,29 @@ def test_kernel_cokernel():
     assert rep.is_isomorphic(cok, s1(p))
 
 
-def test_random_rep_and_opposite():
-    rng = np.random.default_rng(7)
-    Q = linear_quiver(3)
-    M = rep.random_rep(Q, (2, 1, 2), 3, rng)
-    assert M.dims == (2, 1, 2)
-    N = rep.random_rep(Q, (1, 2, 1), 3, rng)
-    opp = Q.opposite()
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([linear_quiver(3), Quiver(4, [(0, 1), (2, 1), (1, 3)]), K]),
+    st.sampled_from([2, 3, 5]),
+    st.data(),
+)
+def test_random_rep_and_opposite(quiver, p, data):
+    """Hom(M, N) ~= Hom(N^op, M^op) over the opposite quiver, and so
+    Ext^1(M, N) ~= Ext^1(N^op, M^op), on A_3, D_4 and Kronecker; N
+    sometimes contains M, so that Hom(M, N) is not zero."""
+    dims = st.lists(st.integers(0, 3), min_size=quiver.n, max_size=quiver.n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    M = rep.random_rep(quiver, data.draw(dims), p, rng)
+    N = rep.random_rep(quiver, data.draw(dims), p, rng)
+    if data.draw(st.booleans()):
+        N = rep.direct_sum(M, N)
+    opp = quiver.opposite()
     Mo = rep.opposite_rep(M, opp)
     No = rep.opposite_rep(N, opp)
-    # Hom(M, N) ~= Hom(N^op, M^op)
+    assert Mo.quiver is opp and Mo.dims == M.dims
     assert rep.hom_dim(M, N) == rep.hom_dim(No, Mo)
     assert rep.hom_dim(N, M) == rep.hom_dim(Mo, No)
+    assert rep.ext1_dim(M, N) == rep.ext1_dim(No, Mo)
 
 
 def test_image_dims():

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from hallchar import catalog, linalg, memo, rep, subspaces
 from hallchar.errors import BudgetExceeded
 from hallchar.quiver import Quiver, kronecker_quiver, linear_quiver
+from test_quiver import dynkin_orientations
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
@@ -70,9 +71,10 @@ def _result(fn, *args):
 
 @st.composite
 def modules(draw, quivers, primes, max_dim, max_total):
-    """A module over one of `quivers`: random matrices, or a direct sum of
-    two random parts so that censuses see split modules too."""
-    Q = draw(st.sampled_from(quivers))
+    """A module over one of `quivers` (a list, or a strategy drawing one):
+    random matrices, or a direct sum of two random parts so that censuses
+    see split modules too."""
+    Q = draw(quivers if isinstance(quivers, st.SearchStrategy) else st.sampled_from(quivers))
     p = draw(st.sampled_from(primes))
     dims = draw(
         st.lists(st.integers(0, max_dim), min_size=Q.n, max_size=Q.n).filter(
@@ -385,11 +387,22 @@ def test_hall_census_does_not_build_sub_quotient_pairs(monkeypatch):
         assert census
 
 
-@settings(max_examples=80, deadline=None)
-@given(modules([A3, A3_SINK, A3_SOURCE, D4], [2, 3], max_dim=2, max_total=6), st.data())
+@settings(max_examples=240, deadline=None)
+@given(
+    modules(
+        st.one_of(
+            st.sampled_from([A3, A3_SINK, A3_SOURCE, D4]),
+            dynkin_orientations("A", 4),
+            dynkin_orientations("D", 5),
+        ),
+        [2, 3], max_dim=2, max_total=6,
+    ),
+    st.data(),
+)
 def test_grassmannian_count_matches_brute_a3_d4(M, data):
     """The walk over all vertices but the last, closed by a rank at the
-    last vertex, against the rank-checked enumeration of all vertices."""
+    last vertex, against the rank-checked enumeration of all vertices, on
+    the A_3 and D_4 orientations and random orientations of A_4 and D_5."""
     e = tuple(data.draw(st.integers(0, d)) for d in M.dims)
     assert subspaces.grassmannian_count(M, e) == grassmannian_count_brute(M, e)
 
