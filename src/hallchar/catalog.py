@@ -46,9 +46,10 @@ and v[r] = dim Hom(M, X_r) = unknowns - rank of the Hom constraint rows
 
 Both families are classified from the Python-int rows of M's matrices by
 one entry, `_classify_rows`, and no `Rep` is built: `decompose(M)` passes
-M's rows, and `_decompose_rows` classifies the rows of a census's sub or
-quotient on a memo miss, storing the result in the `decompose` table under
-the key a `Rep` of those matrices would have.
+M's rows (`Rep.mats`), and `_decompose_rows` classifies the rows of a
+census's sub, quotient or Ext middle on a memo miss.  Both read and store
+the `decompose` table under `Rep.key_of` of the rows, so a census entry
+and a `Rep` with the same matrices share one entry.
 
 Symbols
 -------
@@ -70,9 +71,6 @@ tags when the materialized points stay pairwise distinct mod p.
 
 import itertools
 import re
-from array import array
-
-import numpy as np
 
 from . import linalg, memo, rep
 from .errors import ComputationError, OutsideCatalog, UnsupportedQuiver
@@ -94,12 +92,12 @@ INF = "inf"
 
 
 def jordan_block(lam, m):
-    J = np.zeros((m, m), dtype=np.int64)
-    for i in range(m):
-        J[i, i] = lam
-        if i + 1 < m:
-            J[i, i + 1] = 1
-    return J
+    """The m x m Jordan block with eigenvalue lam, as Python-int rows."""
+    return [[lam if j == i else int(j == i + 1) for j in range(m)] for i in range(m)]
+
+
+def _eye(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _paths_from(n, arrows, i):
@@ -125,9 +123,9 @@ def _projective_mats(n, arrows, i):
     dims = [len(paths[v]) for v in range(n)]
     mats = []
     for a, (s, t) in enumerate(arrows):
-        m = np.zeros((dims[t], dims[s]), dtype=np.int64)
+        m = [[0] * dims[s] for _ in range(dims[t])]
         for col, path in enumerate(paths[s]):
-            m[index[t][path + (a,)], col] = 1
+            m[index[t][path + (a,)]][col] = 1
         mats.append(m)
     return dims, mats
 
@@ -135,7 +133,7 @@ def _projective_mats(n, arrows, i):
 def _injective_mats(quiver, i):
     """(dims, arrow matrices) of I(i): the projective over the reversed arrows, transposed."""
     dims, mats = _projective_mats(quiver.n, [(t, s) for (s, t) in quiver.arrows], i)
-    return dims, [m.T for m in mats]
+    return dims, [_transpose(m, dims[t]) for m, (s, t) in zip(mats, quiver.arrows)]
 
 
 @memo.memoized(lambda quiver, p: (quiver.key, p))
@@ -144,8 +142,9 @@ def _coxeter_walk(quiver, p):
     walked down tau^m I(i) until it is zero, tau being the Coxeter functor
     C^+ of Bernstein-Gelfand-Ponomarev.  In reverse topological order each
     vertex k is a sink; reflecting there replaces M_k by the kernel of
-    (+)_{a: j -> k} M_a, whose coordinate blocks become the reversed arrows.
-    Each step checks dim tau M against `quiver.coxeter(dim M)`."""
+    (+)_{a: j -> k} M_a (its rows concatenated), whose coordinate blocks
+    become the reversed arrows.  Each step checks dim tau M against
+    `quiver.coxeter(dim M)`."""
     if not quiver.is_dynkin():
         raise UnsupportedQuiver("Dynkin indecomposables need a Dynkin quiver")
     sinks = [
@@ -159,11 +158,13 @@ def _coxeter_walk(quiver, p):
             root = tuple(dims)
             table[root] = Rep(quiver, p, dims, mats)
             for k, at_k in sinks:
-                blocks = [mats[a] for a, _ in at_k] or [np.zeros((dims[k], 0), dtype=np.int64)]
-                ker = linalg.nullspace_mod(np.hstack(blocks), p)
-                dims[k] = ker.shape[1]
+                width = sum(dims[j] for _, j in at_k)
+                rows = [list(itertools.chain(*r)) for r in zip(*(mats[a] for a, _ in at_k))]
+                ker = linalg.nullspace_rows(rows, width, p)
+                dims[k], start = len(ker), 0
                 for a, j in at_k:
-                    mats[a], ker = ker[: dims[j]], ker[dims[j] :]
+                    mats[a] = [[v[start + r] for v in ker] for r in range(dims[j])]
+                    start += dims[j]
             cox = quiver.coxeter(root)
             if tuple(dims) != (cox if min(cox) >= 0 else (0,) * quiver.n):
                 raise ComputationError(f"tau of {root} has dimension {tuple(dims)}, not {cox}")
@@ -180,24 +181,20 @@ def module_from_class(quiver, cls, p):
             raise ComputationError(f"{cls[1]} is not the dimension of an indecomposable")
     elif kind == "P":
         n = cls[1]
-        A = np.vstack([np.eye(n, dtype=np.int64), np.zeros((1, n), dtype=np.int64)])
-        B = np.vstack([np.zeros((1, n), dtype=np.int64), np.eye(n, dtype=np.int64)])
-        M = Rep(quiver, p, (n, n + 1), [A, B])
+        M = Rep(quiver, p, (n, n + 1), [_eye(n) + [[0] * n], [[0] * n] + _eye(n)])
     elif kind == "I":
         n = cls[1]
-        A = np.hstack([np.eye(n, dtype=np.int64), np.zeros((n, 1), dtype=np.int64)])
-        B = np.hstack([np.zeros((n, 1), dtype=np.int64), np.eye(n, dtype=np.int64)])
+        A = [row + [0] for row in _eye(n)]
+        B = [[0] + row for row in _eye(n)]
         M = Rep(quiver, p, (n + 1, n), [A, B])
     elif kind == "Rc":
         lam, m = cls[1], cls[2]
         if m == 0:
             M = Rep.zero(quiver, p)
         elif lam == INF:
-            M = Rep(quiver, p, (m, m), [jordan_block(0, m), np.eye(m, dtype=np.int64)])
+            M = Rep(quiver, p, (m, m), [jordan_block(0, m), _eye(m)])
         else:
-            M = Rep(
-                quiver, p, (m, m), [np.eye(m, dtype=np.int64), jordan_block(int(lam) % p, m)]
-            )
+            M = Rep(quiver, p, (m, m), [_eye(m), jordan_block(int(lam) % p, m)])
     elif kind == "S":
         M = Rep.simple(quiver, p, cls[1])
     elif kind == "proj":
@@ -280,21 +277,21 @@ def decompose(M):
     `M.key`, the exact matrices of M; a module that raises raises again on
     every call.
     """
-    return _classify_rows(M.quiver, M.p, M.dims, [m.tolist() for m in M.mats])
+    return _classify_rows(M.quiver, M.p, M.dims, M.mats)
 
 
 def _decompose_rows(quiver, p, dims, blocks):
-    """`decompose` of the module with dimension vector `dims` whose arrow
-    matrices are `blocks` (lists of Python-int rows in [0, p)).
+    """`decompose` of the module with dimension vector `dims` (a tuple)
+    whose arrow matrices are `blocks` (sequences of Python-int rows in
+    [0, p)).
 
-    The `decompose` memo is read, and a miss is stored, under the key a
-    `Rep` of these matrices has, since array("q") and int64 share the
-    machine's 8-byte layout; no `Rep` is built.
+    The `decompose` memo is read, and a miss is stored, under
+    `Rep.key_of` of these rows, the key a `Rep` of the same matrices has;
+    no `Rep` is built.
     """
     if not any(dims):
         return ()
-    mat_bytes = (array("q", itertools.chain.from_iterable(b)).tobytes() for b in blocks)
-    key = Rep.key_of(quiver, p, dims, mat_bytes)
+    key = Rep.key_of(quiver, p, dims, blocks)
     table = memo.TABLES["catalog.decompose"]
     decomp = table.get(key)
     if decomp is None:
@@ -331,7 +328,7 @@ def _dynkin_hom_data(Q, p):
     reps = [module_from_class(Q, ("root", r), p) for r in roots]
     k = len(roots)
     A = [[rep.hom_dim(reps[s], reps[r]) for s in range(k)] for r in range(k)]
-    indecs = [(X.dims, [m.tolist() for m in X.mats]) for X in reps]
+    indecs = [(X.dims, X.mats) for X in reps]
     return roots, indecs, _unimodular_inverse(A)
 
 
@@ -359,12 +356,14 @@ def _decompose_dynkin(Q, p, dims, blocks):
 
 def _pencil_hom(X, Y, rows, cols, d_in, p):
     """cols * d_in - rank of `rows` block rows, row i holding X in block
-    column i and Y in block column i + 1 < cols (lists of Python-int rows)."""
+    column i and Y in block column i + 1 < cols (sequences of Python-int
+    rows, lists or tuples)."""
     width = cols * d_in
     mat = []
     for i in range(rows):
+        pad = [0] * (i * d_in)
         for x, y in zip(X, Y):
-            row = [0] * (i * d_in) + x + (y if i + 1 < cols else [])
+            row = [*pad, *x, *y] if i + 1 < cols else [*pad, *x]
             mat.append(row + [0] * (width - len(row)))
     return width - linalg.rank_rows(mat, width, p)
 
@@ -419,13 +418,6 @@ def _decompose_kronecker(Q, p, dims, blocks):
             "residue field larger than F_p"
         )
     return decomp
-
-
-def aut_count(M, decomp=None):
-    """|Aut M| via the Krull-Schmidt decomposition."""
-    if decomp is None:
-        decomp = decompose(M)
-    return rep.aut_count_from_mults(M, [mult for _, mult in decomp])
 
 
 @memo.memoized(lambda quiver, classes, p: (quiver.key, tuple(classes), p))

@@ -32,8 +32,6 @@ recomputation.
 
 import itertools
 
-import numpy as np
-
 from . import catalog, memo, qpoly, subspaces
 from .errors import VerificationMismatch
 from .laurent import LaurentPoly
@@ -61,11 +59,14 @@ DEFAULT_CHECK_BUDGET = 60_000
 
 
 def character_exponent(quiver, d, e):
-    """Exponent vector e R + (d - e) R' - d of the e-stratum monomial."""
-    d = np.asarray(d, dtype=np.int64)
-    e = np.asarray(e, dtype=np.int64)
-    g = e @ quiver.r_matrix + (d - e) @ quiver.r_matrix_t - d
-    return tuple(int(v) for v in g)
+    """Exponent vector e R + (d - e) R' - d of the e-stratum monomial, with
+    r_ij = dim Ext^1(S_i, S_j) = #arrows i -> j and R' = R^T: each arrow
+    s -> t adds e_s at t and d_t - e_t at s."""
+    g = [-int(x) for x in d]
+    for s, t in quiver.arrows:
+        g[t] += int(e[s])
+        g[s] += int(d[t]) - int(e[t])
+    return tuple(g)
 
 
 def grassmannian_degree_bound(d, e):

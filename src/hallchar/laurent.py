@@ -183,7 +183,3 @@ class LaurentPoly:
     def __repr__(self):
         return f"LaurentPoly({self})"
 
-
-def monomial_of_vector(v):
-    """The monomial x^v for an integer vector v."""
-    return LaurentPoly.monomial(tuple(int(e) for e in v))

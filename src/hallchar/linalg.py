@@ -5,13 +5,15 @@ enumeration, homomorphism-space solving, Krull-Schmidt classification and
 all census counting reduce to row reduction of small integer matrices
 modulo a prime.
 
-Every public function takes and returns int64 numpy arrays with entries
-reduced into [0, p).  Inside, a kernel converts its matrix to lists of
-Python ints once, reduces them with the one row reducer `_rref_rows` and
-builds its int64 result once.  Almost every matrix the package reduces
-has at most 64 cells, where per-call numpy overhead would dominate; the
-Python-int rows were also faster than per-entry loops at every size
-measured (up to 160 x 160), so there is a single implementation.
+A matrix is a sequence of rows of Python ints reduced into [0, p), the
+format of `rep.Rep`'s matrices (tuples there, lists in a census), and
+every kernel reduces it with the one row reducer `_rref_rows`.  Almost
+every matrix the package reduces has at most 64 cells, where per-call
+numpy overhead would dominate; the Python-int rows were also faster than
+per-entry loops at every size measured (up to 160 x 160), so there is a
+single implementation.  `rref_mod` and `rank_mod` take and return int64
+numpy arrays, for callers outside the package that time the kernel on
+arrays.
 """
 
 import numpy as np
@@ -21,8 +23,9 @@ PURE_NUMPY = True
 
 
 def _rref_rows(rows, ncols, p):
-    """Reduce `rows` (lists of ints in [0, p)) in place to reduced row
-    echelon form mod p and return the list of pivot columns.
+    """Reduce the list `rows` (sequences of ints in [0, p)) in place to
+    reduced row echelon form mod p and return the list of pivot columns.
+    Changed rows are replaced by new lists; no row is written to.
 
     Deterministic: the first nonzero entry in scan order pivots.
     """
@@ -74,78 +77,29 @@ def rank_mod(A, p):
 
 
 def rank_rows(rows, ncols, p):
-    """Rank over F_p of the matrix whose rows are `rows`, lists of ncols
+    """Rank over F_p of the matrix whose rows are `rows`, sequences of ncols
     Python ints in [0, p).  The outer list is reordered and its entries
-    replaced; the row lists themselves are left unchanged."""
+    replaced; the rows themselves are left unchanged."""
     return len(_rref_rows(rows, ncols, p))
 
 
-def nullspace_mod(A, p):
-    """Basis of the right kernel of A over F_p, as columns of an n x k array."""
-    n = A.shape[1]
-    rows = (A % p).tolist()
-    pivots = _rref_rows(rows, n, p)
+def nullspace_rows(rows, ncols, p):
+    """Basis of the right kernel over F_p of the matrix whose rows are
+    `rows` (sequences of ncols Python ints in [0, p)), as a list of
+    vectors: one per non-pivot column, in increasing order, 1 there and 0
+    at the other non-pivot columns.  `rows` itself is not modified."""
+    rows = list(rows)
+    pivots = _rref_rows(rows, ncols, p)
     pivot_set = set(pivots)
-    free = [col for col in range(n) if col not in pivot_set]
-    out = [[0] * len(free) for _ in range(n)]
-    for idx, col in enumerate(free):
-        out[col][idx] = 1
+    basis = []
+    for col in range(ncols):
+        if col in pivot_set:
+            continue
+        vec = [0] * ncols
+        vec[col] = 1
         # pivot row i expresses pivot variable pivots[i] through the free ones
         for row, pcol in zip(rows, pivots):
             if row[col]:
-                out[pcol][idx] = p - row[col]
-    return np.array(out, dtype=np.int64).reshape(n, len(free))
-
-
-def inv_mod(A, p):
-    """Inverse matrix over F_p; (ok, inv) with ok == 0 when singular.
-
-    [A | I] always has full row rank, so singularity shows up as a pivot
-    escaping into the identity block, not as a rank drop.
-    """
-    n = A.shape[0]
-    if n == 0:
-        return 1, np.zeros((0, 0), dtype=np.int64)
-    aug = [row + [0] * n for row in (A % p).tolist()]
-    for i in range(n):
-        aug[i][n + i] = 1
-    pivots = _rref_rows(aug, 2 * n, p)
-    if pivots[n - 1] >= n:
-        return 0, np.zeros((n, n), dtype=np.int64)
-    return 1, np.array([row[n:] for row in aug], dtype=np.int64)
-
-
-def matmul_mod(A, B, p):
-    """(A @ B) mod p."""
-    return (A @ B) % p
-
-
-def is_invertible_mod(A, p):
-    if A.shape[0] != A.shape[1]:
-        return False
-    return rank_mod(A, p) == A.shape[0]
-
-
-def column_space_contains(U, vecs, p):
-    """True when every column of `vecs` lies in the column span of U.
-
-    That is rank [U | vecs] == rank U, which holds exactly when no pivot
-    of [U | vecs] falls in the `vecs` block.
-    """
-    k = U.shape[1]
-    aug = np.hstack((U, vecs)) % p
-    pivots = _rref_rows(aug.tolist(), aug.shape[1], p)
-    return not pivots or pivots[-1] < k
-
-
-def column_space_canonical(U, p):
-    """Canonical (reduced column echelon) basis of the column span of U.
-
-    Returns an n x r int64 array; equal subspaces give equal arrays, so the
-    result doubles as a dictionary key via ``.tobytes()``.
-    """
-    n = U.shape[0]
-    rows = (U.T % p).tolist()
-    rank = len(_rref_rows(rows, n, p))
-    basis = np.array(rows[:rank], dtype=np.int64).reshape(rank, n)
-    return np.ascontiguousarray(basis.T)
+                vec[pcol] = p - row[col]
+        basis.append(vec)
+    return basis

@@ -32,8 +32,6 @@ i.e. one `vertices <n>` line, then `arrow <id> <src> <dst>` lines with
 
 from fractions import Fraction
 
-import numpy as np
-
 from . import memo
 from .errors import ComputationError
 
@@ -65,20 +63,31 @@ class Quiver:
         if len(set(self.arrow_names)) != len(self.arrow_names):
             raise ValueError("duplicate arrow ids")
         self._topo = self._toposort()
-        # arrow-count matrix A[i][j] = #arrows i -> j
-        A = np.zeros((self.n, self.n), dtype=np.int64)
+        # integer matrices as lists of Python-int rows; arrow-count matrix
+        # A[i][j] = #arrows i -> j
+        n = self.n
+        A = [[0] * n for _ in range(n)]
         for (s, t) in self.arrows:
-            A[s, t] += 1
+            A[s][t] += 1
         self.arrow_matrix = A
-        self.euler_matrix = np.eye(self.n, dtype=np.int64) - A
+        E = self.euler_matrix = [[int(i == j) - A[i][j] for j in range(n)] for i in range(n)]
         # E = I - A is unitriangular in a topological order, so E^{-1} is
         # integral and Phi = -E E^{-T}, Phi^{-1} = -E^T E^{-1} are integer
         # products
-        E_inv = np.array(
-            _unimodular_inverse(self.euler_matrix.tolist()), dtype=np.int64
-        )
-        self.coxeter_matrix = -self.euler_matrix @ E_inv.T
-        self._coxeter_inverse = -self.euler_matrix.T @ E_inv
+        E_inv = _unimodular_inverse(E)
+        minus_E = [[-x for x in row] for row in E]
+        self.coxeter_matrix = _matmul(minus_E, _transpose(E_inv))
+        self._coxeter_cols = _transpose(self.coxeter_matrix)
+        self._coxeter_inverse_cols = _transpose(_matmul(_transpose(minus_E), E_inv))
+        # C[i][j] = #paths i -> j: C[i] = e_i + sum over arrows i -> t of C[t]
+        C = [None] * n
+        for v in reversed(self._topo):
+            C[v] = [int(v == j) for j in range(n)]
+            for (s, t) in self.arrows:
+                if s == v:
+                    C[v] = [x + y for x, y in zip(C[v], C[t])]
+        self._projective_dims = tuple(tuple(row) for row in C)
+        self._injective_dims = tuple(zip(*C))
         self._dynkin = self._positive_definite_tree()
         # key: hashable identity used for caching
         self.key = (self.n, self.arrows)
@@ -114,56 +123,33 @@ class Quiver:
 
     def euler_form(self, d, e):
         """<d, e> = dim Hom - dim Ext^1 on dimension vectors."""
-        d = np.asarray(d, dtype=np.int64)
-        e = np.asarray(e, dtype=np.int64)
-        return int(d @ self.euler_matrix @ e)
+        return int(sum(x * y for x, y in zip(d, e)) - sum(d[s] * e[t] for s, t in self.arrows))
 
     def tits_form(self, d):
         """q(d) = <d, d>, the quadratic (Tits) form."""
         return self.euler_form(d, d)
 
-    @property
-    def r_matrix(self):
-        """R with r_ij = dim Ext^1(S_i, S_j) = #arrows i -> j."""
-        return self.arrow_matrix
-
-    @property
-    def r_matrix_t(self):
-        """R' = R^T, i.e. r'_ij = dim Ext^1(S_j, S_i)."""
-        return self.arrow_matrix.T
-
     def coxeter(self, d):
         """Row-vector right action d |-> d Phi (dimension vector of tau M)."""
-        return tuple(int(x) for x in np.asarray(d, dtype=np.int64) @ self.coxeter_matrix)
+        return _times(d, self._coxeter_cols)
 
     def coxeter_inverse(self, d):
         """d |-> d Phi^{-1} (dimension vector of tau^{-1} M)."""
-        return tuple(
-            int(x) for x in np.asarray(d, dtype=np.int64) @ self._coxeter_inverse
-        )
+        return _times(d, self._coxeter_inverse_cols)
 
     # -- projectives / injectives ----------------------------------------
 
     def path_counts(self):
         """C[i][j] = number of paths i -> j (trivial paths included)."""
-        n = self.n
-        C = np.eye(n, dtype=np.int64)
-        # accumulate powers of the arrow matrix; nilpotent since acyclic
-        P = np.eye(n, dtype=np.int64)
-        for _ in range(n):
-            P = P @ self.arrow_matrix
-            if not P.any():
-                break
-            C = C + P
-        return C
+        return [list(row) for row in self._projective_dims]
 
     def projective_dim(self, i):
         """Dimension vector of the projective P(i): paths starting at i."""
-        return tuple(int(x) for x in self.path_counts()[i])
+        return self._projective_dims[i]
 
     def injective_dim(self, i):
         """Dimension vector of the injective I(i): paths ending at i."""
-        return tuple(int(x) for x in self.path_counts()[:, i])
+        return self._injective_dims[i]
 
     def sinks(self):
         return [v for v in range(self.n) if all(s != v for (s, t) in self.arrows)]
@@ -202,9 +188,8 @@ class Quiver:
             return False
         # positive definite <=> q(d) > 0 for all nonzero d; check leading
         # principal minors of the symmetrized Gram matrix (2q).
-        n = self.n
-        sym = self.euler_matrix + self.euler_matrix.T
-        g = [[Fraction(int(sym[i, j])) for j in range(n)] for i in range(n)]
+        n, E = self.n, self.euler_matrix
+        g = [[Fraction(E[i][j] + E[j][i]) for j in range(n)] for i in range(n)]
         for k in range(1, n + 1):
             minor = _det([row[:k] for row in g[:k]])
             if minor <= 0:
@@ -228,15 +213,6 @@ class Quiver:
         """
         return list(_positive_roots(self))
 
-    def opposite(self):
-        """The quiver with all arrows reversed."""
-        return Quiver(
-            self.n,
-            [(t, s) for (s, t) in self.arrows],
-            arrow_names=self.arrow_names,
-            name=None if self.name is None else self.name + "_op",
-        )
-
     def __repr__(self):
         arrows = ", ".join(
             f"{name}:{s + 1}->{t + 1}"
@@ -256,6 +232,22 @@ def _positive_roots(quiver):
             roots.add(d)
             d = quiver.coxeter(d)
     return tuple(sorted(roots, key=lambda v: (sum(v), v)))
+
+
+def _transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
+def _times(d, cols):
+    """The row vector d times the matrix with columns `cols`, as a tuple of
+    Python ints."""
+    return tuple(int(sum(x * y for x, y in zip(d, col))) for col in cols)
+
+
+def _matmul(A, B):
+    """A B, integer matrices as lists of rows."""
+    cols = _transpose(B)
+    return [list(_times(row, cols)) for row in A]
 
 
 def _unimodular_inverse(A):

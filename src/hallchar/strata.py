@@ -19,9 +19,11 @@ column span of the Hom constraint matrix of (X, Y) (`rep.hom_constraint_rows`,
 one row per cocycle coordinate), so the unit vectors at the non-pivot
 columns of its row-reduced transpose, the free coordinates, span a
 complement of B^1: one cocycle per class is a choice of values at the free
-coordinates and 0 elsewhere.  Each middle is built as Python-int rows and
-classified by `catalog._decompose_rows`, under the `decompose` memo key
-its `Rep` would have, so no `Rep` is built per cocycle.  Counting the
+coordinates and 0 elsewhere.  Each middle is built as Python-int rows,
+the format of `Rep.mats`, and classified by `catalog._decompose_rows`
+under `Rep.key_of` of those rows, so no `Rep` is built per cocycle and a
+middle shares its `decompose` memo entry with any `Rep` of the same
+matrices.  Counting the
 middles by class yields the extension census
 
     ext_middle_census(X, Y)[middle_classes] = #{e in Ext^1(X,Y) : mid(e) iso}
@@ -54,29 +56,30 @@ from .errors import BudgetExceeded, VerificationMismatch
 DEFAULT_EXT_BUDGET = 1_000_000
 
 
-def _free_coordinates(X, Y, x_rows, y_rows):
+def _free_coordinates(X, Y):
     """The free flat cocycle coordinates (vec(d_a), row-major, arrow by
     arrow), increasing: those whose unit vectors span a complement of B^1.
 
     `rep.hom_constraint_rows(X, Y)` has one row per cocycle coordinate in
     this layout, and its columns span B^1 (the coboundary map is its
     negative), so the free coordinates are the non-pivot columns of its
-    row-reduced transpose.  x_rows and y_rows are the arrow matrices of X
-    and Y as Python-int rows.
+    row-reduced transpose.
     """
-    _, rows = rep.hom_constraint_rows(X.quiver, X.p, X.dims, x_rows, Y.dims, y_rows)
+    _, rows = rep.hom_constraint_rows(X.quiver, X.p, X.dims, X.mats, Y.dims, Y.mats)
     pivots = set(linalg._rref_rows([list(col) for col in zip(*rows)], len(rows), X.p))
     return [j for j in range(len(rows)) if j not in pivots]
 
 
-def _middles(X, Y, x_rows, y_rows, free):
-    """Yield the arrow matrices, as Python-int rows, of the middle term of
-    each cocycle that is 0 off the free coordinates, its values there
-    running over F_p in `itertools.product` order."""
+def _middles(X, Y, free):
+    """Yield the arrow matrices, as lists of Python-int rows, of the middle
+    term of each cocycle that is 0 off the free coordinates, its values
+    there running over F_p in `itertools.product` order."""
     arrows, pos = [], 0
-    for (s, _), Xa, Ya in zip(X.quiver.arrows, x_rows, y_rows):
-        # rows of Y_a, where d_a starts in the flat cocycle, its width, [0 X_a]
-        arrows.append((Ya, pos, X.dims[s], [[0] * Y.dims[s] + row for row in Xa]))
+    for (s, _), Xa, Ya in zip(X.quiver.arrows, X.mats, Y.mats):
+        # rows of Y_a as lists, where d_a starts in the flat cocycle, its
+        # width, [0 X_a]
+        bottom = [[0] * Y.dims[s] + list(row) for row in Xa]
+        arrows.append(([list(row) for row in Ya], pos, X.dims[s], bottom))
         pos += len(Ya) * X.dims[s]
     flat = [0] * pos
     for coeffs in itertools.product(range(X.p), repeat=len(free)):
@@ -108,9 +111,7 @@ def ext_middle_census(X, Y, budget=DEFAULT_EXT_BUDGET):
 def _ext_census(X, Y, budget):
     """(dim Ext^1(X, Y), extension census), memoized without the budget."""
     Q, p = X.quiver, X.p
-    x_rows = [m.tolist() for m in X.mats]
-    y_rows = [m.tolist() for m in Y.mats]
-    free = _free_coordinates(X, Y, x_rows, y_rows)
+    free = _free_coordinates(X, Y)
     e_dim = len(free)
     expected = rep.ext1_dim(X, Y)
     if e_dim != expected:
@@ -121,7 +122,7 @@ def _ext_census(X, Y, budget):
     # a tuple, so the decompose memo key is the middle's `Rep.key`
     dims = tuple(y + x for y, x in zip(Y.dims, X.dims))
     census = {}
-    for blocks in _middles(X, Y, x_rows, y_rows, free):
+    for blocks in _middles(X, Y, free):
         key_mid = catalog._decompose_rows(Q, p, dims, blocks)
         census[key_mid] = census.get(key_mid, 0) + 1
     return e_dim, census
@@ -130,11 +131,6 @@ def _ext_census(X, Y, budget):
 def _check_ext_budget(p, e_dim, budget):
     if p**e_dim > budget:
         raise BudgetExceeded(f"{p}^{e_dim} extension classes exceed budget")
-
-
-def split_middle_classes(X, Y):
-    """The decomposition of the split middle X + Y."""
-    return catalog.decompose(rep.direct_sum(Y, X))
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,9 @@ Censuses are memoized (`memo.memoized`) per (quiver, prime, class of M,
 e); the key uses the Krull-Schmidt decomposition, so isomorphic ambient
 modules share one census, and a module outside the catalogue is not
 stored.  Sub and quotient are classified through the `catalog.decompose`
-memo, read with the bytes of their Python-int matrices; a module the memo
-has not seen is classified from the same rows, so a census never builds
-a `Rep`.  `census_view` groups a census by the fingerprint ids of
+memo, read under `Rep.key_of` of their Python-int rows, the key a `Rep`
+of the same matrices has; a module the memo has not seen is classified
+from the same rows, so a census never builds a `Rep`.  `census_view` groups a census by the fingerprint ids of
 (quotient, sub), so a fingerprint-matched Hall number is one lookup.  The
 rank distributions of two-vertex quivers are memoized on the exact
 matrices (`Rep.key`).  `memo.clear()` forgets them all.
@@ -196,8 +196,7 @@ def _echelon_walk(M, e, order, budget):
     checks = [{} for _ in order]
     for a, (s, t) in enumerate(Q.arrows):
         if s in pos:
-            rows = M.mats[a].tolist()
-            images[a] = [_image(rows, U.rows, p) for U in candidates[s]]
+            images[a] = [_image(M.mats[a], U.rows, p) for U in candidates[s]]
             if t in pos:
                 checks[pos[t]].setdefault(s, []).append(a)
     # known[i]: the targets containing M_a U_s[i] for each checked a, on first use
@@ -241,11 +240,9 @@ def subrep_bases(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
 
     bases[i] is the reduced column echelon basis of U_i, as dims[i] rows of
     e_i Python ints.  sub[a] and quot[a] are the matrices of arrow a on U
-    and on M/U, as Python-int rows, in the bases that
-    `rep.sub_quotient_pair` uses given these bases as int64 arrays: the
-    columns of bases[i] for U_i and the standard vectors at its non-pivot
-    rows for M_i/U_i.  So they equal that function's matrices entry for
-    entry.  All of these lists are read-only.
+    and on M/U, as Python-int rows, in the columns of bases[i] for U_i and
+    the standard vectors at its non-pivot rows for M_i/U_i.  All of these
+    lists are read-only.
     """
     Q, p = M.quiver, M.p
     n = Q.n
@@ -255,14 +252,13 @@ def subrep_bases(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
     if any(e[i] < 0 or e[i] > M.dims[i] for i in range(n)):
         return
     candidates, images, walk = _echelon_walk(M, e, Q.topological_order(), budget)
-    mats = [m.tolist() for m in M.mats]
     for chosen in walk():
         U = [candidates[v][chosen[v]] for v in range(n)]
         sub, quot = [], []
         for a, (s, t) in enumerate(Q.arrows):
             img = images[a][chosen[s]]
             sub.append([img[r] for r in U[t].pivots])
-            quot.append(_quotient_block(mats[a], U[s], U[t], p))
+            quot.append(_quotient_block(M.mats[a], U[s], U[t], p))
         yield tuple(u.rows for u in U), sub, quot
 
 
@@ -278,9 +274,10 @@ def image_rank_distribution(M, k):
     if not M.mats or k == 0 or d2 == 0:
         counts[0] = gaussian_binomial(d1, k, p)
     else:
-        # row i * #arrows + a is row i of arrow a, so each product
-        # reshapes to the d2 x (#arrows * k) matrix [A_1 U | A_2 U | ...]
-        arrows = np.stack(M.mats, axis=1).reshape(-1, d1)
+        # one int64 array, built once from the rows: row i * #arrows + a
+        # is row i of arrow a, so each product reshapes to the
+        # d2 x (#arrows * k) matrix [A_1 U | A_2 U | ...]
+        arrows = np.array(M.mats, dtype=np.int64).transpose(1, 0, 2).reshape(-1, d1)
         width = len(M.mats) * k
         for U in subspace_bases(d1, k, p):
             joint = ((arrows @ U) % p).reshape(d2, width).tolist()
@@ -390,6 +387,3 @@ def hall_number(L, quot_classes, sub_classes, budget=DEFAULT_SUBSPACE_BUDGET):
     census = hall_census(L, e, budget=budget)
     return census.get((catalog.sort_classes(quot_classes), catalog.sort_classes(sub_classes)), 0)
 
-
-def census_total(census):
-    return sum(census.values())

@@ -13,6 +13,7 @@ Hand-derived facts used below:
 
 import importlib
 import inspect
+import itertools
 import pkgutil
 
 import numpy as np
@@ -41,7 +42,14 @@ from hallchar.catalog import (
 from hallchar.errors import ComputationError, OutsideCatalog, UnsupportedQuiver
 from hallchar.quiver import Quiver, _unimodular_inverse, kronecker_quiver, linear_quiver
 from test_quiver import dynkin_quiver
-from test_rep import aut_count_brute, kron_constraint_matrix
+from test_linalg import inv_mod, is_invertible_mod
+from test_rep import (
+    arrays,
+    aut_count_brute,
+    is_isomorphic,
+    kron_constraint_matrix,
+    random_rep,
+)
 from test_subspaces import _result, modules
 
 K = kronecker_quiver()
@@ -55,7 +63,7 @@ def test_kronecker_catalog_modules():
     p = 5
     p0 = module_from_class(K, ("P", 0), p)
     assert p0.dims == (0, 1)
-    assert rep.is_isomorphic(p0, rep.Rep.simple(K, p, 1))
+    assert is_isomorphic(p0, rep.Rep.simple(K, p, 1))
     i0 = module_from_class(K, ("I", 0), p)
     assert i0.dims == (1, 0)
     p2 = module_from_class(K, ("P", 2), p)
@@ -107,9 +115,9 @@ def test_coxeter_walk_builds_every_e_root(quiver, p, monkeypatch):
     prime."""
 
     def no_random(*args, **kwargs):
-        raise AssertionError("random_rep called")
+        raise AssertionError("random generator called")
 
-    monkeypatch.setattr(rep, "random_rep", no_random)
+    monkeypatch.setattr(np.random, "default_rng", no_random)
     memo.clear()
     table = catalog._coxeter_walk(quiver, p)
     assert sorted(table) == sorted(quiver.positive_roots())
@@ -139,11 +147,18 @@ def test_one_dynkin_construction_path():
         assert "random_rep(" not in source.replace("def random_rep(", ""), info.name
 
 
+def aut_count(M, decomp=None):
+    """|Aut M| via the Krull-Schmidt decomposition."""
+    if decomp is None:
+        decomp = decompose(M)
+    return rep.aut_count_from_mults(M, [mult for _, mult in decomp])
+
+
 def _certified(M):
     """decompose(M), certified by an isomorphism between M and the direct
     sum of the catalogue modules it names."""
     decomp = decompose(M)
-    assert rep.is_isomorphic(M, catalog.module_from_classes(M.quiver, decomp, M.p)), decomp
+    assert is_isomorphic(M, catalog.module_from_classes(M.quiver, decomp, M.p)), decomp
     return decomp
 
 
@@ -219,14 +234,14 @@ def test_aut_count_via_decomposition():
     p = 3
     r = module_from_class(K, ("Rc", 0, 1), p)
     M = rep.direct_sum(r, r)
-    assert catalog.aut_count(M) == aut_count_brute(M) == 48  # |GL_2(F_3)|
+    assert aut_count(M) == aut_count_brute(M) == 48  # |GL_2(F_3)|
     N = rep.direct_sum(
         module_from_class(A2, ("root", (1, 1)), 2), rep.Rep.simple(A2, 2, 0)
     )
-    assert catalog.aut_count(N) == aut_count_brute(N) == 2
+    assert aut_count(N) == aut_count_brute(N) == 2
     # R(0,2) over F_2: End = F_2[t]/t^2, units = {1, 1+t} -> 2
     J = module_from_class(K, ("Rc", 0, 2), 2)
-    assert catalog.aut_count(J) == aut_count_brute(J) == 2
+    assert aut_count(J) == aut_count_brute(J) == 2
 
 
 def test_translate_classes():
@@ -316,7 +331,7 @@ def test_symbol_instantiate():
     p = 5
     s = parse_symbol("P1", A2)
     M = s.instantiate(p)
-    assert rep.is_isomorphic(M, module_from_class(A2, ("root", (1, 1)), p))
+    assert is_isomorphic(M, module_from_class(A2, ("root", (1, 1)), p))
     k = parse_symbol("R(1,1)@0 + R(1,1)@2 + P2", K)
     N = k.instantiate(p)
     assert N.dims == (2, 3)
@@ -368,7 +383,7 @@ def test_general_quiver_vertex_atoms():
     P = s.instantiate(p)
     assert P.dims == (1, 3)
     rng = np.random.default_rng(0)
-    M = rep.random_rep(Q, (2, 2), p, rng)
+    M = random_rep(Q, (2, 2), p, rng)
     assert rep.ext1_dim(P, M) == 0  # projectives have no extensions
     inj = parse_symbol("I2", Q).instantiate(p)
     assert inj.dims == (3, 1)
@@ -482,7 +497,7 @@ def test_decompose_memo_repeat_solves_no_hom(cold_memo, decomposer_calls):
 def _random_invertible(n, p, rng):
     while True:
         g = rng.integers(0, p, size=(n, n))
-        if linalg.is_invertible_mod(g, p):
+        if is_invertible_mod(g, p):
             return g
 
 
@@ -491,7 +506,7 @@ def _conjugate(M, rng):
     p = M.p
     g = [_random_invertible(d, p, rng) for d in M.dims]
     mats = [
-        g[t] @ m @ linalg.inv_mod(g[s], p)[1] for (s, t), m in zip(M.quiver.arrows, M.mats)
+        g[t] @ m @ inv_mod(g[s], p)[1] for (s, t), m in zip(M.quiver.arrows, arrays(M))
     ]
     return rep.Rep(M.quiver, p, M.dims, mats)
 
@@ -507,7 +522,7 @@ def test_decompose_memo_conjugated_copy(cold_memo):
     for M in (_a3_sample(p), kron):
         first = decompose(M)
         N = _conjugate(M, rng)
-        assert any(not np.array_equal(a, b) for a, b in zip(M.mats, N.mats))
+        assert M.mats != N.mats
         assert _certified(N) == first
     assert len(cold_memo) == 4
 
@@ -562,10 +577,13 @@ def test_module_from_classes_memo_is_the_direct_sum_and_read_only():
         parts = [module_from_class(Q, cls, p) for cls, mult in classes for _ in range(mult)]
         want = rep.direct_sum(*parts) if parts else rep.Rep.zero(Q, p)
         assert M.dims == want.dims
-        assert [m.tobytes() for m in M.mats] == [m.tobytes() for m in want.mats]
-        for m in M.mats:
-            with pytest.raises(ValueError, match="read-only"):
-                m[...] = 0
+        assert M.mats == want.mats
+        # tuples all the way down: no caller can write to a shared module
+        for m in (M.mats, *M.mats, *itertools.chain(*M.mats)):
+            assert type(m) is tuple
+            with pytest.raises(TypeError, match="does not support item assignment"):
+                m[0] = 0
+        assert all(type(x) is int for row in itertools.chain(*M.mats) for x in row)
 
 
 def test_symbol_dims_match_decomposition():
@@ -720,7 +738,7 @@ def test_decompose_kronecker_builds_no_catalog_module(cold_memo, hom_dim_calls, 
 def _pencil_test_modules(p):
     rng = np.random.default_rng(p)
     dims = [(0, 0), (0, 2), (2, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3), (3, 3)]
-    mods = [rep.random_rep(K, d, p, rng) for d in dims]
+    mods = [random_rep(K, d, p, rng) for d in dims]
     parts = [("P", 1), ("Rc", 0, 2), ("Rc", INF, 1), ("I", 0)]
     mods.append(rep.direct_sum(*(module_from_class(K, cls, p) for cls in parts)))
     return mods
@@ -733,8 +751,8 @@ def test_pencil_rank_formulas_match_hom_dim(p):
     pencil_hom = catalog._pencil_hom
     for M in _pencil_test_modules(p):
         d1, d2 = M.dims
-        A, B = (m.tolist() for m in M.mats)
-        At, Bt = (m.T.tolist() for m in M.mats)
+        A, B = M.mats
+        At, Bt = (m.T.tolist() for m in arrays(M))
         # P_0 and I_0 are the simples at vertices 2 and 1; P_1 and I_1 give
         # no block rows, so the rank formula reads d1 and d2 for them
         assert rep.hom_dim(module_from_class(K, ("P", 0), p), M) == d2
@@ -842,7 +860,7 @@ def test_rows_classifier_matches_hom_solve_oracle(M):
     oracle = decompose_dynkin_oracle if Q.is_dynkin() else decompose_kronecker_oracle
     want = _result(oracle, M)
     memo.clear()
-    blocks = [m.tolist() for m in M.mats]
+    blocks = [[list(row) for row in m] for m in M.mats]
     assert _result(catalog._decompose_rows, Q, p, M.dims, blocks) == want
     memo.clear()
     assert _result(decompose, M) == want

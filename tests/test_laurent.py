@@ -6,7 +6,12 @@ All expected values are immediate hand computations: e.g.
 
 import pytest
 
-from hallchar.laurent import LaurentPoly, monomial_of_vector
+from hallchar.laurent import LaurentPoly
+
+
+def monomial_of_vector(v):
+    """The monomial x^v for an integer vector v."""
+    return LaurentPoly.monomial(tuple(int(e) for e in v))
 
 
 def test_construction_prunes_zeros():

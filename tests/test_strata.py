@@ -25,6 +25,7 @@ from hallchar.catalog import INF, module_from_class
 from hallchar.errors import BudgetExceeded, OutsideCatalog
 from hallchar.quiver import Quiver, kronecker_quiver, linear_quiver
 from hallchar.rep import Rep
+from test_rep import _hom_offsets, arrays, cokernel_rep, hom_basis, kernel_rep, random_rep
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
@@ -36,10 +37,15 @@ def simple(Q, p, i):
     return rep.Rep.simple(Q, p, i)
 
 
+def split_middle_classes(X, Y):
+    """The decomposition of the split middle X + Y."""
+    return catalog.decompose(rep.direct_sum(Y, X))
+
+
 def hom_census_brute(L1, L2, cap=200000):
     """Oracle: enumerate all of Hom(L1, L2) and classify kernels/cokernels."""
     p = L1.p
-    basis = rep.hom_basis(L1, L2)
+    basis = hom_basis(L1, L2)
     h = len(basis)
     if p**h > cap:
         raise BudgetExceeded(f"{p}^{h} maps exceed cap {cap}")
@@ -54,8 +60,8 @@ def hom_census_brute(L1, L2, cap=200000):
             if c:
                 for i in range(nv):
                     f[i] = (f[i] + c * g[i]) % p
-        ker = rep.kernel_rep(L1, L2, f)
-        cok = rep.cokernel_rep(L1, L2, f)
+        ker = kernel_rep(L1, L2, f)
+        cok = cokernel_rep(L1, L2, f)
         key = (catalog.decompose(cok), catalog.decompose(ker))
         out[key] = out.get(key, 0) + 1
     return out
@@ -75,15 +81,15 @@ def kron_coboundary_matrix(X, Y):
     """Reference: f |-> (Y_a f_s - f_t X_a)_a assembled from np.kron blocks."""
     p = X.p
     c_off, c_total = _cocycle_layout(X, Y)
-    f_off, f_total = rep._hom_offsets(X, Y)
+    f_off, f_total = _hom_offsets(X, Y)
     out = np.zeros((c_total, f_total), dtype=np.int64)
     for a, (s, t) in enumerate(X.quiver.arrows):
         rows = slice(c_off[a], c_off[a] + Y.dims[t] * X.dims[s])
         # vec(Y_a f_s) = (Y_a (x) I) vec(f_s)
-        bs = np.kron(Y.mats[a], np.eye(X.dims[s], dtype=np.int64))
+        bs = np.kron(arrays(Y)[a], np.eye(X.dims[s], dtype=np.int64))
         out[rows, f_off[s] : f_off[s] + Y.dims[s] * X.dims[s]] += bs
         # vec(f_t X_a) = (I (x) X_a^T) vec(f_t)
-        bt = np.kron(np.eye(Y.dims[t], dtype=np.int64), X.mats[a].T)
+        bt = np.kron(np.eye(Y.dims[t], dtype=np.int64), arrays(X)[a].T)
         out[rows, f_off[t] : f_off[t] + Y.dims[t] * X.dims[t]] -= bt
     return out % p
 
@@ -117,8 +123,8 @@ def middle_from_cocycle(X, Y, flat):
     for a, (s, t) in enumerate(Q.arrows):
         m = np.zeros((dims[t], dims[s]), dtype=np.int64)
         yt, xs = Y.dims[t], X.dims[s]
-        m[:yt, : Y.dims[s]] = Y.mats[a]
-        m[yt:, Y.dims[s] :] = X.mats[a]
+        m[:yt, : Y.dims[s]] = arrays(Y)[a]
+        m[yt:, Y.dims[s] :] = arrays(X)[a]
         if yt and xs:
             m[:yt, Y.dims[s] :] = flat[offsets[a] : offsets[a] + yt * xs].reshape(
                 yt, xs
@@ -147,15 +153,14 @@ def ext_census_oracle(X, Y, budget=strata.DEFAULT_EXT_BUDGET):
     return census
 
 
-def free_coordinates(X, Y):
-    return strata._free_coordinates(X, Y, [m.tolist() for m in X.mats], [m.tolist() for m in Y.mats])
-
-
 def row_middles(X, Y):
     """The middles `ext_middle_census` classifies, as arrow-matrix rows."""
-    x_rows, y_rows = [m.tolist() for m in X.mats], [m.tolist() for m in Y.mats]
-    free = strata._free_coordinates(X, Y, x_rows, y_rows)
-    return list(strata._middles(X, Y, x_rows, y_rows, free))
+    return list(strata._middles(X, Y, strata._free_coordinates(X, Y)))
+
+
+def row_lists(M):
+    """M's arrow matrices as lists of row lists, the form of `row_middles`."""
+    return [[list(row) for row in m] for m in M.mats]
 
 
 def _result(fn, *args):
@@ -192,7 +197,7 @@ def test_ext_middle_census_total_mass():
         census = strata.ext_middle_census(X, Y)
         assert sum(census.values()) == p ** rep.ext1_dim(X, Y)
         # Miyata: only the trivial class has split middle
-        assert census.get(strata.split_middle_classes(X, Y), 0) == 1
+        assert census.get(split_middle_classes(X, Y), 0) == 1
 
 
 def test_ext_middle_census_kronecker_tubes():
@@ -220,7 +225,7 @@ def test_middle_from_cocycle_kronecker():
     assert catalog.decompose(mid) == ((("Rc", lam, 1), 1),)
     blocks = row_middles(X, Y)
     assert len(blocks) == p**2
-    assert blocks == [[m.tolist() for m in M.mats] for M in oracle_middles(X, Y)]
+    assert blocks == [row_lists(M) for M in oracle_middles(X, Y)]
     assert catalog._decompose_rows(K, p, mid.dims, blocks[1 * p + lam]) == catalog.decompose(mid)
     # the middle always contains Y as a subrep with quotient X
     self_ext = module_from_class(K, ("Rc", 0, 1), p)
@@ -229,7 +234,7 @@ def test_middle_from_cocycle_kronecker():
     mid2 = middle_from_cocycle(self_ext, self_ext, basis2[:, 0])
     assert catalog.decompose(mid2) == ((("Rc", 0, 2), 1),)
     blocks2 = row_middles(self_ext, self_ext)
-    assert blocks2 == [[m.tolist() for m in M.mats] for M in oracle_middles(self_ext, self_ext)]
+    assert blocks2 == [row_lists(M) for M in oracle_middles(self_ext, self_ext)]
     assert catalog._decompose_rows(K, p, mid2.dims, blocks2[1]) == ((("Rc", 0, 2), 1),)
 
 
@@ -237,7 +242,7 @@ def test_ext_complement_with_nontrivial_coboundaries():
     p = 3
     P1 = module_from_class(A2, ("root", (1, 1)), p)
     # C^1 is one-dimensional but entirely coboundaries: Ext^1(P(1), P(1)) = 0
-    assert free_coordinates(P1, P1) == []
+    assert strata._free_coordinates(P1, P1) == []
     assert ext_complement_basis(P1, P1).shape == (1, 0)
     assert strata.ext_middle_census(P1, P1) == {
         ((("root", (1, 1)), 2),): 1
@@ -277,7 +282,7 @@ def test_ext_memo_hit_equals_cold_census(ext1_calls):
     assert len(ext1_calls) == 1
     assert hit == cold
     # an equal copy of X hits the same entry: the key is the exact matrices
-    again = rep.Rep(K, p, X.dims, [m.copy() for m in X.mats])
+    again = rep.Rep(K, p, X.dims, row_lists(X))
     assert strata.ext_middle_census(again, Y) == cold
     assert len(ext1_calls) == 1
     memo.clear()
@@ -377,9 +382,9 @@ def test_coboundary_matrix_matches_kronecker_form(quiver, p):
         d = tuple(int(x) for x in rng.integers(0, 4, size=quiver.n))
         e = tuple(int(x) for x in rng.integers(0, 4, size=quiver.n))
         zero_seen |= 0 in d + e
-        X = rep.random_rep(quiver, d, p, rng)
-        Y = rep.random_rep(quiver, e, p, rng)
-        free = free_coordinates(X, Y)
+        X = random_rep(quiver, d, p, rng)
+        Y = random_rep(quiver, e, p, rng)
+        free = strata._free_coordinates(X, Y)
         units = np.zeros((kron_coboundary_matrix(X, Y).shape[0], len(free)), dtype=np.int64)
         units[free, range(len(free))] = 1
         assert np.array_equal(ext_complement_basis(X, Y), units)

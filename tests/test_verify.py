@@ -28,6 +28,7 @@ import hallchar
 from hallchar import catalog, cluster, qpoly, rep, strata, subspaces, symspace, verify
 from hallchar.errors import UnsupportedQuiver, VerificationMismatch
 from hallchar.quiver import kronecker_quiver, linear_quiver
+from test_rep import random_rep
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
@@ -548,7 +549,7 @@ def test_census_view_matches_rescan(data):
     p = data.draw(st.sampled_from([2, 3]), label="p")
     dims = data.draw(st.tuples(*[st.integers(0, 2)] * 3), label="dims")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    M = rep.random_rep(A3, dims, p, np.random.default_rng(seed))
+    M = random_rep(A3, dims, p, np.random.default_rng(seed))
     e = data.draw(st.tuples(*[st.integers(0, d + 1) for d in dims]), label="e")
     key_classes = data.draw(st.sampled_from([None, catalog.decompose(M)]), label="key")
     pairs = []
