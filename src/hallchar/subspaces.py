@@ -9,8 +9,8 @@ one (n, k, p), each U as Python-int rows with its pivot and other rows,
 are built once and shared by every enumeration (`_echelon_table`,
 memoized) when there are at most ECHELON_TABLE_MAX of them; a larger
 space is built afresh for each enumeration, so a frontier case never pins
-its candidates.  The tables hold no numpy arrays: `subspace_bases` builds
-an int64 basis array from each candidate's rows for its callers.
+its candidates.  The tables hold no numpy arrays; `image_rank_distribution`
+stacks the rows of at most ECHELON_TABLE_MAX candidates per product.
 
 A subrepresentation of M with dimension vector e is a choice of subspace
 U_i of dimension e_i at every vertex with M_a U_s inside U_t for all
@@ -32,6 +32,10 @@ The Hall census of (M, e) groups the subrepresentations U by the pair of
 isomorphism classes (class of M/U, class of U):
 
     census[(quot_classes, sub_classes)] = #such U.
+
+Where every e_v is 0 or d_v nothing is enumerated: U can only be M
+restricted to S = {v : e_v = d_v}, a subrepresentation exactly when M_a = 0
+on every arrow from S to its complement, so the census is {} or one entry.
 
 A single census answers every Hall number g over the ambient module M:
 g = #{U <= M : U iso V_sub, M/U iso V_quot} is one dictionary entry, and
@@ -75,8 +79,7 @@ _Echelon = namedtuple("_Echelon", "pivots others rows")
 
 
 def _echelons(n, k, p):
-    """Yield the `_Echelon` k-subspaces of F_p^n, in the order of
-    `subspace_bases`."""
+    """Yield the `_Echelon` k-subspaces of F_p^n, each one once."""
     if k < 0 or k > n:
         return
     for pivots in itertools.combinations(range(n), k):
@@ -109,19 +112,6 @@ def _candidates(n, k, p, count):
     if count <= ECHELON_TABLE_MAX:
         return _echelon_table(n, k, p)
     return _echelons(n, k, p)
-
-
-def subspace_bases(n, k, p):
-    """Yield one canonical basis (n x k int64 matrix) per k-subspace of F_p^n.
-
-    The basis is the transpose of a reduced row echelon form: choose pivot
-    rows r_1 < ... < r_k, put the identity there, zeros above each pivot,
-    and free values at the positions below a pivot that are not themselves
-    pivot rows.  Columns are the basis vectors.  Each array is built from
-    the candidate's rows (`_candidates`) for this call.
-    """
-    for U in _candidates(n, k, p, subspace_count(n, k, p)):
-        yield np.array(U.rows, dtype=np.int64).reshape(n, k)
 
 
 def subspace_count(n, k, p):
@@ -274,14 +264,17 @@ def image_rank_distribution(M, k):
     if not M.mats or k == 0 or d2 == 0:
         counts[0] = gaussian_binomial(d1, k, p)
     else:
-        # one int64 array, built once from the rows: row i * #arrows + a
-        # is row i of arrow a, so each product reshapes to the
-        # d2 x (#arrows * k) matrix [A_1 U | A_2 U | ...]
+        # row i * #arrows + a is row i of arrow a, so each product reshapes
+        # to the d2 x (#arrows * k) matrix [A_1 U | A_2 U | ...]
         arrows = np.array(M.mats, dtype=np.int64).transpose(1, 0, 2).reshape(-1, d1)
         width = len(M.mats) * k
-        for U in subspace_bases(d1, k, p):
-            joint = ((arrows @ U) % p).reshape(d2, width).tolist()
-            counts[linalg.rank_rows(joint, width, p)] += 1
+        # one batched product per chunk of at most ECHELON_TABLE_MAX bases
+        # (the whole shared table when it is kept)
+        bases = iter(_candidates(d1, k, p, subspace_count(d1, k, p)))
+        while chunk := [U.rows for U in itertools.islice(bases, ECHELON_TABLE_MAX)]:
+            joints = np.matmul(arrows, np.array(chunk, dtype=np.int64)) % p
+            for joint in joints.reshape(len(chunk), d2, width).tolist():
+                counts[linalg.rank_rows(joint, width, p)] += 1
     return counts
 
 
@@ -336,6 +329,8 @@ def grassmannian_count(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
 def hall_census(M, e, budget=DEFAULT_SUBSPACE_BUDGET, key_classes=None):
     """Census {(quot_classes, sub_classes): count} of subreps of M.
 
+    Where every e_v is 0 or d_v, the one candidate, M restricted to
+    {v : e_v = d_v}, is checked and classified with no subspace walk.
     `key_classes` may pass the decomposition of M when already known, to
     stabilize the memo key without recomputing it.  A module the catalog
     cannot decompose (`OutsideCatalog`) has no memo key: its census is
@@ -353,7 +348,7 @@ def hall_census(M, e, budget=DEFAULT_SUBSPACE_BUDGET, key_classes=None):
 @memo.memoized(lambda M, e, budget, classes: (M.quiver.key, M.p, classes, e))
 def _class_census(M, e, budget, classes):
     """`_census` of M at e, memoized on the decomposition `classes` of M."""
-    return _census(M, e, budget)
+    return _census(M, e, budget, classes)
 
 
 @memo.memoized(lambda M, e, budget, classes: (M.quiver.key, M.p, classes, e))
@@ -368,9 +363,13 @@ def census_view(M, e, budget, classes):
     return out
 
 
-def _census(M, e, budget):
+def _census(M, e, budget, classes=None):
     Q, p = M.quiver, M.p
     quot_dims = tuple(d - k for d, k in zip(M.dims, e))
+    if len(e) == Q.n and all(k in (0, d) for k, d in zip(e, M.dims)):
+        if budget < 1:
+            raise BudgetExceeded(f"subspace search space 1 exceeds budget {budget}")
+        return _forced_census(M, e, quot_dims, classes)
     out = {}
     for _, sub, quot in subrep_bases(M, e, budget=budget):
         key = (
@@ -379,6 +378,27 @@ def _census(M, e, budget):
         )
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def _forced_census(M, e, quot_dims, classes):
+    """The census at an e with every e_v in {0, d_v} (see above).  Known
+    `classes` of M are the sub at e = dim M and the quotient at e = 0."""
+    if classes is not None and not any(e):
+        return {(classes, ()): 1}
+    if classes is not None and not any(quot_dims):
+        return {((), classes): 1}
+    full = [k == d for k, d in zip(e, M.dims)]
+    sub, quot = [], []
+    for (s, t), mat in zip(M.quiver.arrows, M.mats):
+        if full[s] and not full[t] and any(map(any, mat)):
+            return {}
+        sub.append(mat if full[s] and full[t] else ((),) * e[t])
+        quot.append(mat if not (full[s] or full[t]) else ((),) * quot_dims[t])
+    key = (
+        catalog._decompose_rows(M.quiver, M.p, quot_dims, quot),
+        catalog._decompose_rows(M.quiver, M.p, e, sub),
+    )
+    return {key: 1}
 
 
 def hall_number(L, quot_classes, sub_classes, budget=DEFAULT_SUBSPACE_BUDGET):

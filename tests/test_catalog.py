@@ -42,10 +42,10 @@ from hallchar.catalog import (
 from hallchar.errors import ComputationError, OutsideCatalog, UnsupportedQuiver
 from hallchar.quiver import Quiver, _unimodular_inverse, kronecker_quiver, linear_quiver
 from test_quiver import dynkin_quiver
-from test_linalg import inv_mod, is_invertible_mod
 from test_rep import (
     arrays,
     aut_count_brute,
+    conjugate,
     is_isomorphic,
     kron_constraint_matrix,
     random_rep,
@@ -494,23 +494,6 @@ def test_decompose_memo_repeat_solves_no_hom(cold_memo, decomposer_calls):
         decomposer_calls.clear()
 
 
-def _random_invertible(n, p, rng):
-    while True:
-        g = rng.integers(0, p, size=(n, n))
-        if is_invertible_mod(g, p):
-            return g
-
-
-def _conjugate(M, rng):
-    """An isomorphic copy g_t M_a g_s^{-1} with random invertible g_i."""
-    p = M.p
-    g = [_random_invertible(d, p, rng) for d in M.dims]
-    mats = [
-        g[t] @ m @ inv_mod(g[s], p)[1] for (s, t), m in zip(M.quiver.arrows, arrays(M))
-    ]
-    return rep.Rep(M.quiver, p, M.dims, mats)
-
-
 def test_decompose_memo_conjugated_copy(cold_memo):
     rng = np.random.default_rng(11)
     p = 5
@@ -521,7 +504,7 @@ def test_decompose_memo_conjugated_copy(cold_memo):
     )
     for M in (_a3_sample(p), kron):
         first = decompose(M)
-        N = _conjugate(M, rng)
+        N = conjugate(M, rng)
         assert M.mats != N.mats
         assert _certified(N) == first
     assert len(cold_memo) == 4
@@ -708,7 +691,7 @@ def kronecker_modules(draw, max_dims=(4, 4)):
         if all(d <= top for d, top in zip(dims, max_dims)):
             parts.append(part)
     M = rep.direct_sum(*parts) if parts else rep.Rep.zero(K, p)
-    return _conjugate(M, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return conjugate(M, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -799,7 +782,7 @@ def test_decompose_direct_sum_merges_the_parts(case):
     """decompose of a conjugated X + Y is the merge of decompose(X) and
     decompose(Y); a part outside the catalogue keeps the sum outside."""
     X, Y, seed = case
-    got = _result(decompose, _conjugate(rep.direct_sum(X, Y), np.random.default_rng(seed)))
+    got = _result(decompose, conjugate(rep.direct_sum(X, Y), np.random.default_rng(seed)))
     parts = [_result(decompose, X), _result(decompose, Y)]
     if OutsideCatalog in parts:
         assert got is OutsideCatalog

@@ -54,7 +54,7 @@ def _fill_every_table():
     catalog.aut_count_of_classes(A2, classes, p)
     subspaces.hall_census(M, (1, 0))
     subspaces.image_rank_distribution(M, 1)
-    list(subspaces.subspace_bases(2, 1, p))
+    subspaces._echelon_table(2, 1, p)
     strata.ext_middle_census(S1, S2)
     cluster.chi_grassmannian(catalog.parse_symbol("S1", A2), (1, 0))
     symspace.random_symbol(A2, np.random.default_rng(0), (1, 1))

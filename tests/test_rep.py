@@ -268,6 +268,23 @@ def random_rep(quiver, dims, p, rng):
     return rep.Rep(quiver, p, dims, mats)
 
 
+def random_invertible(n, p, rng):
+    while True:
+        g = rng.integers(0, p, size=(n, n))
+        if is_invertible_mod(g, p):
+            return g
+
+
+def conjugate(M, rng):
+    """An isomorphic copy g_t M_a g_s^{-1} with random invertible g_i."""
+    p = M.p
+    g = [random_invertible(d, p, rng) for d in M.dims]
+    mats = [
+        g[t] @ m @ inv_mod(g[s], p)[1] for (s, t), m in zip(M.quiver.arrows, arrays(M))
+    ]
+    return rep.Rep(M.quiver, p, M.dims, mats)
+
+
 def opposite_rep(M, opp=None):
     """The same linear data viewed over the opposite quiver.
 

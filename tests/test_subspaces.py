@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hallchar import catalog, memo, rep, subspaces
-from hallchar.errors import BudgetExceeded
+from hallchar import catalog, memo, rep, subspaces, symspace
+from hallchar.errors import BudgetExceeded, OutsideCatalog
 from hallchar.quiver import Quiver, kronecker_quiver, linear_quiver
 from test_linalg import column_space_canonical, column_space_contains
 from test_quiver import dynkin_orientations
-from test_rep import arrays, random_rep, sub_quotient_pair
+from test_rep import arrays, conjugate, random_rep, sub_quotient_pair
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
@@ -30,12 +30,25 @@ D4_SINK = Quiver(4, [(0, 3), (1, 3), (2, 3)])
 K = kronecker_quiver()
 
 
+def subspace_bases(n, k, p):
+    """Yield one canonical basis (n x k int64 matrix) per k-subspace of F_p^n.
+
+    The basis is the transpose of a reduced row echelon form: choose pivot
+    rows r_1 < ... < r_k, put the identity there, zeros above each pivot,
+    and free values at the positions below a pivot that are not themselves
+    pivot rows.  Columns are the basis vectors.  Each array is built from
+    the rows of the enumeration's candidates (`subspaces._candidates`).
+    """
+    for U in subspaces._candidates(n, k, p, subspaces.subspace_count(n, k, p)):
+        yield np.array(U.rows, dtype=np.int64).reshape(n, k)
+
+
 def grassmannian_count_brute(M, e):
     """Reference count: every tuple of subspaces of dimension e, kept when
     each arrow image lies in the target subspace by rank, so it shares no
     code with the echelon containment check that `subspaces` uses."""
     p = M.p
-    per_vertex = [list(subspaces.subspace_bases(d, k, p)) for d, k in zip(M.dims, e)]
+    per_vertex = [list(subspace_bases(d, k, p)) for d, k in zip(M.dims, e)]
     return sum(
         all(
             column_space_contains(bases[t], (arrays(M)[a] @ bases[s]) % p, p)
@@ -105,7 +118,7 @@ def test_subspace_enumeration_counts_and_uniqueness():
     for (n, k, p) in [(3, 1, 2), (3, 2, 2), (2, 1, 5), (4, 2, 3), (3, 0, 2), (3, 3, 2)]:
         seen = set()
         count = 0
-        for U in subspaces.subspace_bases(n, k, p):
+        for U in subspace_bases(n, k, p):
             assert U.shape == (n, k)
             key = column_space_canonical(U, p).tobytes()
             assert key not in seen
@@ -249,6 +262,24 @@ def test_image_rank_distribution_total():
     for k in range(3):
         dist = subspaces.image_rank_distribution(M, k)
         assert int(dist.sum()) == subspaces.subspace_count(2, k, p)
+
+
+def test_image_rank_distribution_in_chunks(monkeypatch):
+    """A space of more than ECHELON_TABLE_MAX subspaces is ranked in chunks
+    of at most that many bases, with the distribution of the one-table
+    product, and no table is stored for it."""
+    p = 3
+    M = rep.direct_sum(
+        catalog.module_from_class(K, ("Rc", 0, 2), p),
+        catalog.module_from_class(K, ("P", 1), p),
+    )
+    memo.clear()
+    whole = subspaces.image_rank_distribution(M, 2).tolist()
+    assert sum(whole) == subspaces.subspace_count(3, 2, p) == 13
+    memo.clear()
+    monkeypatch.setattr(subspaces, "ECHELON_TABLE_MAX", 5)
+    assert subspaces.image_rank_distribution(M, 2).tolist() == whole
+    assert not memo.TABLES["subspaces._echelon_table"]
 
 
 # a Kronecker module at a degree-2 tube point over F_2 (x^2 + x + 1 is
@@ -421,6 +452,111 @@ def test_hall_census_matches_oracle_where_checks_intersect(M):
         assert got == _result(hall_census_oracle, M, e)
 
 
+def forced_dims(M):
+    """Every e with each e_v equal to 0 or d_v."""
+    return itertools.product(*[sorted({0, d}) for d in M.dims])
+
+
+def _items(result):
+    """A census as its list of items, so that key order counts; an
+    exception type as it is."""
+    return list(result.items()) if isinstance(result, dict) else result
+
+
+@st.composite
+def symbol_modules(draw):
+    """(symbol, module): a catalogue symbol with dims <= 2 per vertex over
+    A_2, A_3, A_3_SINK, D_4 or Kronecker, realised at p in {2, 3, 5} and
+    conjugated by a random base change, so its rows are not the
+    catalogue's."""
+    Q = draw(st.sampled_from([A2, A3, A3_SINK, D4, K]))
+    p = draw(st.sampled_from([2, 3, 5]))
+    pool = [s for s in symspace.all_symbols_up_to(Q, (2,) * Q.n) if s.admissible_prime(p)]
+    sym = draw(st.sampled_from(pool))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return sym, conjugate(sym.instantiate(p), np.random.default_rng(seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(symbol_modules())
+def test_forced_census_matches_per_subrep_oracle(case):
+    """Where every e_v is 0 or d_v the census is read off M restricted to
+    {v : e_v = d_v}.  From cold caches it equals the per-subrep oracle,
+    items and key order included, with `key_classes` and without it."""
+    sym, M = case
+    for e in forced_dims(M):
+        memo.clear()
+        want = _items(_result(hall_census_oracle, M, e))
+        memo.clear()
+        assert _items(_result(subspaces.hall_census, M, e)) == want
+        memo.clear()
+        classes = sym.concrete_classes(M.p)
+        assert _items(_result(lambda: subspaces.hall_census(M, e, key_classes=classes))) == want
+
+
+def test_forced_census_runs_no_walk(monkeypatch):
+    """No forced census enumerates subspaces: with `_echelon_walk` made to
+    raise, every forced census still equals the oracle's, including an
+    empty one (P(1) at (1, 0)), a split one (S1 + S2 at (1, 0), where the
+    zero arrows leave S) and the forced censuses of a module outside
+    the catalogue, and stores its classes under the oracle's memo keys."""
+    p = 3
+    cases = [
+        catalog.module_from_class(A2, ("root", (1, 1)), p),
+        rep.direct_sum(rep.Rep.simple(K, p, 0), rep.Rep.simple(K, p, 1)),
+        rep.direct_sum(
+            catalog.module_from_class(A3, ("root", (1, 1, 1)), p),
+            catalog.module_from_class(A3, ("root", (0, 1, 1)), p),
+        ),
+        rep.direct_sum(
+            catalog.module_from_class(D4, ("root", (1, 1, 1, 1)), p),
+            rep.Rep.simple(D4, p, 1),
+        ),
+        rep.direct_sum(
+            catalog.module_from_class(K, ("P", 1), p),
+            catalog.module_from_class(K, ("Rc", 2, 1), p),
+        ),
+        OUTSIDE_CATALOG,
+    ]
+    want = []
+    for M in cases:
+        for e in forced_dims(M):
+            memo.clear()
+            census = _items(_result(hall_census_oracle, M, e))
+            want.append((M, e, census, set(memo.TABLES["catalog.decompose"]) | {M.key}))
+    assert [] in [w for _, _, w, _ in want]
+
+    def no_walk(*args):
+        raise AssertionError("a forced census walked the subspaces")
+
+    monkeypatch.setattr(subspaces, "_echelon_walk", no_walk)
+    for M, e, census, keys in want:
+        memo.clear()
+        assert _items(_result(subspaces.hall_census, M, e)) == census
+        # sub and quotient are classified under the keys of the oracle's modules
+        assert set(memo.TABLES["catalog.decompose"]) <= keys
+
+
+def test_forced_census_edge_cases():
+    """The forced rule keeps the walk's errors: a budget below 1 raises,
+    a wrong-length e raises ValueError, an out-of-range e reads {}, and a
+    module outside the catalogue raises OutsideCatalog at e = 0 and at
+    e = dim M without storing a census."""
+    p = 3
+    P1 = catalog.module_from_class(A2, ("root", (1, 1)), p)
+    memo.clear()
+    with pytest.raises(BudgetExceeded):
+        subspaces.hall_census(P1, (0, 0), budget=0)
+    with pytest.raises(ValueError):
+        subspaces.hall_census(P1, (0, 0, 0))
+    assert subspaces.hall_census(P1, (2, 1)) == {}
+    for e in [(0, 0), (2, 2)]:
+        memo.clear()
+        with pytest.raises(OutsideCatalog):
+            subspaces.hall_census(OUTSIDE_CATALOG, e)
+        assert not memo.TABLES["subspaces._class_census"]
+
+
 def test_echelon_table_is_shared_up_to_the_size_constant():
     """Spaces with at most ECHELON_TABLE_MAX subspaces read one shared table;
     a larger space is built for the call and never stored."""
@@ -428,13 +564,13 @@ def test_echelon_table_is_shared_up_to_the_size_constant():
     table = memo.TABLES["subspaces._echelon_table"]
     assert subspaces.subspace_count(4, 2, 5) <= subspaces.ECHELON_TABLE_MAX
     assert subspaces.subspace_count(4, 2, 7) > subspaces.ECHELON_TABLE_MAX
-    bases = list(subspaces.subspace_bases(4, 2, 5))
+    bases = list(subspace_bases(4, 2, 5))
     assert list(table) == [(4, 2, 5)]
     shared = table[(4, 2, 5)]
     assert [U.rows for U in shared] == [b.tolist() for b in bases]
     again = subspaces._candidates(4, 2, 5, len(shared))
     assert len(again) == len(shared) and all(a is b for a, b in zip(shared, again))
-    assert sum(1 for _ in subspaces.subspace_bases(4, 2, 7)) == subspaces.subspace_count(4, 2, 7)
+    assert sum(1 for _ in subspace_bases(4, 2, 7)) == subspaces.subspace_count(4, 2, 7)
     assert list(table) == [(4, 2, 5)]
 
 
