@@ -251,6 +251,15 @@ def sort_classes(pairs):
     return tuple(sorted(pairs, key=lambda cm: class_sort_key(cm[0])))
 
 
+def _merge_classes(*decomps):
+    """Direct sum of concrete decompositions (concatenate and merge)."""
+    acc = {}
+    for decomp in decomps:
+        for cls, mult in decomp:
+            acc[cls] = acc.get(cls, 0) + mult
+    return sort_classes(acc.items())
+
+
 def decomposition_dims(quiver, decomp):
     n = quiver.n
     out = [0] * n

@@ -37,6 +37,24 @@ Where every e_v is 0 or d_v nothing is enumerated: U can only be M
 restricted to S = {v : e_v = d_v}, a subrepresentation exactly when M_a = 0
 on every arrow from S to its complement, so the census is {} or one entry.
 
+Where the support of M falls apart, a census of known classes is split.
+The parts are the connected components of the graph on {v : d_v > 0} with
+an edge for every arrow whose matrix is nonzero.  With two or more parts,
+M is the direct sum of its restrictions M|_C and every arrow between two
+parts acts as 0, so the subrepresentations U of M are exactly the sums of
+one subrepresentation U|_C of each M|_C, with U and M/U the sums of the
+U|_C and of the M|_C / U|_C.  The census of M at e is then the product of
+the censuses of the M|_C at e|_C: entries (q_C, s_C) with counts c_C give
+the entry (sum of q_C, sum of s_C) with count prod c_C.  Each M|_C is
+classified by `catalog._decompose_rows`, and its census is read through
+the census memo under its own classes, so one part's census serves every
+module that contains that part.  The budget is checked against all of M
+first, as the walk checks it.  The walk meets its keys in lexicographic
+order of the subspaces chosen along the topological order, and the
+product keeps that key order unless two parts with several entries each
+have their free vertices (0 < e_v < d_v) interleaved in the topological
+order; there M is walked whole.
+
 A single census answers every Hall number g over the ambient module M:
 g = #{U <= M : U iso V_sub, M/U iso V_quot} is one dictionary entry, and
 the quiver Grassmannian point count |Gr_e(M)(F_p)| is the total mass.
@@ -281,11 +299,15 @@ def image_rank_distribution(M, k):
 def grassmannian_count(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
     """|Gr_e(M)(F_p)|: the number of subrepresentations of dimension e.
 
-    The final vertex in topological order never has outgoing arrows, so
-    the subspace there only needs to contain the span W of the incoming
-    arrow images: there are [d_last - w choose e_last - w]_p such
-    choices.  Only the earlier vertices are enumerated; on two-vertex
-    quivers that enumeration collapses to a cached rank distribution.
+    Where every e_v is 0 or d_v the count is 1 when M_a = 0 on every arrow
+    from {v : e_v = d_v} to its complement, else 0, with no walk; this rule
+    is written here apart from the census's, so that the two character
+    paths share no census code.  Otherwise the final vertex in topological
+    order never has outgoing arrows, so the subspace there only needs to
+    contain the span W of the incoming arrow images: there are
+    [d_last - w choose e_last - w]_p such choices.  Only the earlier
+    vertices are enumerated; on two-vertex quivers that enumeration
+    collapses to a cached rank distribution.
     """
     Q, p = M.quiver, M.p
     n = Q.n
@@ -298,11 +320,19 @@ def grassmannian_count(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
     if n == 1:
         return subspace_count(M.dims[0], e[0], p)
     last = order[-1]
+    if n == 2 and subspace_count(M.dims[order[0]], e[order[0]], p) > budget:
+        raise BudgetExceeded(
+            f"subspace search space exceeds budget {budget}"
+        )
+    if all(k in (0, d) for k, d in zip(e, M.dims)):
+        if budget < 1:
+            raise BudgetExceeded(f"subspace search space 1 exceeds budget {budget}")
+        full = [k == d for k, d in zip(e, M.dims)]
+        return int(not any(
+            full[s] and not full[t] and any(map(any, mat))
+            for (s, t), mat in zip(Q.arrows, M.mats)
+        ))
     if n == 2:
-        if subspace_count(M.dims[order[0]], e[order[0]], p) > budget:
-            raise BudgetExceeded(
-                f"subspace search space exceeds budget {budget}"
-            )
         dist = image_rank_distribution(M, e[order[0]])
         return sum(
             int(cnt) * subspace_count(M.dims[last] - w, e[last] - w, p)
@@ -331,6 +361,8 @@ def hall_census(M, e, budget=DEFAULT_SUBSPACE_BUDGET, key_classes=None):
 
     Where every e_v is 0 or d_v, the one candidate, M restricted to
     {v : e_v = d_v}, is checked and classified with no subspace walk.
+    Where the support of M has two or more unlinked parts, the census is
+    the product of the parts' censuses (see above).
     `key_classes` may pass the decomposition of M when already known, to
     stabilize the memo key without recomputing it.  A module the catalog
     cannot decompose (`OutsideCatalog`) has no memo key: its census is
@@ -370,6 +402,13 @@ def _census(M, e, budget, classes=None):
         if budget < 1:
             raise BudgetExceeded(f"subspace search space 1 exceeds budget {budget}")
         return _forced_census(M, e, quot_dims, classes)
+    # an indecomposable M has one part
+    if classes is not None and len(e) == Q.n and sum(m for _, m in classes) > 1:
+        label = _support_labels(M)
+        if len(set(label) - {None}) > 1 and all(0 <= k <= d for k, d in zip(e, M.dims)):
+            out = _split_census(M, e, budget, label)
+            if out is not None:
+                return out
     out = {}
     for _, sub, quot in subrep_bases(M, e, budget=budget):
         key = (
@@ -399,6 +438,69 @@ def _forced_census(M, e, quot_dims, classes):
         catalog._decompose_rows(M.quiver, M.p, e, sub),
     )
     return {key: 1}
+
+
+# M restricted to one connected part of its support: the fields of a `Rep`
+# that a census reads, so a split census builds no `Rep`
+_Part = namedtuple("_Part", "quiver p dims mats")
+
+
+def _support_labels(M):
+    """The connected parts of the graph on {v : d_v > 0} with an edge for
+    every arrow whose matrix is nonzero: one label per vertex, equal on the
+    vertices of one part, None where d_v = 0."""
+    label = [v if d else None for v, d in enumerate(M.dims)]
+    for (s, t), mat in zip(M.quiver.arrows, M.mats):
+        if label[s] != label[t] and any(map(any, mat)):
+            old, new = label[t], label[s]
+            label = [new if x == old else x for x in label]
+    return label
+
+
+def _split_census(M, e, budget, label):
+    """The census of M at e as the product of the censuses of M restricted
+    to the parts of its support, given by `_support_labels` (see above),
+    or None when the walk's key order cannot be kept.  Raises
+    BudgetExceeded as the walk of all of M does."""
+    Q, p = M.quiver, M.p
+    total = 1
+    for d, k in zip(M.dims, e):
+        total *= subspace_count(d, k, p)
+    if total > budget:
+        raise BudgetExceeded(f"subspace search space {total} exceeds budget {budget}")
+    censuses = {}
+    for x in dict.fromkeys(y for y in label if y is not None):
+        dims = tuple(d if y == x else 0 for y, d in zip(label, M.dims))
+        mats = tuple(
+            mat if label[s] == x == label[t] else ((),) * dims[t]
+            for (s, t), mat in zip(Q.arrows, M.mats)
+        )
+        censuses[x] = _class_census(
+            _Part(Q, p, dims, mats),
+            tuple(k if y == x else 0 for y, k in zip(label, e)),
+            budget,
+            catalog._decompose_rows(Q, p, dims, mats),
+        )
+    # The product meets its keys in the walk's order when the parts with
+    # several entries are taken in the order of their free vertices along
+    # the topological order, each part's free vertices in one run.
+    runs = [
+        x for x, _ in itertools.groupby(
+            label[v] for v in Q.topological_order()
+            if 0 < e[v] < M.dims[v] and len(censuses[label[v]]) > 1
+        )
+    ]
+    if len(runs) != len(set(runs)):
+        return None
+    first, *rest = runs + [x for x in censuses if x not in runs]
+    out = censuses[first]
+    for x in rest:
+        out = {
+            (catalog._merge_classes(q1, q2), catalog._merge_classes(s1, s2)): c1 * c2
+            for (q1, s1), c1 in out.items()
+            for (q2, s2), c2 in censuses[x].items()
+        }
+    return out
 
 
 def hall_number(L, quot_classes, sub_classes, budget=DEFAULT_SUBSPACE_BUDGET):

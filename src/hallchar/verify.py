@@ -126,15 +126,6 @@ def _common_primes(symbols, count):
     return catalog.primes_from(start, count)
 
 
-def _merge_classes(*decomps):
-    """Direct sum of concrete decompositions (concatenate and merge)."""
-    acc = {}
-    for decomp in decomps:
-        for cls, mult in decomp:
-            acc[cls] = acc.get(cls, 0) + mult
-    return catalog.sort_classes(acc.items())
-
-
 def _hall_fp(M, quot_fid, sub_fid, e, budget, key_classes=None):
     """Hall number of M with the quotient and sub types whose fingerprint
     ids (`catalog.fingerprint_id`) are `quot_fid` and `sub_fid`: one lookup
@@ -463,7 +454,7 @@ def verify_green_degenerate(
 @memo.memoized(lambda classes1, classes2: (classes1, classes2))
 def _merge_fp(classes1, classes2):
     """The fingerprint id of the direct sum of two decompositions (memoized)."""
-    return catalog.fingerprint_id(_merge_classes(classes1, classes2))
+    return catalog.fingerprint_id(catalog._merge_classes(classes1, classes2))
 
 
 def verify_green_degenerate_all(
@@ -680,7 +671,7 @@ def _green_projective_blocks(quiver, xi2, eta2, xi, eta, p, budget):
     # block (iv): projectivized nonsplit Hall variety of L = xi' + eta'
     n_all = _hall_fp(
         L, f_xi, f_eta, eta.dims, budget,
-        _merge_classes(cls["xi2"], cls["eta2"]),
+        catalog._merge_classes(cls["xi2"], cls["eta2"]),
     )
     block_iv = _exact_quotient(n_all - n_split, p, "nonsplit Hall stratum")
     return dict(zip(_PROJECTIVE_BLOCKS, (block_i, block_ii, block_iii, block_iv)))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hallchar import catalog, memo, rep, subspaces, symspace
+from hallchar import catalog, cluster, memo, rep, subspaces, symspace
 from hallchar.errors import BudgetExceeded, OutsideCatalog
 from hallchar.quiver import Quiver, kronecker_quiver, linear_quiver
 from test_linalg import column_space_canonical, column_space_contains
@@ -555,6 +555,245 @@ def test_forced_census_edge_cases():
         with pytest.raises(OutsideCatalog):
             subspaces.hall_census(OUTSIDE_CATALOG, e)
         assert not memo.TABLES["subspaces._class_census"]
+
+
+def support_parts(M):
+    """The parts of M's support as vertex sets, in the order of their
+    first vertex, from `subspaces._support_labels`."""
+    label = subspaces._support_labels(M)
+    return [
+        {v for v, y in enumerate(label) if y == x}
+        for x in dict.fromkeys(y for y in label if y is not None)
+    ]
+
+
+@st.composite
+def unlinked_modules(draw):
+    """(symbol, module): the direct sum of two catalogue symbols with
+    disjoint supports (so every arrow between them acts as 0), each with
+    dims <= 2 per vertex, over A_2, A_3, A_3_SINK, D_4 or Kronecker,
+    realised at p in {2, 3, 5} and conjugated as in `symbol_modules`."""
+    Q = draw(st.sampled_from([A2, A3, A3_SINK, D4, K]))
+    p = draw(st.sampled_from([2, 3, 5]))
+    pool = [
+        s for s in symspace.all_symbols_up_to(Q, (2,) * Q.n)
+        if s.admissible_prime(p) and any(s.dims)
+    ]
+    first = draw(st.sampled_from([s for s in pool if not all(s.dims)]))
+    second = draw(st.sampled_from([
+        s for s in pool if not any(a and b for a, b in zip(first.dims, s.dims))
+    ]))
+    sym = first.direct_sum(second)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return sym, conjugate(sym.instantiate(p), np.random.default_rng(seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(unlinked_modules())
+def test_split_census_matches_per_subrep_oracle(case):
+    """Where M's support has unlinked parts the census is the product of
+    the parts' censuses.  From cold caches it equals the per-subrep oracle,
+    items and key order included, with `key_classes` and without it."""
+    sym, M = case
+    assert len(support_parts(M)) > 1
+    for e in itertools.product(*[range(d + 1) for d in M.dims]):
+        memo.clear()
+        want = _items(_result(hall_census_oracle, M, e))
+        memo.clear()
+        assert _items(_result(subspaces.hall_census, M, e)) == want
+        memo.clear()
+        classes = sym.concrete_classes(M.p)
+        assert _items(_result(lambda: subspaces.hall_census(M, e, key_classes=classes))) == want
+
+
+def test_split_census_walks_only_the_parts(monkeypatch):
+    """A split census walks each part of M and never M itself: with
+    `_echelon_walk` refusing any module whose support is not one part,
+    every census still equals the oracle's."""
+    p = 3
+    cases = [
+        (rep.direct_sum(
+            catalog.module_from_class(A3, ("root", (1, 1, 0)), p),
+            catalog.module_from_class(A3, ("root", (1, 0, 0)), p),
+            catalog.module_from_class(A3, ("root", (0, 0, 1)), p),
+            catalog.module_from_class(A3, ("root", (0, 0, 1)), p),
+        ), (1, 1, 1)),
+        (rep.direct_sum(
+            catalog.module_from_class(D4, ("root", (1, 1, 0, 1)), p),
+            catalog.module_from_class(D4, ("root", (0, 1, 0, 0)), p),
+            rep.Rep.simple(D4, p, 2),
+            rep.Rep.simple(D4, p, 2),
+        ), (0, 1, 1, 1)),
+        (rep.direct_sum(
+            rep.Rep.simple(K, p, 0), rep.Rep.simple(K, p, 0), rep.Rep.simple(K, p, 1)
+        ), (1, 1)),
+    ]
+    want = []
+    for M, e in cases:
+        memo.clear()
+        want.append(_items(hall_census_oracle(M, e)))
+    real = subspaces._echelon_walk
+    walked = []
+
+    def parts_only(M, *args):
+        if len(support_parts(M)) > 1:
+            raise AssertionError("a split census walked the whole module")
+        walked.append(M.dims)
+        return real(M, *args)
+
+    monkeypatch.setattr(subspaces, "_echelon_walk", parts_only)
+    for (M, e), census in zip(cases, want):
+        memo.clear()
+        assert len(support_parts(M)) > 1
+        assert _items(subspaces.hall_census(M, e)) == census
+        assert census
+    assert walked
+
+
+def _two_part_module(Q, first, second, p):
+    """X + S_a + S_b for X the root module with support {a, b}, for each
+    of the vertex pairs `first` and `second`."""
+    def part(a, b):
+        root = tuple(int(v in (a, b)) for v in range(Q.n))
+        X = catalog.module_from_class(Q, ("root", root), p)
+        return X, rep.Rep.simple(Q, p, a), rep.Rep.simple(Q, p, b)
+
+    return rep.direct_sum(*part(*first), *part(*second))
+
+
+def test_split_census_keeps_the_walk_order():
+    """Two parts with several census entries each.  On linear A_4 the
+    parts {0, 1} and {2, 3} follow each other along the topological order,
+    and the product, taken in that order, meets the keys in the walk's
+    order.  On the A_4 orientation 0 -> 2 <- 1 -> 3 the topological order
+    is 0, 1, 2, 3, so the parts {0, 2} and {1, 3} take turns along it; the
+    product would meet the keys in another order than the walk, so M is
+    walked whole at e = (1, 1, 1, 1).  Every census equals the oracle's,
+    items and key order included."""
+    p = 2
+    e = (1, 1, 1, 1)
+    for Q, pairs, split in [
+        (linear_quiver(4), ((0, 1), (2, 3)), True),
+        (Quiver(4, [(0, 2), (1, 2), (1, 3)]), ((0, 2), (1, 3)), False),
+    ]:
+        M = _two_part_module(Q, *pairs, p)
+        assert support_parts(M) == [set(pair) for pair in pairs]
+        classes = catalog.decompose(M)
+        memo.clear()
+        label = subspaces._support_labels(M)
+        out = subspaces._split_census(M, e, subspaces.DEFAULT_SUBSPACE_BUDGET, label)
+        assert (out is not None) == split
+        assert all(len(census) > 1 for census in memo.TABLES["subspaces._class_census"].values())
+        memo.clear()
+        want = _items(hall_census_oracle(M, e))
+        memo.clear()
+        assert _items(subspaces.hall_census(M, e, key_classes=classes)) == want
+
+
+def test_split_census_edge_cases(monkeypatch):
+    """The split keeps the walk's errors: the budget is checked against the
+    product over all of M (each part alone fits in it), a wrong-length e
+    raises ValueError and an out-of-range e reads {}.  A module outside
+    the catalogue has no classes and is never split."""
+    p = 2
+    M = rep.direct_sum(*[rep.Rep.simple(A3, p, v) for v in (0, 0, 2, 2)])
+    assert support_parts(M) == [{0}, {2}]
+    # [2 choose 1]_2 = 3 subspaces at vertices 0 and 2
+    memo.clear()
+    with pytest.raises(BudgetExceeded, match="^subspace search space 9 exceeds budget 8$"):
+        subspaces.hall_census(M, (1, 0, 1), budget=8)
+    assert len(subspaces.hall_census(M, (1, 0, 1), budget=9)) == 1
+    with pytest.raises(ValueError):
+        subspaces.hall_census(M, (1, 0))
+    assert subspaces.hall_census(M, (1, 1, 1)) == {}
+    assert subspaces.hall_census(M, (3, 0, 1)) == {}
+
+    want = {}
+    for e in itertools.product(range(3), range(3)):
+        memo.clear()
+        want[e] = _result(hall_census_oracle, OUTSIDE_CATALOG, e)
+
+    def no_split(*args):
+        raise AssertionError("a module outside the catalogue was split")
+
+    monkeypatch.setattr(subspaces, "_support_labels", no_split)
+    for e, census in want.items():
+        memo.clear()
+        assert _result(subspaces.hall_census, OUTSIDE_CATALOG, e) == census
+
+
+def test_check_strata_skips_where_the_walk_skipped(monkeypatch):
+    """`CharTable._check_strata` skips a character when its stratified
+    census exceeds DEFAULT_CHECK_BUDGET.  The split checks the budget on
+    all of M, so it skips exactly where the whole walk skipped: on
+    3*S1 + 3*S2 over Kronecker (at e = (1, 1) and p = 17 the product is
+    307^2 > 60000, though each part alone is 307), and on none of the
+    others, whose stratified characters agree with the walk's."""
+    symbols = [catalog.parse_symbol(text, K) for text in ("3*S1 + 3*S2", "S1 + 2*S2", "2*S1 + S2")]
+    symbols += [catalog.parse_symbol(text, A3) for text in ("2*S1 + 2*S3", "P2 + 2*S1")]
+
+    def outcomes():
+        out = []
+        for sym in symbols:
+            memo.clear()
+            out.append(_result(cluster.char_by_strata, sym, cluster.DEFAULT_CHECK_BUDGET))
+        return out
+
+    split = outcomes()
+    monkeypatch.setattr(subspaces, "_support_labels", lambda M: [0] * M.quiver.n)
+    walked = outcomes()
+    assert split == walked
+    assert [r is BudgetExceeded for r in split] == [True, False, False, False, False]
+
+
+def test_grassmannian_count_forced_matches_brute(monkeypatch):
+    """Where every e_v is 0 or d_v, `grassmannian_count` is 1 or 0 with no
+    walk and no rank distribution, and equals the rank-checked count."""
+    p = 3
+    cases = [
+        catalog.module_from_class(A2, ("root", (1, 1)), p),
+        rep.direct_sum(rep.Rep.simple(K, p, 0), rep.Rep.simple(K, p, 1)),
+        catalog.module_from_class(K, ("Rc", 2, 1), p),
+        rep.direct_sum(
+            catalog.module_from_class(A3, ("root", (1, 1, 1)), p),
+            catalog.module_from_class(A3, ("root", (0, 1, 1)), p),
+        ),
+        rep.direct_sum(
+            catalog.module_from_class(A3_SINK, ("root", (1, 1, 0)), p),
+            rep.Rep.simple(A3_SINK, p, 2),
+        ),
+        rep.direct_sum(
+            catalog.module_from_class(D4, ("root", (1, 1, 1, 1)), p),
+            rep.Rep.simple(D4, p, 1),
+        ),
+        OUTSIDE_CATALOG,
+    ]
+    want = [(M, e, grassmannian_count_brute(M, e)) for M in cases for e in forced_dims(M)]
+    assert {0, 1} <= {count for _, _, count in want}
+
+    def refuse(*args):
+        raise AssertionError("a forced count enumerated subspaces")
+
+    monkeypatch.setattr(subspaces, "_echelon_walk", refuse)
+    monkeypatch.setattr(subspaces, "image_rank_distribution", refuse)
+    memo.clear()
+    for M, e, count in want:
+        assert subspaces.grassmannian_count(M, e) == count
+
+
+@settings(max_examples=60, deadline=None)
+@given(modules([A2, A3, A3_SINK, D4, K], [2, 3, 5], max_dim=3, max_total=5))
+def test_grassmannian_count_forced_rule_on_random_modules(M):
+    """The forced count equals the rank-checked count on random modules,
+    and a budget below 1 raises with the message of the walk it skips."""
+    for e in forced_dims(M):
+        assert subspaces.grassmannian_count(M, e) == grassmannian_count_brute(M, e)
+    e = tuple(M.dims)
+    message = "subspace search space exceeds budget 0" if M.quiver.n == 2 else (
+        "subspace search space 1 exceeds budget 0"
+    )
+    with pytest.raises(BudgetExceeded, match=f"^{message}$"):
+        subspaces.grassmannian_count(M, e, budget=0)
 
 
 def test_echelon_table_is_shared_up_to_the_size_constant():
