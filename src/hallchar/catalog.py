@@ -625,14 +625,16 @@ def next_prime(p):
     return q
 
 
+@memo.memoized(lambda p, count: (p, count))
 def primes_from(p, count):
-    """`count` consecutive primes starting at the smallest prime >= p."""
+    """`count` consecutive primes starting at the smallest prime >= p, as a
+    tuple (memoized; every fit of every sweep asks for its primes again)."""
     out = []
     q = p - 1
     while len(out) < count:
         q = next_prime(q)
         out.append(q)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def _checked_primes(primes, floor):
     """The sorted distinct `primes`, each checked to be a prime >= `floor`,
     the smallest prime that keeps the operands' tube points distinct."""
     for p in primes:
-        if catalog.primes_from(p, 1) != [p]:
+        if catalog.primes_from(p, 1) != (p,):
             raise _CliError(f"{p} is not prime")
         if p < floor:
             raise _CliError(
@@ -79,10 +79,8 @@ def _checked_primes(primes, floor):
 def _exact_primes(args, floor):
     """Prime list for the per-prime verifiers (green-ff, assoc) on operands
     whose smallest admissible prime is `floor`."""
-    primes = list(args.primes or ())
-    if not primes:
-        primes = catalog.primes_from(floor, 2)
-    primes += list(args.verify_primes or ())
+    primes = list(args.primes or catalog.primes_from(floor, 2))
+    primes += args.verify_primes or ()
     return _checked_primes(primes, floor)
 
 

@@ -159,6 +159,45 @@ def _check_compatible(M, N):
         raise ValueError("representations live over different quivers or primes")
 
 
+# -- the torus of a basis -----------------------------------------------------
+
+
+def coefficient_components(quiver, dims, mats):
+    """(labels, k): the connected components of the coefficient quiver of
+    the module (dims, mats), whose nodes are the basis vectors (v, i) and
+    whose edges join (s, c) and (t, r) for every nonzero entry M_a[r][c]
+    of an arrow a: s -> t.  labels[v][i] in range(k) names the component
+    of (v, i); components are numbered in the order of their first basis
+    vector.
+
+    Scaling the basis vectors of one component by a common t in F_p^*
+    commutes with every M_a, so the k components give a torus (F_p^*)^k
+    of automorphisms of the module in this basis.
+    """
+    offsets, total = [], 0
+    for d in dims:
+        offsets.append(total)
+        total += d
+    parent = list(range(total))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for (s, t), mat in zip(quiver.arrows, mats):
+        for r, row in enumerate(mat, offsets[t]):
+            for c, x in enumerate(row, offsets[s]):
+                if x:
+                    a, b = find(r), find(c)
+                    if a != b:
+                        parent[max(a, b)] = min(a, b)
+    ids = {}
+    flat = [ids.setdefault(find(x), len(ids)) for x in range(total)]
+    labels = [flat[o : o + d] for o, d in zip(offsets, dims)]
+    return labels, len(ids)
+
+
 # -- automorphism counts ------------------------------------------------------
 
 

@@ -31,6 +31,20 @@ middles by class yields the extension census
 whose total mass is p^{dim Ext^1(X, Y)}.  The class e = 0 contributes the
 split middle.
 
+The census is walked one torus orbit at a time, as the Hall census is
+(see `subspaces`).  Scaling each component of the coefficient quivers of
+Y and X (`rep.coefficient_components`) gives automorphisms g of Y and h
+of X, and d -> g d h^-1 keeps the middle's class (diag(g, h) is an
+isomorphism of the middles).  It multiplies the free coordinate d_a[x][y]
+by t_comp(row x of Y) / t_comp(column y of X), so it keeps the
+complement.  In `itertools.product` order a nonzero value at a
+coordinate joining two classes of components not yet joined must be 1;
+the other cocycles are cut, and each kept one counts (p - 1)^joins.  The
+census keeps the full enumeration's items, key order and total mass.
+For X and Y with one component each, every indecomposable in any basis,
+the walk keeps 0 and one cocycle per point of P(Ext^1), the one whose
+first nonzero value is 1.  At p = 2 nothing is cut.
+
 Homomorphisms
 -------------
 The homomorphism census counts maps g: L1 -> L2 by the pair
@@ -70,10 +84,10 @@ def _free_coordinates(X, Y):
     return [j for j in range(len(rows)) if j not in pivots]
 
 
-def _middles(X, Y, free):
-    """Yield the arrow matrices, as lists of Python-int rows, of the middle
-    term of each cocycle that is 0 off the free coordinates, its values
-    there running over F_p in `itertools.product` order."""
+def _middle_rows(X, Y, free):
+    """The function that takes the values of a cocycle at the free
+    coordinates (0 elsewhere) to the arrow matrices, as lists of
+    Python-int rows, of its middle term."""
     arrows, pos = [], 0
     for (s, _), Xa, Ya in zip(X.quiver.arrows, X.mats, Y.mats):
         # rows of Y_a as lists, where d_a starts in the flat cocycle, its
@@ -82,13 +96,66 @@ def _middles(X, Y, free):
         arrows.append(([list(row) for row in Ya], pos, X.dims[s], bottom))
         pos += len(Ya) * X.dims[s]
     flat = [0] * pos
-    for coeffs in itertools.product(range(X.p), repeat=len(free)):
+
+    def middle(coeffs):
         for j, v in zip(free, coeffs):
             flat[j] = v
-        yield [
+        return [
             [row + flat[at + x * w : at + x * w + w] for x, row in enumerate(Ya)] + bottom
             for Ya, at, w, bottom in arrows
         ]
+
+    return middle
+
+
+def _cocycle_ends(X, Y, free):
+    """(ends, k): ends[j] is the pair of torus components that the free
+    coordinate free[j] joins, the component of its row's basis vector of
+    Y and that of its column's basis vector of X (numbered after Y's), and
+    k is the number of components of Y and X together."""
+    y_labels, k_y = rep.coefficient_components(Y.quiver, Y.dims, Y.mats)
+    x_labels, k_x = rep.coefficient_components(X.quiver, X.dims, X.mats)
+    ends = []
+    for (s, t) in X.quiver.arrows:
+        for x in range(Y.dims[t]):
+            ends.extend((y_labels[t][x], k_y + x_labels[s][y]) for y in range(X.dims[s]))
+    return [ends[j] for j in free], k_y + k_x
+
+
+def _orbit_cocycles(X, Y, free):
+    """An iterator of (values, orbit size) over the first cocycle of each
+    torus orbit on the cocycles supported on the free coordinates, in
+    `itertools.product` order of their values (see above): a nonzero value
+    at a coordinate joining two classes not yet joined must be 1, and the
+    orbit has (p - 1)^joins points.  Once no coordinate left can join two
+    classes, the rest runs over all of F_p."""
+    p, d = X.p, len(free)
+    # at p = 2 every nonzero value is 1, so nothing is cut and every
+    # orbit has one point
+    if p == 2:
+        return ((values, 1) for values in itertools.product(range(p), repeat=d))
+    # the first coordinate always joins a class of Y to one of X
+    if d == 1:
+        return iter((((0,), 1), ((1,), p - 1)))
+    ends, k = _cocycle_ends(X, Y, free)
+
+    def walk(j, prefix, root, joins):
+        if all(root[a] == root[b] for a, b in ends[j:]):
+            size = (p - 1) ** joins
+            for rest in itertools.product(range(p), repeat=d - j):
+                yield prefix + rest, size
+            return
+        a, b = root[ends[j][0]], root[ends[j][1]]
+        yield from walk(j + 1, prefix + (0,), root, joins)
+        if a == b:
+            for v in range(1, p):
+                yield from walk(j + 1, prefix + (v,), root, joins)
+        else:
+            lo, hi = min(a, b), max(a, b)
+            root = tuple(lo if x == hi else x for x in root)
+            yield from walk(j + 1, prefix + (1,), root, joins + 1)
+
+    return walk(0, (), tuple(range(k)), 0)
 
 
 def ext_middle_census(X, Y, budget=DEFAULT_EXT_BUDGET):
@@ -121,10 +188,11 @@ def _ext_census(X, Y, budget):
     _check_ext_budget(p, e_dim, budget)
     # a tuple, so the decompose memo key is the middle's `Rep.key`
     dims = tuple(y + x for y, x in zip(Y.dims, X.dims))
+    middle = _middle_rows(X, Y, free)
     census = {}
-    for blocks in _middles(X, Y, free):
-        key_mid = catalog._decompose_rows(Q, p, dims, blocks)
-        census[key_mid] = census.get(key_mid, 0) + 1
+    for values, size in _orbit_cocycles(X, Y, free):
+        key_mid = catalog._decompose_rows(Q, p, dims, middle(values))
+        census[key_mid] = census.get(key_mid, 0) + size
     return e_dim, census
 
 

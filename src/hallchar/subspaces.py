@@ -23,7 +23,8 @@ target candidates that contain the images of all arrows between them
 (both Kronecker arrows at once), computed the first time that source
 candidate is chosen; a vertex with arrows from several sources (the
 middle of A_3 with both arrows in, a D_4 sink) takes the candidates on
-all of their lists.  The same
+all of their lists.  The image img of a candidate is built the first
+time the walk chooses it.  The same
 coordinates give both halves of the subrepresentation: the matrix of a
 on U is img[P], and on M/U (in the basis of the standard vectors at the
 rows NP) it is M_a[NP_t, NP_s] - U_t[NP_t] M_a[P_t, NP_s].
@@ -55,6 +56,34 @@ product keeps that key order unless two parts with several entries each
 have their free vertices (0 < e_v < d_v) interleaved in the topological
 order; there M is walked whole.
 
+Every other census is walked one torus orbit at a time.  The
+coefficient quiver of M (`rep.coefficient_components`) has the basis
+vectors as nodes and an edge for every nonzero matrix entry; scaling the
+basis vectors of each of its k components by its own t in F_p^*
+commutes with every M_a, so the torus (F_p^*)^k acts on M by
+automorphisms, and it moves each subrepresentation U to one with the
+same sub and quotient classes.  It fixes the pivots of U and multiplies
+the free entry (r, c) of U_v by t_comp(r) / t_comp(pivot row of c).
+Take the free entries in the walk's order (vertex by vertex along the
+topological order, each candidate's column by column and down each
+column, the order of `_echelons`) and join their components in a
+union-find as they come.  A nonzero entry whose two components are not
+yet joined can be scaled to any nonzero value without moving the
+entries before it, and every other entry is fixed by those before it.
+So the point of an orbit that the walk meets first, its lexicographically
+least point, is the one whose joining entries are all 1, and the orbit
+has (p - 1)^joins points (its stabilizer is (F_p^*)^(k - joins)).  The
+walk keeps just those points: a candidate with a joining entry other
+than 1 is cut, with everything the walk would choose after it, before
+any block is built or classified, and each kept point counts
+(p - 1)^joins.  A census key is met first at the first point of an
+orbit, so the census keeps the plain walk's items and key order.  At
+p = 2 every nonzero entry is 1, and with one component no entry joins:
+nothing is cut and every count is 1.  Which candidates are cut is
+remembered per vertex and partition of the components.
+`grassmannian_count` walks no orbits: it is the other path of
+`CharTable`'s cross-check, and shares no orbit code with the census.
+
 A single census answers every Hall number g over the ambient module M:
 g = #{U <= M : U iso V_sub, M/U iso V_quot} is one dictionary entry, and
 the quiver Grassmannian point count |Gr_e(M)(F_p)| is the total mass.
@@ -64,10 +93,11 @@ modules share one census, and a module outside the catalogue is not
 stored.  Sub and quotient are classified through the `catalog.decompose`
 memo, read under `Rep.key_of` of their Python-int rows, the key a `Rep`
 of the same matrices has; a module the memo has not seen is classified
-from the same rows, so a census never builds a `Rep`.  `census_view` groups a census by the fingerprint ids of
-(quotient, sub), so a fingerprint-matched Hall number is one lookup.  The
-rank distributions of two-vertex quivers are memoized on the exact
-matrices (`Rep.key`).  `memo.clear()` forgets them all.
+from the same rows, so a census never builds a `Rep`.  `census_view`
+groups a census by the fingerprint ids of (quotient, sub), so a
+fingerprint-matched Hall number is one lookup.  The rank distributions
+of two-vertex quivers are memoized on the exact matrices (`Rep.key`).
+`memo.clear()` forgets them all.
 """
 
 import itertools
@@ -75,7 +105,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import catalog, linalg, memo
+from . import catalog, linalg, memo, rep
 from .errors import BudgetExceeded, OutsideCatalog
 from .qpoly import gaussian_binomial
 
@@ -166,17 +196,34 @@ def _quotient_block(mat_rows, U_s, U_t, p):
     ]
 
 
-def _echelon_walk(M, e, order, budget):
-    """Enumerate subspaces U_v of dimension e_v at the vertices of `order`
-    (topologically ordered) with M_a U_s inside U_t for every arrow between
-    two of them.  Raises BudgetExceeded, before any enumeration, when the
-    product of the subspace counts exceeds `budget`.
+class _Images(dict):
+    """M_a U_s per candidate index i at the source s of an arrow a, built
+    the first time it is read, so a candidate the walk never chooses gets
+    no image."""
 
-    Returns (candidates, images, walk): candidates[v] lists the `_Echelon`
-    subspaces at v, images[a][i] is M_a U_s for candidate i at the source
-    of a (for every arrow whose source is in `order`), and `walk` yields
-    one list of candidate indices per vertex for each admissible choice
-    (the same list object, updated in place).
+    __slots__ = ("mat", "candidates", "p")
+
+    def __init__(self, mat, candidates, p):
+        super().__init__()
+        self.mat, self.candidates, self.p = mat, candidates, p
+
+    def __missing__(self, i):
+        out = self[i] = _image(self.mat, self.candidates[i].rows, self.p)
+        return out
+
+
+def _walk_tables(M, e, order, budget):
+    """The tables of a walk over the vertices of `order` (topologically
+    ordered): (candidates, images, chosen, options).  Raises
+    BudgetExceeded, before any enumeration, when the product of the
+    subspace counts exceeds `budget`.
+
+    candidates[v] lists the `_Echelon` subspaces of dimension e_v at v,
+    images[a][i] is M_a U_s for candidate i at the source of a (for every
+    arrow whose source is in `order`; built on first read), and chosen[v]
+    is the index of the candidate chosen at v.  options(idx) lists, in
+    increasing order, the candidates at order[idx] that contain M_a U_s
+    for every arrow a: s -> order[idx] from a vertex chosen before it.
 
     An arrow a: s -> t is checked when t, the later endpoint, is chosen,
     together with the other arrows s -> t.  For each candidate i at s the
@@ -204,7 +251,7 @@ def _echelon_walk(M, e, order, budget):
     checks = [{} for _ in order]
     for a, (s, t) in enumerate(Q.arrows):
         if s in pos:
-            images[a] = [_image(M.mats[a], U.rows, p) for U in candidates[s]]
+            images[a] = _Images(M.mats[a], candidates[s], p)
             if t in pos:
                 checks[pos[t]].setdefault(s, []).append(a)
     # known[i]: the targets containing M_a U_s[i] for each checked a, on first use
@@ -220,54 +267,120 @@ def _echelon_walk(M, e, order, budget):
             out = known[i] = [j for j, U in enumerate(targets) if _contains(img, U, p)]
             return out
 
+    def options(idx):
+        targets = candidates[order[idx]]
+        if not checks[idx]:
+            return range(len(targets))
+        first, *rest = (admissible(targets, *check) for check in checks[idx])
+        if not rest:
+            return first
+        rest = [set(r) for r in rest]
+        return [j for j in first if all(j in r for r in rest)]
+
+    return candidates, images, chosen, options
+
+
+def _echelon_walk(M, e, order, budget):
+    """Enumerate subspaces U_v of dimension e_v at the vertices of `order`
+    (topologically ordered) with M_a U_s inside U_t for every arrow between
+    two of them, on the tables of `_walk_tables`.
+
+    Returns (candidates, images, walk): `walk` yields one list of candidate
+    indices per vertex for each admissible choice (the same list object,
+    updated in place), in lexicographic order of the indices along
+    `order`.
+    """
+    candidates, images, chosen, options = _walk_tables(M, e, order, budget)
+
     def walk(idx=0):
         if idx == len(order):
             yield chosen
             return
         v = order[idx]
-        targets = candidates[v]
-        if not checks[idx]:
-            indices = range(len(targets))
-        else:
-            first, *rest = (admissible(targets, *check) for check in checks[idx])
-            if rest:
-                rest = [set(r) for r in rest]
-                indices = [j for j in first if all(j in r for r in rest)]
-            else:
-                indices = first
-        for i in indices:
+        for i in options(idx):
             chosen[v] = i
             yield from walk(idx + 1)
 
     return candidates, images, walk
 
 
-def subrep_bases(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
-    """Yield (bases, sub, quot) for every subrepresentation U of M with
-    dimension vector e.
+# a step of `_orbit_walk` not yet computed
+_UNSEEN = object()
 
-    bases[i] is the reduced column echelon basis of U_i, as dims[i] rows of
-    e_i Python ints.  sub[a] and quot[a] are the matrices of arrow a on U
-    and on M/U, as Python-int rows, in the columns of bases[i] for U_i and
-    the standard vectors at its non-pivot rows for M_i/U_i.  All of these
-    lists are read-only.
+
+def _orbit_walk(M, e, budget):
+    """The census's walk over the subrepresentations of M at e, one torus
+    orbit at a time (see above), on the tables of `_walk_tables` along
+    the topological order.
+
+    Returns (candidates, images, chosen, walk): `walk` yields the size of
+    each orbit, (p - 1)^joins, with `chosen` holding the candidate indices
+    of its first point in the plain walk's order.  A candidate whose entry
+    joining two classes is not 1 is cut with all that would follow it.
     """
     Q, p = M.quiver, M.p
-    n = Q.n
-    e = tuple(int(x) for x in e)
-    if len(e) != n:
-        raise ValueError("dimension vector has wrong length")
-    if any(e[i] < 0 or e[i] > M.dims[i] for i in range(n)):
-        return
-    candidates, images, walk = _echelon_walk(M, e, Q.topological_order(), budget)
-    for chosen in walk():
-        U = [candidates[v][chosen[v]] for v in range(n)]
-        sub, quot = [], []
-        for a, (s, t) in enumerate(Q.arrows):
-            img = images[a][chosen[s]]
-            sub.append([img[r] for r in U[t].pivots])
-            quot.append(_quotient_block(M.mats[a], U[s], U[t], p))
-        yield tuple(u.rows for u in U), sub, quot
+    order = Q.topological_order()
+    candidates, images, chosen, options = _walk_tables(M, e, order, budget)
+    # steps[idx]: None where no free entry at order[idx] can join two
+    # components, else {state: [state after candidate i, or None where i is
+    # cut, or _UNSEEN]}; a state is an index into `states`, the partitions
+    # of the components joined so far (each component mapped to the least
+    # one of its class)
+    steps = [None] * len(order)
+    weights = [1]
+    if p > 2:
+        labels, k = rep.coefficient_components(Q, M.dims, M.mats)
+        for idx, v in enumerate(order):
+            if 0 < e[v] < M.dims[v] and len(set(labels[v])) > 1:
+                steps[idx] = {}
+        states = [tuple(range(k))]
+        ids = {states[0]: 0}
+
+    def step(v, i, state):
+        root, lab = states[state], labels[v]
+        U = candidates[v][i]
+        # entries above a pivot are 0, so the nonzero entries of column c
+        # are its free ones and its pivot
+        for c, pr in enumerate(U.pivots):
+            for r in U.others:
+                x = U.rows[r][c]
+                if x:
+                    a, b = root[lab[r]], root[lab[pr]]
+                    if a != b:
+                        if x != 1:
+                            return None
+                        lo, hi = min(a, b), max(a, b)
+                        root = tuple(lo if y == hi else y for y in root)
+        out = ids.get(root)
+        if out is None:
+            out = ids[root] = len(states)
+            states.append(root)
+            weights.append((p - 1) ** (k - len(set(root))))
+        return out
+
+    def walk(idx=0, state=0):
+        if idx == len(order):
+            yield weights[state]
+            return
+        v = order[idx]
+        table = steps[idx]
+        if table is None:
+            for i in options(idx):
+                chosen[v] = i
+                yield from walk(idx + 1, state)
+            return
+        row = table.get(state)
+        if row is None:
+            row = table[state] = [_UNSEEN] * len(candidates[v])
+        for i in options(idx):
+            nxt = row[i]
+            if nxt is _UNSEEN:
+                nxt = row[i] = step(v, i, state)
+            if nxt is not None:
+                chosen[v] = i
+                yield from walk(idx + 1, nxt)
+
+    return candidates, images, chosen, walk
 
 
 @memo.memoized(lambda M, k: (M.key, int(k)))
@@ -362,7 +475,10 @@ def hall_census(M, e, budget=DEFAULT_SUBSPACE_BUDGET, key_classes=None):
     Where every e_v is 0 or d_v, the one candidate, M restricted to
     {v : e_v = d_v}, is checked and classified with no subspace walk.
     Where the support of M has two or more unlinked parts, the census is
-    the product of the parts' censuses (see above).
+    the product of the parts' censuses (see above).  Otherwise the walk
+    classifies the first point of each torus orbit and counts it once per
+    point of its orbit (see above), so the census keeps the plain walk's
+    key order.
     `key_classes` may pass the decomposition of M when already known, to
     stabilize the memo key without recomputing it.  A module the catalog
     cannot decompose (`OutsideCatalog`) has no memo key: its census is
@@ -409,13 +525,24 @@ def _census(M, e, budget, classes=None):
             out = _split_census(M, e, budget, label)
             if out is not None:
                 return out
+    if len(e) != Q.n:
+        raise ValueError("dimension vector has wrong length")
     out = {}
-    for _, sub, quot in subrep_bases(M, e, budget=budget):
+    if any(k < 0 or k > d for k, d in zip(e, M.dims)):
+        return out
+    candidates, images, chosen, walk = _orbit_walk(M, e, budget)
+    for weight in walk():
+        U = [candidates[v][i] for v, i in enumerate(chosen)]
+        sub, quot = [], []
+        for a, (s, t) in enumerate(Q.arrows):
+            img = images[a][chosen[s]]
+            sub.append([img[r] for r in U[t].pivots])
+            quot.append(_quotient_block(M.mats[a], U[s], U[t], p))
         key = (
             catalog._decompose_rows(Q, p, quot_dims, quot),
             catalog._decompose_rows(Q, p, e, sub),
         )
-        out[key] = out.get(key, 0) + 1
+        out[key] = out.get(key, 0) + weight
     return out
 
 

@@ -404,8 +404,8 @@ def test_projective_rep_on_a3():
 def test_prime_helpers():
     assert next_prime(2) == 3
     assert next_prime(7) == 11
-    assert primes_from(2, 5) == [2, 3, 5, 7, 11]
-    assert primes_from(4, 2) == [5, 7]
+    assert primes_from(2, 5) == (2, 3, 5, 7, 11)
+    assert primes_from(4, 2) == (5, 7)
     assert lam_of_tag(0, 7) == 0
     assert lam_of_tag(1, 7) == 1
     assert lam_of_tag(2, 7) == INF

@@ -331,3 +331,40 @@ def test_green_ff_sweep_second_pass_derives_no_symbol_data(capsys, monkeypatch):
     rc, second, _ = run(capsys, *argv)
     assert rc == 0 and second == first
     assert calls == []
+
+
+def test_prime_lists_are_shared_and_never_written(capsys):
+    """`catalog.primes_from` is memoized and returns a tuple: an explicit
+    prime passes `_checked_primes`, and `--verify-primes` extends a copy,
+    never the shared default list."""
+    memo.clear()
+    floor_primes = catalog.primes_from(2, 2)
+    assert floor_primes == (2, 3) and catalog.primes_from(2, 2) is floor_primes
+    argv = (
+        "verify", "green-ff", "--quiver", "a2",
+        "--xi", "S1", "--eta", "S2", "--xi-prime", "S2", "--eta-prime", "S1", "--json",
+    )
+    for extra in (("-p", "5"), ("--verify-primes", "7"), ("--verify-primes", "7")):
+        rc, out, _ = run(capsys, *argv, *extra)
+        assert rc == 0
+        assert json.loads(out)["inputs"]["primes"] == ([5] if extra[0] == "-p" else [2, 3, 7])
+    assert catalog.primes_from(2, 2) == (2, 3)
+
+
+def test_kronecker_projective_sweep_reaches_total_one_two(capsys):
+    """The projective Green sweep over Kronecker up to total (1, 2), whose
+    Ext censuses walk one torus orbit per class, and its slowest tuple
+    (I[1,0], 2*P[0,1]; P[0,1], P[0,1]+I[1,0]) are EQUAL."""
+    rc, out, _ = run(
+        capsys, "verify", "green-projective", "--quiver", "kronecker",
+        "--all", "--max-dim", "1,2", "--json",
+    )
+    assert rc == 0
+    data = json.loads(out)
+    assert data["total"] == data["equal_count"] == 198
+    rc, out, _ = run(
+        capsys, "verify", "green-projective", "--quiver", "kronecker",
+        "--xi", "P[0,1]", "--eta", "P[0,1]+I[1,0]",
+        "--xi-prime", "I[1,0]", "--eta-prime", "2*P[0,1]", "--json",
+    )
+    assert rc == 0 and json.loads(out)["equal"]

@@ -32,6 +32,7 @@ TABLES = {
     "catalog._symbol_min_prime",
     "catalog._concrete_classes",
     "catalog._instantiate",
+    "catalog.primes_from",
     "quiver._positive_roots",
     "subspaces._echelon_table",
     "subspaces.image_rank_distribution",

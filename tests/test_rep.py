@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hallchar
-from hallchar import catalog, linalg, memo, rep, subspaces
+from hallchar import catalog, linalg, memo, rep
 from hallchar.errors import BudgetExceeded, InconclusiveIso
 from hallchar.quiver import Quiver, kronecker_quiver, linear_quiver
 from test_linalg import (
@@ -460,11 +460,13 @@ def test_census_rows_and_rep_share_one_decompose_entry(quiver, classes, monkeypa
     classified = []
     real = catalog._classify_rows
     monkeypatch.setattr(catalog, "_classify_rows", lambda *a: classified.append(a) or real(*a))
+    from test_subspaces import subrep_bases
+
     table = memo.TABLES["catalog.decompose"]
     checked = 0
     for e in itertools.product(*[range(d + 1) for d in M.dims]):
         quot_dims = tuple(d - k for d, k in zip(M.dims, e))
-        for _, sub, quot in subspaces.subrep_bases(M, e):
+        for _, sub, quot in subrep_bases(M, e):
             for dims, blocks in ((e, sub), (quot_dims, quot)):
                 if not any(dims):
                     continue

@@ -18,14 +18,17 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
-from hallchar import catalog, linalg, memo, rep, strata
+from hallchar import catalog, linalg, memo, rep, strata, subspaces
 from hallchar.catalog import INF, module_from_class
 from hallchar.errors import BudgetExceeded, OutsideCatalog
 from hallchar.quiver import Quiver, kronecker_quiver, linear_quiver
 from hallchar.rep import Rep
-from test_rep import _hom_offsets, arrays, cokernel_rep, hom_basis, kernel_rep, random_rep
+from test_rep import (
+    _hom_offsets, arrays, cokernel_rep, conjugate, hom_basis, kernel_rep, random_rep,
+)
+from test_subspaces import ORBIT_QUIVERS, catalogue_modules, catalogue_pool
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
@@ -154,8 +157,11 @@ def ext_census_oracle(X, Y, budget=strata.DEFAULT_EXT_BUDGET):
 
 
 def row_middles(X, Y):
-    """The middles `ext_middle_census` classifies, as arrow-matrix rows."""
-    return list(strata._middles(X, Y, strata._free_coordinates(X, Y)))
+    """The middles of every cocycle on the free coordinates, as arrow-matrix
+    rows, in `itertools.product` order: the full affine enumeration."""
+    free = strata._free_coordinates(X, Y)
+    middle = strata._middle_rows(X, Y, free)
+    return [middle(values) for values in itertools.product(range(X.p), repeat=len(free))]
 
 
 def row_lists(M):
@@ -479,3 +485,133 @@ def test_strata_imports_neither_numpy_nor_rep():
             imported |= {node.module} | {alias.name for alias in node.names}
     assert "numpy" not in imported and "Rep" not in imported
     assert not hasattr(strata, "np") and not hasattr(strata, "Rep")
+
+
+def affine_ext_census(X, Y):
+    """Oracle: the extension census counted over every cocycle on the free
+    coordinates, in `itertools.product` order, each middle classified
+    from its rows."""
+    dims = tuple(y + x for y, x in zip(Y.dims, X.dims))
+    census = {}
+    for blocks in row_middles(X, Y):
+        key = catalog._decompose_rows(X.quiver, X.p, dims, blocks)
+        census[key] = census.get(key, 0) + 1
+    return census
+
+
+@st.composite
+def catalogue_pairs(draw, quivers=ORBIT_QUIVERS, primes=(2, 3, 5, 7), max_total=3, max_classes=2500):
+    """(X, Y): two `catalogue_modules` over one quiver and prime, with at
+    most `max_classes` extension classes."""
+    Q = draw(st.sampled_from(quivers))
+    p = draw(st.sampled_from(primes))
+    X = draw(catalogue_modules([Q], [p], max_total))
+    Y = draw(catalogue_modules([Q], [p], max_total))
+    assume(p ** rep.ext1_dim(X, Y) <= max_classes)
+    return X, Y
+
+
+@settings(max_examples=150, deadline=None)
+@given(catalogue_pairs())
+def test_orbit_ext_census_matches_affine_enumeration(pair):
+    """From cold memos, the census over torus orbits equals the census over
+    every cocycle, items and key order included, and its mass is
+    p^{dim Ext^1}."""
+    X, Y = pair
+    memo.clear()
+    got = _result(strata.ext_middle_census, X, Y)
+    memo.clear()
+    want = _result(affine_ext_census, X, Y)
+    assert type(got) is type(want)
+    if isinstance(want, dict):
+        assert list(got.items()) == list(want.items())
+        assert sum(got.values()) == X.p ** rep.ext1_dim(X, Y)
+    else:
+        assert got == want
+
+
+@st.composite
+def indecomposable_pairs(draw):
+    """(X, Y): indecomposable catalogue modules with dims <= 2 per vertex
+    over one quiver and prime p in {3, 5, 7}, each in the catalogue's
+    basis or a `conjugate` copy, with at most 2500 extension classes."""
+    Q = draw(st.sampled_from(ORBIT_QUIVERS))
+    p = draw(st.sampled_from([3, 5, 7]))
+    pool = []
+    for sym in catalogue_pool(Q):
+        if sym.admissible_prime(p):
+            classes = sym.concrete_classes(p)
+            if len(classes) == 1 and classes[0][1] == 1:
+                pool.append(sym)
+
+    def module():
+        M = draw(st.sampled_from(pool)).instantiate(p)
+        if draw(st.booleans()):
+            M = conjugate(M, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+        return M
+
+    X, Y = module(), module()
+    assume(p ** rep.ext1_dim(X, Y) <= 2500)
+    return X, Y
+
+
+@settings(max_examples=60, deadline=None)
+@given(indecomposable_pairs())
+def test_orbit_cocycles_of_indecomposables_are_projective_points(pair):
+    """An indecomposable module's coefficient quiver is connected in every
+    basis, so for indecomposable X and Y the torus acts on Ext^1(X, Y) by
+    one scalar: the walk keeps 0 and the cocycle of each point of
+    P(Ext^1) whose first nonzero value is 1, each counted p - 1 times."""
+    X, Y = pair
+    p = X.p
+    free = strata._free_coordinates(X, Y)
+    d = len(free)
+    points = list(strata._orbit_cocycles(X, Y, free))
+    assert len(points) == 1 + (p**d - 1) // (p - 1)
+    assert points[0] == ((0,) * d, 1)
+    for values, size in points[1:]:
+        assert size == p - 1
+        assert next(v for v in values if v) == 1
+
+
+def test_orbit_cocycles_kronecker_simples():
+    """Ext^1(S_1, S_2) on Kronecker at p = 5: the zero class and the six
+    points of P^1, [0 : 1] and [1 : x] for x in F_5."""
+    p = 5
+    X, Y = simple(K, p, 0), simple(K, p, 1)
+    free = strata._free_coordinates(X, Y)
+    assert list(strata._orbit_cocycles(X, Y, free)) == [((0, 0), 1), ((0, 1), 4)] + [
+        ((1, x), 4) for x in range(p)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_riedtmann_formula(data):
+    """Riedtmann's formula, F^L_{XY} |Aut X| |Aut Y| p^{hom(X, Y)} =
+    |Ext^1(X, Y)_L| |Aut L|, for catalogue X and Y over A_3 and Kronecker
+    and every middle L: the Hall number F^L_{XY} (subreps of L iso Y with
+    quotient iso X) is read off `hall_census`, which walks subspaces, and
+    |Ext^1(X, Y)_L| off `ext_middle_census`, which walks cocycles."""
+    X, Y = data.draw(catalogue_pairs(quivers=[A3, K], primes=(2, 3, 5), max_total=3))
+    Q, p = X.quiver, X.p
+    cx, cy = catalog.decompose(X), catalog.decompose(Y)
+    side = (
+        catalog.aut_count_of_classes(Q, cx, p)
+        * catalog.aut_count_of_classes(Q, cy, p)
+        * p ** rep.hom_dim(X, Y)
+    )
+    try:
+        ext = strata.ext_middle_census(X, Y)
+        halls = {
+            classes: subspaces.hall_census(
+                catalog.module_from_classes(Q, classes, p), Y.dims
+            ).get((cx, cy), 0)
+            for classes in ext
+        }
+    except OutsideCatalog:
+        # a Kronecker middle, sub or quotient at a tube point of degree 2
+        reject()
+    assert sum(ext.values()) == p ** rep.ext1_dim(X, Y)
+    for classes, count in ext.items():
+        assert halls[classes] * side == count * catalog.aut_count_of_classes(Q, classes, p)

@@ -8,6 +8,7 @@ Hand-derived values:
     each regular summand, with the other as quotient.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -58,6 +59,49 @@ def grassmannian_count_brute(M, e):
     )
 
 
+def subrep_bases(M, e):
+    """Oracle: yield (bases, sub, quot) for every subrepresentation U of M
+    with dimension vector e, one per point of the plain echelon walk.
+
+    bases[i] is the reduced column echelon basis of U_i, as dims[i] rows of
+    e_i Python ints.  sub[a] and quot[a] are the matrices of arrow a on U
+    and on M/U, as Python-int rows, in the columns of bases[i] for U_i and
+    the standard vectors at its non-pivot rows for M_i/U_i.
+    """
+    Q, p = M.quiver, M.p
+    e = tuple(int(x) for x in e)
+    if len(e) != Q.n:
+        raise ValueError("dimension vector has wrong length")
+    if any(k < 0 or k > d for k, d in zip(e, M.dims)):
+        return
+    candidates, images, walk = subspaces._echelon_walk(
+        M, e, Q.topological_order(), subspaces.DEFAULT_SUBSPACE_BUDGET
+    )
+    for chosen in walk():
+        U = [candidates[v][chosen[v]] for v in range(Q.n)]
+        sub, quot = [], []
+        for a, (s, t) in enumerate(Q.arrows):
+            img = images[a][chosen[s]]
+            sub.append([img[r] for r in U[t].pivots])
+            quot.append(subspaces._quotient_block(M.mats[a], U[s], U[t], p))
+        yield tuple(u.rows for u in U), sub, quot
+
+
+def walk_census(M, e):
+    """Oracle: the census counted one subrepresentation at a time over the
+    plain walk, every sub and quotient classified from its rows."""
+    Q, p = M.quiver, M.p
+    quot_dims = tuple(d - k for d, k in zip(M.dims, e))
+    out = {}
+    for _, sub, quot in subrep_bases(M, e):
+        key = (
+            catalog._decompose_rows(Q, p, quot_dims, quot),
+            catalog._decompose_rows(Q, p, tuple(e), sub),
+        )
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
 def census_total(census):
     return sum(census.values())
 
@@ -72,7 +116,7 @@ def hall_census_oracle(M, e):
     """The census built one subrepresentation at a time: construct U and
     M/U with `sub_quotient_pair` and decompose both."""
     out = {}
-    for bases, _, _ in subspaces.subrep_bases(M, e):
+    for bases, _, _ in subrep_bases(M, e):
         sub, quot = sub_quotient_pair(M, basis_arrays(bases, e))
         key = (catalog.decompose(quot), catalog.decompose(sub))
         out[key] = out.get(key, 0) + 1
@@ -321,7 +365,7 @@ def test_echelon_blocks_equal_sub_quotient_pair(M):
     entry, so the census reads the decompose memo under the same keys."""
     Q, p = M.quiver, M.p
     for e in itertools.product(*[range(d + 1) for d in M.dims]):
-        for bases, sub, quot in subspaces.subrep_bases(M, e):
+        for bases, sub, quot in subrep_bases(M, e):
             U, MU = sub_quotient_pair(M, basis_arrays(bases, e))
             for blocks, mod in ((sub, U), (quot, MU)):
                 assert [tuple(map(tuple, b)) for b in blocks] == list(mod.mats)
@@ -338,7 +382,7 @@ def test_census_classes_read_the_decompose_memo(monkeypatch):
     )
     seen = []
     memo.clear()
-    for bases, sub, quot in subspaces.subrep_bases(M, (0, 1, 1)):
+    for bases, sub, quot in subrep_bases(M, (0, 1, 1)):
         U, MU = sub_quotient_pair(M, basis_arrays(bases, (0, 1, 1)))
         seen.append((sub, quot, catalog.decompose(U), catalog.decompose(MU), MU.dims))
 
@@ -362,7 +406,7 @@ def test_echelon_containment_rejects_non_subrep():
     img = subspaces._image(P1.mats[0], U1.rows, p)
     assert not subspaces._contains(img, zero, p)
     assert subspaces._contains(img, U1, p)
-    assert list(subspaces.subrep_bases(P1, (1, 0))) == []
+    assert list(subrep_bases(P1, (1, 0))) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -495,7 +539,7 @@ def test_forced_census_matches_per_subrep_oracle(case):
 
 
 def test_forced_census_runs_no_walk(monkeypatch):
-    """No forced census enumerates subspaces: with `_echelon_walk` made to
+    """No forced census enumerates subspaces: with `_walk_tables` made to
     raise, every forced census still equals the oracle's, including an
     empty one (P(1) at (1, 0)), a split one (S1 + S2 at (1, 0), where the
     zero arrows leave S) and the forced censuses of a module outside
@@ -529,7 +573,7 @@ def test_forced_census_runs_no_walk(monkeypatch):
     def no_walk(*args):
         raise AssertionError("a forced census walked the subspaces")
 
-    monkeypatch.setattr(subspaces, "_echelon_walk", no_walk)
+    monkeypatch.setattr(subspaces, "_walk_tables", no_walk)
     for M, e, census, keys in want:
         memo.clear()
         assert _items(_result(subspaces.hall_census, M, e)) == census
@@ -608,7 +652,7 @@ def test_split_census_matches_per_subrep_oracle(case):
 
 def test_split_census_walks_only_the_parts(monkeypatch):
     """A split census walks each part of M and never M itself: with
-    `_echelon_walk` refusing any module whose support is not one part,
+    `_walk_tables` refusing any module whose support is not one part,
     every census still equals the oracle's."""
     p = 3
     cases = [
@@ -632,7 +676,7 @@ def test_split_census_walks_only_the_parts(monkeypatch):
     for M, e in cases:
         memo.clear()
         want.append(_items(hall_census_oracle(M, e)))
-    real = subspaces._echelon_walk
+    real = subspaces._walk_tables
     walked = []
 
     def parts_only(M, *args):
@@ -641,7 +685,7 @@ def test_split_census_walks_only_the_parts(monkeypatch):
         walked.append(M.dims)
         return real(M, *args)
 
-    monkeypatch.setattr(subspaces, "_echelon_walk", parts_only)
+    monkeypatch.setattr(subspaces, "_walk_tables", parts_only)
     for (M, e), census in zip(cases, want):
         memo.clear()
         assert len(support_parts(M)) > 1
@@ -774,7 +818,7 @@ def test_grassmannian_count_forced_matches_brute(monkeypatch):
     def refuse(*args):
         raise AssertionError("a forced count enumerated subspaces")
 
-    monkeypatch.setattr(subspaces, "_echelon_walk", refuse)
+    monkeypatch.setattr(subspaces, "_walk_tables", refuse)
     monkeypatch.setattr(subspaces, "image_rank_distribution", refuse)
     memo.clear()
     for M, e, count in want:
@@ -846,3 +890,114 @@ def test_dynkin_census_miss_builds_no_rep(monkeypatch):
     census = subspaces.hall_census(M, (0, 1, 1, 1), key_classes=classes)
     assert census and len(memo.TABLES["catalog.decompose"]) > seen
     assert built == []
+
+
+ORBIT_QUIVERS = [A2, A3, A3_SINK, D4, D4_SINK, K]
+
+
+@functools.cache
+def catalogue_pool(Q):
+    """The catalogue symbols over Q with dims <= 2 per vertex, built once."""
+    return symspace.all_symbols_up_to(Q, (2,) * Q.n)
+
+
+@st.composite
+def catalogue_modules(draw, quivers=ORBIT_QUIVERS, primes=(2, 3, 5, 7), max_total=5):
+    """A nonzero catalogue module with dims <= 2 per vertex and total at
+    most `max_total`, realised at a prime of `primes` either in the
+    catalogue's basis, where its coefficient quiver falls into many
+    components, or as a `conjugate` copy, where it seldom does."""
+    Q = draw(st.sampled_from(quivers))
+    p = draw(st.sampled_from(primes))
+    pool = [
+        s for s in catalogue_pool(Q)
+        if s.admissible_prime(p) and 0 < sum(s.dims) <= max_total
+    ]
+    M = draw(st.sampled_from(pool)).instantiate(p)
+    if draw(st.booleans()):
+        M = conjugate(M, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return M
+
+
+@settings(max_examples=100, deadline=None)
+@given(catalogue_modules(max_total=4))
+def test_orbit_census_matches_every_subrep_walk(M):
+    """From cold memos, the memoized census (forced, split or orbit walk)
+    and the orbit walk of all of M both equal the census counted over
+    every point of the plain walk, items and key order included."""
+    for e in itertools.product(*[range(d + 1) for d in M.dims]):
+        memo.clear()
+        want = _items(_result(walk_census, M, e))
+        memo.clear()
+        assert _items(_result(subspaces.hall_census, M, e)) == want
+        memo.clear()
+        got = _result(subspaces._census, M, e, subspaces.DEFAULT_SUBSPACE_BUDGET)
+        assert _items(got) == want
+
+
+def test_orbit_walk_keeps_the_first_point_of_each_orbit():
+    """Gr_(1,0)(S1^2) over A_2 is P^1, in three orbits of the torus that
+    scales the two copies of S1: [1 : 0], [0 : 1] and the p - 1 lines
+    [1 : x] with x != 0.  The walk keeps [1 : 0], [1 : 1] (counted p - 1
+    times) and [0 : 1], in the plain walk's order; at p = 2 nothing is
+    cut."""
+    for p in (2, 3, 5, 7):
+        S1 = rep.Rep.simple(A2, p, 0)
+        M = rep.direct_sum(S1, S1)
+        candidates, _, chosen, walk = subspaces._orbit_walk(M, (1, 0), 100)
+        points = [(candidates[0][chosen[0]].rows, size) for size in walk()]
+        assert points == [([[1], [0]], 1), ([[1], [1]], p - 1), ([[0], [1]], 1)]
+        assert subspaces.hall_census(M, (1, 0)) == {
+            (((("root", (1, 0)), 1),), ((("root", (1, 0)), 1),)): p + 1
+        }
+
+
+def test_orbit_walk_cuts_before_any_block_is_built(monkeypatch):
+    """No point outside the kept ones is classified: on 2*S2 + P1 over
+    A_3 at p = 7 and e = (0, 1, 1), the census classifies one sub and one
+    quotient per kept point, far fewer than the points of Gr_e(M)."""
+    p = 7
+    M = catalog.parse_symbol("2*S2 + P1", A3).instantiate(p)
+    e = (0, 1, 1)
+    points = sum(1 for _ in subrep_bases(M, e))
+    classified = []
+    real = catalog._decompose_rows
+    monkeypatch.setattr(
+        catalog, "_decompose_rows", lambda *args: classified.append(1) or real(*args)
+    )
+    memo.clear()
+    census = subspaces._census(M, e, subspaces.DEFAULT_SUBSPACE_BUDGET)
+    kept = sum(1 for _ in subspaces._orbit_walk(M, e, subspaces.DEFAULT_SUBSPACE_BUDGET)[3]())
+    assert sum(census.values()) == points
+    assert len(classified) == 2 * kept < points
+
+
+def test_chi_grassmannian_needs_no_orbit_walk(monkeypatch):
+    """`grassmannian_count`, and so `cluster.chi_grassmannian`, has no
+    torus orbits: with the orbit walk and the coefficient-quiver components
+    made to raise, every χ(Gr_e) is what it was, so `CharTable`'s strata
+    cross-check still tests the orbit census against a path of its own."""
+    cases = [
+        (catalog.parse_symbol(text, Q), e)
+        for text, Q, e in [
+            ("2*S2 + P1", A3, (0, 1, 1)),
+            ("2*S2 + P1", A3, (1, 2, 1)),
+            ("P2 + S1 + S3", A3_SINK, (1, 1, 0)),
+            ("2*S1 + S2", K, (1, 1)),
+            ("P[0,1] + S2", K, (0, 1)),
+        ]
+    ]
+    memo.clear()
+    want = [cluster.chi_grassmannian(sym, e) for sym, e in cases]
+
+    def refuse(*args):
+        raise AssertionError("the orbit walk was used")
+
+    monkeypatch.setattr(subspaces, "_orbit_walk", refuse)
+    monkeypatch.setattr(rep, "coefficient_components", refuse)
+    memo.clear()
+    assert [cluster.chi_grassmannian(sym, e) for sym, e in cases] == want
+    # the patch is live: the census path does walk orbits
+    sym, e = cases[0]
+    with pytest.raises(AssertionError, match="orbit walk"):
+        subspaces.hall_census(sym.instantiate(3), e)
