@@ -52,9 +52,9 @@ __all__ = [
 ]
 
 # Enumeration ceiling for the optional stratified cross-check in CharTable;
-# censuses whose subspace enumeration would exceed it are skipped silently
-# (the primary path never enumerates subspaces vertexwise, so it has no
-# such ceiling in practice).
+# censuses whose subspace enumeration would exceed it are skipped silently.
+# The primary path, `subspaces.grassmannian_count`, walks every vertex but
+# the last under its own budget, DEFAULT_SUBSPACE_BUDGET.
 DEFAULT_CHECK_BUDGET = 60_000
 
 
@@ -83,13 +83,16 @@ def _subdim_vectors(d):
     return itertools.product(*[range(int(di) + 1) for di in d])
 
 
-@memo.memoized(lambda sym, e, budget=None, verify=None: (sym.key, tuple(int(x) for x in e)))
+@memo.memoized(lambda sym, e, budget=DEFAULT_SUBSPACE_BUDGET, verify=2: (
+    sym.key, tuple(int(x) for x in e), budget, verify))
 def chi_grassmannian(sym, e, budget=DEFAULT_SUBSPACE_BUDGET, verify=2):
     """Euler characteristic chi(Gr_e) of the module class `sym` (memoized).
 
     Interpolates #Gr_e(F_p) over primes p >= sym.min_prime() and evaluates
     the verified counting polynomial at q = 1.  Returns 0 when e is not a
-    subdimension vector of dims(sym).
+    subdimension vector of dims(sym).  The memo key holds `budget` and
+    `verify`, so a call never reads an answer fitted with fewer checks or
+    a larger budget than its own.
     """
     d = sym.dims
     e = tuple(int(x) for x in e)

@@ -31,19 +31,18 @@ middles by class yields the extension census
 whose total mass is p^{dim Ext^1(X, Y)}.  The class e = 0 contributes the
 split middle.
 
-The census is walked one torus orbit at a time, as the Hall census is
-(see `subspaces`).  Scaling each component of the coefficient quivers of
-Y and X (`rep.coefficient_components`) gives automorphisms g of Y and h
-of X, and d -> g d h^-1 keeps the middle's class (diag(g, h) is an
+The census is walked one torus orbit at a time by the walker of the Hall
+census and the Grassmannian count (`subspaces._torus_walk`, where the
+argument is written).  Scaling each component of the coefficient quivers
+of Y and X (`rep.coefficient_components`) gives automorphisms g of Y and
+h of X, and d -> g d h^-1 keeps the middle's class (diag(g, h) is an
 isomorphism of the middles).  It multiplies the free coordinate d_a[x][y]
 by t_comp(row x of Y) / t_comp(column y of X), so it keeps the
-complement.  In `itertools.product` order a nonzero value at a
-coordinate joining two classes of components not yet joined must be 1;
-the other cocycles are cut, and each kept one counts (p - 1)^joins.  The
-census keeps the full enumeration's items, key order and total mass.
-For X and Y with one component each, every indecomposable in any basis,
-the walk keeps 0 and one cocycle per point of P(Ext^1), the one whose
-first nonzero value is 1.  At p = 2 nothing is cut.
+complement: each free coordinate is a slot with choices F_p, and value v
+is the one entry (row of Y, column of X, v).  The census keeps the full
+enumeration's items, key order and total mass.  For X and Y with one
+component each, every indecomposable in any basis, the walk keeps 0 and
+one cocycle per point of P(Ext^1), the first nonzero value being 1.
 
 Homomorphisms
 -------------
@@ -123,39 +122,19 @@ def _cocycle_ends(X, Y, free):
 
 
 def _orbit_cocycles(X, Y, free):
-    """An iterator of (values, orbit size) over the first cocycle of each
-    torus orbit on the cocycles supported on the free coordinates, in
-    `itertools.product` order of their values (see above): a nonzero value
-    at a coordinate joining two classes not yet joined must be 1, and the
-    orbit has (p - 1)^joins points.  Once no coordinate left can join two
-    classes, the rest runs over all of F_p."""
+    """(values, walk): the generator `walk` yields the size of each torus
+    orbit on the cocycles supported on the free coordinates, with the list
+    `values` holding the values of its first cocycle, in
+    `itertools.product` order (see above)."""
     p, d = X.p, len(free)
-    # at p = 2 every nonzero value is 1, so nothing is cut and every
-    # orbit has one point
-    if p == 2:
-        return ((values, 1) for values in itertools.product(range(p), repeat=d))
-    # the first coordinate always joins a class of Y to one of X
-    if d == 1:
-        return iter((((0,), 1), ((1,), p - 1)))
-    ends, k = _cocycle_ends(X, Y, free)
-
-    def walk(j, prefix, root, joins):
-        if all(root[a] == root[b] for a, b in ends[j:]):
-            size = (p - 1) ** joins
-            for rest in itertools.product(range(p), repeat=d - j):
-                yield prefix + rest, size
-            return
-        a, b = root[ends[j][0]], root[ends[j][1]]
-        yield from walk(j + 1, prefix + (0,), root, joins)
-        if a == b:
-            for v in range(1, p):
-                yield from walk(j + 1, prefix + (v,), root, joins)
-        else:
-            lo, hi = min(a, b), max(a, b)
-            root = tuple(lo if x == hi else x for x in root)
-            yield from walk(j + 1, prefix + (1,), root, joins + 1)
-
-    return walk(0, (), tuple(range(k)), 0)
+    values, choices = [0] * d, range(p)
+    entries, k = [None] * d, 0
+    # with no free coordinate there is nothing to scale
+    if p > 2 and free:
+        ends, k = _cocycle_ends(X, Y, free)
+        scalar = [()] + [((0, 1, v),) for v in range(1, p)]
+        entries = [(pair, scalar) for pair in ends]
+    return values, subspaces._torus_walk(range(d), values, lambda j: choices, entries, k, p)
 
 
 def ext_middle_census(X, Y, budget=DEFAULT_EXT_BUDGET):
@@ -190,7 +169,8 @@ def _ext_census(X, Y, budget):
     dims = tuple(y + x for y, x in zip(Y.dims, X.dims))
     middle = _middle_rows(X, Y, free)
     census = {}
-    for values, size in _orbit_cocycles(X, Y, free):
+    values, walk = _orbit_cocycles(X, Y, free)
+    for size in walk:
         key_mid = catalog._decompose_rows(Q, p, dims, middle(values))
         census[key_mid] = census.get(key_mid, 0) + size
     return e_dim, census

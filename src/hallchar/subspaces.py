@@ -56,33 +56,26 @@ product keeps that key order unless two parts with several entries each
 have their free vertices (0 < e_v < d_v) interleaved in the topological
 order; there M is walked whole.
 
-Every other census is walked one torus orbit at a time.  The
-coefficient quiver of M (`rep.coefficient_components`) has the basis
-vectors as nodes and an edge for every nonzero matrix entry; scaling the
-basis vectors of each of its k components by its own t in F_p^*
-commutes with every M_a, so the torus (F_p^*)^k acts on M by
-automorphisms, and it moves each subrepresentation U to one with the
-same sub and quotient classes.  It fixes the pivots of U and multiplies
-the free entry (r, c) of U_v by t_comp(r) / t_comp(pivot row of c).
-Take the free entries in the walk's order (vertex by vertex along the
-topological order, each candidate's column by column and down each
-column, the order of `_echelons`) and join their components in a
-union-find as they come.  A nonzero entry whose two components are not
-yet joined can be scaled to any nonzero value without moving the
-entries before it, and every other entry is fixed by those before it.
-So the point of an orbit that the walk meets first, its lexicographically
-least point, is the one whose joining entries are all 1, and the orbit
-has (p - 1)^joins points (its stabilizer is (F_p^*)^(k - joins)).  The
-walk keeps just those points: a candidate with a joining entry other
-than 1 is cut, with everything the walk would choose after it, before
-any block is built or classified, and each kept point counts
-(p - 1)^joins.  A census key is met first at the first point of an
-orbit, so the census keeps the plain walk's items and key order.  At
-p = 2 every nonzero entry is 1, and with one component no entry joins:
-nothing is cut and every count is 1.  Which candidates are cut is
-remembered per vertex and partition of the components.
-`grassmannian_count` walks no orbits: it is the other path of
-`CharTable`'s cross-check, and shares no orbit code with the census.
+One walker, `_torus_walk`, walks the first point of each orbit of a
+torus (the argument is written beside it), for three callers:
+
+* every other Hall census (`_orbit_walk`).  Scaling the basis vectors of
+  each of the k components of the coefficient quiver of M
+  (`rep.coefficient_components`: basis vectors as nodes, an edge for
+  every nonzero matrix entry) by its own t in F_p^* commutes with every
+  M_a, so the torus (F_p^*)^k moves each subrepresentation U to one with
+  the same sub and quotient classes.  It fixes the pivots of U and
+  multiplies the free entry (r, c) of U_v by t_comp(r) / t_comp(pivot
+  row of c), so a candidate's entries are its nonzero free ones
+  (`_Echelon.entries`), and a cut candidate is dropped before any block
+  is built or classified.  A census key is met first at the first point
+  of an orbit, so the census keeps the plain walk's items and key order;
+* the Ext census (`strata._orbit_cocycles`), one slot per free cocycle
+  coordinate;
+* `grassmannian_count`, which scales no slot: the plain walk over every
+  vertex but the last.  It never reads the coefficient quiver, so
+  `CharTable`'s cross-check still tests the orbit census against a count
+  that cuts nothing.
 
 A single census answers every Hall number g over the ambient module M:
 g = #{U <= M : U iso V_sub, M/U iso V_quot} is one dictionary entry, and
@@ -112,8 +105,8 @@ from .qpoly import gaussian_binomial
 DEFAULT_SUBSPACE_BUDGET = 2_000_000
 
 # The largest [n choose k]_p whose candidate table is kept.  A table holds
-# about 0.45 kB per subspace at n = 4 (rows and index tuples; 364 kB for
-# the 806 of [4 choose 2]_5 under tracemalloc), so one table stays under
+# about 0.7 kB per subspace at n = 4 (rows, index tuples and entries; 574 kB
+# for the 806 of [4 choose 2]_5 under tracemalloc), so one table stays under
 # 1 MB.  Every space the test suite and the
 # benchmark's workloads enumerate fits (the largest is [4 choose 2]_5 =
 # 806); a larger space is built for each call and dropped after it, so a
@@ -122,8 +115,10 @@ ECHELON_TABLE_MAX = 1024
 
 # One enumerated subspace U of F_p^n: `rows` lists its reduced column echelon
 # basis as n lists of k Python ints, `pivots` the rows P with U[P] = I and
-# `others` the remaining rows NP, both increasing.
-_Echelon = namedtuple("_Echelon", "pivots others rows")
+# `others` the remaining rows NP, both increasing.  `entries` lists its
+# nonzero free entries (r, pivot row of c, U[r][c]) column by column and
+# down each column, the order the torus walk reads them in.
+_Echelon = namedtuple("_Echelon", "pivots others rows entries")
 
 
 def _echelons(n, k, p):
@@ -141,7 +136,8 @@ def _echelons(n, k, p):
             rows = [row[:] for row in template]
             for (r, c), v in zip(free, values):
                 rows[r][c] = v
-            yield _Echelon(pivots, others, rows)
+            entries = tuple((r, pivots[c], v) for (r, c), v in zip(free, values) if v)
+            yield _Echelon(pivots, others, rows, entries)
 
 
 @memo.memoized(lambda n, k, p: (n, k, p))
@@ -280,77 +276,52 @@ def _walk_tables(M, e, order, budget):
     return candidates, images, chosen, options
 
 
-def _echelon_walk(M, e, order, budget):
-    """Enumerate subspaces U_v of dimension e_v at the vertices of `order`
-    (topologically ordered) with M_a U_s inside U_t for every arrow between
-    two of them, on the tables of `_walk_tables`.
-
-    Returns (candidates, images, walk): `walk` yields one list of candidate
-    indices per vertex for each admissible choice (the same list object,
-    updated in place), in lexicographic order of the indices along
-    `order`.
-    """
-    candidates, images, chosen, options = _walk_tables(M, e, order, budget)
-
-    def walk(idx=0):
-        if idx == len(order):
-            yield chosen
-            return
-        v = order[idx]
-        for i in options(idx):
-            chosen[v] = i
-            yield from walk(idx + 1)
-
-    return candidates, images, walk
-
-
-# a step of `_orbit_walk` not yet computed
+# a step of `_torus_walk` not yet computed
 _UNSEEN = object()
 
 
-def _orbit_walk(M, e, budget):
-    """The census's walk over the subrepresentations of M at e, one torus
-    orbit at a time (see above), on the tables of `_walk_tables` along
-    the topological order.
+def _torus_walk(order, chosen, options, entries, k, p):
+    """Walk the slots idx of `order` in turn, setting chosen[order[idx]]
+    to each choice in `options(idx)`, one torus orbit at a time; yield the
+    size of each orbit walked, with `chosen` holding its first point.
 
-    Returns (candidates, images, chosen, walk): `walk` yields the size of
-    each orbit, (p - 1)^joins, with `chosen` holding the candidate indices
-    of its first point in the plain walk's order.  A candidate whose entry
-    joining two classes is not 1 is cut with all that would follow it.
+    entries[idx] is None where slot idx is not scaled, else (labels,
+    table): choice i carries the nonzero entries (r, c, x) of table[i],
+    and the torus (F_p^*)^k, one t per component, multiplies each x by
+    t_labels[r] / t_labels[c] and keeps what each point is classified as.
+    Join the two components of each nonzero entry, in the walk's order,
+    in a union-find.  Every earlier nonzero entry then has both ends in
+    one class, so scaling a class by a common t moves none of them: an
+    entry whose two classes are not yet joined can be scaled to any
+    nonzero value, and every other entry is fixed by those before it.  So
+    the first point of an orbit (the choices at a slot come in the
+    lexicographic order of their values, entry by entry, 0 < 1 < ...) is
+    the one whose joining entries are all 1, and the orbit has (p - 1)^joins
+    points (its stabilizer is (F_p^*)^(k - joins)).  A choice with a
+    joining entry other than 1 is cut, with all that would follow it; the
+    partition a choice leaves, or its cut, is remembered per (slot,
+    partition, choice).  At p = 2 every nonzero entry is 1 and nothing is
+    cut, so callers scale no slot there; with no scaled slot this is the
+    plain walk, each point yielding 1.
     """
-    Q, p = M.quiver, M.p
-    order = Q.topological_order()
-    candidates, images, chosen, options = _walk_tables(M, e, order, budget)
-    # steps[idx]: None where no free entry at order[idx] can join two
-    # components, else {state: [state after candidate i, or None where i is
-    # cut, or _UNSEEN]}; a state is an index into `states`, the partitions
-    # of the components joined so far (each component mapped to the least
-    # one of its class)
-    steps = [None] * len(order)
+    # steps[idx]: {state: [state after choice i, None where i is cut, or
+    # _UNSEEN]}; a state indexes `states`, the partitions of the components
+    # joined so far (each component mapped to the least one of its class)
+    steps = [None if entry is None else {} for entry in entries]
+    states = [tuple(range(k))]
+    ids = {states[0]: 0}
     weights = [1]
-    if p > 2:
-        labels, k = rep.coefficient_components(Q, M.dims, M.mats)
-        for idx, v in enumerate(order):
-            if 0 < e[v] < M.dims[v] and len(set(labels[v])) > 1:
-                steps[idx] = {}
-        states = [tuple(range(k))]
-        ids = {states[0]: 0}
 
-    def step(v, i, state):
-        root, lab = states[state], labels[v]
-        U = candidates[v][i]
-        # entries above a pivot are 0, so the nonzero entries of column c
-        # are its free ones and its pivot
-        for c, pr in enumerate(U.pivots):
-            for r in U.others:
-                x = U.rows[r][c]
-                if x:
-                    a, b = root[lab[r]], root[lab[pr]]
-                    if a != b:
-                        if x != 1:
-                            return None
-                        lo, hi = min(a, b), max(a, b)
-                        root = tuple(lo if y == hi else y for y in root)
+    def step(idx, i, state):
+        labels, table = entries[idx]
+        root = states[state]
+        for r, c, x in table[i]:
+            a, b = root[labels[r]], root[labels[c]]
+            if a != b:
+                if x != 1:
+                    return None
+                lo, hi = min(a, b), max(a, b)
+                root = tuple(lo if y == hi else y for y in root)
         out = ids.get(root)
         if out is None:
             out = ids[root] = len(states)
@@ -358,29 +329,62 @@ def _orbit_walk(M, e, budget):
             weights.append((p - 1) ** (k - len(set(root))))
         return out
 
-    def walk(idx=0, state=0):
-        if idx == len(order):
-            yield weights[state]
-            return
-        v = order[idx]
-        table = steps[idx]
-        if table is None:
-            for i in options(idx):
-                chosen[v] = i
-                yield from walk(idx + 1, state)
-            return
-        row = table.get(state)
-        if row is None:
-            row = table[state] = [_UNSEEN] * len(candidates[v])
-        for i in options(idx):
-            nxt = row[i]
-            if nxt is _UNSEEN:
-                nxt = row[i] = step(v, i, state)
-            if nxt is not None:
-                chosen[v] = i
-                yield from walk(idx + 1, nxt)
+    # a stack, not a recursion, so a walk leaves no reference cycle behind:
+    # choices[idx] iterates the choices left at slot idx, reached in state
+    # at[idx]
+    last = len(order) - 1
+    if last < 0:
+        yield 1
+        return
+    choices, at = [iter(options(0))], [0]
+    while choices:
+        idx = len(choices) - 1
+        state, rows = at[idx], steps[idx]
+        row = None
+        if rows is not None:
+            row = rows.get(state)
+            if row is None:
+                row = rows[state] = [_UNSEEN] * len(entries[idx][1])
+        for i in choices[idx]:
+            nxt = state
+            if row is not None:
+                nxt = row[i]
+                if nxt is _UNSEEN:
+                    nxt = row[i] = step(idx, i, state)
+                if nxt is None:
+                    continue
+            chosen[order[idx]] = i
+            if idx < last:
+                choices.append(iter(options(idx + 1)))
+                at.append(nxt)
+                break
+            yield weights[nxt]
+        else:
+            choices.pop()
+            at.pop()
 
-    return candidates, images, chosen, walk
+
+def _orbit_walk(M, e, budget):
+    """The census's walk over the subrepresentations of M at e, one torus
+    orbit at a time (see above), on the tables of `_walk_tables` along
+    the topological order.
+
+    Returns (candidates, images, chosen, walk): the generator `walk`
+    yields the size of each orbit, with `chosen` holding the candidate
+    indices of its first point.
+    """
+    Q, p = M.quiver, M.p
+    order = Q.topological_order()
+    candidates, images, chosen, options = _walk_tables(M, e, order, budget)
+    entries, k = [None] * len(order), 0
+    if p > 2:
+        labels, k = rep.coefficient_components(Q, M.dims, M.mats)
+        entries = [
+            (labels[v], [U.entries for U in candidates[v]])
+            if 0 < e[v] < M.dims[v] and len(set(labels[v])) > 1 else None
+            for v in order
+        ]
+    return candidates, images, chosen, _torus_walk(order, chosen, options, entries, k, p)
 
 
 @memo.memoized(lambda M, k: (M.key, int(k)))
@@ -453,13 +457,13 @@ def grassmannian_count(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
             if cnt
         )
     vertices = order[:-1]
-    _, images, walk = _echelon_walk(M, e, vertices, budget)
+    _, images, chosen, options = _walk_tables(M, e, vertices, budget)
     into_last = [(images[a], s) for a, (s, t) in enumerate(Q.arrows) if t == last]
     # subspaces at the last vertex containing a span of dimension w
     choices = [subspace_count(M.dims[last] - w, e[last] - w, p) for w in range(M.dims[last] + 1)]
     width = sum(e[s] for _, s in into_last)
     count = 0
-    for chosen in walk():
+    for _ in _torus_walk(vertices, chosen, options, [None] * len(vertices), 0, p):
         # rows of [M_a U_s | ...] over the arrows into the last vertex
         joint = [
             list(itertools.chain.from_iterable(row))
@@ -531,7 +535,7 @@ def _census(M, e, budget, classes=None):
     if any(k < 0 or k > d for k, d in zip(e, M.dims)):
         return out
     candidates, images, chosen, walk = _orbit_walk(M, e, budget)
-    for weight in walk():
+    for weight in walk:
         U = [candidates[v][i] for v, i in enumerate(chosen)]
         sub, quot = [], []
         for a, (s, t) in enumerate(Q.arrows):

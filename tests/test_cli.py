@@ -232,6 +232,17 @@ def test_quiver_file_loading(tmp_path, capsys):
     assert "x2^-1 + x1*x2^-1" in out
 
 
+def test_char_on_three_arrow_kronecker_file(tmp_path, capsys):
+    """Outside the catalogue the character of S1 still comes from
+    Grassmannian counts: Gr_(0,0) and Gr_(1,0) of S1 are points, so
+    X[S1] = x1^-1 (1 + x2^3) over three arrows 1 -> 2."""
+    qfile = tmp_path / "k3.q"
+    qfile.write_text("vertices 2\narrow a 1 2\narrow b 1 2\narrow c 1 2\n")
+    rc, out, _ = run(capsys, "char", "--quiver", str(qfile), "--module", "S1")
+    assert rc == 0
+    assert out == "X[S1] = x1^-1 + x1^-1*x2^3\n"
+
+
 def test_e6_quiver_file_at_p2(tmp_path, capsys):
     """E_6 as 1 -> 2 -> 3 -> 4 -> 5, 3 -> 6: decompositions over F_2 read
     every root's indecomposable, among them (1, 2, 3, 2, 1, 2)."""

@@ -8,9 +8,9 @@ recorded next to each assertion.
 import numpy as np
 import pytest
 
-from hallchar import catalog, cluster
+from hallchar import catalog, cluster, memo, qpoly
 from hallchar.catalog import parse_symbol
-from hallchar.errors import OutsideCatalog, VerificationMismatch
+from hallchar.errors import BudgetExceeded, OutsideCatalog, VerificationMismatch
 from hallchar.laurent import LaurentPoly
 from hallchar.quiver import kronecker_quiver, linear_quiver
 
@@ -197,3 +197,22 @@ def test_abstract_symbol_from_classes_fingerprint():
     # abstract atoms pass through untouched
     again = catalog.abstract_symbol_from_classes(K, sym.atoms)
     assert again == sym
+
+
+def test_chi_grassmannian_memo_keeps_budget_and_verify_apart():
+    """A memoized χ(Gr_e) is read only by a call with the same budget and
+    verify: a verify=2 call after a verify=0 call fits and checks again,
+    and a budget=1 call after a default call raises as a fresh one does."""
+    sym, e = parse_symbol("2*S2 + P1", A3), (0, 1, 1)
+    memo.clear()
+    cluster.chi_grassmannian(sym, e, verify=0)
+    fits = qpoly.VERIFIED_FITS
+    assert cluster.chi_grassmannian(sym, e, verify=2) == 3
+    assert qpoly.VERIFIED_FITS == fits + 1
+
+    memo.clear()
+    with pytest.raises(BudgetExceeded, match="exceeds budget 1"):
+        cluster.chi_grassmannian(sym, e, budget=1)
+    assert cluster.chi_grassmannian(sym, e) == 3
+    with pytest.raises(BudgetExceeded, match="exceeds budget 1"):
+        cluster.chi_grassmannian(sym, e, budget=1)

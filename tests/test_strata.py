@@ -28,7 +28,7 @@ from hallchar.rep import Rep
 from test_rep import (
     _hom_offsets, arrays, cokernel_rep, conjugate, hom_basis, kernel_rep, random_rep,
 )
-from test_subspaces import ORBIT_QUIVERS, catalogue_modules, catalogue_pool
+from test_subspaces import K3, ORBIT_QUIVERS, TRIANGLE, catalogue_modules, catalogue_pool, modules
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
@@ -566,7 +566,8 @@ def test_orbit_cocycles_of_indecomposables_are_projective_points(pair):
     p = X.p
     free = strata._free_coordinates(X, Y)
     d = len(free)
-    points = list(strata._orbit_cocycles(X, Y, free))
+    values, walk = strata._orbit_cocycles(X, Y, free)
+    points = [(tuple(values), size) for size in walk]
     assert len(points) == 1 + (p**d - 1) // (p - 1)
     assert points[0] == ((0,) * d, 1)
     for values, size in points[1:]:
@@ -580,9 +581,85 @@ def test_orbit_cocycles_kronecker_simples():
     p = 5
     X, Y = simple(K, p, 0), simple(K, p, 1)
     free = strata._free_coordinates(X, Y)
-    assert list(strata._orbit_cocycles(X, Y, free)) == [((0, 0), 1), ((0, 1), 4)] + [
+    values, walk = strata._orbit_cocycles(X, Y, free)
+    assert [(tuple(values), size) for size in walk] == [((0, 0), 1), ((0, 1), 4)] + [
         ((1, x), 4) for x in range(p)
     ]
+
+
+def torus_orbits(X, Y, free):
+    """Oracle: the orbits of the torus (F_p^*)^k, one t per component of
+    the coefficient quivers of Y and X, on the cocycles supported on the
+    free coordinates, as sets of value tuples.  t acts by d_a -> g_t d_a
+    h_s^-1, with g and h the diagonal automorphisms of Y and X that scale
+    each basis vector by the t of its component (checked to commute with
+    every arrow); the orbits are closed under one generator per component,
+    which scales that component by a primitive root."""
+    Q, p = X.quiver, X.p
+    y_labels, k_y = rep.coefficient_components(Q, Y.dims, Y.mats)
+    x_labels, k_x = rep.coefficient_components(Q, X.dims, X.mats)
+    offsets, total = _cocycle_layout(X, Y)
+    root = next(g for g in range(2, p) if len({pow(g, i, p) for i in range(p - 1)}) == p - 1)
+
+    def act(t, values):
+        g = [[t[c] for c in labels] for labels in y_labels]
+        h = [[t[k_y + c] for c in labels] for labels in x_labels]
+        for M, diag in ((Y, g), (X, h)):
+            for (s, u), mat in zip(Q.arrows, M.mats):
+                assert all(
+                    (diag[u][r] * x - x * diag[s][c]) % p == 0
+                    for r, row in enumerate(mat) for c, x in enumerate(row)
+                )
+        flat = [0] * total
+        for j, v in zip(free, values):
+            flat[j] = v
+        out = [0] * total
+        for a, (s, u) in enumerate(Q.arrows):
+            for r in range(Y.dims[u]):
+                for c in range(X.dims[s]):
+                    j = offsets[a] + r * X.dims[s] + c
+                    out[j] = g[u][r] * flat[j] * pow(h[s][c], -1, p) % p
+        assert not any(out[j] for j in set(range(total)) - set(free))
+        return tuple(out[j] for j in free)
+
+    generators = []
+    for comp in range(k_y + k_x):
+        t = [1] * (k_y + k_x)
+        t[comp] = root
+        generators.append(t)
+    orbits, seen = [], set()
+    for values in itertools.product(range(p), repeat=len(free)):
+        if values in seen:
+            continue
+        orbit, todo = {values}, [values]
+        while todo:
+            point = todo.pop()
+            for t in generators:
+                image = act(t, point)
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        seen |= orbit
+        orbits.append(orbit)
+    return orbits
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbit_cocycles_are_the_first_point_of_each_torus_orbit(data):
+    """For any X and Y, split, random or over a quiver no classifier
+    covers, at p in {3, 5}: the Ext walk keeps exactly the
+    lexicographically first cocycle of each torus orbit, each counted with
+    its orbit's size, p^{dim Ext^1} in all."""
+    Q = data.draw(st.sampled_from([A3, D4, K, K3, TRIANGLE]))
+    p = data.draw(st.sampled_from([3, 5]))
+    X, Y = (data.draw(modules([Q], [p], max_dim=2, max_total=3)) for _ in range(2))
+    free = strata._free_coordinates(X, Y)
+    assume(free and p ** len(free) <= 625)
+    values, walk = strata._orbit_cocycles(X, Y, free)
+    kept = [(tuple(values), size) for size in walk]
+    assert kept == sorted((min(orbit), len(orbit)) for orbit in torus_orbits(X, Y, free))
+    assert sum(size for _, size in kept) == p ** len(free)
 
 
 @settings(max_examples=60, deadline=None)

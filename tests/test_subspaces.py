@@ -61,7 +61,8 @@ def grassmannian_count_brute(M, e):
 
 def subrep_bases(M, e):
     """Oracle: yield (bases, sub, quot) for every subrepresentation U of M
-    with dimension vector e, one per point of the plain echelon walk.
+    with dimension vector e, in lexicographic order of the candidate
+    indices along the topological order, over `subspaces._walk_tables`.
 
     bases[i] is the reduced column echelon basis of U_i, as dims[i] rows of
     e_i Python ints.  sub[a] and quot[a] are the matrices of arrow a on U
@@ -74,10 +75,22 @@ def subrep_bases(M, e):
         raise ValueError("dimension vector has wrong length")
     if any(k < 0 or k > d for k, d in zip(e, M.dims)):
         return
-    candidates, images, walk = subspaces._echelon_walk(
-        M, e, Q.topological_order(), subspaces.DEFAULT_SUBSPACE_BUDGET
+    order = Q.topological_order()
+    candidates, images, chosen, options = subspaces._walk_tables(
+        M, e, order, subspaces.DEFAULT_SUBSPACE_BUDGET
     )
-    for chosen in walk():
+
+    # a plain recursion of its own: the oracle shares no walk loop with
+    # the census it checks
+    def walk(idx=0):
+        if idx == len(order):
+            yield
+            return
+        for i in options(idx):
+            chosen[order[idx]] = i
+            yield from walk(idx + 1)
+
+    for _ in walk():
         U = [candidates[v][chosen[v]] for v in range(Q.n)]
         sub, quot = [], []
         for a, (s, t) in enumerate(Q.arrows):
@@ -478,6 +491,23 @@ def test_grassmannian_count_matches_brute_a3_d4(M, data):
     """The walk over all vertices but the last, closed by a rank at the
     last vertex, against the rank-checked enumeration of all vertices, on
     the A_3 and D_4 orientations and random orientations of A_4 and D_5."""
+    e = tuple(data.draw(st.integers(0, d)) for d in M.dims)
+    assert subspaces.grassmannian_count(M, e) == grassmannian_count_brute(M, e)
+
+
+# quivers no classifier covers: the three-arrow Kronecker quiver, the
+# acyclic triangle 1 -> 2 -> 3, 1 -> 3, and the 4-cycle with one source and
+# one sink
+K3 = Quiver(2, [(0, 1)] * 3)
+TRIANGLE = Quiver(3, [(0, 1), (1, 2), (0, 2)])
+SQUARE = Quiver(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(modules([K3, TRIANGLE, SQUARE], [2, 3], max_dim=2, max_total=5), st.data())
+def test_grassmannian_count_matches_brute_outside_catalogue(M, data):
+    """`grassmannian_count` classifies nothing, so it counts on quivers
+    outside the catalogue too, against the rank-checked enumeration."""
     e = tuple(data.draw(st.integers(0, d)) for d in M.dims)
     assert subspaces.grassmannian_count(M, e) == grassmannian_count_brute(M, e)
 
@@ -945,7 +975,7 @@ def test_orbit_walk_keeps_the_first_point_of_each_orbit():
         S1 = rep.Rep.simple(A2, p, 0)
         M = rep.direct_sum(S1, S1)
         candidates, _, chosen, walk = subspaces._orbit_walk(M, (1, 0), 100)
-        points = [(candidates[0][chosen[0]].rows, size) for size in walk()]
+        points = [(candidates[0][chosen[0]].rows, size) for size in walk]
         assert points == [([[1], [0]], 1), ([[1], [1]], p - 1), ([[0], [1]], 1)]
         assert subspaces.hall_census(M, (1, 0)) == {
             (((("root", (1, 0)), 1),), ((("root", (1, 0)), 1),)): p + 1
@@ -967,7 +997,7 @@ def test_orbit_walk_cuts_before_any_block_is_built(monkeypatch):
     )
     memo.clear()
     census = subspaces._census(M, e, subspaces.DEFAULT_SUBSPACE_BUDGET)
-    kept = sum(1 for _ in subspaces._orbit_walk(M, e, subspaces.DEFAULT_SUBSPACE_BUDGET)[3]())
+    kept = sum(1 for _ in subspaces._orbit_walk(M, e, subspaces.DEFAULT_SUBSPACE_BUDGET)[3])
     assert sum(census.values()) == points
     assert len(classified) == 2 * kept < points
 
