@@ -39,10 +39,14 @@ with the signs dropped, since they do not change the rank:
     Hom(M, I_n)       the same on (A^T, B^T), with d1 and d2 swapped
     Hom(R_lam(m), M)  m*d1 - rank, m block rows [.. B-lam*A A ..]; [.. A B ..] at inf
 
-On a Dynkin quiver the multiplicities are one integer product A^{-1} v
-with the inverse Hom table of the indecomposables, fixed per (quiver, p),
+On a Dynkin quiver the multiplicities m solve A m = v, with the Hom table
+A[r][s] = dim Hom(X_s, X_r) of the indecomposables, fixed per (quiver, p),
 and v[r] = dim Hom(M, X_r) = unknowns - rank of the Hom constraint rows
-(`rep.hom_constraint_rows`).
+(`rep.hom_constraint_rows`).  A is lower unitriangular in the
+Auslander-Reiten order of `_coxeter_walk`, so m comes by forward
+substitution, m_r = v[r] - sum_{s < r} A[r][s] m_s.  A root that does not
+fit in what the summands found so far leave of dim M gets m_r = 0 with no
+rank, and the substitution stops once dim M is used up.
 
 Both families are classified from the Python-int rows of M's matrices by
 one entry, `_classify_rows`, and no `Rep` is built: `decompose(M)` passes
@@ -74,7 +78,6 @@ import re
 
 from . import linalg, memo, rep
 from .errors import ComputationError, OutsideCatalog, UnsupportedQuiver
-from .quiver import _unimodular_inverse
 from .rep import Rep
 
 INF = "inf"
@@ -138,25 +141,28 @@ def _injective_mats(quiver, i):
 
 @memo.memoized(lambda quiver, p: (quiver.key, p))
 def _coxeter_walk(quiver, p):
-    """{root: indecomposable} of a Dynkin quiver over F_p: each injective
+    """{root: indecomposable} of a Dynkin quiver over F_p: every injective
     walked down tau^m I(i) until it is zero, tau being the Coxeter functor
     C^+ of Bernstein-Gelfand-Ponomarev.  In reverse topological order each
     vertex k is a sink; reflecting there replaces M_k by the kernel of
     (+)_{a: j -> k} M_a (its rows concatenated), whose coordinate blocks
     become the reversed arrows.  Each step checks dim tau M against
-    `quiver.coxeter(dim M)`."""
+    `quiver.coxeter(dim M)`.  The injectives take their tau steps together,
+    in topological order, and the table lists the modules in reverse order
+    of visit: tau^m I(i) by decreasing m, ties by i in reverse topological
+    order, an Auslander-Reiten order (`_dynkin_hom_data`)."""
     if not quiver.is_dynkin():
         raise UnsupportedQuiver("Dynkin indecomposables need a Dynkin quiver")
     sinks = [
         (k, [(a, s + t - k) for a, (s, t) in enumerate(quiver.arrows) if k in (s, t)])
         for k in reversed(quiver.topological_order())
     ]
-    table = {}
-    for i in range(quiver.n):
-        dims, mats = _injective_mats(quiver, i)
-        while any(dims):
+    visited = []
+    level = [_injective_mats(quiver, i) for i in quiver.topological_order()]
+    while level:
+        for dims, mats in level:
             root = tuple(dims)
-            table[root] = Rep(quiver, p, dims, mats)
+            visited.append((root, Rep(quiver, p, dims, mats)))
             for k, at_k in sinks:
                 width = sum(dims[j] for _, j in at_k)
                 rows = [list(itertools.chain(*r)) for r in zip(*(mats[a] for a, _ in at_k))]
@@ -168,7 +174,8 @@ def _coxeter_walk(quiver, p):
             cox = quiver.coxeter(root)
             if tuple(dims) != (cox if min(cox) >= 0 else (0,) * quiver.n):
                 raise ComputationError(f"tau of {root} has dimension {tuple(dims)}, not {cox}")
-    return table
+        level = [(dims, mats) for dims, mats in level if any(dims)]
+    return dict(reversed(visited))
 
 
 @memo.memoized(lambda quiver, cls, p: (quiver.key, cls, p))
@@ -325,42 +332,40 @@ def _classify_rows(quiver, p, dims, blocks):
 
 @memo.memoized(lambda Q, p: (Q.key, p))
 def _dynkin_hom_data(Q, p):
-    """Roots, the (dims, Python-int rows) of their indecomposables, and the
-    integer inverse of the Hom table, as lists of Python ints.
-
-    The table A[r][s] = dim Hom(X_s, X_r) relates the multiplicities m of a
-    module M to v[r] = dim Hom(M, X_r) by A m = v.  It is unitriangular in
-    an Auslander-Reiten order, hence unimodular, so it is inverted once per
-    (quiver, p) and every decomposition is an integer product A^{-1} v.
-    """
-    roots = Q.positive_roots()
-    reps = [module_from_class(Q, ("root", r), p) for r in roots]
-    k = len(roots)
-    A = [[rep.hom_dim(reps[s], reps[r]) for s in range(k)] for r in range(k)]
-    indecs = [(X.dims, X.mats) for X in reps]
-    return roots, indecs, _unimodular_inverse(A)
+    """(root, Python-int rows of X_r, row r of the Hom table A) for each
+    indecomposable X_r in the order of `_coxeter_walk`, where A must be
+    lower unitriangular (see above; ComputationError otherwise)."""
+    walk = _coxeter_walk(Q, p)
+    reps = list(walk.values())
+    A = [[rep.hom_dim(X, Y) for X in reps] for Y in reps]
+    for r, row in enumerate(A):
+        if row[r] != 1 or any(row[r + 1:]):
+            raise ComputationError("Hom table is not unitriangular in Auslander-Reiten order")
+    return tuple(zip(walk, (X.mats for X in reps), A))
 
 
 def _decompose_dynkin(Q, p, dims, blocks):
-    """Each v[r] = dim Hom(M, X_r) is unknowns - rank of the Python-int
-    constraint rows of `rep.hom_constraint_rows`; no Hom space is solved."""
-    roots, indecs, inv = _dynkin_hom_data(Q, p)
-    v = []
-    for x_dims, x_blocks in indecs:
-        unknowns, rows = rep.hom_constraint_rows(Q, p, dims, blocks, x_dims, x_blocks)
-        v.append(unknowns - linalg.rank_rows(rows, unknowns, p))
-    out = []
-    for root, row in zip(roots, inv):
-        mult = sum(a * b for a, b in zip(row, v))
-        if mult == 0:
+    """Forward substitution in the order of `_dynkin_hom_data`, skipping a
+    root that does not fit and stopping once dim M is used up (see above);
+    no Hom space is solved."""
+    data = _dynkin_hom_data(Q, p)
+    left = list(dims)
+    found = []  # (r, m_r) of the summands found so far
+    for r, (root, x_blocks, row) in enumerate(data):
+        if not any(left):
+            break
+        if any(x > y for x, y in zip(root, left)):
             continue
+        unknowns, rows = rep.hom_constraint_rows(Q, p, dims, blocks, root, x_blocks)
+        mult = unknowns - linalg.rank_rows(rows, unknowns, p) - sum(row[s] * m for s, m in found)
         if mult < 0:
             raise ComputationError(f"negative multiplicity {mult} for {root}")
-        out.append((("root", root), mult))
-    decomp = sort_classes(out)
-    if decomposition_dims(Q, decomp) != tuple(dims):
+        if mult:
+            found.append((r, mult))
+            left = [y - mult * x for x, y in zip(root, left)]
+    if any(left):
         raise OutsideCatalog("dimension mass not matched by Dynkin catalog")
-    return decomp
+    return sort_classes((("root", data[r][0]), m) for r, m in found)
 
 
 def _pencil_hom(X, Y, rows, cols, d_in, p):

@@ -12,9 +12,10 @@ and stores its result under `key(*args, **kwargs)` in a table of its own,
 listed in `TABLES` as "layer.function" (e.g. "catalog.decompose").  The
 key function decides what identifies a result; arguments such as
 `budget` and `verify`, which bound or check the work but do not change a
-correct result, are left out of it, unless a hit would skip a check or a
-`BudgetExceeded` that a fresh call makes (`cluster.chi_grassmannian`
-keys on both).  A call that raises stores nothing, so
+correct result, are left out of it.  Where a hit would skip a check or a
+`BudgetExceeded` that a fresh call makes, either the key holds them
+(`cluster.chi_grassmannian`) or the entry stores what a fresh call checks
+and every hit checks it again (the Hall and Ext censuses).  A call that raises stores nothing, so
 it raises again on every call.  Results are shared between callers, who
 must not mutate them.
 

@@ -33,7 +33,6 @@ i.e. one `vertices <n>` line, then `arrow <id> <src> <dst>` lines with
 from fractions import Fraction
 
 from . import memo
-from .errors import ComputationError
 
 
 class Quiver:
@@ -71,14 +70,6 @@ class Quiver:
             A[s][t] += 1
         self.arrow_matrix = A
         E = self.euler_matrix = [[int(i == j) - A[i][j] for j in range(n)] for i in range(n)]
-        # E = I - A is unitriangular in a topological order, so E^{-1} is
-        # integral and Phi = -E E^{-T}, Phi^{-1} = -E^T E^{-1} are integer
-        # products
-        E_inv = _unimodular_inverse(E)
-        minus_E = [[-x for x in row] for row in E]
-        self.coxeter_matrix = _matmul(minus_E, _transpose(E_inv))
-        self._coxeter_cols = _transpose(self.coxeter_matrix)
-        self._coxeter_inverse_cols = _transpose(_matmul(_transpose(minus_E), E_inv))
         # C[i][j] = #paths i -> j: C[i] = e_i + sum over arrows i -> t of C[t]
         C = [None] * n
         for v in reversed(self._topo):
@@ -86,6 +77,13 @@ class Quiver:
             for (s, t) in self.arrows:
                 if s == v:
                     C[v] = [x + y for x, y in zip(C[v], C[t])]
+        # A is nilpotent, so E^{-1} = I + A + A^2 + ... = C, and
+        # Phi = -E E^{-T} = -E C^T, Phi^{-1} = -E^T E^{-1} = -E^T C are
+        # integer products
+        minus_E = [[-x for x in row] for row in E]
+        self.coxeter_matrix = _matmul(minus_E, _transpose(C))
+        self._coxeter_cols = _transpose(self.coxeter_matrix)
+        self._coxeter_inverse_cols = _transpose(_matmul(_transpose(minus_E), C))
         self._projective_dims = tuple(tuple(row) for row in C)
         self._injective_dims = tuple(zip(*C))
         self._dynkin = self._positive_definite_tree()
@@ -248,34 +246,6 @@ def _matmul(A, B):
     """A B, integer matrices as lists of rows."""
     cols = _transpose(B)
     return [list(_times(row, cols)) for row in A]
-
-
-def _unimodular_inverse(A):
-    """Exact inverse of the square integer matrix A as integer rows.
-
-    Raises ComputationError when A is singular or its inverse is not
-    integral (A is not unimodular).
-    """
-    n = len(A)
-    mat = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(A)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if piv is None:
-            raise ComputationError("singular matrix")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        scale = mat[col][col]
-        mat[col] = [x / scale for x in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-    inv = [row[n:] for row in mat]
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise ComputationError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in inv]
 
 
 def _det(rows):

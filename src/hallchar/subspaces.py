@@ -83,14 +83,17 @@ the quiver Grassmannian point count |Gr_e(M)(F_p)| is the total mass.
 Censuses are memoized (`memo.memoized`) per (quiver, prime, class of M,
 e); the key uses the Krull-Schmidt decomposition, so isomorphic ambient
 modules share one census, and a module outside the catalogue is not
-stored.  Sub and quotient are classified through the `catalog.decompose`
-memo, read under `Rep.key_of` of their Python-int rows, the key a `Rep`
-of the same matrices has; a module the memo has not seen is classified
-from the same rows, so a census never builds a `Rep`.  `census_view`
-groups a census by the fingerprint ids of (quotient, sub), so a
-fingerprint-matched Hall number is one lookup.  The rank distributions
-of two-vertex quivers are memoized on the exact matrices (`Rep.key`).
-`memo.clear()` forgets them all.
+stored.  The key leaves out the budget, so calls with different budgets
+share one census; each entry keeps the charge a fresh call checks (1
+where the census is forced, else prod_v [d_v choose e_v]_p), and every
+hit checks it again.  Sub and quotient are classified through the
+`catalog.decompose` memo, read under `Rep.key_of` of their Python-int
+rows, the key a `Rep` of the same matrices has; a module the memo has
+not seen is classified from the same rows, so a census never builds a
+`Rep`.  `census_view` groups a census by the fingerprint ids of
+(quotient, sub), so a fingerprint-matched Hall number is one lookup.
+The rank distributions of two-vertex quivers are memoized on the exact
+matrices (`Rep.key`).  `memo.clear()` forgets them all.
 """
 
 import itertools
@@ -494,25 +497,48 @@ def hall_census(M, e, budget=DEFAULT_SUBSPACE_BUDGET, key_classes=None):
             key_classes = catalog.decompose(M)
         except OutsideCatalog:
             return _census(M, e, budget)
-    return _class_census(M, e, budget, key_classes)
+    charge, census = _class_census(M, e, budget, key_classes)
+    if charge and charge > budget:
+        raise BudgetExceeded(f"subspace search space {charge} exceeds budget {budget}")
+    return census
 
 
 @memo.memoized(lambda M, e, budget, classes: (M.quiver.key, M.p, classes, e))
 def _class_census(M, e, budget, classes):
-    """`_census` of M at e, memoized on the decomposition `classes` of M."""
-    return _census(M, e, budget, classes)
+    """(`_charge`, `_census`) of M at e, memoized on the decomposition
+    `classes` of M.  The key leaves out the budget, and every hit checks
+    the charge against it as a fresh call would."""
+    return _charge(M, e), _census(M, e, budget, classes)
 
 
-@memo.memoized(lambda M, e, budget, classes: (M.quiver.key, M.p, classes, e))
 def census_view(M, e, budget, classes):
     """{(fingerprint id of quot, fingerprint id of sub): count}: the census
     of (M, e) grouped by `catalog.fingerprint_id`, memoized like it on the
     decomposition `classes` of M.  An out-of-range e reads an empty view."""
+    charge, view = _census_view(M, e, budget, classes)
+    if charge and charge > budget:
+        raise BudgetExceeded(f"subspace search space {charge} exceeds budget {budget}")
+    return view
+
+
+@memo.memoized(lambda M, e, budget, classes: (M.quiver.key, M.p, classes, e))
+def _census_view(M, e, budget, classes):
     out = {}
     for (quot, sub), c in hall_census(M, e, budget=budget, key_classes=classes).items():
         key = (catalog.fingerprint_id(quot), catalog.fingerprint_id(sub))
         out[key] = out.get(key, 0) + c
-    return out
+    return _class_census(M, e, budget, classes)[0], out
+
+
+def _charge(M, e):
+    """What a fresh census of M at e checks against the budget:
+    prod_v [d_v choose e_v]_p, which is 1 where every e_v is 0 or d_v (the
+    forced census) and 0 (no check) where e is out of range."""
+    charge = 1
+    for d, k in zip(M.dims, e):
+        if k and k != d:
+            charge *= subspace_count(d, k, M.p)
+    return charge
 
 
 def _census(M, e, budget, classes=None):
@@ -594,9 +620,7 @@ def _split_census(M, e, budget, label):
     or None when the walk's key order cannot be kept.  Raises
     BudgetExceeded as the walk of all of M does."""
     Q, p = M.quiver, M.p
-    total = 1
-    for d, k in zip(M.dims, e):
-        total *= subspace_count(d, k, p)
+    total = _charge(M, e)
     if total > budget:
         raise BudgetExceeded(f"subspace search space {total} exceeds budget {budget}")
     censuses = {}
@@ -606,12 +630,13 @@ def _split_census(M, e, budget, label):
             mat if label[s] == x == label[t] else ((),) * dims[t]
             for (s, t), mat in zip(Q.arrows, M.mats)
         )
+        # a part's charge divides the total checked above
         censuses[x] = _class_census(
             _Part(Q, p, dims, mats),
             tuple(k if y == x else 0 for y, k in zip(label, e)),
             budget,
             catalog._decompose_rows(Q, p, dims, mats),
-        )
+        )[1]
     # The product meets its keys in the walk's order when the parts with
     # several entries are taken in the order of their free vertices along
     # the topological order, each part's free vertices in one run.

@@ -263,11 +263,6 @@ def _hom_strata_counter(source, target, budget):
     return hom_strata
 
 
-def _max_sub_degree(dims, e):
-    """Degree bound sum_i e_i (d_i - e_i) for subrep counts at e."""
-    return sum(int(x) * (int(d) - int(x)) for x, d in zip(e, dims))
-
-
 def _max_sub_degree_any(dims):
     """Degree bound over all subdimension vectors: sum_i floor(d_i^2 / 4)."""
     return sum((int(d) * int(d)) // 4 for d in dims)
@@ -521,7 +516,7 @@ def _green_degenerate_table(xi2, eta2, pairs, budget, verify):
         return {key: c for key, c in out.items() if key[1:] in wanted}
 
     bound = max(
-        [_max_sub_degree(L.dims, e) for e in eta_dims]
+        [cluster.grassmannian_degree_bound(L.dims, e) for e in eta_dims]
         + [_max_sub_degree_any(xi2.dims) + _max_sub_degree_any(eta2.dims)]
     )
     symbols = [xi2, eta2, *itertools.chain.from_iterable(pairs)]
@@ -563,7 +558,7 @@ def verify_green_projective(
     L = xi2.direct_sum(eta2)
 
     # degree bounds from dimension data alone
-    b_hall = _max_sub_degree(L.dims, eta.dims)
+    b_hall = cluster.grassmannian_degree_bound(L.dims, eta.dims)
     b_split = 0
     for (gd, dd), (ad, bd) in itertools.product(
         _dim_splits(xi2.dims), _dim_splits(eta2.dims)
@@ -571,8 +566,8 @@ def verify_green_projective(
         b = (
             _ext_dim_bound(quiver, gd, ad)
             + _ext_dim_bound(quiver, dd, bd)
-            + _max_sub_degree(xi2.dims, dd)
-            + _max_sub_degree(eta2.dims, bd)
+            + cluster.grassmannian_degree_bound(xi2.dims, dd)
+            + cluster.grassmannian_degree_bound(eta2.dims, bd)
         )
         b_split = max(b_split, b)
     bound = max(ext_dim + b_hall, b_split, b_hall)

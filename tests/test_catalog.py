@@ -15,6 +15,7 @@ import importlib
 import inspect
 import itertools
 import pkgutil
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,8 +41,8 @@ from hallchar.catalog import (
     translate_class_inverse,
 )
 from hallchar.errors import ComputationError, OutsideCatalog, UnsupportedQuiver
-from hallchar.quiver import Quiver, _unimodular_inverse, kronecker_quiver, linear_quiver
-from test_quiver import dynkin_quiver
+from hallchar.quiver import Quiver, kronecker_quiver, linear_quiver
+from test_quiver import dynkin_orientations, dynkin_quiver
 from test_rep import (
     arrays,
     aut_count_brute,
@@ -133,7 +134,9 @@ def test_coxeter_walk_checks_every_step(monkeypatch):
         module_from_class(K, ("root", (1, 0)), 2)
     memo.clear()
     monkeypatch.setattr(Quiver, "coxeter", lambda self, d: tuple(d))
-    with pytest.raises(ComputationError, match=r"tau of \(1, 1, 0\) has dimension \(0, 0, 1\), not \(1, 1, 0\)"):
+    # the walk starts at the injective of the first vertex in topological
+    # order, the source 2 of 1 <- 2 -> 3: I(2) = S_2, and tau S_2 = P(2)
+    with pytest.raises(ComputationError, match=r"tau of \(0, 1, 0\) has dimension \(1, 1, 1\), not \(0, 1, 0\)"):
         catalog._coxeter_walk(A3_SOURCE, 2)
     assert not memo.TABLES["catalog._coxeter_walk"]
 
@@ -428,12 +431,41 @@ def test_decompose_dynkin_sum_of_all_indecomposables(quiver, p):
     assert decomp == catalog.sort_classes([(("root", r), 1) for r in roots])
 
 
-def test_dynkin_hom_table_inverse_checks():
-    assert _unimodular_inverse([[1, 0], [2, 1]]) == [[1, 0], [-2, 1]]
-    with pytest.raises(ComputationError, match="singular"):
-        _unimodular_inverse([[1, 1], [1, 1]])
-    with pytest.raises(ComputationError, match="not unimodular"):
-        _unimodular_inverse([[2, 0], [0, 1]])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", [k for k in E_QUIVERS if not k.startswith("e8")])
+def test_decompose_every_e_root_to_itself(name, p):
+    """A conjugated copy of every indecomposable of E_6 and E_7, in two
+    orientations, decomposes to itself.  E_8 is left out: its Hom table
+    takes seconds per prime."""
+    Q = E_QUIVERS[name]
+    rng = np.random.default_rng(p)
+    memo.clear()
+    for root in Q.positive_roots():
+        M = conjugate(module_from_class(Q, ("root", root), p), rng)
+        assert decompose(M) == ((("root", root), 1),)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([("A", 5), ("D", 5), ("E", 6)]).flatmap(lambda kn: dynkin_orientations(*kn)),
+    st.sampled_from([2, 3]),
+)
+def test_walk_order_makes_the_hom_table_unitriangular(Q, p):
+    """In any orientation the walk's order is an Auslander-Reiten order:
+    the Hom table passes its unitriangular check, with one row per root."""
+    data = catalog._dynkin_hom_data(Q, p)
+    assert sorted(root for root, _, _ in data) == sorted(Q.positive_roots())
+
+
+def test_dynkin_hom_table_checks_the_walk_order(monkeypatch):
+    """In the reverse of the walk's order the Hom table is upper
+    triangular: the table raises and stores nothing."""
+    walk = catalog._coxeter_walk
+    monkeypatch.setattr(catalog, "_coxeter_walk", lambda Q, p: dict(reversed(walk(Q, p).items())))
+    memo.clear()
+    with pytest.raises(ComputationError, match="not unitriangular"):
+        catalog._dynkin_hom_data(A3_SOURCE, 2)
+    assert not memo.TABLES["catalog._dynkin_hom_data"]
 
 
 # -- the decomposition memo ----------------------------------------------------
@@ -803,13 +835,57 @@ def _oracle_hom_dim(M, N):
     return C.shape[1] - int(linalg.rank_mod(C, M.p))
 
 
+def _unimodular_inverse(A):
+    """Exact inverse of the square integer matrix A as integer rows, by
+    Gauss-Jordan elimination over the rationals.
+
+    Raises ComputationError when A is singular or its inverse is not
+    integral (A is not unimodular).
+    """
+    n = len(A)
+    mat = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(A)
+    ]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
+        if piv is None:
+            raise ComputationError("singular matrix")
+        mat[col], mat[piv] = mat[piv], mat[col]
+        scale = mat[col][col]
+        mat[col] = [x / scale for x in mat[col]]
+        for r in range(n):
+            if r != col and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
+    inv = [row[n:] for row in mat]
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ComputationError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in inv]
+
+
+def test_dynkin_hom_table_inverse_checks():
+    assert _unimodular_inverse([[1, 0], [2, 1]]) == [[1, 0], [-2, 1]]
+    with pytest.raises(ComputationError, match="singular"):
+        _unimodular_inverse([[1, 1], [1, 1]])
+    with pytest.raises(ComputationError, match="not unimodular"):
+        _unimodular_inverse([[2, 0], [0, 1]])
+
+
+_ORACLE_TABLES = {}
+
+
 def _oracle_dynkin_hom_data(Q, p):
-    roots = Q.positive_roots()
-    reps = [module_from_class(Q, ("root", r), p) for r in roots]
-    k = len(roots)
-    A = [[_oracle_hom_dim(reps[s], reps[r]) for s in range(k)] for r in range(k)]
-    inv = np.array(_unimodular_inverse(A), dtype=np.int64)
-    return roots, reps, inv
+    """Roots in `positive_roots` order, their modules and the inverse Hom
+    table, kept per (quiver, p): the E_6 table is 1296 Hom solves."""
+    if (Q.key, p) not in _ORACLE_TABLES:
+        roots = Q.positive_roots()
+        reps = [module_from_class(Q, ("root", r), p) for r in roots]
+        k = len(roots)
+        A = [[_oracle_hom_dim(reps[s], reps[r]) for s in range(k)] for r in range(k)]
+        inv = np.array(_unimodular_inverse(A), dtype=np.int64)
+        _ORACLE_TABLES[Q.key, p] = roots, reps, inv
+    return _ORACLE_TABLES[Q.key, p]
 
 
 def decompose_dynkin_oracle(M):
@@ -853,3 +929,28 @@ def test_rows_classifier_matches_hom_solve_oracle(M):
         catalog._decompose_rows(Q, p, M.dims, blocks)
         assert memo.TABLES["catalog.decompose"] == {M.key: want}
 
+
+
+E6 = E_QUIVERS["e6-alternating"]
+
+
+@st.composite
+def e6_sums(draw):
+    """A conjugated direct sum of 2 or 3 indecomposables of E_6, and their
+    roots."""
+    p = draw(st.sampled_from([2, 3]))
+    roots = draw(st.lists(st.sampled_from(E6.positive_roots()), min_size=2, max_size=3))
+    M = rep.direct_sum(*(module_from_class(E6, ("root", r), p) for r in roots))
+    return conjugate(M, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))), roots
+
+
+@settings(max_examples=25, deadline=None)
+@given(e6_sums())
+def test_e6_sums_match_hom_solve_oracle(case):
+    """From a cold memo, forward substitution on E_6 returns the inverse
+    Hom table's decomposition, the summands the sum was built from."""
+    M, roots = case
+    want = decompose_dynkin_oracle(M)
+    assert want == catalog._merge_classes(*[[(("root", r), 1)] for r in roots])
+    memo.clear()
+    assert decompose(M) == want

@@ -37,7 +37,7 @@ TABLES = {
     "subspaces._echelon_table",
     "subspaces.image_rank_distribution",
     "subspaces._class_census",
-    "subspaces.census_view",
+    "subspaces._census_view",
     "strata._ext_census",
     "cluster.chi_grassmannian",
     "symspace._symbol_pool",

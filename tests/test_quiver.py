@@ -114,6 +114,38 @@ def test_coxeter_inverse_inverts_coxeter(qd):
     assert Q.coxeter(Q.coxeter_inverse(d)) == d
 
 
+@st.composite
+def acyclic_quivers_and_vectors(draw):
+    """A tree in a random orientation (up to 7 vertices), the Kronecker
+    quiver with 3 arrows, or the triangle 1 -> 2 -> 3, 1 -> 3, and an
+    integer vector on its vertices."""
+    kind = draw(st.sampled_from(["tree", "kronecker3", "triangle"]))
+    if kind == "tree":
+        n = draw(st.integers(1, 7))
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        flips = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+        Q = Quiver(n, [(t, s) if f else (s, t) for (s, t), f in zip(edges, flips)])
+    elif kind == "kronecker3":
+        Q = Quiver(2, [(0, 1)] * 3)
+    else:
+        Q = Quiver(3, [(0, 1), (1, 2), (0, 2)])
+    d = tuple(draw(st.lists(st.integers(-6, 6), min_size=Q.n, max_size=Q.n)))
+    return Q, d
+
+
+@given(acyclic_quivers_and_vectors())
+def test_path_counts_invert_the_euler_matrix(qd):
+    """E C = I for E = I - A and C = `path_counts()`, the matrix the
+    Coxeter matrix is built from; then (dim P(i)) Phi = -dim I(i) and
+    Phi^{-1} inverts Phi."""
+    Q, d = qd
+    E, C = np.array(Q.euler_matrix), np.array(Q.path_counts())
+    assert np.array_equal(E @ C, np.eye(Q.n, dtype=E.dtype))
+    for i in range(Q.n):
+        assert Q.coxeter(Q.projective_dim(i)) == tuple(-x for x in Q.injective_dim(i))
+    assert Q.coxeter_inverse(Q.coxeter(d)) == d
+
+
 def test_projective_injective_dims():
     Q = linear_quiver(3)  # 1 -> 2 -> 3
     assert Q.projective_dim(0) == (1, 1, 1)

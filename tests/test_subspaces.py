@@ -757,7 +757,7 @@ def test_split_census_keeps_the_walk_order():
         label = subspaces._support_labels(M)
         out = subspaces._split_census(M, e, subspaces.DEFAULT_SUBSPACE_BUDGET, label)
         assert (out is not None) == split
-        assert all(len(census) > 1 for census in memo.TABLES["subspaces._class_census"].values())
+        assert all(len(census) > 1 for _, census in memo.TABLES["subspaces._class_census"].values())
         memo.clear()
         want = _items(hall_census_oracle(M, e))
         memo.clear()
@@ -1031,3 +1031,33 @@ def test_chi_grassmannian_needs_no_orbit_walk(monkeypatch):
     sym, e = cases[0]
     with pytest.raises(AssertionError, match="orbit walk"):
         subspaces.hall_census(sym.instantiate(3), e)
+
+
+@pytest.mark.parametrize("entry", ["hall_census", "census_view"])
+def test_census_memo_hit_checks_the_budget(entry, monkeypatch):
+    """A memo hit raises BudgetExceeded exactly as a fresh call does, and a
+    hit with a larger budget still reads the memo.  On 2*S2 + P1 over A_3
+    at p = 3 the walk at e = (0, 1, 1) is charged [3 choose 1]_3 = 13, and
+    the forced census at e = (0, 0, 0) is charged 1."""
+    p = 3
+    M = catalog.parse_symbol("2*S2 + P1", A3).instantiate(p)
+    classes = catalog.decompose(M)
+    if entry == "hall_census":
+        def call(e, budget):
+            return subspaces.hall_census(M, e, budget=budget)
+    else:
+        def call(e, budget):
+            return subspaces.census_view(M, e, budget, classes)
+    for e, charge in [((0, 1, 1), 13), ((0, 0, 0), 1)]:
+        memo.clear()
+        with pytest.raises(BudgetExceeded) as cold:
+            call(e, charge - 1)
+        stored = call(e, subspaces.DEFAULT_SUBSPACE_BUDGET)
+        with pytest.raises(BudgetExceeded) as hit:
+            call(e, charge - 1)
+        assert str(hit.value) == str(cold.value) == (
+            f"subspace search space {charge} exceeds budget {charge - 1}"
+        )
+        monkeypatch.setattr(subspaces, "_census", None)  # a miss would fail
+        assert call(e, charge) is stored
+        monkeypatch.undo()

@@ -602,7 +602,7 @@ def green_degenerate_oracle(xi, eta, xi2, eta2):
         return {"lhs": lhs, "rhs": rhs}
 
     bound = max(
-        verify._max_sub_degree(L.dims, eta.dims),
+        cluster.grassmannian_degree_bound(L.dims, eta.dims),
         verify._max_sub_degree_any(xi2.dims) + verify._max_sub_degree_any(eta2.dims),
     )
     min_prime = max(s.min_prime() for s in (xi, eta, xi2, eta2))
