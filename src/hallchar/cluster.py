@@ -17,8 +17,8 @@ Grassmannians), verified on extra primes, and evaluated at q = 1.
 
 Two independent evaluation paths are kept deliberately:
 
-* the per-dimension-vector path counts whole Grassmannians via the
-  closed-form / rank-distribution counter in `subspaces`;
+* the per-dimension-vector path counts whole Grassmannians with
+  `subspaces.grassmannian_count`, which walks all vertices but one;
 * the stratified path splits each Grassmannian into Hall strata (grouped
   by the iso-class fingerprint of the (quotient, sub) pair), interpolates
   every stratum separately and sums the values at q = 1.

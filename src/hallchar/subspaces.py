@@ -9,7 +9,7 @@ one (n, k, p), each U as Python-int rows with its pivot and other rows,
 are built once and shared by every enumeration (`_echelon_table`,
 memoized) when there are at most ECHELON_TABLE_MAX of them; a larger
 space is built afresh for each enumeration, so a frontier case never pins
-its candidates.  The tables hold no numpy arrays; `image_rank_distribution`
+its candidates.  The tables hold no numpy arrays; `_rank_distribution`
 stacks the rows of at most ECHELON_TABLE_MAX candidates per product.
 
 A subrepresentation of M with dimension vector e is a choice of subspace
@@ -72,10 +72,10 @@ torus (the argument is written beside it), for three callers:
   of an orbit, so the census keeps the plain walk's items and key order;
 * the Ext census (`strata._orbit_cocycles`), one slot per free cocycle
   coordinate;
-* `grassmannian_count`, which scales no slot: the plain walk over every
-  vertex but the last.  It never reads the coefficient quiver, so
-  `CharTable`'s cross-check still tests the orbit census against a count
-  that cuts nothing.
+* `_rank_distribution`, behind `grassmannian_count`, which scales no
+  slot: the plain walk over every vertex but the last.  It never reads
+  the coefficient quiver, so `CharTable`'s cross-check still tests the
+  orbit census against a count that cuts nothing.
 
 A single census answers every Hall number g over the ambient module M:
 g = #{U <= M : U iso V_sub, M/U iso V_quot} is one dictionary entry, and
@@ -92,11 +92,14 @@ rows, the key a `Rep` of the same matrices has; a module the memo has
 not seen is classified from the same rows, so a census never builds a
 `Rep`.  `census_view` groups a census by the fingerprint ids of
 (quotient, sub), so a fingerprint-matched Hall number is one lookup.
-The rank distributions of two-vertex quivers are memoized on the exact
-matrices (`Rep.key`).  `memo.clear()` forgets them all.
+The rank distributions behind `grassmannian_count` are memoized on the
+exact matrices (`Rep.key`) and e off the last vertex, so one walk serves
+every e_last.  `memo.clear()` forgets them all.
 """
 
 import itertools
+import math
+import operator
 from collections import namedtuple
 
 import numpy as np
@@ -219,7 +222,7 @@ def _walk_tables(M, e, order, budget):
 
     candidates[v] lists the `_Echelon` subspaces of dimension e_v at v,
     images[a][i] is M_a U_s for candidate i at the source of a (for every
-    arrow whose source is in `order`; built on first read), and chosen[v]
+    arrow with both ends in `order`; built on first read), and chosen[v]
     is the index of the candidate chosen at v.  options(idx) lists, in
     increasing order, the candidates at order[idx] that contain M_a U_s
     for every arrow a: s -> order[idx] from a vertex chosen before it.
@@ -232,27 +235,24 @@ def _walk_tables(M, e, order, budget):
     candidates on all of their lists.
     """
     Q, p = M.quiver, M.p
-    counts = {v: subspace_count(M.dims[v], e[v], p) for v in order}
-    total = 1
-    for c in counts.values():
-        total *= c
+    counts = [subspace_count(M.dims[v], e[v], p) for v in order]
+    total = math.prod(counts)
     if total > budget:
         raise BudgetExceeded(
             f"subspace search space {total} exceeds budget {budget}"
         )
     candidates = [None] * Q.n
-    for v in order:
-        candidates[v] = tuple(_candidates(M.dims[v], e[v], p, counts[v]))
+    for v, count in zip(order, counts):
+        candidates[v] = tuple(_candidates(M.dims[v], e[v], p, count))
     images = [None] * len(Q.arrows)
     pos = {v: idx for idx, v in enumerate(order)}
     # one check per (source, target) pair: parallel arrows are checked
     # together, on the columns of all their images
     checks = [{} for _ in order]
     for a, (s, t) in enumerate(Q.arrows):
-        if s in pos:
+        if s in pos and t in pos:
             images[a] = _Images(M.mats[a], candidates[s], p)
-            if t in pos:
-                checks[pos[t]].setdefault(s, []).append(a)
+            checks[pos[t]].setdefault(s, []).append(a)
     # known[i]: the targets containing M_a U_s[i] for each checked a, on first use
     checks = [[(s, arrows, {}) for s, arrows in c.items()] for c in checks]
     chosen = [None] * Q.n
@@ -390,90 +390,87 @@ def _orbit_walk(M, e, budget):
     return candidates, images, chosen, _torus_walk(order, chosen, options, entries, k, p)
 
 
-@memo.memoized(lambda M, k: (M.key, int(k)))
-def image_rank_distribution(M, k):
-    """counts[w] = #{k-subspaces U of the source space with
-    dim(sum of arrow images of U) = w}, for a two-vertex quiver (memoized
-    on the exact matrices of M)."""
-    src = M.quiver.topological_order()[0]
-    p, k = M.p, int(k)
-    d1, d2 = M.dims[src], M.dims[1 - src]
-    counts = np.zeros(min(d2, len(M.mats) * k) + 1, dtype=np.int64)
-    if not M.mats or k == 0 or d2 == 0:
-        counts[0] = gaussian_binomial(d1, k, p)
-    else:
-        # row i * #arrows + a is row i of arrow a, so each product reshapes
-        # to the d2 x (#arrows * k) matrix [A_1 U | A_2 U | ...]
-        arrows = np.array(M.mats, dtype=np.int64).transpose(1, 0, 2).reshape(-1, d1)
-        width = len(M.mats) * k
-        # one batched product per chunk of at most ECHELON_TABLE_MAX bases
-        # (the whole shared table when it is kept)
-        bases = iter(_candidates(d1, k, p, subspace_count(d1, k, p)))
-        while chunk := [U.rows for U in itertools.islice(bases, ECHELON_TABLE_MAX)]:
-            joints = np.matmul(arrows, np.array(chunk, dtype=np.int64)) % p
-            for joint in joints.reshape(len(chunk), d2, width).tolist():
-                counts[linalg.rank_rows(joint, width, p)] += 1
-    return counts
+@memo.memoized(lambda M, head: (M.key, head))
+def _rank_distribution(M, head):
+    """dist[w] = #{subrepresentations of M restricted to every vertex but
+    the last in topological order, of dimensions `head` there, whose arrows
+    into the last vertex have images spanning w dimensions}.  The plain
+    walk's points are ranked, at most ECHELON_TABLE_MAX at a time, from
+    one stacked numpy product per source of those arrows."""
+    Q, p = M.quiver, M.p
+    *walked, last = Q.topological_order()
+    e = dict(zip(walked, head))
+    candidates, _, chosen, options = _walk_tables(M, e, walked, math.inf)
+    d = M.dims[last]
+    # per source s (e_s > 0) the rows of its m arrows into the last vertex,
+    # row i * m + j being row i of the j-th, so one product with U_s
+    # reshapes to the d x (m e_s) block [A_1 U_s | ... | A_m U_s]
+    mats, width = {}, 0
+    for (s, t), mat in zip(Q.arrows, M.mats):
+        if t == last and e[s] and d:
+            mats.setdefault(s, []).append(mat)
+            width += e[s]
+    walk = _torus_walk(walked, chosen, options, [None] * len(walked), 0, p)
+    if not mats:
+        return (sum(walk),)
+    stacks = [np.array([r for rows in zip(*mats[s]) for r in rows], dtype=np.int64) for s in mats]
+    dist = [0] * (min(d, width) + 1)
+    # each point's candidates at the sources: an index, or a tuple of them
+    key = operator.itemgetter(*mats)
+    points = (key(chosen) for _ in walk)
+    while chunk := list(itertools.islice(points, ECHELON_TABLE_MAX)):
+        columns = zip(*chunk) if len(mats) > 1 else (chunk,)
+        blocks = [
+            np.matmul(stack, np.array([candidates[s][i].rows for i in column], np.int64))
+            .reshape(len(chunk), d, -1)
+            for s, stack, column in zip(mats, stacks, columns)
+        ]
+        joints = (np.concatenate(blocks, axis=2) if len(blocks) > 1 else blocks[0]) % p
+        for joint in joints.tolist():
+            dist[linalg.rank_rows(joint, width, p)] += 1
+    return tuple(dist)
 
 
 def grassmannian_count(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
     """|Gr_e(M)(F_p)|: the number of subrepresentations of dimension e.
 
-    Where every e_v is 0 or d_v the count is 1 when M_a = 0 on every arrow
-    from {v : e_v = d_v} to its complement, else 0, with no walk; this rule
-    is written here apart from the census's, so that the two character
-    paths share no census code.  Otherwise the final vertex in topological
-    order never has outgoing arrows, so the subspace there only needs to
-    contain the span W of the incoming arrow images: there are
-    [d_last - w choose e_last - w]_p such choices.  Only the earlier
-    vertices are enumerated; on two-vertex quivers that enumeration
-    collapses to a cached rank distribution.
+    The last vertex in topological order has no outgoing arrows, so given
+    the subspaces at the other vertices, a subspace there need only contain
+    the span W of the images of the arrows into it: [d_last - w choose
+    e_last - w]_p choices, w = dim W.  The charge, prod [d_v choose e_v]_p
+    over the other vertices, is checked against `budget` first.  Where
+    every e_v off the last vertex is 0 or d_v, those subspaces can only be
+    M on S = {v : e_v = d_v}, a subrepresentation when M_a = 0 on every
+    arrow from S to the rest of them, and W is spanned by the columns
+    of the arrows from S into the last vertex: no walk, and 1 or 0 where
+    e_last is 0 or d_last too.  This rule is written here apart from the
+    census's, so that the two character paths share no census code.
+    Otherwise the count sums the choices over `_rank_distribution`.
     """
-    Q, p = M.quiver, M.p
-    n = Q.n
-    e = tuple(int(x) for x in e)
-    if len(e) != n:
+    Q, p, dims = M.quiver, M.p, M.dims
+    e = tuple(map(int, e))
+    if len(e) != Q.n:
         raise ValueError("dimension vector has wrong length")
-    if any(e[i] < 0 or e[i] > M.dims[i] for i in range(n)):
+    if any(k < 0 or k > d for k, d in zip(e, dims)):
         return 0
-    order = Q.topological_order()
-    if n == 1:
-        return subspace_count(M.dims[0], e[0], p)
-    last = order[-1]
-    if n == 2 and subspace_count(M.dims[order[0]], e[order[0]], p) > budget:
-        raise BudgetExceeded(
-            f"subspace search space exceeds budget {budget}"
-        )
-    if all(k in (0, d) for k, d in zip(e, M.dims)):
-        if budget < 1:
-            raise BudgetExceeded(f"subspace search space 1 exceeds budget {budget}")
-        full = [k == d for k, d in zip(e, M.dims)]
-        return int(not any(
-            full[s] and not full[t] and any(map(any, mat))
-            for (s, t), mat in zip(Q.arrows, M.mats)
-        ))
-    if n == 2:
-        dist = image_rank_distribution(M, e[order[0]])
-        return sum(
-            int(cnt) * subspace_count(M.dims[last] - w, e[last] - w, p)
-            for w, cnt in enumerate(dist)
-            if cnt
-        )
-    vertices = order[:-1]
-    _, images, chosen, options = _walk_tables(M, e, vertices, budget)
-    into_last = [(images[a], s) for a, (s, t) in enumerate(Q.arrows) if t == last]
-    # subspaces at the last vertex containing a span of dimension w
-    choices = [subspace_count(M.dims[last] - w, e[last] - w, p) for w in range(M.dims[last] + 1)]
-    width = sum(e[s] for _, s in into_last)
-    count = 0
-    for _ in _torus_walk(vertices, chosen, options, [None] * len(vertices), 0, p):
-        # rows of [M_a U_s | ...] over the arrows into the last vertex
-        joint = [
-            list(itertools.chain.from_iterable(row))
-            for row in zip(*(imgs[chosen[s]] for imgs, s in into_last))
-        ]
-        count += choices[linalg.rank_rows(joint, width, p)]
-    return count
+    *walked, last = Q.topological_order()
+    charge = math.prod(subspace_count(dims[v], e[v], p) for v in walked if 0 < e[v] < dims[v])
+    if charge > budget:
+        raise BudgetExceeded(f"subspace search space {charge} exceeds budget {budget}")
+    if charge == 1:  # every e_v off the last vertex is 0 or d_v
+        full, into, width = [k == d for k, d in zip(e, dims)], [], 0
+        for (s, t), mat in zip(Q.arrows, M.mats):
+            if full[s] and t == last:
+                into.append(mat)
+                width += dims[s]
+            elif full[s] and not full[t] and any(map(any, mat)):
+                return 0
+        joint = [list(itertools.chain.from_iterable(rows)) for rows in zip(*into)]
+        w = linalg.rank_rows(joint, width, p)
+        return subspace_count(dims[last] - w, e[last] - w, p)
+    dist = _rank_distribution(M, tuple([e[v] for v in walked]))
+    d, k = dims[last], e[last]
+    return sum(c * subspace_count(d - w, k - w, p) for w, c in enumerate(dist) if c)
 
 
 def hall_census(M, e, budget=DEFAULT_SUBSPACE_BUDGET, key_classes=None):

@@ -35,7 +35,7 @@ TABLES = {
     "catalog.primes_from",
     "quiver._positive_roots",
     "subspaces._echelon_table",
-    "subspaces.image_rank_distribution",
+    "subspaces._rank_distribution",
     "subspaces._class_census",
     "subspaces._census_view",
     "strata._ext_census",
@@ -54,7 +54,7 @@ def _fill_every_table():
     classes = catalog.decompose(M)
     catalog.aut_count_of_classes(A2, classes, p)
     subspaces.hall_census(M, (1, 0))
-    subspaces.image_rank_distribution(M, 1)
+    subspaces._rank_distribution(M, (1,))
     subspaces._echelon_table(2, 1, p)
     strata.ext_middle_census(S1, S2)
     cluster.chi_grassmannian(catalog.parse_symbol("S1", A2), (1, 0))

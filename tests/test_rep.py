@@ -489,7 +489,7 @@ def test_census_rows_and_rep_share_one_decompose_entry(quiver, classes, monkeypa
 def test_numpy_stays_out_of_the_matrix_format():
     """`Rep` holds Python-int rows, so numpy is imported only where an array
     is the point: `linalg` (`rref_mod` and `rank_mod` on arrays), `subspaces`
-    (the batched product of `image_rank_distribution`) and `cli` (the
+    (the stacked products of `_rank_distribution`) and `cli` (the
     `--sample` generator).  No module imports `array`."""
     importers = {"numpy": set(), "array": set()}
     for path in sorted(Path(hallchar.__file__).parent.glob("*.py")):

@@ -311,31 +311,76 @@ def test_grassmannian_count_matches_census_total():
         assert subspaces.grassmannian_count(M, e) == total
 
 
-def test_image_rank_distribution_total():
-    """Distribution masses must add up to the full Gaussian binomial."""
-    K = kronecker_quiver()
-    p = 5
-    M = catalog.module_from_class(K, ("Rc", 2, 2), p)
-    for k in range(3):
-        dist = subspaces.image_rank_distribution(M, k)
-        assert int(dist.sum()) == subspaces.subspace_count(2, k, p)
-
-
-def test_image_rank_distribution_in_chunks(monkeypatch):
-    """A space of more than ECHELON_TABLE_MAX subspaces is ranked in chunks
-    of at most that many bases, with the distribution of the one-table
-    product, and no table is stored for it."""
+@pytest.mark.parametrize(
+    "Q, text",
+    [
+        (K, "R(2,2)"),
+        (K, "P[1,2] + 2*S1"),
+        (A3_SINK, "P1 + 2*S3 + S2"),
+        (A3, "P1 + 2*S1 + S2"),
+        (D4_SINK, "P1 + S2 + 2*S3 + S4"),
+        (D4, "P1 + 2*S3 + S1 + S4"),
+    ],
+    ids=["kronecker", "kronecker-split", "a3-sink", "a3", "d4-sink", "d4"],
+)
+def test_rank_distribution_mass(Q, text):
+    """A distribution's mass is the number of subrepresentations on every
+    vertex but the last, counted by brute force as Gr_e(M) at e_last =
+    d_last; where no arrow joins two of those vertices (Kronecker, A_3 and
+    D_4 with every arrow into the last vertex) it is prod [d_v choose e_v]_p
+    over them."""
     p = 3
-    M = rep.direct_sum(
-        catalog.module_from_class(K, ("Rc", 0, 2), p),
-        catalog.module_from_class(K, ("P", 1), p),
-    )
+    M = catalog.parse_symbol(text, Q).instantiate(p)
+    *walked, last = Q.topological_order()
+    unlinked = all(t == last for _, t in Q.arrows)
+    for ks in itertools.product(*[range(M.dims[v] + 1) for v in walked]):
+        mass = sum(subspaces._rank_distribution(M, ks))
+        e = [M.dims[last]] * Q.n
+        for v, k in zip(walked, ks):
+            e[v] = k
+        assert mass == grassmannian_count_brute(M, e)
+        if unlinked:
+            counts = [subspaces.subspace_count(M.dims[v], k, p) for v, k in zip(walked, ks)]
+            assert mass == np.prod(counts)
+
+
+@pytest.mark.parametrize(
+    "M, head",
+    [
+        # 13 candidates at the one source, ranked 5 at a time
+        (
+            rep.direct_sum(
+                catalog.module_from_class(K, ("Rc", 0, 2), 3),
+                catalog.module_from_class(K, ("P", 1), 3),
+            ),
+            (2,),
+        ),
+        # three sources into the D_4 sink, 13^3 distinct tuples of candidates
+        (
+            catalog.parse_symbol("2*S1 + 2*S2 + 2*S3 + P1 + P2 + P3", D4_SINK).instantiate(3),
+            (1, 1, 1),
+        ),
+    ],
+    ids=["kronecker", "d4-sink"],
+)
+def test_rank_distribution_in_chunks(M, head, monkeypatch):
+    """With more than ECHELON_TABLE_MAX distinct candidates at the sources
+    of the arrows into the last vertex, the walk is ranked in chunks of at
+    most that many, one product per source and chunk, with the
+    distribution of the one-chunk product, and no echelon table is stored
+    for a space larger than the bound."""
     memo.clear()
-    whole = subspaces.image_rank_distribution(M, 2).tolist()
-    assert sum(whole) == subspaces.subspace_count(3, 2, p) == 13
+    whole = subspaces._rank_distribution(M, head)
     memo.clear()
     monkeypatch.setattr(subspaces, "ECHELON_TABLE_MAX", 5)
-    assert subspaces.image_rank_distribution(M, 2).tolist() == whole
+    products = []
+    real = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *args: products.append(1) or real(*args))
+    assert subspaces._rank_distribution(M, head) == whole
+    # every point has its own candidates at the sources here
+    *_, last = M.quiver.topological_order()
+    sources = {s for s, t in M.quiver.arrows if t == last}
+    assert len(products) == len(sources) * -(-sum(whole) // 5) > 1
     assert not memo.TABLES["subspaces._echelon_table"]
 
 
@@ -477,37 +522,44 @@ def test_hall_census_does_not_build_sub_quotient_pairs():
 
 @settings(max_examples=240, deadline=None)
 @given(
-    modules(
-        st.one_of(
-            st.sampled_from([A3, A3_SINK, A3_SOURCE, D4]),
-            dynkin_orientations("A", 4),
-            dynkin_orientations("D", 5),
+    st.one_of(
+        modules(
+            st.one_of(
+                st.sampled_from([A3, A3_SINK, A3_SOURCE, D4]),
+                dynkin_orientations("A", 4),
+                dynkin_orientations("D", 5),
+            ),
+            [2, 3], max_dim=2, max_total=6,
         ),
-        [2, 3], max_dim=2, max_total=6,
+        modules(dynkin_orientations("E", 6), [2, 3], max_dim=2, max_total=5),
     ),
     st.data(),
 )
 def test_grassmannian_count_matches_brute_a3_d4(M, data):
     """The walk over all vertices but the last, closed by a rank at the
     last vertex, against the rank-checked enumeration of all vertices, on
-    the A_3 and D_4 orientations and random orientations of A_4 and D_5."""
+    the A_3 and D_4 orientations and random orientations of A_4, D_5 and
+    E_6."""
     e = tuple(data.draw(st.integers(0, d)) for d in M.dims)
     assert subspaces.grassmannian_count(M, e) == grassmannian_count_brute(M, e)
 
 
 # quivers no classifier covers: the three-arrow Kronecker quiver, the
 # acyclic triangle 1 -> 2 -> 3, 1 -> 3, and the 4-cycle with one source and
-# one sink
+# one sink; and quivers with no arrow into the last vertex in topological
+# order: two vertices and no arrow, 1 -> 2 beside a third vertex, and A_1
 K3 = Quiver(2, [(0, 1)] * 3)
 TRIANGLE = Quiver(3, [(0, 1), (1, 2), (0, 2)])
 SQUARE = Quiver(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+UNLINKED = [Quiver(2, []), Quiver(3, [(0, 1)]), linear_quiver(1)]
 
 
 @settings(max_examples=120, deadline=None)
-@given(modules([K3, TRIANGLE, SQUARE], [2, 3], max_dim=2, max_total=5), st.data())
+@given(modules([K3, TRIANGLE, SQUARE, *UNLINKED], [2, 3], max_dim=2, max_total=5), st.data())
 def test_grassmannian_count_matches_brute_outside_catalogue(M, data):
     """`grassmannian_count` classifies nothing, so it counts on quivers
-    outside the catalogue too, against the rank-checked enumeration."""
+    outside the catalogue too, and where no arrow enters the last vertex,
+    against the rank-checked enumeration."""
     e = tuple(data.draw(st.integers(0, d)) for d in M.dims)
     assert subspaces.grassmannian_count(M, e) == grassmannian_count_brute(M, e)
 
@@ -529,6 +581,15 @@ def test_hall_census_matches_oracle_where_checks_intersect(M):
 def forced_dims(M):
     """Every e with each e_v equal to 0 or d_v."""
     return itertools.product(*[sorted({0, d}) for d in M.dims])
+
+
+def forced_off_last(M):
+    """Every e with each e_v equal to 0 or d_v off the last vertex in
+    topological order, and any e_v at it."""
+    last = M.quiver.topological_order()[-1]
+    return itertools.product(*[
+        range(d + 1) if v == last else sorted({0, d}) for v, d in enumerate(M.dims)
+    ])
 
 
 def _items(result):
@@ -821,8 +882,9 @@ def test_check_strata_skips_where_the_walk_skipped(monkeypatch):
 
 
 def test_grassmannian_count_forced_matches_brute(monkeypatch):
-    """Where every e_v is 0 or d_v, `grassmannian_count` is 1 or 0 with no
-    walk and no rank distribution, and equals the rank-checked count."""
+    """Where every e_v off the last vertex is 0 or d_v, `grassmannian_count`
+    reads no walk and no rank distribution, and equals the rank-checked
+    count: 1 or 0 where e_last is 0 or d_last too."""
     p = 3
     cases = [
         catalog.module_from_class(A2, ("root", (1, 1)), p),
@@ -842,14 +904,15 @@ def test_grassmannian_count_forced_matches_brute(monkeypatch):
         ),
         OUTSIDE_CATALOG,
     ]
-    want = [(M, e, grassmannian_count_brute(M, e)) for M in cases for e in forced_dims(M)]
-    assert {0, 1} <= {count for _, _, count in want}
+    want = [(M, e, grassmannian_count_brute(M, e)) for M in cases for e in forced_off_last(M)]
+    assert {0, 1} <= {count for M, e, count in want if e in set(forced_dims(M))}
+    assert max(count for _, _, count in want) > 1
 
     def refuse(*args):
         raise AssertionError("a forced count enumerated subspaces")
 
     monkeypatch.setattr(subspaces, "_walk_tables", refuse)
-    monkeypatch.setattr(subspaces, "image_rank_distribution", refuse)
+    monkeypatch.setattr(subspaces, "_rank_distribution", refuse)
     memo.clear()
     for M, e, count in want:
         assert subspaces.grassmannian_count(M, e) == count
@@ -860,14 +923,76 @@ def test_grassmannian_count_forced_matches_brute(monkeypatch):
 def test_grassmannian_count_forced_rule_on_random_modules(M):
     """The forced count equals the rank-checked count on random modules,
     and a budget below 1 raises with the message of the walk it skips."""
-    for e in forced_dims(M):
+    for e in forced_off_last(M):
         assert subspaces.grassmannian_count(M, e) == grassmannian_count_brute(M, e)
     e = tuple(M.dims)
-    message = "subspace search space exceeds budget 0" if M.quiver.n == 2 else (
-        "subspace search space 1 exceeds budget 0"
-    )
-    with pytest.raises(BudgetExceeded, match=f"^{message}$"):
+    with pytest.raises(BudgetExceeded, match="^subspace search space 1 exceeds budget 0$"):
         subspaces.grassmannian_count(M, e, budget=0)
+
+
+@pytest.mark.parametrize(
+    "Q, text",
+    [
+        (A3, "P1 + 2*S1 + S2 + 2*S3"),
+        (D4, "P1 + 2*S3 + S2 + 2*S4"),
+        (K3, None),
+    ],
+    ids=["A3", "D4", "K3"],
+)
+def test_grassmannian_count_walks_once_per_head(Q, text, monkeypatch):
+    """Every e_last reads one rank distribution: across all e with the
+    same e on every vertex but the last, `_walk_tables` runs once, and
+    every count equals the rank-checked one."""
+    p = 3
+    if text is None:
+        M = random_rep(Q, (3, 3), p, np.random.default_rng(5))
+    else:
+        M = catalog.parse_symbol(text, Q).instantiate(p)
+    *walked, last = Q.topological_order()
+    walks = []
+    real = subspaces._walk_tables
+    monkeypatch.setattr(subspaces, "_walk_tables", lambda *args: walks.append(1) or real(*args))
+    memo.clear()
+    heads = 0
+    for head in itertools.product(*[range(M.dims[v] + 1) for v in walked]):
+        if all(k in (0, M.dims[v]) for v, k in zip(walked, head)):
+            continue
+        heads += 1
+        for k in range(M.dims[last] + 1):
+            e = [k] * Q.n
+            for v, h in zip(walked, head):
+                e[v] = h
+            assert subspaces.grassmannian_count(M, e) == grassmannian_count_brute(M, e)
+        assert len(walks) == heads
+    assert heads > 1
+
+
+@pytest.mark.parametrize("Q", [A2, K, A3], ids=["A2", "K", "A3"])
+def test_grassmannian_count_budget_message(Q, monkeypatch):
+    """One budget contract on every quiver: a cold call over budget raises
+    `subspace search space N exceeds budget B`, N the product of
+    [d_v choose e_v]_p over every vertex but the last, before any walk;
+    after a default call fills the memo, the same call raises the same."""
+    p = 3
+    M = rep.direct_sum(*[rep.Rep.simple(Q, p, v) for v in range(Q.n) for _ in range(2)])
+    e = (1,) * Q.n
+    charge = 4 ** (Q.n - 1)  # [2 choose 1]_3 per vertex but the last
+    message = f"^subspace search space {charge} exceeds budget {charge - 1}$"
+
+    def refuse(*args):
+        raise AssertionError("a count over budget walked the subspaces")
+
+    memo.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(subspaces, "_walk_tables", refuse)
+        with pytest.raises(BudgetExceeded, match=message):
+            subspaces.grassmannian_count(M, e, budget=charge - 1)
+    count = subspaces.grassmannian_count(M, e)
+    assert count == grassmannian_count_brute(M, e)
+    assert memo.TABLES["subspaces._rank_distribution"]
+    with pytest.raises(BudgetExceeded, match=message):
+        subspaces.grassmannian_count(M, e, budget=charge - 1)
+    assert subspaces.grassmannian_count(M, e, budget=charge) == count
 
 
 def test_echelon_table_is_shared_up_to_the_size_constant():
