@@ -38,8 +38,6 @@ import json
 import sys
 import types
 
-import numpy as np
-
 from . import catalog, cluster, qpoly, subspaces, symspace, verify
 from .errors import ComputationError
 from .quiver import load_quiver
@@ -261,12 +259,112 @@ def _green_instances(quiver, cap):
     return out
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _seed_words(seed):
+    """The four 64-bit words numpy's SeedSequence(seed) generates to seed
+    PCG64: the seed's 32-bit words hashed into a pool of four, the pool
+    mixed, then cycled through a second hash."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value = (value ^ const) * (const := const * 0x931E8875 & _M32) & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, words = 0x8B51F9DD, []
+    for i in range(8):
+        value = (pool[i % 4] ^ const) * (const := const * 0x58F38DED & _M32) & _M32
+        words.append(value ^ value >> 16)
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class _PCG64:
+    """numpy's PCG64 bit generator (128-bit LCG, XSL-RR output) as seeded
+    by `default_rng(seed)`, with the 32-bit draw that halves a 64-bit
+    output and keeps the high half for the next call."""
+
+    _MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+    def __init__(self, seed):
+        s0, s1, i0, i1 = _seed_words(seed)
+        self.inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+        # from state 0: one step, add the seed, one more step
+        self.state = ((self.inc + (s0 << 64 | s1)) * self._MULT + self.inc) & _M128
+        self.spare = None
+
+    def next32(self):
+        if self.spare is not None:
+            out, self.spare = self.spare, None
+            return out
+        s = self.state = (self.state * self._MULT + self.inc) & _M128
+        rot, x = s >> 122, (s >> 64 ^ s) & _M64
+        x = (x >> rot | x << (64 - rot)) & _M64
+        self.spare = x >> 32
+        return x & _M32
+
+    def bounded(self, high):
+        """A uniform integer in [0, high], high < 2^32, by Lemire's
+        multiply-and-reject on 32-bit draws, as numpy draws it."""
+        if high == 0:
+            return 0
+        if high == _M32:
+            return self.next32()
+        span = high + 1
+        m = self.next32() * span
+        if m & _M32 < span:
+            threshold = (_M32 - high) % span
+            while m & _M32 < threshold:
+                m = self.next32() * span
+        return m >> 32
+
+
+def _sample_indices(seed, n, k):
+    """The set of indices numpy's `default_rng(seed).choice(n, size=k,
+    replace=False)` returns, for n < 2^32, with its errors.  Floyd's
+    algorithm, or where n > 10000 and k > n // 50 the tail of a partial
+    Fisher-Yates shuffle; the shuffle numpy applies to the result after
+    Floyd's algorithm does not change the set, and is left out."""
+    gen = _PCG64(seed)
+    if n == 0 and k:
+        raise ValueError("a must be a positive integer unless no samples are taken")
+    if k < 0:
+        raise ValueError("negative dimensions are not allowed")
+    if n > 10000 and k > n // 50:
+        idx = list(range(n))
+        for i in range(n - 1, max(n - k, 1) - 1, -1):
+            j = gen.bounded(i)
+            idx[i], idx[j] = idx[j], idx[i]
+        return set(idx[n - k:])
+    out = set()
+    for j in range(n - k, n):
+        v = gen.bounded(j)
+        out.add(j if v in out else v)
+    return out
+
+
 def _sampled(args, pool):
-    """The pool, or its --sample subsample in pool order."""
+    """The pool, or its --sample subsample in pool order: the instances
+    numpy's `default_rng(--seed).choice` would pick."""
     if args.sample is None or args.sample >= len(pool):
         return pool
-    keep = np.random.default_rng(args.seed).choice(len(pool), size=args.sample, replace=False)
-    return [pool[i] for i in sorted(keep)]
+    return [pool[i] for i in sorted(_sample_indices(args.seed, len(pool), args.sample))]
 
 
 def _degenerate_runners(instances, budget, nverify):

@@ -18,7 +18,8 @@ Grassmannians), verified on extra primes, and evaluated at q = 1.
 Two independent evaluation paths are kept deliberately:
 
 * the per-dimension-vector path counts whole Grassmannians with
-  `subspaces.grassmannian_count`, which walks all vertices but one;
+  `subspaces.grassmannian_count`, which walks the vertices before the
+  last one in topological order where the module is nonzero;
 * the stratified path splits each Grassmannian into Hall strata (grouped
   by the iso-class fingerprint of the (quotient, sub) pair), interpolates
   every stratum separately and sums the values at q = 1.

@@ -13,19 +13,20 @@ numpy overhead would dominate; the Python-int rows were also faster than
 per-entry loops at every size measured (up to 160 x 160), so there is a
 single implementation.  `rref_mod` and `rank_mod` take and return int64
 numpy arrays, for callers outside the package that time the kernel on
-arrays.
+arrays; nothing in the package calls them, and only `rref_mod` imports
+numpy, when it is called, so importing hallchar never loads numpy.
 """
-
-import numpy as np
 
 # Kept for callers that record which implementation ran: there is only one.
 PURE_NUMPY = True
 
 
-def _rref_rows(rows, ncols, p):
+def _rref_rows(rows, ncols, p, reduced=True):
     """Reduce the list `rows` (sequences of ints in [0, p)) in place to
     reduced row echelon form mod p and return the list of pivot columns.
-    Changed rows are replaced by new lists; no row is written to.
+    With `reduced` false only the rows below each pivot are cleared: row
+    echelon form, the same pivots, and all a rank needs.  Changed rows are
+    replaced by new lists; no row is written to.
 
     Deterministic: the first nonzero entry in scan order pivots.
     """
@@ -45,7 +46,7 @@ def _rref_rows(rows, ncols, p):
         inv = pow(prow[col], -1, p)
         if inv != 1:
             prow = rows[r] = [x * inv % p for x in prow]
-        for j in range(m):
+        for j in range(m) if reduced else range(r + 1, m):
             f = rows[j][col]
             if f and j != r:
                 rows[j] = [(x - f * y) % p for x, y in zip(rows[j], prow)]
@@ -60,6 +61,8 @@ def rref_mod(A, p):
     Returns (rank, pivots) where pivots[:rank] holds the pivot columns in
     order and the remaining min(m, n) - rank entries are -1.
     """
+    import numpy as np
+
     m, n = A.shape
     rows = (A % p).tolist()
     found = _rref_rows(rows, n, p)
@@ -80,7 +83,7 @@ def rank_rows(rows, ncols, p):
     """Rank over F_p of the matrix whose rows are `rows`, sequences of ncols
     Python ints in [0, p).  The outer list is reordered and its entries
     replaced; the rows themselves are left unchanged."""
-    return len(_rref_rows(rows, ncols, p))
+    return len(_rref_rows(rows, ncols, p, reduced=False))
 
 
 def nullspace_rows(rows, ncols, p):

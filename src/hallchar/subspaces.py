@@ -9,8 +9,7 @@ one (n, k, p), each U as Python-int rows with its pivot and other rows,
 are built once and shared by every enumeration (`_echelon_table`,
 memoized) when there are at most ECHELON_TABLE_MAX of them; a larger
 space is built afresh for each enumeration, so a frontier case never pins
-its candidates.  The tables hold no numpy arrays; `_rank_distribution`
-stacks the rows of at most ECHELON_TABLE_MAX candidates per product.
+its candidates.  Everything here runs on Python-int rows; no numpy.
 
 A subrepresentation of M with dimension vector e is a choice of subspace
 U_i of dimension e_i at every vertex with M_a U_s inside U_t for all
@@ -73,9 +72,10 @@ torus (the argument is written beside it), for three callers:
 * the Ext census (`strata._orbit_cocycles`), one slot per free cocycle
   coordinate;
 * `_rank_distribution`, behind `grassmannian_count`, which scales no
-  slot: the plain walk over every vertex but the last.  It never reads
-  the coefficient quiver, so `CharTable`'s cross-check still tests the
-  orbit census against a count that cuts nothing.
+  slot: the plain walk over the vertices before the last one in
+  topological order where M is nonzero.  It never reads the coefficient
+  quiver, so `CharTable`'s cross-check still tests the orbit census
+  against a count that cuts nothing.
 
 A single census answers every Hall number g over the ambient module M:
 g = #{U <= M : U iso V_sub, M/U iso V_quot} is one dictionary entry, and
@@ -93,16 +93,16 @@ not seen is classified from the same rows, so a census never builds a
 `Rep`.  `census_view` groups a census by the fingerprint ids of
 (quotient, sub), so a fingerprint-matched Hall number is one lookup.
 The rank distributions behind `grassmannian_count` are memoized on the
-exact matrices (`Rep.key`) and e off the last vertex, so one walk serves
-every e_last.  `memo.clear()` forgets them all.
+exact matrices (`Rep.key`) and e before the closing vertex, so one walk
+serves every e there; a distribution ranks, per point, the images of the
+chosen subspaces' columns, each distinct column's images built once.
+`memo.clear()` forgets them all.
 """
 
 import itertools
 import math
 import operator
 from collections import namedtuple
-
-import numpy as np
 
 from . import catalog, linalg, memo, rep
 from .errors import BudgetExceeded, OutsideCatalog
@@ -390,59 +390,105 @@ def _orbit_walk(M, e, budget):
     return candidates, images, chosen, _torus_walk(order, chosen, options, entries, k, p)
 
 
+def _closing(M):
+    """(walked, last): `last` is the last vertex in topological order where
+    M is nonzero (the first vertex when M is zero), `walked` the vertices
+    before it.  Every arrow out of `last` maps into a zero space."""
+    order = M.quiver.topological_order()
+    n = len(order) - 1
+    while n and not M.dims[order[n]]:
+        n -= 1
+    return order[:n], order[n]
+
+
+def _column_images(mats, columns, p):
+    """{u: [A u for A in mats]} for the distinct columns u in `columns`
+    (tuples of ints in [0, p)), each image a tuple of ints in [0, p).
+
+    An entry of A u is a sum of n products below p^2, so it fits a lane of
+    b bits, b the bit length of n (p - 1)^2: the columns are packed side by
+    side, one lane each, into one Python int per coordinate, each row of A
+    takes all of them in n multiply-adds of those ints, and shifts read the
+    lanes back."""
+    if not columns:
+        return {}
+    b = (len(columns[0]) * (p - 1) ** 2).bit_length()
+    lanes, mask = range(0, b * len(columns), b), (1 << b) - 1
+    packed = [sum(x << s for x, s in zip(coord, lanes)) for coord in zip(*columns)]
+
+    def image(A):
+        rows = [sum(map(operator.mul, row, packed)) for row in A]
+        return zip(*([(y >> s & mask) % p for s in lanes] for y in rows))
+
+    return {u: list(images) for u, *images in zip(columns, *map(image, mats))}
+
+
+def _image_vectors(mats, candidates, p):
+    """Yield, per candidate U in `candidates` (at one source), the vectors
+    A u, one per matrix A in `mats` and column u of U.  The candidates are
+    read ECHELON_TABLE_MAX at a time, so a large space holds the columns
+    of one chunk at a time, and the images of each distinct column are
+    built once, with the other new columns of its chunk
+    (`_column_images`)."""
+    images, rest = {}, iter(candidates)
+    while chunk := [list(zip(*U.rows)) for U in itertools.islice(rest, ECHELON_TABLE_MAX)]:
+        new = [u for u in dict.fromkeys(itertools.chain.from_iterable(chunk)) if u not in images]
+        images.update(_column_images(mats, new, p))
+        for columns in chunk:
+            yield [v for u in columns for v in images[u]]
+
+
 @memo.memoized(lambda M, head: (M.key, head))
 def _rank_distribution(M, head):
-    """dist[w] = #{subrepresentations of M restricted to every vertex but
-    the last in topological order, of dimensions `head` there, whose arrows
-    into the last vertex have images spanning w dimensions}.  The plain
-    walk's points are ranked, at most ECHELON_TABLE_MAX at a time, from
-    one stacked numpy product per source of those arrows."""
+    """dist[w] = #{subrepresentations of M restricted to the vertices
+    before the closing vertex (`_closing`), of dimensions `head` there,
+    whose arrows into the closing vertex have images spanning w
+    dimensions}.  Rank is unchanged under transposition, so each point
+    of the plain walk ranks the list of vectors A_a u, one per arrow a: s
+    -> closing vertex and column u of the chosen U_s, on Python-int rows.
+    The vectors of every candidate at each source are built before the
+    walk (`_image_vectors`), so they take memory in proportion to the
+    candidates the walk holds anyway."""
     Q, p = M.quiver, M.p
-    *walked, last = Q.topological_order()
+    walked, last = _closing(M)
     e = dict(zip(walked, head))
     candidates, _, chosen, options = _walk_tables(M, e, walked, math.inf)
     d = M.dims[last]
-    # per source s (e_s > 0) the rows of its m arrows into the last vertex,
-    # row i * m + j being row i of the j-th, so one product with U_s
-    # reshapes to the d x (m e_s) block [A_1 U_s | ... | A_m U_s]
-    mats, width = {}, 0
+    mats = {}
     for (s, t), mat in zip(Q.arrows, M.mats):
         if t == last and e[s] and d:
             mats.setdefault(s, []).append(mat)
-            width += e[s]
     walk = _torus_walk(walked, chosen, options, [None] * len(walked), 0, p)
     if not mats:
         return (sum(walk),)
-    stacks = [np.array([r for rows in zip(*mats[s]) for r in rows], dtype=np.int64) for s in mats]
+    width = sum(e[s] * len(m) for s, m in mats.items())
     dist = [0] * (min(d, width) + 1)
-    # each point's candidates at the sources: an index, or a tuple of them
-    key = operator.itemgetter(*mats)
-    points = (key(chosen) for _ in walk)
-    while chunk := list(itertools.islice(points, ECHELON_TABLE_MAX)):
-        columns = zip(*chunk) if len(mats) > 1 else (chunk,)
-        blocks = [
-            np.matmul(stack, np.array([candidates[s][i].rows for i in column], np.int64))
-            .reshape(len(chunk), d, -1)
-            for s, stack, column in zip(mats, stacks, columns)
-        ]
-        joints = (np.concatenate(blocks, axis=2) if len(blocks) > 1 else blocks[0]) % p
-        for joint in joints.tolist():
-            dist[linalg.rank_rows(joint, width, p)] += 1
+    # rank the vectors as rows, or, where there are more of them than d,
+    # as the columns of d rows: fewer rows to clear under each pivot
+    if width > d:
+        rank = lambda vecs: linalg.rank_rows(list(zip(*vecs)), width, p)
+    else:
+        rank = lambda vecs: linalg.rank_rows(vecs, d, p)
+    vectors = {s: list(_image_vectors(m, candidates[s], p)) for s, m in mats.items()}
+    for _ in walk:
+        dist[rank([v for s, vecs in vectors.items() for v in vecs[chosen[s]]])] += 1
     return tuple(dist)
 
 
 def grassmannian_count(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
     """|Gr_e(M)(F_p)|: the number of subrepresentations of dimension e.
 
-    The last vertex in topological order has no outgoing arrows, so given
-    the subspaces at the other vertices, a subspace there need only contain
-    the span W of the images of the arrows into it: [d_last - w choose
-    e_last - w]_p choices, w = dim W.  The charge, prod [d_v choose e_v]_p
-    over the other vertices, is checked against `budget` first.  Where
-    every e_v off the last vertex is 0 or d_v, those subspaces can only be
-    M on S = {v : e_v = d_v}, a subrepresentation when M_a = 0 on every
-    arrow from S to the rest of them, and W is spanned by the columns
-    of the arrows from S into the last vertex: no walk, and 1 or 0 where
+    The charge, prod [d_v choose e_v]_p over every vertex but the last in
+    topological order, is checked against `budget` first.  The count
+    closes at the last vertex in topological order where M is nonzero
+    (`_closing`): every arrow out of it maps into a zero space, so given
+    the subspaces at the vertices before it, a subspace there need only
+    contain the span W of the images of the arrows into it: [d_last - w
+    choose e_last - w]_p choices, w = dim W.  Where every e_v before the
+    closing vertex is 0 or d_v, those subspaces can only be M on
+    S = {v : e_v = d_v}, a subrepresentation when M_a = 0 on every arrow
+    from S to the rest of them, and W is spanned by the columns of the
+    arrows from S into the closing vertex: no walk, and 1 or 0 where
     e_last is 0 or d_last too.  This rule is written here apart from the
     census's, so that the two character paths share no census code.
     Otherwise the count sums the choices over `_rank_distribution`.
@@ -453,11 +499,16 @@ def grassmannian_count(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
         raise ValueError("dimension vector has wrong length")
     if any(k < 0 or k > d for k, d in zip(e, dims)):
         return 0
-    *walked, last = Q.topological_order()
+    walked, last = _closing(M)
     charge = math.prod(subspace_count(dims[v], e[v], p) for v in walked if 0 < e[v] < dims[v])
+    forced = charge == 1
+    # the charge runs over every vertex but the last in topological order,
+    # and M is zero at the vertices after the closing one
+    if len(walked) < Q.n - 1 and 0 < e[last] < dims[last]:
+        charge *= subspace_count(dims[last], e[last], p)
     if charge > budget:
         raise BudgetExceeded(f"subspace search space {charge} exceeds budget {budget}")
-    if charge == 1:  # every e_v off the last vertex is 0 or d_v
+    if forced:
         full, into, width = [k == d for k, d in zip(e, dims)], [], 0
         for (s, t), mat in zip(Q.arrows, M.mats):
             if full[s] and t == last:

@@ -1,8 +1,16 @@
 """CLI driver: command output, JSON schema, exit codes, error objects."""
 
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+import hallchar
 
 from hallchar import catalog, cli, cluster, memo, rep, strata, verify
 from hallchar.cli import main
@@ -181,6 +189,80 @@ def test_sampled_sweep_deterministic(capsys):
     assert rc1 == rc2 == 0
     assert out1 == out2
     assert "3/3 EQUAL" in out1
+
+
+def _sampler_cases():
+    """(seed, n, k) cases for the sampler: small and 32-, 64- and
+    200-bit seeds; k = 0, k = n - 1 and k on either side of n // 50; both
+    of numpy's branches (Floyd, and the tail shuffle where n > 10000 and
+    k > n // 50); and the 1470/1000 pool of the A_3 green-ff sweep."""
+    rng = random.Random(23)
+    cases = [(s, 1470, 1000) for s in range(10)]
+    cases += [(2**70 + 5, 20000, 19999), (3, 20000, 401), (3, 20000, 400), (0, 1, 0)]
+    for _ in range(400):
+        seed = rng.choice([
+            rng.randrange(100), rng.randrange(2**32, 2**33),
+            rng.randrange(2**64, 2**66), rng.randrange(2**70, 2**200),
+        ])
+        n = rng.choice([rng.randrange(1, 50)] * 2 + [rng.randrange(1, 3000)] * 2 + [rng.randrange(10001, 15000)])
+        k = rng.choice([0, n - 1, rng.randrange(n), min(n - 1, n // 50 + 1)])
+        cases.append((seed, n, k))
+    return cases
+
+
+def test_sampler_picks_numpy_choice():
+    """The pure-Python sampler picks the set numpy's
+    `default_rng(seed).choice(n, size=k, replace=False)` picks, and its
+    seed words are those of numpy's SeedSequence."""
+    cases = _sampler_cases()
+    assert len(cases) >= 400
+    assert any(n > 10000 and k > n // 50 for _, n, k in cases)
+    assert any(n > 10000 and 0 < k <= n // 50 for _, n, k in cases)
+    assert {k for _, _, k in cases if k == 0} and any(k == n - 1 for _, n, k in cases)
+    assert any(s >= 2**64 for s, _, _ in cases) and any(2**32 <= s < 2**64 for s, _, _ in cases)
+    for seed, n, k in cases:
+        want = np.random.default_rng(seed).choice(n, size=k, replace=False)
+        assert cli._sample_indices(seed, n, k) == set(want.tolist()), (seed, n, k)
+        assert cli._seed_words(seed) == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+
+
+@pytest.mark.parametrize("seed, sample, max_dim, pool, message", [
+    (-1, 2, "1,1", 6, "expected non-negative integer"),
+    (0, -1, "1,1", 6, "negative dimensions are not allowed"),
+    (-1, -1, "1,1", 6, "expected non-negative integer"),
+    (0, -1, "0,0", 0, "a must be a positive integer unless no samples are taken"),
+], ids=["seed", "sample", "both", "empty-pool"])
+def test_sample_errors_keep_numpys_messages(capsys, seed, sample, max_dim, pool, message):
+    """A negative --seed or --sample exits 2 with the ValueError numpy's
+    generator raises, the seed's first; an empty pool (cc1 at max-dim 0)
+    keeps numpy's message for it."""
+    with pytest.raises(ValueError, match=message):
+        np.random.default_rng(seed).choice(pool, size=sample, replace=False)
+    rc, out, _ = run(capsys, "verify", "cc1", "--quiver", "a2", "--all", "--max-dim", max_dim,
+                     "--seed", str(seed), "--sample", str(sample), "--json")
+    assert rc == 2
+    assert json.loads(out) == {"error": {"type": "ValueError", "message": message}}
+
+
+def test_numpy_stays_unimported():
+    """A fresh interpreter that imports every hallchar module and runs a
+    sampled green-ff sweep through `cli.main` never imports numpy."""
+    src = str(Path(hallchar.__file__).resolve().parent.parent)
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import hallchar\n"
+        "for m in pkgutil.iter_modules(hallchar.__path__):\n"
+        "    importlib.import_module('hallchar.' + m.name)\n"
+        "from hallchar import cli\n"
+        "rc = cli.main(['verify', 'green-ff', '--quiver', 'a3', '--all',\n"
+        "              '--max-dim', '1,1,1', '--sample', '5', '--seed', '3', '--json'])\n"
+        "assert rc == 0, rc\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert '"total": 5' in done.stdout
 
 
 def test_error_json_object(capsys):

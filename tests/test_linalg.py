@@ -292,6 +292,8 @@ def test_rref_rank_nullspace_match_loop_oracle(pm):
     row_lists = list(rows)
     assert linalg.rank_rows(rows, M.shape[1], p) == o_rank
     assert row_lists == M.tolist()  # the row lists are not changed in place
+    # row echelon form, as `rank_rows` reduces, has the same pivots
+    assert linalg._rref_rows(M.tolist(), M.shape[1], p, reduced=False) == o_pivots[:o_rank].tolist()
     K = nullspace_mod(M, p)
     assert K.dtype == np.int64 and np.array_equal(K, _oracle_nullspace(M, p))
     assert not ((M @ K) % p).any()

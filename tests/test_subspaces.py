@@ -10,6 +10,7 @@ Hand-derived values:
 
 import functools
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -347,7 +348,7 @@ def test_rank_distribution_mass(Q, text):
 @pytest.mark.parametrize(
     "M, head",
     [
-        # 13 candidates at the one source, ranked 5 at a time
+        # 13 candidates at the one source, more than ECHELON_TABLE_MAX = 5
         (
             rep.direct_sum(
                 catalog.module_from_class(K, ("Rc", 0, 2), 3),
@@ -363,25 +364,86 @@ def test_rank_distribution_mass(Q, text):
     ],
     ids=["kronecker", "d4-sink"],
 )
-def test_rank_distribution_in_chunks(M, head, monkeypatch):
-    """With more than ECHELON_TABLE_MAX distinct candidates at the sources
-    of the arrows into the last vertex, the walk is ranked in chunks of at
-    most that many, one product per source and chunk, with the
-    distribution of the one-chunk product, and no echelon table is stored
-    for a space larger than the bound."""
+def test_rank_distribution_images_each_column_once(M, head, monkeypatch):
+    """With more than ECHELON_TABLE_MAX candidates at each source of the
+    arrows into the last vertex, read in chunks of that many, the
+    distribution is the same, no echelon table is stored, and the images
+    of each distinct column of a source's candidates are built once for
+    that source."""
     memo.clear()
     whole = subspaces._rank_distribution(M, head)
     memo.clear()
     monkeypatch.setattr(subspaces, "ECHELON_TABLE_MAX", 5)
-    products = []
-    real = np.matmul
-    monkeypatch.setattr(np, "matmul", lambda *args: products.append(1) or real(*args))
+    built = []
+    real = subspaces._column_images
+    monkeypatch.setattr(
+        subspaces, "_column_images",
+        lambda mats, columns, p: built.extend(columns) or real(mats, columns, p),
+    )
     assert subspaces._rank_distribution(M, head) == whole
-    # every point has its own candidates at the sources here
-    *_, last = M.quiver.topological_order()
-    sources = {s for s, t in M.quiver.arrows if t == last}
-    assert len(products) == len(sources) * -(-sum(whole) // 5) > 1
     assert not memo.TABLES["subspaces._echelon_table"]
+    walked, _ = subspaces._closing(M)
+    columns = Counter()
+    for s, k in zip(walked, head):
+        columns.update({u for U in subspaces._echelons(M.dims[s], k, M.p) for u in zip(*U.rows)})
+    assert Counter(built) == columns
+
+
+@pytest.mark.parametrize("p", [2, 3, 11, 251, 65521, 2**31 - 1, 2**61 - 1])
+def test_column_images_match_the_plain_product(p):
+    """Packed in lanes of 3 to 124 bits, the images of distinct columns
+    are the products A u mod p, in the order the columns were given."""
+    rng = np.random.default_rng(p % 1000)
+    n, d = 4, 3
+    draw = lambda: int(rng.integers(0, p, dtype=np.uint64))
+    mats = [[[draw() for _ in range(n)] for _ in range(d)] for _ in range(2)]
+    columns = list(dict.fromkeys(tuple(draw() for _ in range(n)) for _ in range(40)))
+    out = subspaces._column_images(mats, columns, p)
+    assert list(out) == columns
+    for u in columns:
+        assert out[u] == [tuple(sum(a * x for a, x in zip(row, u)) % p for row in A) for A in mats]
+    assert subspaces._column_images(mats, [], p) == {}
+
+
+@pytest.mark.parametrize(
+    "Q, dims, p",
+    [
+        (A2, (3, 0), 11),
+        (A3, (2, 2, 0), 3),
+        (A3, (2, 0, 0), 3),
+        (A3_SINK, (2, 0, 1), 3),
+        (D4, (1, 2, 1, 0), 3),
+        (D4_SINK, (1, 2, 1, 0), 3),
+    ],
+    ids=["a2", "a3", "a3-one-vertex", "a3-sink", "d4", "d4-sink"],
+)
+def test_grassmannian_count_closes_at_the_last_nonzero_vertex(Q, dims, p, monkeypatch):
+    """On a module that is zero at the sink the count closes at the last
+    vertex in topological order where M is nonzero: it matches brute force,
+    walks only the vertices before that one, and walks nothing where every
+    e_v there is 0 or d_v (A_2 3*S1 at p = 11, e = (1, 0): 133 lines and
+    no walk, and the budget's charge unchanged)."""
+    M = random_rep(Q, dims, p, np.random.default_rng(sum(dims)))
+    order = Q.topological_order()
+    walked, last = subspaces._closing(M)
+    assert order[: len(walked) + 1] == walked + [last]
+    assert M.dims[last] and not any(M.dims[v] for v in order[len(walked) + 1 :])
+    walks = []
+    real = subspaces._walk_tables
+    monkeypatch.setattr(
+        subspaces, "_walk_tables", lambda M, e, order, budget: walks.append(order) or real(M, e, order, budget)
+    )
+    for e in itertools.product(*[range(d + 1) for d in dims]):
+        memo.clear()
+        walks.clear()
+        assert subspaces.grassmannian_count(M, e) == grassmannian_count_brute(M, e)
+        forced = all(e[v] in (0, dims[v]) for v in walked)
+        assert walks == ([] if forced else [walked])
+    if Q is A2:
+        assert subspaces.grassmannian_count(M, (1, 0)) == 133
+        # the charge still runs over every vertex but the topologically last
+        with pytest.raises(BudgetExceeded, match="subspace search space 133 exceeds budget 132"):
+            subspaces.grassmannian_count(M, (1, 0), budget=132)
 
 
 # a Kronecker module at a degree-2 tube point over F_2 (x^2 + x + 1 is
