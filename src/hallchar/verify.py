@@ -49,7 +49,7 @@ import time
 from fractions import Fraction
 
 from . import catalog, cluster, memo, qpoly, rep, strata, subspaces
-from .errors import UnsupportedQuiver
+from .errors import BudgetExceeded, UnsupportedQuiver
 from .laurent import LaurentPoly
 from .qpoly import QPolynomial
 from .subspaces import DEFAULT_SUBSPACE_BUDGET
@@ -300,11 +300,14 @@ def verify_green_ff(xi, eta, xi2, eta2, primes=None, budget=DEFAULT_SUBSPACE_BUD
             "green_ff needs dim xi + dim eta = dim xi' + dim eta'; got "
             f"{xi.dims}+{eta.dims} vs {xi2.dims}+{eta2.dims}"
         )
+    # prime-independent: read once per instance
+    fids = (xi.fingerprint_id(), eta.fingerprint_id())
+    splits = _green_ff_splits(quiver, xi.dims, eta.dims, xi2.dims, eta2.dims)
     terms = []
     lhs_all, rhs_all = [], []
     equal = True
     for p in primes:
-        lhs, rhs, detail = _green_ff_at_prime(quiver, xi, eta, xi2, eta2, p, budget)
+        lhs, rhs, detail = _green_ff_at_prime(quiver, xi, eta, xi2, eta2, p, budget, fids, splits)
         lhs_all.append(lhs)
         rhs_all.append(rhs)
         equal = equal and lhs == rhs
@@ -328,50 +331,61 @@ def verify_green_ff(xi, eta, xi2, eta2, primes=None, budget=DEFAULT_SUBSPACE_BUD
     )
 
 
-def _green_ff_at_prime(quiver, xi, eta, xi2, eta2, p, budget):
-    cls, mods = _materialize(p, xi=xi, eta=eta, xi2=xi2, eta2=eta2)
+def _green_ff_at_prime(quiver, xi, eta, xi2, eta2, p, budget, fids, splits):
+    """(lhs, rhs, detail) of Green's identity at p.  `fids` holds the
+    fingerprint ids of (xi, eta) and `splits` is `_green_ff_splits` of the
+    four dimension vectors.  What depends on (xi', eta') alone is read from
+    `_green_ff_middles` and `_green_ff_factors`, so the instance reads only
+    the Hall numbers of xi, eta and the middles lam, each census where an
+    unfactored sum reads it: after the factor before it is nonzero."""
+    cls_xi, cls_eta = xi.concrete_classes(p), eta.concrete_classes(p)
     aut = catalog.aut_count_of_classes
-    fid = catalog.fingerprint_id
-    f_xi, f_eta = xi.fingerprint_id(), eta.fingerprint_id()
-    f_xi2, f_eta2 = xi2.fingerprint_id(), eta2.fingerprint_id()
-    auts = (
-        aut(quiver, cls["xi"], p) * aut(quiver, cls["eta"], p)
-        * aut(quiver, cls["xi2"], p) * aut(quiver, cls["eta2"], p)
-    )
+    auts = aut(quiver, cls_xi, p) * aut(quiver, cls_eta, p)
 
-    # LHS: auts * sum g1 g2 / a_lam, summed as num / den.
+    # LHS: a_xi a_eta * sum g^lam_{xi,eta} w_lam / a_lam, summed as num / den,
+    # with w_lam = g^lam_{xi',eta'} a_xi' a_eta' from `_green_ff_middles`.
     num, den, n_lam = 0, 1, 0
-    for lam, lam_mod, a_lam in _green_ff_middles(xi2, eta2, p, budget):
-        g1 = _hall_fp(lam_mod, f_xi, f_eta, eta.dims, budget, lam)
+    for lam, lam_mod, a_lam, w in _green_ff_middles(xi2, eta2, p, budget):
+        g1 = subspaces.census_view(lam_mod, eta.dims, budget, lam).get(fids, 0)
         if g1 == 0:
             continue
-        g2 = _hall_fp(lam_mod, f_xi2, f_eta2, eta2.dims, budget, lam)
-        if g2 == 0:
+        if not w:
+            if w is None:
+                # over budget: this read raises, as the one it stands for
+                subspaces.census_view(lam_mod, eta2.dims, budget, lam)
             continue
         n_lam += 1
-        num, den = num * a_lam + g1 * g2 * den, den * a_lam
+        num, den = num * a_lam + g1 * w * den, den * a_lam
     lhs = Fraction(num * auts, den)
 
     # RHS: (gam, delt) = (quot, sub) types of subreps of xi', (alp, bet)
-    # of eta'; the cross Hall numbers tie them to xi and eta.  The terms of
-    # one (e1, e2) share the weight p^-euler (`_green_ff_splits`), so they
-    # are summed as integers, and the sums over a common power of p.
+    # of eta'; the cross Hall numbers tie them to xi and eta.  The weight
+    # c1 c2 a_gam a_delt a_alp a_bet is the product of the factors
+    # c1 a_gam a_delt of xi' at e1 and c2 a_alp a_bet of eta' at e2
+    # (`_green_ff_factors`).  The terms of one (e1, e2) share the weight
+    # p^-euler (`_green_ff_splits`), so they are summed as integers, and
+    # the sums over a common power of p.
+    mod_xi, mod_eta = xi.instantiate(p), eta.instantiate(p)
     parts, n_rhs = [], 0
-    for e1, e2, dims_alp, euler in _green_ff_splits(quiver, xi.dims, eta.dims, xi2.dims, eta2.dims):
+    for e1, e2, dims_alp, euler in splits:
         total = 0
-        for (gam, delt, alp, bet), c, _, _ in _splittings(cls, mods, [(e1, e2)], budget):
-            g3 = _hall_fp(mods["xi"], fid(gam), fid(alp), dims_alp, budget, cls["xi"])
-            if g3 == 0:
-                continue
-            g4 = _hall_fp(mods["eta"], fid(delt), fid(bet), e2, budget, cls["eta"])
-            if g4 == 0:
-                continue
-            n_rhs += 1
-            total += (
-                c * g3 * g4
-                * aut(quiver, alp, p) * aut(quiver, bet, p)
-                * aut(quiver, delt, p) * aut(quiver, gam, p)
-            )
+        factors1 = _green_ff_factors(xi2, e1, p, budget)
+        factors2 = _green_ff_factors(eta2, e2, p, budget)
+        if factors1 and factors2:
+            view3 = subspaces.census_view(mod_xi, dims_alp, budget, cls_xi)
+            view4 = None
+            for gam, delt, w1 in factors1:
+                for alp, bet, w2 in factors2:
+                    g3 = view3.get((gam, alp), 0)
+                    if g3 == 0:
+                        continue
+                    if view4 is None:
+                        view4 = subspaces.census_view(mod_eta, e2, budget, cls_eta)
+                    g4 = view4.get((delt, bet), 0)
+                    if g4 == 0:
+                        continue
+                    n_rhs += 1
+                    total += w1 * w2 * g3 * g4
         parts.append((total, euler))
     top = max([0] + [k for _, k in parts])
     rhs = Fraction(sum(t * p ** (top - k) for t, k in parts), p ** top)
@@ -380,15 +394,44 @@ def _green_ff_at_prime(quiver, xi, eta, xi2, eta2, p, budget):
 
 @memo.memoized(lambda xi2, eta2, p, budget: (xi2.id, eta2.id, p, budget))
 def _green_ff_middles(xi2, eta2, p, budget):
-    """((lam, module of lam, |Aut lam|), ...): one middle class per
-    fingerprint among the extensions of xi' by eta' at p.  On a Dynkin
-    quiver the fingerprint is the isomorphism class, and the middles lam
-    with g^lam_{xi',eta'} != 0 are exactly these."""
+    """((lam, module of lam, |Aut lam|, w_lam), ...): one middle class per
+    fingerprint among the extensions of xi' by eta' at p, with the factor
+    w_lam = g^lam_{xi',eta'} |Aut xi'| |Aut eta'| of Green's left side.  On
+    a Dynkin quiver the fingerprint is the isomorphism class, and the
+    middles lam with g^lam_{xi',eta'} != 0 are exactly these.  w_lam is
+    None where reading g^lam_{xi',eta'} exceeds `budget`; its reader reads
+    it again, which raises there.  The key holds the budget, so a hit is
+    what a fresh call under the same budget returns."""
     quiver = xi2.quiver
+    aut = catalog.aut_count_of_classes
     census = strata.ext_middle_census(xi2.instantiate(p), eta2.instantiate(p), budget=budget)
+    fids = (xi2.fingerprint_id(), eta2.fingerprint_id())
+    auts = aut(quiver, xi2.concrete_classes(p), p) * aut(quiver, eta2.concrete_classes(p), p)
+    out = []
+    for _, lam in _group_by_fp(census.items()).values():
+        lam_mod = catalog.module_from_classes(quiver, lam, p)
+        try:
+            w = subspaces.census_view(lam_mod, eta2.dims, budget, lam).get(fids, 0) * auts
+        except BudgetExceeded:
+            w = None
+        out.append((lam, lam_mod, aut(quiver, lam, p), w))
+    return tuple(out)
+
+
+@memo.memoized(lambda sym, e, p, budget: (sym.id, e, p, budget))
+def _green_ff_factors(sym, e, p, budget):
+    """((quot fid, sub fid, c |Aut quot| |Aut sub|), ...): the Hall census
+    {(quot, sub): c} of the symbol at p and sub-dimension e, one tuple per
+    entry in census order, with fingerprint ids (`catalog.fingerprint_id`)
+    for classes.  The key holds the budget, so a hit is what a fresh
+    census under the same budget returns, and a miss raises
+    `BudgetExceeded` as that census does."""
+    quiver, classes = sym.quiver, sym.concrete_classes(p)
+    census = subspaces.hall_census(sym.instantiate(p), e, budget=budget, key_classes=classes)
+    fid, aut = catalog.fingerprint_id, catalog.aut_count_of_classes
     return tuple(
-        (lam, catalog.module_from_classes(quiver, lam, p), catalog.aut_count_of_classes(quiver, lam, p))
-        for _, lam in _group_by_fp(census.items()).values()
+        (fid(quot), fid(sub), c * aut(quiver, quot, p) * aut(quiver, sub, p))
+        for (quot, sub), c in census.items()
     )
 
 

@@ -1,5 +1,6 @@
 """CLI driver: command output, JSON schema, exit codes, error objects."""
 
+import hashlib
 import json
 import os
 import random
@@ -107,6 +108,38 @@ def test_verify_green_ff_sweep(capsys):
     )
     assert rc == 0
     assert "green-ff: 45/45 EQUAL" in out
+
+
+# SHA-256 over the SHA-256 of each `verify_green_ff` report (sorted-key
+# JSON without timing_ms, one hex digest per line, in sweep order) of the
+# D_4 sweep below, recorded before Green's sides were factored
+D4_GREEN_FF_REPORTS_SHA256 = "dcb79eccc4100dfef04ea62073d3435d7e2cbe833923ac14710b9d8136e2caec"
+
+
+def test_d4_green_ff_sweep_reports_are_pinned(capsys, monkeypatch, tmp_path):
+    """Every report of `verify green-ff --all --max-dim 1,1,1,1` on D_4 with
+    three arrows into vertex 4 is unchanged, apart from its timing."""
+    quiver_file = tmp_path / "d4_sink.txt"
+    quiver_file.write_text("vertices 4\narrow a 1 4\narrow b 2 4\narrow c 3 4\n")
+    digests = []
+    real = verify.verify_green_ff
+
+    def recorded(*args, **kwargs):
+        report = real(*args, **kwargs)
+        data = report.to_dict()
+        del data["timing_ms"]
+        digests.append(hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest())
+        return report
+
+    monkeypatch.setattr(verify, "verify_green_ff", recorded)
+    memo.clear()
+    rc, out, _ = run(
+        capsys, "verify", "green-ff", "--quiver", str(quiver_file),
+        "--all", "--max-dim", "1,1,1,1", "--json",
+    )
+    assert rc == 0
+    assert json.loads(out)["total"] == len(digests) == 4125
+    assert hashlib.sha256("\n".join(digests).encode()).hexdigest() == D4_GREEN_FF_REPORTS_SHA256
 
 
 def test_verify_green_degenerate_sweep(capsys):

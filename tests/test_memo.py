@@ -43,6 +43,7 @@ TABLES = {
     "symspace._symbol_pool",
     "verify._merge_fp",
     "verify._green_ff_middles",
+    "verify._green_ff_factors",
     "verify._green_ff_splits",
 }
 

@@ -644,18 +644,21 @@ def torus_orbits(X, Y, free):
     return orbits
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=180, deadline=None)
 @given(st.data())
 def test_orbit_cocycles_are_the_first_point_of_each_torus_orbit(data):
     """For any X and Y, split, random or over a quiver no classifier
     covers, at p in {3, 5}: the Ext walk keeps exactly the
     lexicographically first cocycle of each torus orbit, each counted with
-    its orbit's size, p^{dim Ext^1} in all."""
+    its orbit's size, p^{dim Ext^1} in all.  Pairs with Ext^1 = 0, about
+    two draws in three, walk the zero cocycle alone; only pairs with more
+    than 625 cocycles, which the brute-force orbits cannot list, are left
+    out (about one draw in thirty)."""
     Q = data.draw(st.sampled_from([A3, D4, K, K3, TRIANGLE]))
     p = data.draw(st.sampled_from([3, 5]))
     X, Y = (data.draw(modules([Q], [p], max_dim=2, max_total=3)) for _ in range(2))
     free = strata._free_coordinates(X, Y)
-    assume(free and p ** len(free) <= 625)
+    assume(p ** len(free) <= 625)
     values, walk = strata._orbit_cocycles(X, Y, free)
     kept = [(tuple(values), size) for size in walk]
     assert kept == sorted((min(orbit), len(orbit)) for orbit in torus_orbits(X, Y, free))

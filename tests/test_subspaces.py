@@ -145,6 +145,14 @@ def _result(fn, *args):
         return type(exc)
 
 
+@functools.cache
+def _dims_up_to(n, max_dim, max_total):
+    """The dimension vectors with n entries of at most max_dim each and at
+    most max_total in all, drawn from directly so that no draw is
+    filtered out."""
+    return [d for d in itertools.product(range(max_dim + 1), repeat=n) if sum(d) <= max_total]
+
+
 @st.composite
 def modules(draw, quivers, primes, max_dim, max_total):
     """A module over one of `quivers` (a list, or a strategy drawing one):
@@ -152,11 +160,7 @@ def modules(draw, quivers, primes, max_dim, max_total):
     see split modules too."""
     Q = draw(quivers if isinstance(quivers, st.SearchStrategy) else st.sampled_from(quivers))
     p = draw(st.sampled_from(primes))
-    dims = draw(
-        st.lists(st.integers(0, max_dim), min_size=Q.n, max_size=Q.n).filter(
-            lambda d: sum(d) <= max_total
-        )
-    )
+    dims = draw(st.sampled_from(_dims_up_to(Q.n, max_dim, max_total)))
 
     def random_part(part):
         mats = []

@@ -25,13 +25,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hallchar
-from hallchar import catalog, cluster, qpoly, rep, strata, subspaces, symspace, verify
-from hallchar.errors import UnsupportedQuiver, VerificationMismatch
-from hallchar.quiver import kronecker_quiver, linear_quiver
+from hallchar import catalog, cluster, memo, qpoly, rep, strata, subspaces, symspace, verify
+from hallchar.errors import BudgetExceeded, UnsupportedQuiver, VerificationMismatch
+from hallchar.quiver import Quiver, kronecker_quiver, linear_quiver
 from test_rep import random_rep
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
+A3_SOURCE = Quiver(3, [(1, 0), (1, 2)])
+D4_SINK = Quiver(4, [(0, 3), (1, 3), (2, 3)])
 K = kronecker_quiver()
 
 
@@ -99,6 +101,43 @@ def test_green_ff_dims_precondition():
         verify.verify_green_ff(
             sym("S1", A2), sym("S2", A2), sym("S2", A2), sym("S2", A2)
         )
+
+
+# (quiver, xi, eta, xi', eta', budget, outcome at p = 2, 3): the outcome is
+# the (lhs, rhs) strings or the BudgetExceeded message of the unfactored
+# sum, which reads each census only once the factor before it is nonzero.
+GREEN_FF_BUDGET_CASES = [
+    # g^lam_{xi,eta} = 0 for every middle: g^lam_{xi',eta'} (charge 3) is never read
+    (A2, "2*M[0,1]", "M[1,0]", "M[1,1]", "M[0,1]", 1, (["0", "0"], ["0", "0"])),
+    # g^lam_{xi,eta} (charge 3) is read before g^lam_{xi',eta'} (charge 9)
+    (A2, "M[1,0]", "2*M[0,1]+M[1,0]", "M[1,1]", "M[0,1]+M[1,0]", 1,
+     "subspace search space 3 exceeds budget 1"),
+    # the Ext census of (xi', eta') is read first
+    (A2, "M[1,0]", "M[0,1]", "M[1,0]", "M[0,1]", 1, "2^1 extension classes exceed budget"),
+    # no splitting has g^xi_{gam,alp} != 0: the census of eta is never read
+    (A3, "M[0,0,1]+M[0,1,0]", "2*M[1,0,0]", "M[1,0,0]+M[0,1,1]", "M[1,0,0]", 1,
+     (["0", "0"], ["0", "0"])),
+    # an empty census of xi' or eta' at e: the census of xi is never read
+    (A3, "M[0,0,1]+2*M[1,0,0]", "M[0,1,0]", "M[1,0,0]+M[0,1,1]", "M[1,0,0]", 1,
+     (["0", "0"], ["0", "0"])),
+]
+
+
+@pytest.mark.parametrize("case", GREEN_FF_BUDGET_CASES)
+def test_green_ff_budget_outcome_is_the_unfactored_one(case):
+    """A budget-limited call returns or raises what the unfactored sum
+    does, from a cold memo and again on a second call."""
+    quiver, *texts, budget, outcome = case
+    ops = [catalog.parse_symbol(t, quiver) for t in texts]
+    memo.clear()
+    for _ in range(2):
+        if isinstance(outcome, str):
+            with pytest.raises(BudgetExceeded) as info:
+                verify.verify_green_ff(*ops, primes=(2, 3), budget=budget)
+            assert type(info.value) is BudgetExceeded and str(info.value) == outcome
+        else:
+            r = verify.verify_green_ff(*ops, primes=(2, 3), budget=budget)
+            assert (r.lhs, r.rhs) == tuple(map(str, outcome))
 
 
 def test_green_ff_kronecker_unsupported():
@@ -610,6 +649,30 @@ def green_degenerate_oracle(xi, eta, xi2, eta2):
     return table["lhs"].at_one(), table["rhs"].at_one()
 
 
+def green_ff_lhs_oracle(quiver, xi, eta, xi2, eta2, p):
+    """Green's left-hand side at p and its number of middle terms, with the
+    middles of (xi', eta') rescanned for this instance: one middle per
+    fingerprint of the extension census, and both of its Hall numbers
+    g^lam_{xi,eta} and g^lam_{xi',eta'} by rescan."""
+    cls, mods = verify._materialize(p, xi=xi, eta=eta, xi2=xi2, eta2=eta2)
+    census = strata.ext_middle_census(mods["xi2"], mods["eta2"], budget=BUDGET)
+    middles = {}
+    for lam in census:
+        middles.setdefault(fingerprint(lam), lam)
+    auts = 1
+    for k in ("xi", "eta", "xi2", "eta2"):
+        auts *= catalog.aut_count_of_classes(quiver, cls[k], p)
+    lhs, n_lam = Fraction(0), 0
+    for lam in middles.values():
+        lam_mod = catalog.module_from_classes(quiver, lam, p)
+        g1 = hall_fp_rescan(lam_mod, fingerprint(cls["xi"]), fingerprint(cls["eta"]), eta.dims, lam)
+        g2 = hall_fp_rescan(lam_mod, fingerprint(cls["xi2"]), fingerprint(cls["eta2"]), eta2.dims, lam)
+        if g1 and g2:
+            lhs += Fraction(g1 * g2 * auts, catalog.aut_count_of_classes(quiver, lam, p))
+            n_lam += 1
+    return lhs, n_lam
+
+
 def green_ff_rhs_oracle(quiver, xi, eta, xi2, eta2, p):
     """Green's right-hand side at p and its number of terms, from the full
     product of the census entries of xi' and eta', filtered by dimension."""
@@ -688,15 +751,34 @@ def green_tuples(draw, quiver, totals):
 
 
 A3_TOTALS = list(itertools.product(range(3), range(2), range(2)))
+D4_TOTALS = list(itertools.product(range(2), range(2), range(2), range(3)))
 K_TOTALS = [d for d in itertools.product(range(3), repeat=2) if sum(d) <= 3]
 
 
-@settings(max_examples=40, deadline=None)
-@given(green_tuples(A3, A3_TOTALS))
+def green_ff_at_prime(xi, eta, xi2, eta2, p):
+    """`verify._green_ff_at_prime` with the prime-independent data that
+    `verify_green_ff` reads once per instance."""
+    quiver = xi.quiver
+    fids = (xi.fingerprint_id(), eta.fingerprint_id())
+    splits = verify._green_ff_splits(quiver, xi.dims, eta.dims, xi2.dims, eta2.dims)
+    return verify._green_ff_at_prime(quiver, xi, eta, xi2, eta2, p, BUDGET, fids, splits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    green_tuples(A3, A3_TOTALS),
+    green_tuples(A3_SOURCE, A3_TOTALS),
+    green_tuples(D4_SINK, D4_TOTALS),
+))
 def test_green_ff_splitting_sum_matches_full_product(case):
+    """Both sides at p against oracles that read no factored table: the
+    left side rescans the middles of (xi', eta') for the instance, the
+    right side sums the full product of the census entries."""
     xi, eta, xi2, eta2, p = case
-    _, rhs, detail = verify._green_ff_at_prime(A3, xi, eta, xi2, eta2, p, BUDGET)
-    assert (rhs, detail["splitting_terms"]) == green_ff_rhs_oracle(A3, xi, eta, xi2, eta2, p)
+    quiver = xi.quiver
+    lhs, rhs, detail = green_ff_at_prime(xi, eta, xi2, eta2, p)
+    assert (lhs, detail["middle_terms"]) == green_ff_lhs_oracle(quiver, xi, eta, xi2, eta2, p)
+    assert (rhs, detail["splitting_terms"]) == green_ff_rhs_oracle(quiver, xi, eta, xi2, eta2, p)
 
 
 @settings(max_examples=40, deadline=None)
