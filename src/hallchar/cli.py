@@ -3,7 +3,9 @@
 Commands
 --------
 char    --quiver Q --module SYM
-        Print the cluster character of SYM as an exact Laurent polynomial.
+        Print the cluster character of SYM as an exact Laurent polynomial,
+        checked against the prime-free coefficient-quiver count where that
+        covers SYM (type-A quivers; Kronecker P_n, I_n, R(m)).
 hall    --quiver Q --module L --quot SYM --sub SYM
         Print the Hall counting polynomial g(q) = #{U <= L : U iso sub,
         L/U iso quot} and its evaluation at q = 1.
@@ -138,6 +140,7 @@ def _cmd_char(args, quiver):
     sym = catalog.parse_symbol(args.module, quiver)
     nverify = len(args.verify_primes) if args.verify_primes else 2
     poly = cluster.char_of_symbol(sym, budget=args.budget, verify=nverify)
+    cluster.check_by_coefficient_quivers(sym, poly)
     if args.json:
         print(json.dumps({"command": "char", "quiver": quiver.name,
                           "module": str(sym), "character": str(poly)}))

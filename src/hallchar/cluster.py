@@ -15,20 +15,26 @@ for enough primes, the counting polynomial in q is interpolated (degree at
 most sum_i e_i (d_i - e_i), since Gr_e embeds in the product of vertexwise
 Grassmannians), verified on extra primes, and evaluated at q = 1.
 
-Two independent evaluation paths are kept deliberately:
+Three independent evaluation paths are kept deliberately:
 
 * the per-dimension-vector path counts whole Grassmannians with
   `subspaces.grassmannian_count`, which walks the vertices before the
   last one in topological order where the module is nonzero;
 * the stratified path splits each Grassmannian into Hall strata (grouped
   by the iso-class fingerprint of the (quotient, sub) pair), interpolates
-  every stratum separately and sums the values at q = 1.
+  every stratum separately and sums the values at q = 1;
+* the coefficient-quiver path uses no prime: for string modules chi(Gr_e)
+  is the number of successor-closed subsets of dimension vector e of the
+  coefficient quiver, the fixed points of a torus action.  It covers every
+  indecomposable of a type-A quiver and the Kronecker P_n, I_n and R(m).
 
-`CharTable` memoizes characters and cross-checks the two paths against
-each other on insert whenever the stratified census is affordable, and
-spot-checks multiplicativity X_{A + B} = X_A * X_B on decomposable
-classes, so each cached character has survived an independent
-recomputation.
+The first path is the primary one.  `CharTable` memoizes characters and
+cross-checks each on insert: against the coefficient-quiver path where it
+covers every atom, else against the stratified path whenever its census is
+affordable.  It also spot-checks multiplicativity X_{A + B} = X_A * X_B on
+decomposable classes, so each cached character has survived an
+independent recomputation.  `hallchar char` checks against the
+coefficient-quiver path where it covers the module.
 """
 
 import itertools
@@ -44,6 +50,8 @@ __all__ = [
     "chi_grassmannian",
     "char_of_symbol",
     "char_by_strata",
+    "char_by_coefficient_quivers",
+    "check_by_coefficient_quivers",
     "injective_socle_exponent",
     "projective_top_exponent",
     "socle_monomial",
@@ -52,8 +60,11 @@ __all__ = [
     "CharTable",
 ]
 
-# Enumeration ceiling for the optional stratified cross-check in CharTable;
-# censuses whose subspace enumeration would exceed it are skipped silently.
+# Enumeration ceiling for the stratified cross-check in CharTable, which
+# serves the classes the coefficient-quiver oracle does not cover (D/E
+# atoms, vertex atoms of other quivers); censuses whose subspace
+# enumeration would exceed it are skipped and counted as "skipped".
+# Covered classes are always checked.
 # The primary path, `subspaces.grassmannian_count`, walks every vertex but
 # the last under its own budget, DEFAULT_SUBSPACE_BUDGET.
 DEFAULT_CHECK_BUDGET = 60_000
@@ -152,6 +163,142 @@ def char_by_strata(sym, budget=DEFAULT_SUBSPACE_BUDGET, verify=2):
 
 
 # ---------------------------------------------------------------------------
+# successor-closed subsets of coefficient quivers (no primes)
+# ---------------------------------------------------------------------------
+
+
+def _path_order(quiver):
+    """The vertices in order along the underlying graph of `quiver`, or None
+    when that graph is not a path (type A_n)."""
+    linked = [[] for _ in range(quiver.n)]
+    for s, t in quiver.arrows:
+        linked[s].append(t)
+        linked[t].append(s)
+    if not quiver.is_tree() or max(map(len, linked)) > 2:
+        return None
+    order = [next(v for v in range(quiver.n) if len(linked[v]) <= 1)]
+    while len(order) < quiver.n:
+        order.append(next(w for w in linked[order[-1]] if w not in order[-2:]))
+    return order
+
+
+def _atom_string(quiver, atom):
+    """The coefficient quiver of the string module `atom`, as (nodes, steps),
+    or None when the atom is not covered.
+
+    nodes[i] is the vertex of the basis vector b_i, and steps[i] is True
+    when an arrow maps b_i to b_{i+1}, False when it maps b_{i+1} to b_i.
+    Covered: every indecomposable of a quiver whose underlying graph is a
+    path (its root is an interval, and the coefficient quiver is Q on it),
+    and the Kronecker P_n, I_n and R(m), whose bases in
+    `catalog.module_from_class` give the strings
+        P_n:  w_1 <-a- u_1 -b-> w_2 <-a- ... u_n -b-> w_{n+1}
+        I_n:  u_1 -a-> w_1 <-b- u_2 -a-> ... w_n <-b- u_{n+1}
+        R(m): u_1 -a-> w_1 <-b- u_2 -a-> ... u_m -a-> w_m
+    with u at vertex 1 and w at vertex 2; R(m) is read at the point 0
+    (a = Id, b = J_m(0)).  chi(Gr_e(R_lam(m))) does not depend on lam,
+    because GL_2 acting on the span of the two arrows permutes the tubes.
+    """
+    kind = atom[0]
+    order = _path_order(quiver) if kind == "root" else None
+    if order is not None:
+        nodes = tuple(v for v in order if atom[1][v])
+        return nodes, tuple((u, w) in quiver.arrows for u, w in zip(nodes, nodes[1:]))
+    if quiver.arrows != ((0, 1), (0, 1)):
+        return None
+    if kind == "P":
+        return (1,) + (0, 1) * atom[1], (False, True) * atom[1]
+    if kind == "I":
+        return (0,) + (1, 0) * atom[1], (True, False) * atom[1]
+    if kind in ("R", "Rc"):
+        m = atom[2]
+        return (0, 1) * m, (True, False) * (m - 1) + (True,)
+    return None
+
+
+@memo.memoized(lambda quiver, atom: (quiver.key, atom))
+def _atom_subset_counts(quiver, atom):
+    """{e: #successor-closed subsets of dimension vector e} of the
+    coefficient quiver of `atom` (memoized), or None when the atom is not
+    covered (`_atom_string`).
+
+    One pass along the string keeps the counts of the closed subsets of
+    each prefix, split by whether the prefix's last basis vector is in the
+    subset: a step b_i -> b_{i+1} forbids b_i in with b_{i+1} out, and a
+    step b_i <- b_{i+1} forbids b_{i+1} in with b_i out.
+    """
+    string = _atom_string(quiver, atom)
+    if string is None:
+        return None
+    nodes, steps = string
+    zero = (0,) * quiver.n
+    inside, outside = {_bump(zero, nodes[0]): 1}, {zero: 1}
+    for v, forward in zip(nodes[1:], steps):
+        grown = _add_counts(inside, outside) if forward else inside
+        outside = outside if forward else _add_counts(inside, outside)
+        inside = {_bump(e, v): c for e, c in grown.items()}
+    return _add_counts(inside, outside)
+
+
+def _bump(e, v):
+    return e[:v] + (e[v] + 1,) + e[v + 1:]
+
+
+def _add_counts(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+def char_by_coefficient_quivers(sym):
+    """Cluster character of `sym` from torus fixed points, or None when some
+    atom is not covered (`_atom_string`).  No prime is used.  The zero
+    module, a sum of no atoms, is covered on every quiver.
+
+    For a string module M the fixed points of Cerulli Irelli's torus on
+    Gr_e(M) are the subspaces spanned by successor-closed subsets of the
+    coefficient quiver, so chi(Gr_e(M)) is the number of those subsets of
+    dimension vector e (Cerulli Irelli, J. Algebraic Combin. 2011; Haupt,
+    Algebr. Represent. Theory 2012).  chi(Gr_e) is multiplicative over
+    direct sums, so the atoms' generating functions multiply.
+    """
+    quiver = sym.quiver
+    counts = {(0,) * quiver.n: 1}
+    for atom, mult in sym.atoms:
+        factor = _atom_subset_counts(quiver, atom)
+        if factor is None:
+            return None
+        for _ in range(mult):
+            product = {}
+            for e, c in counts.items():
+                for f, k in factor.items():
+                    g = tuple(x + y for x, y in zip(e, f))
+                    product[g] = product.get(g, 0) + c * k
+            counts = product
+    terms = {}
+    for e, chi in counts.items():
+        g = character_exponent(quiver, sym.dims, e)
+        terms[g] = terms.get(g, 0) + chi
+    return LaurentPoly(quiver.n, terms)
+
+
+def check_by_coefficient_quivers(sym, value):
+    """Compare the character `value` of `sym` with
+    `char_by_coefficient_quivers`.  Returns False when the oracle does not
+    cover `sym`, True when it agrees, and raises VerificationMismatch when
+    it does not."""
+    again = char_by_coefficient_quivers(sym)
+    if again is None:
+        return False
+    if again != value:
+        raise VerificationMismatch(
+            f"coefficient-quiver character {again} disagrees with {value} for {sym}"
+        )
+    return True
+
+
+# ---------------------------------------------------------------------------
 # socle / top monomials and shifted projectives
 # ---------------------------------------------------------------------------
 
@@ -211,19 +358,27 @@ class CharTable:
 
     Each new character is computed by the per-dimension-vector path; then
 
-    * when the stratified census fits in `DEFAULT_CHECK_BUDGET`, the character
-      is recomputed by the stratum path and the two must agree exactly;
+    * where every atom is a string module that `char_by_coefficient_quivers`
+      covers (every indecomposable of a type-A quiver, the Kronecker P_n,
+      I_n and R(m)), the character is recounted from the successor-closed
+      subsets of its coefficient quivers, with no prime;
+    * for every other class (D/E atoms, vertex atoms of other quivers), when
+      the stratified census fits in `DEFAULT_CHECK_BUDGET`, the character is
+      recomputed by the stratum path (`char_by_strata`); past the budget the
+      check is skipped;
     * for decomposable classes, multiplicativity X_{A + B} = X_A X_B is
       checked against the table (splitting off one indecomposable).
 
-    Both checks raise VerificationMismatch on disagreement; the census check
-    is skipped silently when the enumeration exceeds its budget.
+    A disagreement raises VerificationMismatch.  `checks` counts which check
+    served each stored character: "coefficient_quivers", "strata" or
+    "skipped".
     """
 
     def __init__(self, quiver, budget=DEFAULT_SUBSPACE_BUDGET, verify=2):
         self.quiver = quiver
         self.budget = budget
         self.verify = verify
+        self.checks = {"coefficient_quivers": 0, "strata": 0, "skipped": 0}
         self._memo = {}
 
     def char(self, sym):
@@ -237,24 +392,30 @@ class CharTable:
         # stored only once both checks pass, so a failed check raises again
         # on the next call; the multiplicativity check recurses into char()
         # for strictly smaller summands, so it ends without the entry.
-        self._check_strata(sym, value)
+        check = self._check_independent(sym, value)
         self._check_multiplicative(sym, value)
         self._memo[key] = value
+        self.checks[check] += 1
         return value
 
     def char_of_classes(self, classes):
         """X_M from a decomposition with abstract or concrete class labels."""
         return self.char(catalog.abstract_symbol_from_classes(self.quiver, classes))
 
-    def _check_strata(self, sym, value):
+    def _check_independent(self, sym, value):
+        """Check `value` against a path that shares no count with
+        `char_of_symbol`; returns the name of the check that served."""
+        if check_by_coefficient_quivers(sym, value):
+            return "coefficient_quivers"
         try:
             again = char_by_strata(sym, budget=DEFAULT_CHECK_BUDGET, verify=self.verify)
         except BudgetExceeded:
-            return
+            return "skipped"
         if again != value:
             raise VerificationMismatch(
                 f"stratified character {again} disagrees with {value} for {sym}"
             )
+        return "strata"
 
     def _check_multiplicative(self, sym, value):
         atoms = list(sym.atoms)

@@ -74,7 +74,8 @@ torus (the argument is written beside it), for three callers:
 * `_rank_distribution`, behind `grassmannian_count`, which scales no
   slot: the plain walk over the vertices before the last one in
   topological order where M is nonzero.  It never reads the coefficient
-  quiver, so `CharTable`'s cross-check still tests the orbit census
+  quiver, so `CharTable`'s stratified cross-check (on the classes the
+  coefficient-quiver count does not cover) still tests the orbit census
   against a count that cuts nothing.
 
 A single census answers every Hall number g over the ambient module M:

@@ -110,6 +110,8 @@ def test_verify_green_ff_sweep(capsys):
     assert "green-ff: 45/45 EQUAL" in out
 
 
+D4_SINK_FILE = "vertices 4\narrow a 1 4\narrow b 2 4\narrow c 3 4\n"
+
 # SHA-256 over the SHA-256 of each `verify_green_ff` report (sorted-key
 # JSON without timing_ms, one hex digest per line, in sweep order) of the
 # D_4 sweep below, recorded before Green's sides were factored
@@ -120,7 +122,7 @@ def test_d4_green_ff_sweep_reports_are_pinned(capsys, monkeypatch, tmp_path):
     """Every report of `verify green-ff --all --max-dim 1,1,1,1` on D_4 with
     three arrows into vertex 4 is unchanged, apart from its timing."""
     quiver_file = tmp_path / "d4_sink.txt"
-    quiver_file.write_text("vertices 4\narrow a 1 4\narrow b 2 4\narrow c 3 4\n")
+    quiver_file.write_text(D4_SINK_FILE)
     digests = []
     real = verify.verify_green_ff
 
@@ -388,15 +390,47 @@ def test_not_equal_exit_code(monkeypatch, capsys):
     assert "NOT EQUAL" in out
 
 
-def test_char_table_cross_check_failure_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(cluster, "char_by_strata", lambda *a, **k: LaurentPoly.zero(2))
-    rc, out, _ = run(
-        capsys, "verify", "cc1", "--quiver", "kronecker",
-        "--xi", "S1", "--eta", "S2", "--json",
-    )
+def test_char_table_cross_check_failure_exits_2(monkeypatch, capsys, tmp_path):
+    """A CharTable cross-check that disagrees exits 2: the coefficient-quiver
+    check on Kronecker, and the stratified check on D_4, which the
+    coefficient quivers do not cover."""
+    d4 = tmp_path / "d4_sink.txt"
+    d4.write_text(D4_SINK_FILE)
+    for quiver, n, check in [
+        ("kronecker", 2, "char_by_coefficient_quivers"),
+        (str(d4), 4, "char_by_strata"),
+    ]:
+        with monkeypatch.context() as patch:
+            patch.setattr(cluster, check, lambda *a, n=n, **k: LaurentPoly.zero(n))
+            rc, out, _ = run(
+                capsys, "verify", "cc1", "--quiver", quiver,
+                "--xi", "S1", "--eta", "S2", "--json",
+            )
+        assert rc == 2
+        data = json.loads(out)
+        assert data["error"]["type"] == "VerificationMismatch"
+        rc, _, _ = run(
+            capsys, "verify", "cc1", "--quiver", quiver, "--xi", "S1", "--eta", "S2",
+        )
+        assert rc == 0
+
+
+def test_char_is_checked_against_coefficient_quivers(monkeypatch, capsys):
+    """`hallchar char` compares its character with the coefficient-quiver
+    count where that covers the module: a disagreement exits 2, and a
+    module it does not cover prints as before."""
+    monkeypatch.setattr(cluster, "_atom_subset_counts", lambda *a: {(0, 0): 1})
+    rc, out, _ = run(capsys, "char", "--quiver", "kronecker", "--module", "R(1,1)", "--json")
     assert rc == 2
     data = json.loads(out)
     assert data["error"]["type"] == "VerificationMismatch"
+    assert data["error"]["message"].startswith(
+        "coefficient-quiver character x1*x2^-1 disagrees with x1^-1*x2^-1"
+    )
+    monkeypatch.setattr(cluster, "_atom_subset_counts", lambda *a: None)
+    rc, out, _ = run(capsys, "char", "--quiver", "kronecker", "--module", "R(1,1)")
+    assert rc == 0
+    assert out.strip() == "X[R(1,1)@0] = x1^-1*x2^-1 + x1^-1*x2 + x1*x2^-1"
 
 
 def test_ext_dimension_check_failure_exits_2(monkeypatch, capsys):

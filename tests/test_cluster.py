@@ -5,19 +5,28 @@ X_M = sum_e chi(Gr_e(M)) x^(e R + (d-e) R^T - d); the derivations are
 recorded next to each assertion.
 """
 
+import itertools
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hallchar import catalog, cluster, memo, qpoly
+from hallchar import catalog, cluster, memo, qpoly, symspace
 from hallchar.catalog import parse_symbol
-from hallchar.errors import BudgetExceeded, OutsideCatalog, VerificationMismatch
+from hallchar.errors import BudgetExceeded, VerificationMismatch
 from hallchar.laurent import LaurentPoly
-from hallchar.quiver import kronecker_quiver, linear_quiver
+from hallchar.quiver import Quiver, kronecker_quiver, linear_quiver
 
 A1 = linear_quiver(1)
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
 K = kronecker_quiver()
+D4_SINK = Quiver(4, [(0, 3), (1, 3), (2, 3)])
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "hallbench"))
+from workloads import CHAR_POOLS  # noqa: E402
 
 
 def mono(exps, c=1):
@@ -163,20 +172,33 @@ def test_chartable_memo_and_checks():
 
 def test_chartable_failed_check_stores_nothing(monkeypatch):
     """A character whose cross-check raises is not kept: the next call
-    computes and checks it again, and raises again."""
+    computes and checks it again, and raises again.  The Kronecker regular
+    is checked against its coefficient quiver, the D_4 simple against its
+    Hall strata."""
+    for quiver, text, check in [
+        (K, "R(1,1)@0", "char_by_coefficient_quivers"),
+        (D4_SINK, "S1", "char_by_strata"),
+    ]:
+        T = cluster.CharTable(quiver)
+        sym = parse_symbol(text, quiver)
+        monkeypatch.setattr(cluster, check, lambda *a, **k: LaurentPoly.zero(quiver.n))
+        for _ in range(2):
+            with pytest.raises(VerificationMismatch):
+                T.char(sym)
+        assert not T._memo and not any(T.checks.values())
+        monkeypatch.undo()
+        assert T.char(sym) == cluster.char_of_symbol(sym)
+
+
+def test_chartable_computes_kronecker_p23_p34_i32():
+    """The coefficient-quiver check reaches Kronecker classes whose Hall
+    strata hold a sub or quotient at a degree-2 point of P^1, which the
+    stratified check could not classify."""
     T = cluster.CharTable(K)
-    sym = parse_symbol("R(1,1)@0", K)
-    monkeypatch.setattr(cluster, "char_by_strata", lambda *a, **k: LaurentPoly.zero(2))
-    for _ in range(2):
-        with pytest.raises(VerificationMismatch):
-            T.char(sym)
-    monkeypatch.undo()
-    assert T.char(sym) == cluster.char_of_symbol(sym)
-    # a sub or quotient in the strata check of P[2,3] lies at a degree-2 point
-    big = parse_symbol("P[2,3]", K)
-    for _ in range(2):
-        with pytest.raises(OutsideCatalog):
-            T.char(big)
+    for text in ("P[2,3]", "P[3,4]", "I[3,2]"):
+        sym = parse_symbol(text, K)
+        assert T.char(sym) == cluster.char_of_symbol(sym)
+    assert T.checks == {"coefficient_quivers": 3, "strata": 0, "skipped": 0}
 
 
 def test_chartable_char_of_classes_concrete():
@@ -216,3 +238,143 @@ def test_chi_grassmannian_memo_keeps_budget_and_verify_apart():
     assert cluster.chi_grassmannian(sym, e) == 3
     with pytest.raises(BudgetExceeded, match="exceeds budget 1"):
         cluster.chi_grassmannian(sym, e, budget=1)
+
+
+# ---------------------------------------------------------------------------
+# the coefficient-quiver oracle
+# ---------------------------------------------------------------------------
+
+
+def _orientation(n, flips):
+    return Quiver(n, [(i + 1, i) if flip else (i, i + 1) for i, flip in enumerate(flips)])
+
+
+@st.composite
+def type_a_symbols(draw, max_total=5):
+    """A symbol over a random orientation of A_2..A_5: a sum of interval
+    roots with multiplicity, of total dimension <= max_total."""
+    n = draw(st.integers(2, 5))
+    quiver = _orientation(n, draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)))
+    atoms, total = [], 0
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(a, n - 1))
+        mult = draw(st.integers(1, 2))
+        if total + mult * (b - a + 1) > max_total:
+            break
+        atoms.append((("root", tuple(int(a <= v <= b) for v in range(n))), mult))
+        total += mult * (b - a + 1)
+    return catalog.ModuleSymbol(quiver, atoms)
+
+
+@st.composite
+def kronecker_symbols(draw, cap=(3, 3)):
+    """A Kronecker symbol within `cap`: preprojectives, preinjectives and
+    regulars at several tube tags, each with multiplicity."""
+    kinds = st.one_of(
+        st.builds(lambda n: ("P", n), st.integers(0, 2)),
+        st.builds(lambda n: ("I", n), st.integers(0, 2)),
+        st.builds(lambda tag, m: ("R", tag, m), st.integers(0, 4), st.integers(1, 3)),
+    )
+    atoms = []
+    for atom, mult in draw(st.lists(st.tuples(kinds, st.integers(1, 3)), max_size=3)):
+        dims = catalog.decomposition_dims(K, atoms + [(atom, mult)])
+        if all(x <= c for x, c in zip(dims, cap)):
+            atoms.append((atom, mult))
+    return catalog.ModuleSymbol(K, atoms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(type_a_symbols(), kronecker_symbols()))
+def test_coefficient_quivers_agree_with_char_of_symbol(sym):
+    X = cluster.char_by_coefficient_quivers(sym)
+    assert X is not None
+    assert X == cluster.char_of_symbol(sym)
+
+
+def _closed_subset_counts(M):
+    """{e: #subsets of the basis closed under M's nonzero matrix entries},
+    by enumerating every subset: the brute force the string walk replaces."""
+    nodes = [(v, i) for v in range(M.quiver.n) for i in range(M.dims[v])]
+    edges = [
+        ((s, c), (t, r))
+        for (s, t), mat in zip(M.quiver.arrows, M.mats)
+        for r, row in enumerate(mat)
+        for c, x in enumerate(row)
+        if x
+    ]
+    out = {}
+    for picks in itertools.product((False, True), repeat=len(nodes)):
+        chosen = {b for b, pick in zip(nodes, picks) if pick}
+        if all(t in chosen for s, t in edges if s in chosen):
+            e = tuple(sum(1 for v, _ in chosen if v == u) for u in range(M.quiver.n))
+            out[e] = out.get(e, 0) + 1
+    return out
+
+
+def _string_atoms():
+    for flips in itertools.product((False, True), repeat=3):
+        quiver = _orientation(4, flips)
+        for root in quiver.positive_roots():
+            yield quiver, ("root", root), ("root", root)
+    for n in range(4):
+        yield K, ("P", n), ("P", n)
+        yield K, ("I", n), ("I", n)
+    for m in range(1, 5):
+        # R(m)@0 materializes at the point 0, where b = J_m(0)
+        yield K, ("R", 0, m), ("Rc", 0, m)
+
+
+@pytest.mark.parametrize("quiver, atom, cls", list(_string_atoms()))
+def test_string_walk_counts_closed_subsets(quiver, atom, cls):
+    """The per-atom counts equal a brute-force count of the closed subsets
+    of the coefficient quiver of the catalogue's own module."""
+    M = catalog.module_from_class(quiver, cls, 2)
+    assert cluster._atom_subset_counts(quiver, atom) == _closed_subset_counts(M)
+
+
+def test_coefficient_quivers_cover_strings_only():
+    assert cluster.char_by_coefficient_quivers(parse_symbol("S1", D4_SINK)) is None
+    assert cluster.char_by_coefficient_quivers(parse_symbol("S1 + S2", A3)) is not None
+    Q = Quiver(3, [(0, 1), (1, 2), (0, 2)])  # not a path, no catalogue
+    assert cluster.char_by_coefficient_quivers(parse_symbol("S1", Q)) is None
+
+
+def test_off_by_one_atom_count_is_caught(monkeypatch):
+    """A per-atom count that is off by one makes CharTable raise, on every
+    call, and store nothing."""
+    real = cluster._atom_subset_counts
+
+    def off_by_one(quiver, atom):
+        counts = dict(real(quiver, atom))
+        counts[(0,) * quiver.n] += 1
+        return counts
+
+    monkeypatch.setattr(cluster, "_atom_subset_counts", off_by_one)
+    T = cluster.CharTable(K)
+    for _ in range(2):
+        with pytest.raises(VerificationMismatch, match="coefficient-quiver character"):
+            T.char(parse_symbol("P[1,2]", K))
+    assert not T._memo and not any(T.checks.values())
+
+
+def test_chartable_counts_which_check_served():
+    """Every character of the characters-a benchmark pools is checked
+    against its coefficient quivers; so is Kronecker 3*S1 + 3*S2, whose
+    stratified census exceeds DEFAULT_CHECK_BUDGET; no nonzero D_4 class
+    is."""
+    for n, cap, max_total in CHAR_POOLS:
+        quiver = linear_quiver(n)
+        T = cluster.CharTable(quiver)
+        for sym in symspace.all_symbols_up_to(quiver, cap):
+            if sum(sym.dims) <= max_total:
+                T.char(sym)
+        assert T.checks == {"coefficient_quivers": len(T._memo), "strata": 0, "skipped": 0}
+    T = cluster.CharTable(K)
+    T.char(parse_symbol("3*S1 + 3*S2", K))
+    assert T.checks["skipped"] == T.checks["strata"] == 0
+    T = cluster.CharTable(D4_SINK)
+    for sym in symspace.all_symbols_up_to(D4_SINK, (1, 1, 1, 1))[1:12]:
+        assert not sym.is_zero()
+        T.char(sym)
+    assert T.checks["coefficient_quivers"] == 0 < T.checks["strata"]

@@ -40,6 +40,7 @@ TABLES = {
     "subspaces._census_view",
     "strata._ext_census",
     "cluster.chi_grassmannian",
+    "cluster._atom_subset_counts",
     "symspace._symbol_pool",
     "verify._merge_fp",
     "verify._green_ff_middles",
@@ -59,6 +60,7 @@ def _fill_every_table():
     subspaces._echelon_table(2, 1, p)
     strata.ext_middle_census(S1, S2)
     cluster.chi_grassmannian(catalog.parse_symbol("S1", A2), (1, 0))
+    cluster.char_by_coefficient_quivers(catalog.parse_symbol("S1", A2))
     symspace.random_symbol(A2, np.random.default_rng(0), (1, 1))
     verify._merge_fp(classes, classes)
     S1_sym = catalog.parse_symbol("S1", A2)

@@ -924,8 +924,9 @@ def test_split_census_edge_cases(monkeypatch):
 
 
 def test_check_strata_skips_where_the_walk_skipped(monkeypatch):
-    """`CharTable._check_strata` skips a character when its stratified
-    census exceeds DEFAULT_CHECK_BUDGET.  The split checks the budget on
+    """`char_by_strata` at DEFAULT_CHECK_BUDGET, `CharTable`'s stratified
+    check, skips a character when its census exceeds that budget.  The
+    split checks the budget on
     all of M, so it skips exactly where the whole walk skipped: on
     3*S1 + 3*S2 over Kronecker (at e = (1, 1) and p = 17 the product is
     307^2 > 60000, though each part alone is 307), and on none of the
