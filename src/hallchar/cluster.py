@@ -65,8 +65,8 @@ __all__ = [
 # atoms, vertex atoms of other quivers); censuses whose subspace
 # enumeration would exceed it are skipped and counted as "skipped".
 # Covered classes are always checked.
-# The primary path, `subspaces.grassmannian_count`, walks every vertex but
-# the last under its own budget, DEFAULT_SUBSPACE_BUDGET.
+# The primary path, `subspaces.grassmannian_count`, is charged over the
+# vertices before its closing vertex, under DEFAULT_SUBSPACE_BUDGET.
 DEFAULT_CHECK_BUDGET = 60_000
 
 

@@ -14,11 +14,11 @@ key function decides what identifies a result; arguments such as
 `budget` and `verify`, which bound or check the work but do not change a
 correct result, are left out of it.  Where a hit would skip a check or a
 `BudgetExceeded` that a fresh call makes, the key holds them
-(`cluster.chi_grassmannian`), the entry stores what a fresh call checks
-and every hit checks it again (the Hall and Ext censuses), or the caller
-checks first (`subspaces.grassmannian_count`).  A call that raises stores
-nothing, so it raises again on every call.  Results are shared between
-callers, who must not mutate them.
+(`cluster.chi_grassmannian`), the entry stores its charge and every hit
+checks it again (the Hall census, `census_view` and the Ext census), or
+the caller checks first (`subspaces.grassmannian_count`).  A call that
+raises stores nothing, so it raises again on every call.  Results are
+shared between callers, who must not mutate them.
 
 `clear()` empties every table.  The interned ids of module symbols and
 fingerprints (`catalog.ModuleSymbol.id`, `catalog.fingerprint_id`) come

@@ -48,8 +48,7 @@ the censuses of the M|_C at e|_C: entries (q_C, s_C) with counts c_C give
 the entry (sum of q_C, sum of s_C) with count prod c_C.  Each M|_C is
 classified by `catalog._decompose_rows`, and its census is read through
 the census memo under its own classes, so one part's census serves every
-module that contains that part.  The budget is checked against all of M
-first, as the walk checks it.  The walk meets its keys in lexicographic
+module that contains that part.  The walk meets its keys in lexicographic
 order of the subspaces chosen along the topological order, and the
 product keeps that key order unless two parts with several entries each
 have their free vertices (0 < e_v < d_v) interleaved in the topological
@@ -85,19 +84,28 @@ Censuses are memoized (`memo.memoized`) per (quiver, prime, class of M,
 e); the key uses the Krull-Schmidt decomposition, so isomorphic ambient
 modules share one census, and a module outside the catalogue is not
 stored.  The key leaves out the budget, so calls with different budgets
-share one census; each entry keeps the charge a fresh call checks (1
-where the census is forced, else prod_v [d_v choose e_v]_p), and every
-hit checks it again.  Sub and quotient are classified through the
-`catalog.decompose` memo, read under `Rep.key_of` of their Python-int
-rows, the key a `Rep` of the same matrices has; a module the memo has
-not seen is classified from the same rows, so a census never builds a
-`Rep`.  `census_view` groups a census by the fingerprint ids of
-(quotient, sub), so a fingerprint-matched Hall number is one lookup.
+share one census; each entry keeps its charge (below).  Sub and quotient
+are classified through the `catalog.decompose` memo, read under
+`Rep.key_of` of their Python-int rows, the key a `Rep` of the same
+matrices has; a module the memo has not seen is classified from the same
+rows, so a census never builds a `Rep`.  `census_view` groups a census
+by the fingerprint ids of (quotient, sub), so a fingerprint-matched Hall
+number is one lookup.
 The rank distributions behind `grassmannian_count` are memoized on the
 exact matrices (`Rep.key`) and e before the closing vertex, so one walk
 serves every e there; a distribution ranks, per point, the images of the
 chosen subspaces' columns, each distinct column's images built once.
 `memo.clear()` forgets them all.
+
+Every count runs under an enumeration budget, on one contract: a count is
+charged prod_v [d_v choose e_v]_p over the vertices it enumerates, the
+charge is checked once, before the count enumerates anything, and a memo
+entry keeps its charge, which every hit checks again.  `_check_budget` is
+the one check ("subspace search space N exceeds budget B").  A census is
+charged over every vertex (`_charge`), 1 where it is forced; a split
+census is charged over all of M, and its parts are read after that total
+has passed.  `grassmannian_count` is charged over the vertices before its
+closing vertex.
 """
 
 import itertools
@@ -155,12 +163,11 @@ def _echelon_table(n, k, p):
     return tuple(_echelons(n, k, p))
 
 
-def _candidates(n, k, p, count):
-    """The `_Echelon` k-subspaces of F_p^n in enumeration order, given their
-    number `count` = [n choose k]_p: the shared table when count <=
-    ECHELON_TABLE_MAX, else a generator that builds them for this call
-    only."""
-    if count <= ECHELON_TABLE_MAX:
+def _candidates(n, k, p):
+    """The `_Echelon` k-subspaces of F_p^n in enumeration order: the shared
+    table when there are at most ECHELON_TABLE_MAX of them, else a
+    generator that builds them for this call only."""
+    if subspace_count(n, k, p) <= ECHELON_TABLE_MAX:
         return _echelon_table(n, k, p)
     return _echelons(n, k, p)
 
@@ -215,11 +222,10 @@ class _Images(dict):
         return out
 
 
-def _walk_tables(M, e, order, budget):
+def _walk_tables(M, e, order):
     """The tables of a walk over the vertices of `order` (topologically
-    ordered): (candidates, images, chosen, options).  Raises
-    BudgetExceeded, before any enumeration, when the product of the
-    subspace counts exceeds `budget`.
+    ordered): (candidates, images, chosen, options).  The caller has
+    checked the budget.
 
     candidates[v] lists the `_Echelon` subspaces of dimension e_v at v,
     images[a][i] is M_a U_s for candidate i at the source of a (for every
@@ -236,15 +242,9 @@ def _walk_tables(M, e, order, budget):
     candidates on all of their lists.
     """
     Q, p = M.quiver, M.p
-    counts = [subspace_count(M.dims[v], e[v], p) for v in order]
-    total = math.prod(counts)
-    if total > budget:
-        raise BudgetExceeded(
-            f"subspace search space {total} exceeds budget {budget}"
-        )
     candidates = [None] * Q.n
-    for v, count in zip(order, counts):
-        candidates[v] = tuple(_candidates(M.dims[v], e[v], p, count))
+    for v in order:
+        candidates[v] = tuple(_candidates(M.dims[v], e[v], p))
     images = [None] * len(Q.arrows)
     pos = {v: idx for idx, v in enumerate(order)}
     # one check per (source, target) pair: parallel arrows are checked
@@ -368,7 +368,7 @@ def _torus_walk(order, chosen, options, entries, k, p):
             at.pop()
 
 
-def _orbit_walk(M, e, budget):
+def _orbit_walk(M, e):
     """The census's walk over the subrepresentations of M at e, one torus
     orbit at a time (see above), on the tables of `_walk_tables` along
     the topological order.
@@ -379,7 +379,7 @@ def _orbit_walk(M, e, budget):
     """
     Q, p = M.quiver, M.p
     order = Q.topological_order()
-    candidates, images, chosen, options = _walk_tables(M, e, order, budget)
+    candidates, images, chosen, options = _walk_tables(M, e, order)
     entries, k = [None] * len(order), 0
     if p > 2:
         labels, k = rep.coefficient_components(Q, M.dims, M.mats)
@@ -453,7 +453,7 @@ def _rank_distribution(M, head):
     Q, p = M.quiver, M.p
     walked, last = _closing(M)
     e = dict(zip(walked, head))
-    candidates, _, chosen, options = _walk_tables(M, e, walked, math.inf)
+    candidates, _, chosen, options = _walk_tables(M, e, walked)
     d = M.dims[last]
     mats = {}
     for (s, t), mat in zip(Q.arrows, M.mats):
@@ -479,11 +479,10 @@ def _rank_distribution(M, head):
 def grassmannian_count(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
     """|Gr_e(M)(F_p)|: the number of subrepresentations of dimension e.
 
-    The charge, prod [d_v choose e_v]_p over every vertex but the last in
-    topological order, is checked against `budget` first.  The count
-    closes at the last vertex in topological order where M is nonzero
-    (`_closing`): every arrow out of it maps into a zero space, so given
-    the subspaces at the vertices before it, a subspace there need only
+    The count closes at the last vertex in topological order where M is
+    nonzero (`_closing`), and is charged over the vertices before it (see
+    above).  Every arrow out of it maps into a zero space, so given the
+    subspaces at the vertices before it, a subspace there need only
     contain the span W of the images of the arrows into it: [d_last - w
     choose e_last - w]_p choices, w = dim W.  Where every e_v before the
     closing vertex is 0 or d_v, those subspaces can only be M on
@@ -502,14 +501,8 @@ def grassmannian_count(M, e, budget=DEFAULT_SUBSPACE_BUDGET):
         return 0
     walked, last = _closing(M)
     charge = math.prod(subspace_count(dims[v], e[v], p) for v in walked if 0 < e[v] < dims[v])
-    forced = charge == 1
-    # the charge runs over every vertex but the last in topological order,
-    # and M is zero at the vertices after the closing one
-    if len(walked) < Q.n - 1 and 0 < e[last] < dims[last]:
-        charge *= subspace_count(dims[last], e[last], p)
-    if charge > budget:
-        raise BudgetExceeded(f"subspace search space {charge} exceeds budget {budget}")
-    if forced:
+    _check_budget(charge, budget)
+    if charge == 1:
         full, into, width = [k == d for k, d in zip(e, dims)], [], 0
         for (s, t), mat in zip(Q.arrows, M.mats):
             if full[s] and t == last:
@@ -545,19 +538,22 @@ def hall_census(M, e, budget=DEFAULT_SUBSPACE_BUDGET, key_classes=None):
         try:
             key_classes = catalog.decompose(M)
         except OutsideCatalog:
-            return _census(M, e, budget)
+            _check_budget(_charge(M, e), budget)
+            return _census(M, e)
     charge, census = _class_census(M, e, budget, key_classes)
-    if charge and charge > budget:
-        raise BudgetExceeded(f"subspace search space {charge} exceeds budget {budget}")
+    _check_budget(charge, budget)
     return census
 
 
 @memo.memoized(lambda M, e, budget, classes: (M.quiver.key, M.p, classes, e))
 def _class_census(M, e, budget, classes):
     """(`_charge`, `_census`) of M at e, memoized on the decomposition
-    `classes` of M.  The key leaves out the budget, and every hit checks
-    the charge against it as a fresh call would."""
-    return _charge(M, e), _census(M, e, budget, classes)
+    `classes` of M.  A miss checks the charge before the census is
+    counted; the key leaves out the budget, so the caller checks the
+    charge again on every hit."""
+    charge = _charge(M, e)
+    _check_budget(charge, budget)
+    return charge, _census(M, e, classes)
 
 
 def census_view(M, e, budget, classes):
@@ -565,8 +561,7 @@ def census_view(M, e, budget, classes):
     of (M, e) grouped by `catalog.fingerprint_id`, memoized like it on the
     decomposition `classes` of M.  An out-of-range e reads an empty view."""
     charge, view = _census_view(M, e, budget, classes)
-    if charge and charge > budget:
-        raise BudgetExceeded(f"subspace search space {charge} exceeds budget {budget}")
+    _check_budget(charge, budget)
     return view
 
 
@@ -579,10 +574,19 @@ def _census_view(M, e, budget, classes):
     return _class_census(M, e, budget, classes)[0], out
 
 
+def _check_budget(charge, budget):
+    """Raise BudgetExceeded when `charge` exceeds `budget`; a charge of 0
+    (an e that is out of range or of the wrong length) is never checked."""
+    if charge and charge > budget:
+        raise BudgetExceeded(f"subspace search space {charge} exceeds budget {budget}")
+
+
 def _charge(M, e):
-    """What a fresh census of M at e checks against the budget:
-    prod_v [d_v choose e_v]_p, which is 1 where every e_v is 0 or d_v (the
-    forced census) and 0 (no check) where e is out of range."""
+    """The charge of a census of M at e: prod_v [d_v choose e_v]_p, which
+    is 1 where every e_v is 0 or d_v (the forced census) and 0 (no check)
+    where e is out of range or of the wrong length."""
+    if len(e) != len(M.dims):
+        return 0
     charge = 1
     for d, k in zip(M.dims, e):
         if k and k != d:
@@ -590,18 +594,17 @@ def _charge(M, e):
     return charge
 
 
-def _census(M, e, budget, classes=None):
+def _census(M, e, classes=None):
+    """The census of M at e, its budget already checked."""
     Q, p = M.quiver, M.p
     quot_dims = tuple(d - k for d, k in zip(M.dims, e))
     if len(e) == Q.n and all(k in (0, d) for k, d in zip(e, M.dims)):
-        if budget < 1:
-            raise BudgetExceeded(f"subspace search space 1 exceeds budget {budget}")
         return _forced_census(M, e, quot_dims, classes)
     # an indecomposable M has one part
     if classes is not None and len(e) == Q.n and sum(m for _, m in classes) > 1:
         label = _support_labels(M)
         if len(set(label) - {None}) > 1 and all(0 <= k <= d for k, d in zip(e, M.dims)):
-            out = _split_census(M, e, budget, label)
+            out = _split_census(M, e, label)
             if out is not None:
                 return out
     if len(e) != Q.n:
@@ -609,7 +612,7 @@ def _census(M, e, budget, classes=None):
     out = {}
     if any(k < 0 or k > d for k, d in zip(e, M.dims)):
         return out
-    candidates, images, chosen, walk = _orbit_walk(M, e, budget)
+    candidates, images, chosen, walk = _orbit_walk(M, e)
     for weight in walk:
         U = [candidates[v][i] for v, i in enumerate(chosen)]
         sub, quot = [], []
@@ -663,15 +666,12 @@ def _support_labels(M):
     return label
 
 
-def _split_census(M, e, budget, label):
+def _split_census(M, e, label):
     """The census of M at e as the product of the censuses of M restricted
     to the parts of its support, given by `_support_labels` (see above),
-    or None when the walk's key order cannot be kept.  Raises
-    BudgetExceeded as the walk of all of M does."""
+    or None when the walk's key order cannot be kept.  The charge of all
+    of M has been checked, and each part's divides it."""
     Q, p = M.quiver, M.p
-    total = _charge(M, e)
-    if total > budget:
-        raise BudgetExceeded(f"subspace search space {total} exceeds budget {budget}")
     censuses = {}
     for x in dict.fromkeys(y for y in label if y is not None):
         dims = tuple(d if y == x else 0 for y, d in zip(label, M.dims))
@@ -679,11 +679,10 @@ def _split_census(M, e, budget, label):
             mat if label[s] == x == label[t] else ((),) * dims[t]
             for (s, t), mat in zip(Q.arrows, M.mats)
         )
-        # a part's charge divides the total checked above
         censuses[x] = _class_census(
             _Part(Q, p, dims, mats),
             tuple(k if y == x else 0 for y, k in zip(label, e)),
-            budget,
+            math.inf,
             catalog._decompose_rows(Q, p, dims, mats),
         )[1]
     # The product meets its keys in the walk's order when the parts with

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -40,6 +41,23 @@ def test_char_json(capsys):
     assert data["command"] == "char"
     assert data["module"] == "M[1,0]"
     assert data["character"] == "x1^-1 + x1^-1*x2"
+
+
+def test_char_closes_at_the_source_in_closed_form(capsys):
+    """5*S1 at the source of A_2 is zero at the sink, so each Gr_(k,0) is
+    counted in closed form at vertex 1 and charged 1: the character is
+    x1^-5 (1 + x2)^5, as the coefficient-quiver count gives it."""
+    rc, out, _ = run(capsys, "char", "--quiver", "a2", "--module", "5*S1")
+    assert rc == 0
+    sym = catalog.parse_symbol("5*S1", linear_quiver(2))
+    want = sum(
+        (LaurentPoly.monomial((-5, k), math.comb(5, k)) for k in range(6)), LaurentPoly.zero(2)
+    )
+    assert cluster.char_by_coefficient_quivers(sym) == want
+    assert out == f"X[5*M[1,0]] = {want}\n"
+    assert str(want) == (
+        "x1^-5 + 5*x1^-5*x2 + 10*x1^-5*x2^2 + 10*x1^-5*x2^3 + 5*x1^-5*x2^4 + x1^-5*x2^5"
+    )
 
 
 def test_hall_number(capsys):

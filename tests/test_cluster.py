@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hallchar import catalog, cluster, memo, qpoly, symspace
 from hallchar.catalog import parse_symbol
@@ -286,6 +286,8 @@ def kronecker_symbols(draw, cap=(3, 3)):
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(type_a_symbols(), kronecker_symbols()))
+# 5*S1 at the source of A_2: Gr_(2,0) closes at vertex 1 in closed form
+@example(catalog.ModuleSymbol(_orientation(2, [False]), [(("root", (1, 0)), 5)]))
 def test_coefficient_quivers_agree_with_char_of_symbol(sym):
     X = cluster.char_by_coefficient_quivers(sym)
     assert X is not None

@@ -41,7 +41,7 @@ def subspace_bases(n, k, p):
     pivot rows.  Columns are the basis vectors.  Each array is built from
     the rows of the enumeration's candidates (`subspaces._candidates`).
     """
-    for U in subspaces._candidates(n, k, p, subspaces.subspace_count(n, k, p)):
+    for U in subspaces._candidates(n, k, p):
         yield np.array(U.rows, dtype=np.int64).reshape(n, k)
 
 
@@ -77,9 +77,7 @@ def subrep_bases(M, e):
     if any(k < 0 or k > d for k, d in zip(e, M.dims)):
         return
     order = Q.topological_order()
-    candidates, images, chosen, options = subspaces._walk_tables(
-        M, e, order, subspaces.DEFAULT_SUBSPACE_BUDGET
-    )
+    candidates, images, chosen, options = subspaces._walk_tables(M, e, order)
 
     # a plain recursion of its own: the oracle shares no walk loop with
     # the census it checks
@@ -425,8 +423,8 @@ def test_grassmannian_count_closes_at_the_last_nonzero_vertex(Q, dims, p, monkey
     """On a module that is zero at the sink the count closes at the last
     vertex in topological order where M is nonzero: it matches brute force,
     walks only the vertices before that one, and walks nothing where every
-    e_v there is 0 or d_v (A_2 3*S1 at p = 11, e = (1, 0): 133 lines and
-    no walk, and the budget's charge unchanged)."""
+    e_v there is 0 or d_v (A_2 3*S1 at p = 11, e = (1, 0): 133 lines, no
+    walk, and a charge of 1, since the closing vertex is not enumerated)."""
     M = random_rep(Q, dims, p, np.random.default_rng(sum(dims)))
     order = Q.topological_order()
     walked, last = subspaces._closing(M)
@@ -435,7 +433,7 @@ def test_grassmannian_count_closes_at_the_last_nonzero_vertex(Q, dims, p, monkey
     walks = []
     real = subspaces._walk_tables
     monkeypatch.setattr(
-        subspaces, "_walk_tables", lambda M, e, order, budget: walks.append(order) or real(M, e, order, budget)
+        subspaces, "_walk_tables", lambda M, e, order: walks.append(order) or real(M, e, order)
     )
     for e in itertools.product(*[range(d + 1) for d in dims]):
         memo.clear()
@@ -444,10 +442,9 @@ def test_grassmannian_count_closes_at_the_last_nonzero_vertex(Q, dims, p, monkey
         forced = all(e[v] in (0, dims[v]) for v in walked)
         assert walks == ([] if forced else [walked])
     if Q is A2:
-        assert subspaces.grassmannian_count(M, (1, 0)) == 133
-        # the charge still runs over every vertex but the topologically last
-        with pytest.raises(BudgetExceeded, match="subspace search space 133 exceeds budget 132"):
-            subspaces.grassmannian_count(M, (1, 0), budget=132)
+        assert subspaces.grassmannian_count(M, (1, 0), budget=1) == 133
+        with pytest.raises(BudgetExceeded, match="^subspace search space 1 exceeds budget 0$"):
+            subspaces.grassmannian_count(M, (1, 0), budget=0)
 
 
 # a Kronecker module at a degree-2 tube point over F_2 (x^2 + x + 1 is
@@ -882,7 +879,7 @@ def test_split_census_keeps_the_walk_order():
         classes = catalog.decompose(M)
         memo.clear()
         label = subspaces._support_labels(M)
-        out = subspaces._split_census(M, e, subspaces.DEFAULT_SUBSPACE_BUDGET, label)
+        out = subspaces._split_census(M, e, label)
         assert (out is not None) == split
         assert all(len(census) > 1 for _, census in memo.TABLES["subspaces._class_census"].values())
         memo.clear()
@@ -1073,7 +1070,7 @@ def test_echelon_table_is_shared_up_to_the_size_constant():
     assert list(table) == [(4, 2, 5)]
     shared = table[(4, 2, 5)]
     assert [U.rows for U in shared] == [b.tolist() for b in bases]
-    again = subspaces._candidates(4, 2, 5, len(shared))
+    again = subspaces._candidates(4, 2, 5)
     assert len(again) == len(shared) and all(a is b for a, b in zip(shared, again))
     assert sum(1 for _ in subspace_bases(4, 2, 7)) == subspaces.subspace_count(4, 2, 7)
     assert list(table) == [(4, 2, 5)]
@@ -1153,7 +1150,7 @@ def test_orbit_census_matches_every_subrep_walk(M):
         memo.clear()
         assert _items(_result(subspaces.hall_census, M, e)) == want
         memo.clear()
-        got = _result(subspaces._census, M, e, subspaces.DEFAULT_SUBSPACE_BUDGET)
+        got = _result(subspaces._census, M, e)
         assert _items(got) == want
 
 
@@ -1166,7 +1163,7 @@ def test_orbit_walk_keeps_the_first_point_of_each_orbit():
     for p in (2, 3, 5, 7):
         S1 = rep.Rep.simple(A2, p, 0)
         M = rep.direct_sum(S1, S1)
-        candidates, _, chosen, walk = subspaces._orbit_walk(M, (1, 0), 100)
+        candidates, _, chosen, walk = subspaces._orbit_walk(M, (1, 0))
         points = [(candidates[0][chosen[0]].rows, size) for size in walk]
         assert points == [([[1], [0]], 1), ([[1], [1]], p - 1), ([[0], [1]], 1)]
         assert subspaces.hall_census(M, (1, 0)) == {
@@ -1188,8 +1185,8 @@ def test_orbit_walk_cuts_before_any_block_is_built(monkeypatch):
         catalog, "_decompose_rows", lambda *args: classified.append(1) or real(*args)
     )
     memo.clear()
-    census = subspaces._census(M, e, subspaces.DEFAULT_SUBSPACE_BUDGET)
-    kept = sum(1 for _ in subspaces._orbit_walk(M, e, subspaces.DEFAULT_SUBSPACE_BUDGET)[3])
+    census = subspaces._census(M, e)
+    kept = sum(1 for _ in subspaces._orbit_walk(M, e)[3])
     assert sum(census.values()) == points
     assert len(classified) == 2 * kept < points
 
@@ -1253,3 +1250,41 @@ def test_census_memo_hit_checks_the_budget(entry, monkeypatch):
         monkeypatch.setattr(subspaces, "_census", None)  # a miss would fail
         assert call(e, charge) is stored
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "build, e, charge",
+    [
+        (lambda: catalog.parse_symbol("2*S2 + P1", A3).instantiate(3), (0, 1, 1), 13),
+        (lambda: rep.direct_sum(*[rep.Rep.simple(A3, 2, v) for v in (0, 0, 2, 2)]), (1, 0, 1), 9),
+        (lambda: catalog.parse_symbol("2*S2 + P1", A3).instantiate(3), (0, 0, 0), 1),
+        (lambda: OUTSIDE_CATALOG, (1, 1), 9),
+    ],
+    ids=["walked", "split", "forced", "outside-catalogue"],
+)
+def test_cold_census_over_budget_enumerates_nothing(build, e, charge, monkeypatch):
+    """A cold census over budget raises before it counts anything, on each
+    of its paths: with `_census` made to fail, the message is the charge
+    of the whole module (a split census is charged over all of M, not one
+    part), and nothing is stored."""
+    M = build()
+
+    def refuse(*args):
+        raise AssertionError("a census over budget was counted")
+
+    monkeypatch.setattr(subspaces, "_census", refuse)
+    memo.clear()
+    with pytest.raises(BudgetExceeded, match=f"^subspace search space {charge} exceeds budget {charge - 1}$"):
+        subspaces.hall_census(M, e, budget=charge - 1)
+    assert not memo.TABLES["subspaces._class_census"]
+
+
+def test_wrong_length_e_raises_value_error_under_any_budget():
+    """A wrong-length e is charged nothing, so it raises ValueError, not
+    BudgetExceeded, however small the budget, inside the catalogue and
+    outside it."""
+    M = rep.direct_sum(*[rep.Rep.simple(A3, 2, v) for v in (0, 0, 2, 2)])
+    for module, e in [(M, (1, 0)), (OUTSIDE_CATALOG, (1,))]:
+        memo.clear()
+        with pytest.raises(ValueError, match="wrong length"):
+            subspaces.hall_census(module, e, budget=0)
