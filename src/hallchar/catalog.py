@@ -39,14 +39,15 @@ with the signs dropped, since they do not change the rank:
     Hom(M, I_n)       the same on (A^T, B^T), with d1 and d2 swapped
     Hom(R_lam(m), M)  m*d1 - rank, m block rows [.. B-lam*A A ..]; [.. A B ..] at inf
 
-On a Dynkin quiver the multiplicities m solve A m = v, with the Hom table
-A[r][s] = dim Hom(X_s, X_r) of the indecomposables, fixed per (quiver, p),
-and v[r] = dim Hom(M, X_r) = unknowns - rank of the Hom constraint rows
-(`rep.hom_constraint_rows`).  A is lower unitriangular in the
-Auslander-Reiten order of `_coxeter_walk`, so m comes by forward
-substitution, m_r = v[r] - sum_{s < r} A[r][s] m_s.  A root that does not
-fit in what the summands found so far leave of dim M gets m_r = 0 with no
-rank, and the substitution stops once dim M is used up.
+On a Dynkin quiver the multiplicities come by forward substitution in the
+Auslander-Reiten order of `_coxeter_walk`.  There dim Hom(X_s, X_r) is the
+Euler form <x_s, x_r> for s <= r, as Ext^1(X_s, X_r) = D Hom(X_r, tau X_s)
+= 0, and 0 for s > r (Ringel, LNM 1099, on directing modules), so
+m_r = dim Hom(M, X_r) - <dim M - left, x_r>, with dim M - left the summands
+found before X_r and dim Hom(M, X_r) = unknowns - rank of the Hom
+constraint rows (`rep.hom_constraint_rows`).  A root that does not fit in
+`left` gets m_r = 0 with no rank, and the substitution stops once dim M is
+used up.
 
 Both families are classified from the Python-int rows of M's matrices by
 one entry, `_classify_rows`, and no `Rep` is built: `decompose(M)` passes
@@ -139,30 +140,26 @@ def _injective_mats(quiver, i):
     return dims, [_transpose(m, dims[t]) for m, (s, t) in zip(mats, quiver.arrows)]
 
 
-@memo.memoized(lambda quiver, p: (quiver.key, p))
-def _coxeter_walk(quiver, p):
-    """{root: indecomposable} of a Dynkin quiver over F_p: every injective
-    walked down tau^m I(i) until it is zero, tau being the Coxeter functor
-    C^+ of Bernstein-Gelfand-Ponomarev.  In reverse topological order each
-    vertex k is a sink; reflecting there replaces M_k by the kernel of
-    (+)_{a: j -> k} M_a (its rows concatenated), whose coordinate blocks
-    become the reversed arrows.  Each step checks dim tau M against
-    `quiver.coxeter(dim M)`.  The injectives take their tau steps together,
-    in topological order, and the table lists the modules in reverse order
-    of visit: tau^m I(i) by decreasing m, ties by i in reverse topological
-    order, an Auslander-Reiten order (`_dynkin_hom_data`)."""
+def _tau_orbits(quiver, p):
+    """(root, indecomposable) of a Dynkin quiver over F_p in order of
+    visit: every injective walked down tau^m I(i) until it is zero, tau
+    being the Coxeter functor C^+ of Bernstein-Gelfand-Ponomarev.  In
+    reverse topological order each vertex k is a sink; reflecting there
+    replaces M_k by the kernel of (+)_{a: j -> k} M_a (its rows
+    concatenated), whose coordinate blocks become the reversed arrows.
+    Each step checks dim tau M against `quiver.coxeter(dim M)`.  The
+    injectives take their tau steps together, in topological order."""
     if not quiver.is_dynkin():
         raise UnsupportedQuiver("Dynkin indecomposables need a Dynkin quiver")
     sinks = [
         (k, [(a, s + t - k) for a, (s, t) in enumerate(quiver.arrows) if k in (s, t)])
         for k in reversed(quiver.topological_order())
     ]
-    visited = []
     level = [_injective_mats(quiver, i) for i in quiver.topological_order()]
     while level:
         for dims, mats in level:
             root = tuple(dims)
-            visited.append((root, Rep(quiver, p, dims, mats)))
+            yield root, Rep(quiver, p, dims, mats)
             for k, at_k in sinks:
                 width = sum(dims[j] for _, j in at_k)
                 rows = [list(itertools.chain(*r)) for r in zip(*(mats[a] for a, _ in at_k))]
@@ -175,7 +172,19 @@ def _coxeter_walk(quiver, p):
             if tuple(dims) != (cox if min(cox) >= 0 else (0,) * quiver.n):
                 raise ComputationError(f"tau of {root} has dimension {tuple(dims)}, not {cox}")
         level = [(dims, mats) for dims, mats in level if any(dims)]
-    return dict(reversed(visited))
+
+
+@memo.memoized(lambda quiver, p: (quiver.key, p))
+def _coxeter_walk(quiver, p):
+    """{root: indecomposable} of `_tau_orbits` in reverse order of visit:
+    tau^m I(i) by decreasing m, ties by i in reverse topological order.
+    This Auslander-Reiten order is checked from dims alone, <x_s, x_r> >= 0
+    >= <x_r, x_s> for s before r (see above); ComputationError otherwise."""
+    walk = dict(reversed(list(_tau_orbits(quiver, p))))
+    for s, x in itertools.combinations(walk, 2):
+        if quiver.euler_form(s, x) < 0 or quiver.euler_form(x, s) > 0:
+            raise ComputationError(f"{s} before {x} is not an Auslander-Reiten order")
+    return walk
 
 
 @memo.memoized(lambda quiver, cls, p: (quiver.key, cls, p))
@@ -330,42 +339,28 @@ def _classify_rows(quiver, p, dims, blocks):
     )
 
 
-@memo.memoized(lambda Q, p: (Q.key, p))
-def _dynkin_hom_data(Q, p):
-    """(root, Python-int rows of X_r, row r of the Hom table A) for each
-    indecomposable X_r in the order of `_coxeter_walk`, where A must be
-    lower unitriangular (see above; ComputationError otherwise)."""
-    walk = _coxeter_walk(Q, p)
-    reps = list(walk.values())
-    A = [[rep.hom_dim(X, Y) for X in reps] for Y in reps]
-    for r, row in enumerate(A):
-        if row[r] != 1 or any(row[r + 1:]):
-            raise ComputationError("Hom table is not unitriangular in Auslander-Reiten order")
-    return tuple(zip(walk, (X.mats for X in reps), A))
-
-
 def _decompose_dynkin(Q, p, dims, blocks):
-    """Forward substitution in the order of `_dynkin_hom_data`, skipping a
-    root that does not fit and stopping once dim M is used up (see above);
-    no Hom space is solved."""
-    data = _dynkin_hom_data(Q, p)
+    """Forward substitution in the order of `_coxeter_walk` against the
+    Euler form, skipping a root that does not fit and stopping once dim M
+    is used up (see above): one Hom solve per candidate root."""
     left = list(dims)
-    found = []  # (r, m_r) of the summands found so far
-    for r, (root, x_blocks, row) in enumerate(data):
+    found = []  # (class, m_r) of the summands found so far
+    for root, X in _coxeter_walk(Q, p).items():
         if not any(left):
             break
         if any(x > y for x, y in zip(root, left)):
             continue
-        unknowns, rows = rep.hom_constraint_rows(Q, p, dims, blocks, root, x_blocks)
-        mult = unknowns - linalg.rank_rows(rows, unknowns, p) - sum(row[s] * m for s, m in found)
+        unknowns, rows = rep.hom_constraint_rows(Q, p, dims, blocks, root, X.mats)
+        used = [d - y for d, y in zip(dims, left)]
+        mult = unknowns - linalg.rank_rows(rows, unknowns, p) - Q.euler_form(used, root)
         if mult < 0:
             raise ComputationError(f"negative multiplicity {mult} for {root}")
         if mult:
-            found.append((r, mult))
+            found.append((("root", root), mult))
             left = [y - mult * x for x, y in zip(root, left)]
     if any(left):
         raise OutsideCatalog("dimension mass not matched by Dynkin catalog")
-    return sort_classes((("root", data[r][0]), m) for r, m in found)
+    return sort_classes(found)
 
 
 def _pencil_hom(X, Y, rows, cols, d_in, p):

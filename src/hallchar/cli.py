@@ -400,6 +400,8 @@ def _sweep_instances(args, quiver):
     if args.max_dim is None:
         raise _CliError("--all requires --max-dim")
     cap = args.max_dim
+    if len(cap) != quiver.n or min(cap) < 0:
+        raise _CliError(f"--max-dim needs {quiver.n} entries >= 0, got {','.join(map(str, cap))}")
     nverify = len(args.verify_primes) if args.verify_primes else 2
     if theorem in _GREEN:
         kept = _sampled(args, _green_instances(quiver, cap))

@@ -164,6 +164,8 @@ def split_pairs(quiver, dims):
 def indecomposable_symbols(quiver, cap):
     """All indecomposable iso-classes with dimensions <= cap."""
     cap = tuple(int(c) for c in cap)
+    if len(cap) != quiver.n or any(c < 0 for c in cap):
+        raise ValueError(f"bad dimension cap {cap}")
     out = []
     if quiver.is_dynkin():
         for r in quiver.positive_roots():

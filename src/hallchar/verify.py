@@ -339,8 +339,6 @@ def _green_ff_at_prime(quiver, xi, eta, xi2, eta2, p, budget, fids, splits):
     the Hall numbers of xi, eta and the middles lam, each census where an
     unfactored sum reads it: after the factor before it is nonzero."""
     cls_xi, cls_eta = xi.concrete_classes(p), eta.concrete_classes(p)
-    aut = catalog.aut_count_of_classes
-    auts = aut(quiver, cls_xi, p) * aut(quiver, cls_eta, p)
 
     # LHS: a_xi a_eta * sum g^lam_{xi,eta} w_lam / a_lam, summed as num / den,
     # with w_lam = g^lam_{xi',eta'} a_xi' a_eta' from `_green_ff_middles`.
@@ -356,7 +354,10 @@ def _green_ff_at_prime(quiver, xi, eta, xi2, eta2, p, budget, fids, splits):
             continue
         n_lam += 1
         num, den = num * a_lam + g1 * w * den, den * a_lam
-    lhs = Fraction(num * auts, den)
+    if num:
+        aut = catalog.aut_count_of_classes
+        num *= aut(quiver, cls_xi, p) * aut(quiver, cls_eta, p)
+    lhs = Fraction(num, den)
 
     # RHS: (gam, delt) = (quot, sub) types of subreps of xi', (alp, bet)
     # of eta'; the cross Hall numbers tie them to xi and eta.  The weight
@@ -365,14 +366,13 @@ def _green_ff_at_prime(quiver, xi, eta, xi2, eta2, p, budget, fids, splits):
     # (`_green_ff_factors`).  The terms of one (e1, e2) share the weight
     # p^-euler (`_green_ff_splits`), so they are summed as integers, and
     # the sums over a common power of p.
-    mod_xi, mod_eta = xi.instantiate(p), eta.instantiate(p)
     parts, n_rhs = [], 0
     for e1, e2, dims_alp, euler in splits:
         total = 0
         factors1 = _green_ff_factors(xi2, e1, p, budget)
         factors2 = _green_ff_factors(eta2, e2, p, budget)
         if factors1 and factors2:
-            view3 = subspaces.census_view(mod_xi, dims_alp, budget, cls_xi)
+            view3 = subspaces.census_view(xi.instantiate(p), dims_alp, budget, cls_xi)
             view4 = None
             for gam, delt, w1 in factors1:
                 for alp, bet, w2 in factors2:
@@ -380,7 +380,7 @@ def _green_ff_at_prime(quiver, xi, eta, xi2, eta2, p, budget, fids, splits):
                     if g3 == 0:
                         continue
                     if view4 is None:
-                        view4 = subspaces.census_view(mod_eta, e2, budget, cls_eta)
+                        view4 = subspaces.census_view(eta.instantiate(p), e2, budget, cls_eta)
                     g4 = view4.get((delt, bet), 0)
                     if g4 == 0:
                         continue

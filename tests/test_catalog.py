@@ -111,9 +111,7 @@ E_QUIVERS = {
 @pytest.mark.parametrize("quiver", list(E_QUIVERS.values()), ids=list(E_QUIVERS))
 def test_coxeter_walk_builds_every_e_root(quiver, p, monkeypatch):
     """Every root of E_6, E_7 and E_8 in two orientations has its
-    indecomposable, certified by dims and End = F_p, with no random search.
-    The walk table is read directly: the E_8 Hom table takes seconds per
-    prime."""
+    indecomposable, certified by dims and End = F_p, with no random search."""
 
     def no_random(*args, **kwargs):
         raise AssertionError("random generator called")
@@ -432,11 +430,10 @@ def test_decompose_dynkin_sum_of_all_indecomposables(quiver, p):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("name", [k for k in E_QUIVERS if not k.startswith("e8")])
+@pytest.mark.parametrize("name", list(E_QUIVERS))
 def test_decompose_every_e_root_to_itself(name, p):
-    """A conjugated copy of every indecomposable of E_6 and E_7, in two
-    orientations, decomposes to itself.  E_8 is left out: its Hom table
-    takes seconds per prime."""
+    """A conjugated copy of every indecomposable of E_6, E_7 and E_8, in two
+    orientations, decomposes to itself."""
     Q = E_QUIVERS[name]
     rng = np.random.default_rng(p)
     memo.clear()
@@ -447,25 +444,32 @@ def test_decompose_every_e_root_to_itself(name, p):
 
 @settings(max_examples=20, deadline=None)
 @given(
-    st.sampled_from([("A", 5), ("D", 5), ("E", 6)]).flatmap(lambda kn: dynkin_orientations(*kn)),
+    st.sampled_from([("A", n) for n in range(2, 6)] + [("D", 4), ("D", 5), ("E", 6)]).flatmap(
+        lambda kn: dynkin_orientations(*kn)
+    ),
     st.sampled_from([2, 3]),
 )
-def test_walk_order_makes_the_hom_table_unitriangular(Q, p):
-    """In any orientation the walk's order is an Auslander-Reiten order:
-    the Hom table passes its unitriangular check, with one row per root."""
-    data = catalog._dynkin_hom_data(Q, p)
-    assert sorted(root for root, _, _ in data) == sorted(Q.positive_roots())
+def test_walk_order_reads_hom_off_the_euler_form(Q, p):
+    """In any orientation, in the walk's order, the solved dim Hom(X_s, X_r)
+    is the Euler form <x_s, x_r> for s <= r and 0 for s > r: the table
+    `_decompose_dynkin` substitutes against, with one entry per root."""
+    walk = catalog._coxeter_walk(Q, p)
+    assert sorted(walk) == sorted(Q.positive_roots())
+    items = list(walk.items())
+    for r, (x, X) in enumerate(items):
+        for s, (y, Y) in enumerate(items):
+            assert _oracle_hom_dim(Y, X) == (Q.euler_form(y, x) if s <= r else 0), (y, x)
 
 
-def test_dynkin_hom_table_checks_the_walk_order(monkeypatch):
-    """In the reverse of the walk's order the Hom table is upper
-    triangular: the table raises and stores nothing."""
-    walk = catalog._coxeter_walk
-    monkeypatch.setattr(catalog, "_coxeter_walk", lambda Q, p: dict(reversed(walk(Q, p).items())))
+def test_coxeter_walk_checks_its_order(monkeypatch):
+    """In the reverse of the walk's order the Euler-form check fails: the
+    walk raises and stores nothing."""
+    orbits = catalog._tau_orbits
+    monkeypatch.setattr(catalog, "_tau_orbits", lambda Q, p: reversed(list(orbits(Q, p))))
     memo.clear()
-    with pytest.raises(ComputationError, match="not unitriangular"):
-        catalog._dynkin_hom_data(A3_SOURCE, 2)
-    assert not memo.TABLES["catalog._dynkin_hom_data"]
+    with pytest.raises(ComputationError, match="not an Auslander-Reiten order"):
+        catalog._coxeter_walk(A3_SOURCE, 2)
+    assert not memo.TABLES["catalog._coxeter_walk"]
 
 
 # -- the decomposition memo ----------------------------------------------------
@@ -954,3 +958,26 @@ def test_e6_sums_match_hom_solve_oracle(case):
     assert want == catalog._merge_classes(*[[(("root", r), 1)] for r in roots])
     memo.clear()
     assert decompose(M) == want
+
+
+E8_QUIVERS = [Q for name, Q in E_QUIVERS.items() if name.startswith("e8")]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.sampled_from(E8_QUIVERS).flatmap(
+        lambda Q: st.tuples(
+            st.just(Q),
+            st.lists(st.sampled_from(Q.positive_roots()), min_size=2, max_size=3),
+            st.integers(0, 2**32 - 1),
+        )
+    )
+)
+def test_e8_sums_decompose_to_their_summands(case):
+    """From a cold memo, a conjugated sum of 2 or 3 indecomposables of E_8
+    at p = 2 decomposes to the summands it was built from."""
+    Q, roots, seed = case
+    M = rep.direct_sum(*(module_from_class(Q, ("root", r), 2) for r in roots))
+    M = conjugate(M, np.random.default_rng(seed))
+    memo.clear()
+    assert decompose(M) == catalog._merge_classes(*[[(("root", r), 1)] for r in roots])

@@ -353,6 +353,20 @@ def test_all_requires_max_dim(capsys):
     assert "--max-dim" in err
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["cc1", "--quiver", "a3", "--max-dim", "1,1"], "3 entries >= 0, got 1,1"),
+    (["cc1", "--quiver", "a3", "--max-dim=-1,1,1"], "3 entries >= 0, got -1,1,1"),
+    (["cc2", "--quiver", "kronecker", "--max-dim", "1,1,1"], "2 entries >= 0, got 1,1,1"),
+], ids=["short", "negative", "long"])
+def test_bad_max_dim_is_usage_error(capsys, argv, want):
+    """A cap that is not one nonnegative entry per vertex exits 2 before
+    any instance runs, and the message names --max-dim."""
+    rc, out, err = run(capsys, "verify", *argv, "--all")
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: --max-dim needs {want}\n"
+
+
 def test_unknown_theorem_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "green-fast", "--quiver", "a2"])

@@ -19,7 +19,6 @@ TABLES = {
     "catalog._coxeter_walk",
     "catalog.module_from_class",
     "catalog.decompose",
-    "catalog._dynkin_hom_data",
     "catalog.module_from_classes",
     "catalog.aut_count_of_classes",
     "catalog._fingerprint_id",

@@ -130,6 +130,11 @@ def test_indecomposable_symbols():
     for sym in symspace.indecomposable_symbols(A3, (2, 2, 2)):
         decomp = catalog.decompose(sym.instantiate(3))
         assert len(decomp) == 1 and decomp[0][1] == 1
+    # a cap of the wrong length or with a negative entry is refused, as in
+    # `symbols_with_dims`, not zipped short against each root
+    for cap in [(1, 1), (1, 1, 1, 1), (-1, 1, 1)]:
+        with pytest.raises(ValueError, match="bad dimension cap"):
+            symspace.indecomposable_symbols(A3, cap)
 
 
 def test_random_symbol_reproducible():
