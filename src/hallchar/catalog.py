@@ -75,6 +75,7 @@ tags when the materialized points stay pairwise distinct mod p.
 """
 
 import itertools
+import operator
 import re
 
 from . import linalg, memo, rep
@@ -179,10 +180,13 @@ def _coxeter_walk(quiver, p):
     """{root: indecomposable} of `_tau_orbits` in reverse order of visit:
     tau^m I(i) by decreasing m, ties by i in reverse topological order.
     This Auslander-Reiten order is checked from dims alone, <x_s, x_r> >= 0
-    >= <x_r, x_s> for s before r (see above); ComputationError otherwise."""
+    >= <x_r, x_s> for s before r (see above); ComputationError otherwise.
+    Each root's row of the Euler matrix is built once, so each <x, y> is
+    one dot product."""
     walk = dict(reversed(list(_tau_orbits(quiver, p))))
+    rows = {x: quiver.euler_row(x) for x in walk}
     for s, x in itertools.combinations(walk, 2):
-        if quiver.euler_form(s, x) < 0 or quiver.euler_form(x, s) > 0:
+        if sum(map(operator.mul, rows[s], x)) < 0 or sum(map(operator.mul, rows[x], s)) > 0:
             raise ComputationError(f"{s} before {x} is not an Auslander-Reiten order")
     return walk
 
@@ -651,8 +655,8 @@ class ModuleSymbol:
     `id` is the symbol's interned id (`_symbol_id`): equal symbols built in
     the same memo epoch share it, and everything derived from the symbol
     alone (text, fingerprint, tags, min prime, and per prime its concrete
-    classes and module) is memoized per id, computed the first time it is
-    read.
+    classes, module and |Aut|) is memoized per id, computed the first time
+    it is read.
     """
 
     def __init__(self, quiver, atoms):
@@ -716,6 +720,10 @@ class ModuleSymbol:
     def instantiate(self, p):
         """A representation over F_p in this symbol's isomorphism class."""
         return _instantiate(self, p)
+
+    def aut_count(self, p):
+        """|Aut| of `instantiate(p)`."""
+        return _symbol_aut_count(self, p)
 
     def direct_sum(self, *others):
         atoms = list(self.atoms)
@@ -790,6 +798,11 @@ def _concrete_classes(sym, p):
 @memo.memoized(lambda sym, p: (sym.id, p))
 def _instantiate(sym, p):
     return module_from_classes(sym.quiver, _concrete_classes(sym, p), p)
+
+
+@memo.memoized(lambda sym, p: (sym.id, p))
+def _symbol_aut_count(sym, p):
+    return aut_count_of_classes(sym.quiver, _concrete_classes(sym, p), p)
 
 
 def _atom_str(quiver, atom):
@@ -939,10 +952,31 @@ def abstract_symbol_from_classes(quiver, pairs):
 
 
 def min_prime_for_symbols(symbols):
+    """The smallest prime that keeps the tube points of all `symbols`
+    distinct: the floor of their exact-check primes."""
     tags = set()
     for s in symbols:
         tags.update(_symbol_tags(s))
     return min_prime_for_tags(tags)
+
+
+@memo.memoized(lambda primes, floor: (tuple(primes), tuple(map(type, primes)), floor))
+def check_primes(primes, floor):
+    """Raise ValueError unless `primes` is a nonempty list of prime ints,
+    each at least `floor` (`min_prime_for_symbols` of the operands).
+    Memoized, as a sweep checks one prime list per instance: a list that
+    passes is stored, one that fails raises on every call.  The key holds
+    the types, so (3.0,) does not hit the entry of (3,)."""
+    if not primes:
+        raise ValueError("no primes given")
+    for p in primes:
+        if not isinstance(p, int) or primes_from(p, 1) != (p,):
+            raise ValueError(f"{p} is not prime")
+        if p < floor:
+            raise ValueError(
+                f"prime {p} is below the smallest prime ({floor}) that keeps "
+                "the given symbols' tube points distinct"
+            )
 
 
 def simple_projective_vertices(quiver):

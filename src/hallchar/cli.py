@@ -63,16 +63,10 @@ def _ints(text):
 
 
 def _checked_primes(primes, floor):
-    """The sorted distinct `primes`, each checked to be a prime >= `floor`,
-    the smallest prime that keeps the operands' tube points distinct."""
-    for p in primes:
-        if catalog.primes_from(p, 1) != (p,):
-            raise _CliError(f"{p} is not prime")
-        if p < floor:
-            raise _CliError(
-                f"prime {p} is below the smallest prime ({floor}) that keeps "
-                "the given symbols' tube points distinct"
-            )
+    """The sorted distinct `primes`, each checked by `catalog.check_primes`
+    to be a prime >= `floor`, the smallest prime that keeps the operands'
+    tube points distinct."""
+    catalog.check_primes(primes, floor)
     return sorted(set(primes))
 
 
@@ -405,20 +399,33 @@ def _sweep_instances(args, quiver):
     nverify = len(args.verify_primes) if args.verify_primes else 2
     if theorem in _GREEN:
         kept = _sampled(args, _green_instances(quiver, cap))
+        # each distinct symbol's text and tube tags are derived once
+        symbols = {s.id: s for ops in kept for s in ops}
+        text = {i: str(s) for i, s in symbols.items()}
         if theorem == "green-degenerate":
             runs = _degenerate_runners(kept, args.budget, nverify)
         elif theorem == "green-ff":
-            floors = [catalog.min_prime_for_symbols(ops) for ops in kept]
-            primes = {f: _exact_primes(args, f) for f in dict.fromkeys(floors)}
-            runs = [lambda ops=ops, ps=primes[f]: verify.verify_green_ff(
-                        *ops, primes=ps, budget=args.budget)
-                    for ops, f in zip(kept, floors)]
+            tags = {i: tuple(s.tags()) for i, s in symbols.items()}
+            primes, runs = {}, []
+            for ops in kept:
+                # the floor depends on the operands' tube tags alone
+                key = tuple(tags[s.id] for s in ops)
+                if key not in primes:
+                    primes[key] = _exact_primes(
+                        args, catalog.min_prime_for_tags(set().union(*key))
+                    )
+                runs.append(lambda ops=ops, ps=primes[key]: verify.verify_green_ff(
+                    *ops, primes=ps, budget=args.budget))
         else:
             runs = [lambda a=xi, b=eta, c=xi2, d=eta2: verify.verify_green_projective(
                         c, d, a, b, budget=args.budget, verify=nverify)
                     for xi, eta, xi2, eta2 in kept]
-        names = ("xi", "eta", "xi_prime", "eta_prime")
-        return [(dict(zip(names, map(str, ops))), run) for ops, run in zip(kept, runs)]
+        labels = [
+            {"xi": text[xi.id], "eta": text[eta.id],
+             "xi_prime": text[xi2.id], "eta_prime": text[eta2.id]}
+            for xi, eta, xi2, eta2 in kept
+        ]
+        return list(zip(labels, runs))
     if theorem not in ("cc1", "cc2"):
         raise _CliError("--all is not supported for assoc (five free operands); "
                         "pass the tuple explicitly")

@@ -123,6 +123,14 @@ class Quiver:
         """<d, e> = dim Hom - dim Ext^1 on dimension vectors."""
         return int(sum(x * y for x, y in zip(d, e)) - sum(d[s] * e[t] for s, t in self.arrows))
 
+    def euler_row(self, d):
+        """The row d E of the Euler matrix, so <d, e> = sum_j (d E)_j e_j:
+        (d E)_j = d_j minus d_s summed over the arrows s -> j."""
+        row = list(d)
+        for s, t in self.arrows:
+            row[t] -= d[s]
+        return row
+
     def tits_form(self, d):
         """q(d) = <d, d>, the quadratic (Tits) form."""
         return self.euler_form(d, d)

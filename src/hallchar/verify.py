@@ -12,7 +12,10 @@ values, a per-term breakdown, and timings.
             g^xi_{g,a} g^{xi'}_{g,d} g^eta_{d,b} g^{eta'}_{a,b} a_a a_b a_d a_g
 
   with (g,d) running over (quotient, sub) types of subreps of xi' and
-  (a,b) over those of eta'.
+  (a,b) over those of eta'.  What depends on (xi', eta') alone is read
+  from memo tables: the left side for every (xi, eta) of one dim eta is
+  one `_green_ff_lhs` entry.  Each side is an integer pair (num, den),
+  compared by cross-multiplication and printed as a reduced fraction.
 
 * verify_green_degenerate: the specialization at q = 1, where only split
   middles survive:  g^{xi'+eta'}_{xi,eta}(1) equals the number (at q = 1)
@@ -45,8 +48,8 @@ at 1.
 import dataclasses
 import itertools
 import json
+import math
 import time
-from fractions import Fraction
 
 from . import catalog, cluster, memo, qpoly, rep, strata, subspaces
 from .errors import BudgetExceeded, UnsupportedQuiver
@@ -119,11 +122,6 @@ def _same_quiver(*symbols):
 
 def _dims_sum(*dims):
     return tuple(sum(ds) for ds in zip(*dims))
-
-
-def _common_primes(symbols, count):
-    start = max(s.min_prime() for s in symbols)
-    return catalog.primes_from(start, count)
 
 
 def _hall_fp(M, quot_fid, sub_fid, e, budget, key_classes=None):
@@ -286,6 +284,10 @@ def verify_green_ff(xi, eta, xi2, eta2, primes=None, budget=DEFAULT_SUBSPACE_BUD
     middle terms, and on tame quivers that set varies with the prime (one
     tube per point of P^1), so there is no prime-independent bookkeeping
     that stays exact; on Dynkin quivers classes are field-independent.
+    Each side is an integer pair (num, den), compared by
+    cross-multiplication and printed as `str(Fraction(num, den))`.
+    `primes` must be a nonempty list of primes (`catalog.check_primes`);
+    it defaults to the two smallest.
     """
     t0 = time.perf_counter()
     quiver = _same_quiver(xi, eta, xi2, eta2)
@@ -293,13 +295,17 @@ def verify_green_ff(xi, eta, xi2, eta2, primes=None, budget=DEFAULT_SUBSPACE_BUD
         raise UnsupportedQuiver(
             "the finite-field Green identity is verified on Dynkin quivers only"
         )
+    # a Dynkin quiver has no tubes, so no symbol over it has a tube tag and
+    # the floor of its primes (`catalog.min_prime_for_symbols`) is 2
+    floor = 2
     if primes is None:
-        primes = _common_primes((xi, eta, xi2, eta2), 2)
+        primes = catalog.primes_from(floor, 2)
     if _dims_sum(xi.dims, eta.dims) != _dims_sum(xi2.dims, eta2.dims):
         raise ValueError(
             "green_ff needs dim xi + dim eta = dim xi' + dim eta'; got "
             f"{xi.dims}+{eta.dims} vs {xi2.dims}+{eta2.dims}"
         )
+    catalog.check_primes(primes, floor)
     # prime-independent: read once per instance
     fids = (xi.fingerprint_id(), eta.fingerprint_id())
     splits = _green_ff_splits(quiver, xi.dims, eta.dims, xi2.dims, eta2.dims)
@@ -307,11 +313,17 @@ def verify_green_ff(xi, eta, xi2, eta2, primes=None, budget=DEFAULT_SUBSPACE_BUD
     lhs_all, rhs_all = [], []
     equal = True
     for p in primes:
-        lhs, rhs, detail = _green_ff_at_prime(quiver, xi, eta, xi2, eta2, p, budget, fids, splits)
+        (ln, ld), (rn, rd), n_lam, n_rhs = _green_ff_at_prime(
+            quiver, xi, eta, xi2, eta2, p, budget, fids, splits
+        )
+        lhs, rhs = _fraction_text(ln, ld), _fraction_text(rn, rd)
         lhs_all.append(lhs)
         rhs_all.append(rhs)
-        equal = equal and lhs == rhs
-        terms.append({"prime": p, "lhs": str(lhs), "rhs": str(rhs), **detail})
+        equal = equal and ln * rd == rn * ld
+        terms.append({
+            "prime": p, "lhs": lhs, "rhs": rhs,
+            "middle_terms": n_lam, "splitting_terms": n_rhs,
+        })
     inputs = {
         "xi": str(xi),
         "eta": str(eta),
@@ -319,45 +331,36 @@ def verify_green_ff(xi, eta, xi2, eta2, primes=None, budget=DEFAULT_SUBSPACE_BUD
         "eta_prime": str(eta2),
         "primes": list(primes),
     }
-    return _report(
-        "green_ff",
-        inputs,
-        [str(x) for x in lhs_all],
-        [str(x) for x in rhs_all],
-        equal,
-        terms,
-        [],
-        t0,
-    )
+    return _report("green_ff", inputs, lhs_all, rhs_all, equal, terms, [], t0)
+
+
+def _fraction_text(num, den):
+    """`str(Fraction(num, den))` for den > 0, with no Fraction built."""
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 def _green_ff_at_prime(quiver, xi, eta, xi2, eta2, p, budget, fids, splits):
-    """(lhs, rhs, detail) of Green's identity at p.  `fids` holds the
-    fingerprint ids of (xi, eta) and `splits` is `_green_ff_splits` of the
-    four dimension vectors.  What depends on (xi', eta') alone is read from
-    `_green_ff_middles` and `_green_ff_factors`, so the instance reads only
-    the Hall numbers of xi, eta and the middles lam, each census where an
+    """((lhs num, lhs den), (rhs num, rhs den), middle terms, splitting
+    terms) of Green's identity at p, each side an unreduced fraction with
+    a positive denominator.  `fids` holds the fingerprint ids of (xi, eta)
+    and `splits` is `_green_ff_splits` of the four dimension vectors.
+    What depends on (xi', eta') alone is read from `_green_ff_lhs` and
+    `_green_ff_factors`, so the left side is one table read and the right
+    side reads only the Hall numbers of xi and eta, each census where an
     unfactored sum reads it: after the factor before it is nonzero."""
-    cls_xi, cls_eta = xi.concrete_classes(p), eta.concrete_classes(p)
-
-    # LHS: a_xi a_eta * sum g^lam_{xi,eta} w_lam / a_lam, summed as num / den,
-    # with w_lam = g^lam_{xi',eta'} a_xi' a_eta' from `_green_ff_middles`.
-    num, den, n_lam = 0, 1, 0
-    for lam, lam_mod, a_lam, w in _green_ff_middles(xi2, eta2, p, budget):
-        g1 = subspaces.census_view(lam_mod, eta.dims, budget, lam).get(fids, 0)
-        if g1 == 0:
-            continue
-        if not w:
-            if w is None:
-                # over budget: this read raises, as the one it stands for
-                subspaces.census_view(lam_mod, eta2.dims, budget, lam)
-            continue
-        n_lam += 1
-        num, den = num * a_lam + g1 * w * den, den * a_lam
-    if num:
-        aut = catalog.aut_count_of_classes
-        num *= aut(quiver, cls_xi, p) * aut(quiver, cls_eta, p)
-    lhs = Fraction(num, den)
+    # LHS: a_xi a_eta * sum g^lam_{xi,eta} w_lam / a_lam (`_green_ff_lhs`)
+    sums, raises, over = _green_ff_lhs(xi2, eta2, p, eta.dims, budget)
+    entry = sums.get(fids)
+    if entry is None:
+        read = raises.get(fids, over)
+        if read is not None:
+            # over budget: this read raises, as the one it stands for
+            subspaces.census_view(*read)
+        num, den, n_lam = 0, 1, 0
+    else:
+        num, den, n_lam = entry
+        num *= xi.aut_count(p) * eta.aut_count(p)
 
     # RHS: (gam, delt) = (quot, sub) types of subreps of xi', (alp, bet)
     # of eta'; the cross Hall numbers tie them to xi and eta.  The weight
@@ -366,30 +369,69 @@ def _green_ff_at_prime(quiver, xi, eta, xi2, eta2, p, budget, fids, splits):
     # (`_green_ff_factors`).  The terms of one (e1, e2) share the weight
     # p^-euler (`_green_ff_splits`), so they are summed as integers, and
     # the sums over a common power of p.
-    parts, n_rhs = [], 0
-    for e1, e2, dims_alp, euler in splits:
-        total = 0
+    top, splits = splits
+    rhs_num, n_rhs = 0, 0
+    mod_xi = mod_eta = None
+    for e1, e2, dims_alp, shift in splits:
         factors1 = _green_ff_factors(xi2, e1, p, budget)
         factors2 = _green_ff_factors(eta2, e2, p, budget)
-        if factors1 and factors2:
-            view3 = subspaces.census_view(xi.instantiate(p), dims_alp, budget, cls_xi)
-            view4 = None
-            for gam, delt, w1 in factors1:
-                for alp, bet, w2 in factors2:
-                    g3 = view3.get((gam, alp), 0)
-                    if g3 == 0:
-                        continue
-                    if view4 is None:
-                        view4 = subspaces.census_view(eta.instantiate(p), e2, budget, cls_eta)
-                    g4 = view4.get((delt, bet), 0)
-                    if g4 == 0:
-                        continue
-                    n_rhs += 1
-                    total += w1 * w2 * g3 * g4
-        parts.append((total, euler))
-    top = max([0] + [k for _, k in parts])
-    rhs = Fraction(sum(t * p ** (top - k) for t, k in parts), p ** top)
-    return lhs, rhs, {"middle_terms": n_lam, "splitting_terms": n_rhs}
+        if not (factors1 and factors2):
+            continue
+        if mod_xi is None:
+            mod_xi, cls_xi = xi.instantiate(p), xi.concrete_classes(p)
+        view3 = subspaces.census_view(mod_xi, dims_alp, budget, cls_xi)
+        view4, total = None, 0
+        for gam, delt, w1 in factors1:
+            for alp, bet, w2 in factors2:
+                g3 = view3.get((gam, alp), 0)
+                if g3 == 0:
+                    continue
+                if view4 is None:
+                    if mod_eta is None:
+                        mod_eta, cls_eta = eta.instantiate(p), eta.concrete_classes(p)
+                    view4 = subspaces.census_view(mod_eta, e2, budget, cls_eta)
+                g4 = view4.get((delt, bet), 0)
+                if g4 == 0:
+                    continue
+                n_rhs += 1
+                total += w1 * w2 * g3 * g4
+        rhs_num += total * p ** shift
+    return (num, den), (rhs_num, p ** top), n_lam, n_rhs
+
+
+@memo.memoized(lambda xi2, eta2, p, eta_dims, budget: (xi2.id, eta2.id, p, eta_dims, budget))
+def _green_ff_lhs(xi2, eta2, p, eta_dims, budget):
+    """(sums, raises, over): Green's left side at p, without its factor
+    |Aut xi| |Aut eta|, for every (xi, eta) with dim eta = `eta_dims`,
+    from one pass over the middles lam of `_green_ff_middles` and each
+    middle's census view at dim eta.
+
+    `sums` maps the fingerprint ids of (xi, eta) to (num, den, middle
+    terms), with num / den = sum_lam g^lam_{xi,eta} w_lam / a_lam over the
+    middles where both factors are nonzero.  A key absent from `sums` has
+    no such middle, and reads (0, 1, 0) unless its sum would raise
+    `BudgetExceeded`: then `raises` maps it to the census read (arguments
+    of `subspaces.census_view`) where the unfactored sum raises, w_lam =
+    None with g^lam_{xi,eta} != 0, and failing that `over` is the first
+    census view at dim eta over budget, which every key reaches.  The key
+    holds the budget, so a hit is what a fresh build under the same budget
+    returns."""
+    sums, raises = {}, {}
+    for lam, lam_mod, a_lam, w in _green_ff_middles(xi2, eta2, p, budget):
+        try:
+            view = subspaces.census_view(lam_mod, eta_dims, budget, lam)
+        except BudgetExceeded:
+            return {}, raises, (lam_mod, eta_dims, budget, lam)
+        for key, g1 in view.items():
+            if key in raises:
+                continue
+            if w is None:
+                sums.pop(key, None)
+                raises[key] = (lam_mod, eta2.dims, budget, lam)
+            elif w:
+                num, den, n_lam = sums.get(key, (0, 1, 0))
+                sums[key] = (num * a_lam + g1 * w * den, den * a_lam, n_lam + 1)
+    return sums, raises, None
 
 
 @memo.memoized(lambda xi2, eta2, p, budget: (xi2.id, eta2.id, p, budget))
@@ -403,10 +445,9 @@ def _green_ff_middles(xi2, eta2, p, budget):
     it again, which raises there.  The key holds the budget, so a hit is
     what a fresh call under the same budget returns."""
     quiver = xi2.quiver
-    aut = catalog.aut_count_of_classes
     census = strata.ext_middle_census(xi2.instantiate(p), eta2.instantiate(p), budget=budget)
     fids = (xi2.fingerprint_id(), eta2.fingerprint_id())
-    auts = aut(quiver, xi2.concrete_classes(p), p) * aut(quiver, eta2.concrete_classes(p), p)
+    auts = xi2.aut_count(p) * eta2.aut_count(p)
     out = []
     for _, lam in _group_by_fp(census.items()).values():
         lam_mod = catalog.module_from_classes(quiver, lam, p)
@@ -414,7 +455,7 @@ def _green_ff_middles(xi2, eta2, p, budget):
             w = subspaces.census_view(lam_mod, eta2.dims, budget, lam).get(fids, 0) * auts
         except BudgetExceeded:
             w = None
-        out.append((lam, lam_mod, aut(quiver, lam, p), w))
+        out.append((lam, lam_mod, catalog.aut_count_of_classes(quiver, lam, p), w))
     return tuple(out)
 
 
@@ -437,17 +478,19 @@ def _green_ff_factors(sym, e, p, budget):
 
 @memo.memoized(lambda quiver, *dims: (quiver.key, dims))
 def _green_ff_splits(quiver, xi_dims, eta_dims, xi2_dims, eta2_dims):
-    """((e1, e2, dim alp, euler), ...) per (e1, e2) of `_split_dims`, with
-    dim alp = dim eta' - e2 and euler = <dim gam, dim bet> for dim gam =
-    dim xi' - e1 and dim bet = e2.  On a hereditary algebra dim Hom - dim
-    Ext^1 is the Euler form, so Green's weight |Ext^1(gam, bet)| /
-    |Hom(gam, bet)| is p^-euler whatever gam and bet are."""
+    """(top, ((e1, e2, dim alp, top - euler), ...)) per (e1, e2) of
+    `_split_dims`, with dim alp = dim eta' - e2, euler = <dim gam, dim bet>
+    for dim gam = dim xi' - e1 and dim bet = e2, and top the largest euler
+    and 0.  On a hereditary algebra dim Hom - dim Ext^1 is the Euler form,
+    so Green's weight |Ext^1(gam, bet)| / |Hom(gam, bet)| is p^-euler =
+    p^(top - euler) / p^top whatever gam and bet are."""
     out = []
     for e1, e2 in _split_dims(xi2_dims, eta2_dims, [(xi_dims, eta_dims)]):
         dims_gam = tuple(d - x for d, x in zip(xi2_dims, e1))
         dims_alp = tuple(d - x for d, x in zip(eta2_dims, e2))
         out.append((e1, e2, dims_alp, quiver.euler_form(dims_gam, e2)))
-    return tuple(out)
+    top = max([0] + [euler for *_, euler in out])
+    return top, tuple((e1, e2, dims_alp, top - euler) for e1, e2, dims_alp, euler in out)
 
 
 # ---------------------------------------------------------------------------
@@ -732,9 +775,12 @@ def verify_assoc(X, Y1, Y2, L1, L2, primes=None, budget=DEFAULT_SUBSPACE_BUDGET)
     the projectivized form (zero map removed, strata divided by p - 1).
     """
     t0 = time.perf_counter()
-    quiver = _same_quiver(X, Y1, Y2, L1, L2)
+    symbols = (X, Y1, Y2, L1, L2)
+    quiver = _same_quiver(*symbols)
+    floor = catalog.min_prime_for_symbols(symbols)
     if primes is None:
-        primes = _common_primes((X, Y1, Y2, L1, L2), 2)
+        primes = catalog.primes_from(floor, 2)
+    catalog.check_primes(primes, floor)
     primal_ok = _dims_sum(Y1.dims, Y2.dims, L2.dims) == _dims_sum(L1.dims, X.dims)
     dual_ok = _dims_sum(X.dims, Y2.dims, L1.dims) == _dims_sum(L2.dims, Y1.dims)
     terms = []

@@ -472,6 +472,19 @@ def test_coxeter_walk_checks_its_order(monkeypatch):
     assert not memo.TABLES["catalog._coxeter_walk"]
 
 
+def test_coxeter_walk_checks_both_sides_of_its_order(monkeypatch):
+    """Over 1 -> 2 the walk order M[1,1], S2, S1 keeps <x_s, x_r> >= 0 for
+    every s before r, but <S2, M[1,1]> = 1 > 0: the walk raises and stores
+    nothing."""
+    modules = dict(catalog._tau_orbits(A2, 2))
+    visits = [(1, 0), (0, 1), (1, 1)]  # the walk lists them in reverse
+    monkeypatch.setattr(catalog, "_tau_orbits", lambda Q, p: [(r, modules[r]) for r in visits])
+    memo.clear()
+    with pytest.raises(ComputationError, match=r"^\(1, 1\) before \(0, 1\) is not an"):
+        catalog._coxeter_walk(A2, 2)
+    assert not memo.TABLES["catalog._coxeter_walk"]
+
+
 # -- the decomposition memo ----------------------------------------------------
 
 

@@ -347,6 +347,20 @@ def test_nonprime_rejected(capsys):
     assert "not prime" in err
 
 
+def test_prime_below_the_floor_rejected(capsys):
+    """R(1,1)@0 and R(1,1)@3 meet mod 2, so -p 2 exits 2 with the message
+    `verify.verify_assoc` raises for it."""
+    rc, out, err = run(
+        capsys, "verify", "assoc", "--quiver", "kronecker", "--x", "R(1,1)@0",
+        "--y1", "0", "--y2", "0", "--l1", "R(1,1)@3", "--l2", "R(1,1)@0", "-p", "2",
+    )
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: prime 2 is below the smallest prime (3) that keeps the given "
+        "symbols' tube points distinct\n"
+    )
+
+
 def test_all_requires_max_dim(capsys):
     rc, _, err = run(capsys, "verify", "cc1", "--quiver", "a2", "--all")
     assert rc == 2

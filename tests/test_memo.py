@@ -31,7 +31,9 @@ TABLES = {
     "catalog._symbol_min_prime",
     "catalog._concrete_classes",
     "catalog._instantiate",
+    "catalog._symbol_aut_count",
     "catalog.primes_from",
+    "catalog.check_primes",
     "quiver._positive_roots",
     "subspaces._echelon_table",
     "subspaces._rank_distribution",
@@ -42,6 +44,7 @@ TABLES = {
     "cluster._atom_subset_counts",
     "symspace._symbol_pool",
     "verify._merge_fp",
+    "verify._green_ff_lhs",
     "verify._green_ff_middles",
     "verify._green_ff_factors",
     "verify._green_ff_splits",

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hallchar
 from hallchar import catalog, cluster, memo, qpoly, rep, strata, subspaces, symspace, verify
@@ -138,6 +138,83 @@ def test_green_ff_budget_outcome_is_the_unfactored_one(case):
         else:
             r = verify.verify_green_ff(*ops, primes=(2, 3), budget=budget)
             assert (r.lhs, r.rhs) == tuple(map(str, outcome))
+
+
+# (xi', eta', budget, [(xi, eta, outcome at p = 2, 3), ...]) on A_2: two
+# instances that share (xi', eta', p, dim eta), so whichever runs second
+# reads the `verify._green_ff_lhs` entry the first one built.  Each
+# outcome is the one a cold memo gives, as in GREEN_FF_BUDGET_CASES.
+GREEN_FF_SHARED_LHS_CASES = [
+    # g^lam_{xi',eta'} (charge 9) is over budget at the one middle with
+    # g^lam_{xi,eta} != 0 for the second pair, and at none for the first
+    ("M[1,1]", "M[1,1]", 4, [
+        ("M[1,0]", "2*M[0,1]+M[1,0]", (["0", "0"], ["0", "0"])),
+        ("M[1,0]", "M[0,1]+M[1,1]", "subspace search space 9 exceeds budget 4"),
+    ]),
+    # as above at p = 2; at p = 3 g^lam_{xi,eta} (charge 4) is over budget
+    # for every pair, which only the first pair reaches
+    ("M[1,1]", "M[1,1]", 3, [
+        ("M[1,0]", "2*M[0,1]+M[1,0]", "subspace search space 4 exceeds budget 3"),
+        ("M[1,0]", "M[0,1]+M[1,1]", "subspace search space 9 exceeds budget 3"),
+    ]),
+    # g^lam_{xi,eta} (charge 3) is over budget for every pair
+    ("M[1,1]", "M[0,1]+M[1,0]", 1, [
+        ("M[1,0]", "2*M[0,1]+M[1,0]", "subspace search space 3 exceeds budget 1"),
+        ("M[1,0]", "M[0,1]+M[1,1]", "subspace search space 3 exceeds budget 1"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["in-order", "reversed"])
+@pytest.mark.parametrize("case", GREEN_FF_SHARED_LHS_CASES)
+def test_green_ff_shared_left_side_is_read_as_a_hit(case, order):
+    """The second of two instances sharing (xi', eta', p, dim eta) finds
+    its left-side table built, and returns or raises what it does from a
+    cold memo (the first, run from a cold memo in the other order)."""
+    xi2, eta2, budget, instances = case
+    table = memo.TABLES["verify._green_ff_lhs"]
+    memo.clear()
+    for step, i in enumerate(order):
+        xi, eta, outcome = instances[i]
+        ops = [catalog.parse_symbol(t, A2) for t in (xi, eta, xi2, eta2)]
+        key = (ops[2].id, ops[3].id, 2, ops[1].dims, budget)
+        assert (key in table) == (step == 1)
+        if isinstance(outcome, str):
+            with pytest.raises(BudgetExceeded) as info:
+                verify.verify_green_ff(*ops, primes=(2, 3), budget=budget)
+            assert type(info.value) is BudgetExceeded and str(info.value) == outcome
+        else:
+            r = verify.verify_green_ff(*ops, primes=(2, 3), budget=budget)
+            assert (r.lhs, r.rhs) == tuple(map(str, outcome))
+
+
+@pytest.mark.parametrize("primes, message", [
+    ((), "no primes given"),
+    ((4,), "4 is not prime"),
+    ((3, 9), "9 is not prime"),
+    ((3.0,), "3.0 is not prime"),
+])
+def test_green_ff_and_assoc_check_their_primes(primes, message):
+    """Both per-prime verifiers refuse an empty list and a non-prime, also
+    once the check of (3,) is stored.  On a Dynkin quiver the floor is 2,
+    so green-ff has no prime below it."""
+    s1, s2 = sym("S1", A2), sym("S2", A2)
+    assert verify.verify_green_ff(s1, s2, s2, s1, primes=(3,)).equal
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify.verify_green_ff(s1, s2, s2, s1, primes=primes)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify.verify_assoc(s1, s2, sym("0", A2), sym("M[1,1]", A2), s2, primes=primes)
+
+
+def test_assoc_primes_start_at_the_operands_floor():
+    """R(1,1)@0 and R(1,1)@3 sit at the points 0 and 2, which meet mod 2:
+    the operands' floor is 3, so assoc refuses p = 2 and its default
+    primes are the two from 3 on."""
+    ops = (sym("R(1,1)@0"), sym("0"), sym("0"), sym("R(1,1)@3"), sym("R(1,1)@0"))
+    assert catalog.min_prime_for_symbols(ops) == 3
+    with pytest.raises(ValueError, match=r"^prime 2 is below the smallest prime \(3\)"):
+        verify.verify_assoc(*ops, primes=(2, 3))
+    assert verify.verify_assoc(*ops).inputs["primes"] == [3, 5]
 
 
 def test_green_ff_kronecker_unsupported():
@@ -757,11 +834,16 @@ K_TOTALS = [d for d in itertools.product(range(3), repeat=2) if sum(d) <= 3]
 
 def green_ff_at_prime(xi, eta, xi2, eta2, p):
     """`verify._green_ff_at_prime` with the prime-independent data that
-    `verify_green_ff` reads once per instance."""
+    `verify_green_ff` reads once per instance: (lhs, rhs, detail), each
+    side a Fraction."""
     quiver = xi.quiver
     fids = (xi.fingerprint_id(), eta.fingerprint_id())
     splits = verify._green_ff_splits(quiver, xi.dims, eta.dims, xi2.dims, eta2.dims)
-    return verify._green_ff_at_prime(quiver, xi, eta, xi2, eta2, p, BUDGET, fids, splits)
+    lhs, rhs, n_lam, n_rhs = verify._green_ff_at_prime(
+        quiver, xi, eta, xi2, eta2, p, BUDGET, fids, splits
+    )
+    detail = {"middle_terms": n_lam, "splitting_terms": n_rhs}
+    return Fraction(*lhs), Fraction(*rhs), detail
 
 
 @settings(max_examples=60, deadline=None)
@@ -779,6 +861,31 @@ def test_green_ff_splitting_sum_matches_full_product(case):
     lhs, rhs, detail = green_ff_at_prime(xi, eta, xi2, eta2, p)
     assert (lhs, detail["middle_terms"]) == green_ff_lhs_oracle(quiver, xi, eta, xi2, eta2, p)
     assert (rhs, detail["splitting_terms"]) == green_ff_rhs_oracle(quiver, xi, eta, xi2, eta2, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    green_tuples(A3, A3_TOTALS),
+    green_tuples(A3_SOURCE, A3_TOTALS),
+    green_tuples(D4_SINK, D4_TOTALS),
+))
+@example((sym("M[1,0,0]", A3),) * 4 + (2,))  # lhs = rhs = 3/2
+def test_green_ff_report_prints_the_oracle_fractions(case):
+    """The report of one prime prints each side as `str(Fraction)` of the
+    oracles and is EQUAL exactly when they agree; an instance whose
+    dimensions do not add up raises ValueError."""
+    xi, eta, xi2, eta2, p = case
+    if verify._dims_sum(xi.dims, eta.dims) != verify._dims_sum(xi2.dims, eta2.dims):
+        with pytest.raises(ValueError, match="green_ff needs"):
+            verify.verify_green_ff(xi, eta, xi2, eta2, primes=(p,))
+        return
+    quiver = xi.quiver
+    lhs, _ = green_ff_lhs_oracle(quiver, xi, eta, xi2, eta2, p)
+    rhs, _ = green_ff_rhs_oracle(quiver, xi, eta, xi2, eta2, p)
+    r = verify.verify_green_ff(xi, eta, xi2, eta2, primes=(p,))
+    assert [(t["lhs"], t["rhs"]) for t in r.terms] == [(str(lhs), str(rhs))]
+    assert (r.lhs, r.rhs) == (str([str(lhs)]), str([str(rhs)]))
+    assert r.equal == (lhs == rhs)
 
 
 @settings(max_examples=40, deadline=None)
