@@ -12,9 +12,7 @@ __version__ = "0.1.0"
 from .errors import (
     BudgetExceeded,
     ComputationError,
-    InconclusiveIso,
     NonIntegerCoefficients,
-    NotDivisible,
     OutsideCatalog,
     UnsupportedQuiver,
     VerificationMismatch,
@@ -24,9 +22,7 @@ from .quiver import Quiver, kronecker_quiver, linear_quiver, load_quiver
 __all__ = [
     "BudgetExceeded",
     "ComputationError",
-    "InconclusiveIso",
     "NonIntegerCoefficients",
-    "NotDivisible",
     "OutsideCatalog",
     "UnsupportedQuiver",
     "VerificationMismatch",

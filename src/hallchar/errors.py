@@ -24,14 +24,6 @@ class OutsideCatalog(ComputationError):
     """
 
 
-class InconclusiveIso(ComputationError):
-    """An isomorphism test could neither confirm nor refute within budget."""
-
-
-class NotDivisible(ComputationError):
-    """A polynomial division that must be exact left a remainder."""
-
-
 class VerificationMismatch(ComputationError):
     """An interpolated polynomial failed to reproduce a held-out sample."""
 

@@ -13,8 +13,10 @@ admissible prime.  The strategy throughout is
 
 Projectivizations: when a set S is stable under the free scaling action
 of F_q^* away from 0 (e.g. nonzero extension classes), |P(S)| =
-(|S| - [0 in S])/(q - 1); at the polynomial level this is exact division
-by q - 1, and NotDivisible signals a miscounted family.
+(|S| - [0 in S])/(q - 1).  The callers divide by p - 1 at each prime,
+before the fit (`verify._exact_quotient`, where a remainder raises
+VerificationMismatch), so what is fitted here is already the count of
+P(S) and its value at q = 1 is chi(P(S)).
 """
 
 import itertools
@@ -22,12 +24,7 @@ import operator
 from fractions import Fraction
 
 from .catalog import primes_from
-from .errors import (
-    ComputationError,
-    NonIntegerCoefficients,
-    NotDivisible,
-    VerificationMismatch,
-)
+from .errors import ComputationError, NonIntegerCoefficients, VerificationMismatch
 
 
 class QPolynomial:
@@ -226,23 +223,6 @@ def counting_table(count_fn, degree_bound, min_prime=2, verify=2):
         key: _fit_and_check(ps, [t.get(key, 0) for t in tables], degree_bound + 1, key)
         for key in dict.fromkeys(itertools.chain.from_iterable(tables))
     }
-
-
-def divide_by_q_minus_1(poly):
-    """Exact quotient poly / (q - 1); NotDivisible when poly(1) != 0."""
-    if poly.at_one() != 0:
-        raise NotDivisible(f"{poly} is not divisible by q - 1")
-    if poly.is_zero():
-        return QPolynomial([])
-    # synthetic division by (q - 1), highest coefficient first
-    out = []
-    carry = 0
-    for c in reversed(poly.coeffs):
-        carry += c
-        out.append(carry)
-    # the final accumulated value is the remainder poly(1) = 0; drop it
-    out.pop()
-    return QPolynomial(list(reversed(out)))
 
 
 def gaussian_binomial(n, k, q):

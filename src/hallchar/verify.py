@@ -241,24 +241,46 @@ def _hom_stratum_fp(M1, M2, coker_fid, ker_fid, projective, budget):
     )
 
 
-def _hom_strata_counter(source, target, budget):
-    """count_fn(p) for `_grouped_table`: the nonzero maps source -> target,
-    grouped by the fingerprint ids of (coker, ker)."""
+def _projective_hom_groups(source, target, p, budget):
+    """The projective Hom strata of the symbols source -> target at p
+    (`_hom_strata`), summed by the fingerprint ids of (coker, ker) with
+    `_group_by_fp`."""
+    hom = _hom_strata(source.instantiate(p), target.instantiate(p), True, budget)
+    return _group_by_fp(hom.items(), lambda key: tuple(map(catalog.fingerprint_id, key)))
 
-    def hom_strata(p):
-        zero_key = (
-            catalog.sort_classes(target.concrete_classes(p)),
-            catalog.sort_classes(source.concrete_classes(p)),
-        )
-        census = strata.hom_census(
-            source.instantiate(p), target.instantiate(p), budget=budget
-        )
-        return _group_by_fp(
-            ((key, c - (key == zero_key)) for key, c in census.items()),
-            lambda key: tuple(map(catalog.fingerprint_id, key)),
-        )
 
-    return hom_strata
+def _projective_middles(xi2, eta2, p, budget):
+    """{middle fingerprint id: (count, middle)}: the nonsplit extension
+    classes of xi' by eta' at p, grouped by the fingerprint of the middle
+    (`_group_by_fp`, the split group dropped), each group's count divided
+    by p - 1."""
+    census = strata.ext_middle_census(xi2.instantiate(p), eta2.instantiate(p), budget=budget)
+    split_fid = _merge_fp(xi2.concrete_classes(p), eta2.concrete_classes(p))
+    return {
+        f: (_exact_quotient(c, p, "nonsplit extension stratum"), lam)
+        for f, (c, lam) in _group_by_fp(census.items(), drop=split_fid).items()
+    }
+
+
+def _euler_characteristics(count_fn, bound, min_prime, verify):
+    """[(chi, key)]: the Euler characteristics of projectivized strata.
+
+    count_fn(p) returns {group: (count, key)}, a count already divided by
+    p - 1 (`_projective_hom_groups`, `_projective_middles`).  Each group is
+    fitted in one `qpoly.counting_table` sweep and read at q = 1; the groups
+    with chi != 0 are listed with the first key seen, in first-seen order.
+    """
+    keys = {}
+
+    def counts(p):
+        out = {}
+        for group, (c, key) in count_fn(p).items():
+            out[group] = c
+            keys.setdefault(group, key)
+        return out
+
+    table = qpoly.counting_table(counts, bound, min_prime, verify)
+    return [(chi, keys[group]) for group, poly in table.items() if (chi := poly.at_one())]
 
 
 def _max_sub_degree_any(dims):
@@ -300,15 +322,15 @@ def verify_green_ff(xi, eta, xi2, eta2, primes=None, budget=DEFAULT_SUBSPACE_BUD
     floor = 2
     if primes is None:
         primes = catalog.primes_from(floor, 2)
-    if _dims_sum(xi.dims, eta.dims) != _dims_sum(xi2.dims, eta2.dims):
+    # prime-independent: read once per instance
+    splits = _green_ff_splits(quiver, xi.dims, eta.dims, xi2.dims, eta2.dims)
+    if splits is None:
         raise ValueError(
             "green_ff needs dim xi + dim eta = dim xi' + dim eta'; got "
             f"{xi.dims}+{eta.dims} vs {xi2.dims}+{eta2.dims}"
         )
     catalog.check_primes(primes, floor)
-    # prime-independent: read once per instance
     fids = (xi.fingerprint_id(), eta.fingerprint_id())
-    splits = _green_ff_splits(quiver, xi.dims, eta.dims, xi2.dims, eta2.dims)
     terms = []
     lhs_all, rhs_all = [], []
     equal = True
@@ -483,7 +505,10 @@ def _green_ff_splits(quiver, xi_dims, eta_dims, xi2_dims, eta2_dims):
     for dim gam = dim xi' - e1 and dim bet = e2, and top the largest euler
     and 0.  On a hereditary algebra dim Hom - dim Ext^1 is the Euler form,
     so Green's weight |Ext^1(gam, bet)| / |Hom(gam, bet)| is p^-euler =
-    p^(top - euler) / p^top whatever gam and bet are."""
+    p^(top - euler) / p^top whatever gam and bet are.  None when dim xi +
+    dim eta != dim xi' + dim eta', which `verify_green_ff` refuses."""
+    if _dims_sum(xi_dims, eta_dims) != _dims_sum(xi2_dims, eta2_dims):
+        return None
     out = []
     for e1, e2 in _split_dims(xi2_dims, eta2_dims, [(xi_dims, eta_dims)]):
         dims_gam = tuple(d - x for d, x in zip(xi2_dims, e1))
@@ -606,7 +631,7 @@ def _green_degenerate_table(xi2, eta2, pairs, budget, verify):
         + [_max_sub_degree_any(xi2.dims) + _max_sub_degree_any(eta2.dims)]
     )
     symbols = [xi2, eta2, *itertools.chain.from_iterable(pairs)]
-    min_prime = max(s.min_prime() for s in symbols)
+    min_prime = catalog.min_prime_for_symbols(symbols)
     table = qpoly.counting_table(counts, bound, min_prime, verify)
     zero = QPolynomial([])
     return [(table.get(("lhs", *key), zero), table.get(("rhs", *key), zero)) for key in fps]
@@ -636,9 +661,8 @@ def verify_green_projective(
     """
     t0 = time.perf_counter()
     quiver = _same_quiver(xi2, eta2, xi, eta)
-    symbols = (xi2, eta2, xi, eta)
     admissible = _dims_sum(xi.dims, eta.dims) == _dims_sum(xi2.dims, eta2.dims)
-    min_prime = max(s.min_prime() for s in symbols)
+    min_prime = catalog.min_prime_for_symbols((xi2, eta2, xi, eta))
     p0 = catalog.primes_from(min_prime, 1)[0]
     ext_dim = rep.ext1_dim(xi2.instantiate(p0), eta2.instantiate(p0))
     L = xi2.direct_sum(eta2)
@@ -705,15 +729,12 @@ def _green_projective_blocks(quiver, xi2, eta2, xi, eta, p, budget):
     cls, mods = _materialize(p, xi=xi, eta=eta, xi2=xi2, eta2=eta2)
     f_xi, f_eta = xi.fingerprint_id(), eta.fingerprint_id()
     L = rep.direct_sum(mods["xi2"], mods["eta2"])
-    split_fid = _merge_fp(cls["xi2"], cls["eta2"])
 
     # block (i): nonsplit middles, projectivized, against Hall numbers
-    lam_census = strata.ext_middle_census(mods["xi2"], mods["eta2"], budget=budget)
     block_i = 0
-    for c, lam in _group_by_fp(lam_census.items(), drop=split_fid).values():
+    for c, lam in _projective_middles(xi2, eta2, p, budget).values():
         lam_mod = catalog.module_from_classes(quiver, lam, p)
-        g = _hall_fp(lam_mod, f_xi, f_eta, eta.dims, budget, lam)
-        block_i += _exact_quotient(c, p, "nonsplit extension stratum") * g
+        block_i += c * _hall_fp(lam_mod, f_xi, f_eta, eta.dims, budget, lam)
 
     # blocks (ii) and (iii) run over the splitting tuples of the dimension
     # vectors of xi and eta (`_splittings`).  Split submodules
@@ -879,25 +900,6 @@ def _assoc_sides(quiver, X, Y1, Y2, L1, L2, p, form, direction, budget):
 # ---------------------------------------------------------------------------
 
 
-def _grouped_table(count_fn, bound, min_prime, verify):
-    """counting_table plus a representative key instance per fingerprint.
-
-    count_fn(p) -> {fingerprint id key: (count, representative)}; returns
-    ({fingerprint id key: QPolynomial}, {fingerprint id key: representative}).
-    """
-    reps_ = {}
-
-    def counts(p):
-        out = {}
-        for key, (c, rep_) in count_fn(p).items():
-            out[key] = c
-            reps_.setdefault(key, rep_)
-        return out
-
-    table = qpoly.counting_table(counts, bound, min_prime, verify)
-    return table, reps_
-
-
 def verify_cc1(
     xi2, eta2, table=None, budget=DEFAULT_SUBSPACE_BUDGET, verify=2
 ):
@@ -910,13 +912,14 @@ def verify_cc1(
 
     where a stratum has kernel bet and cokernel I0 + C with I0 injective
     and C injective-free, gam = tau^{-1} C + (projective part of xi').
+    Each chi is read off one fit of counts divided by p - 1 at each prime
+    (`_projective_middles`, `_projective_hom_groups`).
     """
     t0 = time.perf_counter()
     quiver = _same_quiver(xi2, eta2)
     if table is None:
         table = cluster.CharTable(quiver, budget=budget, verify=verify)
-    symbols = (xi2, eta2)
-    min_prime = max(s.min_prime() for s in symbols)
+    min_prime = catalog.min_prime_for_symbols((xi2, eta2))
     p0 = catalog.primes_from(min_prime, 1)[0]
     ext_dim = rep.ext1_dim(xi2.instantiate(p0), eta2.instantiate(p0))
     lhs = ext_dim * table.char(xi2) * table.char(eta2)
@@ -932,37 +935,24 @@ def verify_cc1(
     tau_xi2 = catalog.ModuleSymbol(quiver, tau_atoms)
 
     # term 1: nonsplit extension middles
-    def middles(p):
-        split_fid = _merge_fp(xi2.concrete_classes(p), eta2.concrete_classes(p))
-        census = strata.ext_middle_census(
-            xi2.instantiate(p), eta2.instantiate(p), budget=budget
-        )
-        return _group_by_fp(census.items(), drop=split_fid)
-
-    table1, reps1 = _grouped_table(middles, ext_dim, min_prime, verify)
+    middles = _euler_characteristics(
+        lambda p: _projective_middles(xi2, eta2, p, budget), ext_dim, min_prime, verify
+    )
     nvars = quiver.n
     term1 = LaurentPoly.zero(nvars)
     terms = []
-    for f, poly in table1.items():
-        chi = qpoly.divide_by_q_minus_1(poly).at_one()
-        if chi == 0:
-            continue
-        x_lam = table.char_of_classes(reps1[f])
+    for chi, lam in middles:
+        x_lam = table.char_of_classes(lam)
         term1 = term1 + chi * x_lam
         terms.append({"part": "middles", "chi": chi, "character": str(x_lam)})
 
     # term 2: Hom(eta', tau xi') strata
     hom_dim = rep.hom_dim(eta2.instantiate(p0), tau_xi2.instantiate(p0))
-
-    table2, reps2 = _grouped_table(
-        _hom_strata_counter(eta2, tau_xi2, budget), hom_dim, min_prime, verify
+    hom_strata = _euler_characteristics(
+        lambda p: _projective_hom_groups(eta2, tau_xi2, p, budget), hom_dim, min_prime, verify
     )
     term2 = LaurentPoly.zero(nvars)
-    for f, poly in table2.items():
-        chi = qpoly.divide_by_q_minus_1(poly).at_one()
-        if chi == 0:
-            continue
-        coker, ker = reps2[f]
+    for chi, (coker, ker) in hom_strata:
         inj_part = []
         free_part = []
         for cls, mult in coker:
@@ -1004,7 +994,8 @@ def verify_cc2(xi2, rho, table=None, budget=DEFAULT_SUBSPACE_BUDGET, verify=2):
 
     with P = sum P(i)^{rho_i}, I = sum I(i)^{rho_i}; a Hom(xi', I) stratum
     has kernel delta and injective cokernel I', a Hom(P, xi') stratum has
-    projective kernel P' and cokernel gam.
+    projective kernel P' and cokernel gam.  Each chi is read off one fit
+    of counts divided by p - 1 at each prime (`_projective_hom_groups`).
     """
     t0 = time.perf_counter()
     quiver = xi2.quiver
@@ -1022,21 +1013,17 @@ def verify_cc2(xi2, rho, table=None, budget=DEFAULT_SUBSPACE_BUDGET, verify=2):
 
     terms = []
     total = LaurentPoly.zero(quiver.n)
-    for part, source, target, kernel_side in (
-        ("into_injective", xi2, inj, "delta"),
-        ("from_projective", proj, xi2, "gamma"),
+    for part, source, target in (
+        ("into_injective", xi2, inj),
+        ("from_projective", proj, xi2),
     ):
         hom_dim = rep.hom_dim(source.instantiate(p0), target.instantiate(p0))
-
-        table_h, reps_h = _grouped_table(
-            _hom_strata_counter(source, target, budget), hom_dim, min_prime, verify
+        hom_strata = _euler_characteristics(
+            lambda p: _projective_hom_groups(source, target, p, budget),
+            hom_dim, min_prime, verify,
         )
-        for f, poly in table_h.items():
-            chi = qpoly.divide_by_q_minus_1(poly).at_one()
-            if chi == 0:
-                continue
-            coker, ker = reps_h[f]
-            if kernel_side == "delta":
+        for chi, (coker, ker) in hom_strata:
+            if part == "into_injective":
                 # maps into an injective: the cokernel must be injective
                 x_mod = table.char_of_classes(ker)
                 x_mono = cluster.socle_monomial(quiver, coker)

@@ -117,6 +117,21 @@ def test_verify_single_json_schema(capsys):
     assert data["equal"] is True
 
 
+@pytest.mark.parametrize("theorem, operands, sides", [
+    ("green-degenerate", ("--xi", "R(1,1)@0", "--eta", "R(1,1)@3",
+                          "--xi-prime", "R(1,1)@0", "--eta-prime", "R(1,1)@3"), ("2", "2")),
+    ("cc1", ("--xi", "R(1,1)@0", "--eta", "R(1,1)@3"), ("0", "0")),
+])
+def test_verify_counts_from_the_operands_floor(capsys, theorem, operands, sides):
+    """Tube tags 0 and 3 collide mod 2, so the counts start at p = 3;
+    the sides are derived in
+    tests/test_verify.py::test_interpolating_verifiers_start_at_the_operands_floor."""
+    rc, out, _ = run(capsys, "verify", theorem, "--quiver", "kronecker", *operands, "--json")
+    data = json.loads(out)
+    assert rc == 0 and data["equal"] is True
+    assert (data["lhs"], data["rhs"]) == sides
+
+
 def test_verify_green_ff_sweep(capsys):
     # totals <= (1,1) on A_2: 1 + 2 + 2 + 6 ordered splits, squared per
     # total: 1 + 4 + 4 + 36 = 45 instances.

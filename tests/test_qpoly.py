@@ -10,19 +10,31 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hallchar.errors import (
-    NonIntegerCoefficients,
-    NotDivisible,
-    VerificationMismatch,
-)
+from hallchar.errors import NonIntegerCoefficients, VerificationMismatch
 from hallchar.qpoly import (
     QPolynomial,
     counting_polynomial,
     counting_table,
-    divide_by_q_minus_1,
     gaussian_binomial,
     lagrange_integer,
 )
+
+
+def divide_by_q_minus_1(poly):
+    """Exact quotient poly / (q - 1); ValueError when poly(1) != 0.
+
+    The reference for projectivizing after the fit: the verifiers divide
+    each count by p - 1 at its prime instead (`verify._exact_quotient`),
+    and tests/test_verify.py checks the two orders agree."""
+    if poly.at_one() != 0:
+        raise ValueError(f"{poly} is not divisible by q - 1")
+    # synthetic division by (q - 1), highest coefficient first; the final
+    # accumulated value is the remainder poly(1) = 0
+    out, carry = [], 0
+    for c in reversed(poly.coeffs):
+        carry += c
+        out.append(carry)
+    return QPolynomial(list(reversed(out[:-1])))
 
 
 def test_qpolynomial_basics():
@@ -138,7 +150,7 @@ def test_divide_by_q_minus_1():
     assert divide_by_q_minus_1(QPolynomial([-1, 0, 1])).coeffs == (1, 1)
     assert divide_by_q_minus_1(QPolynomial([-1, 0, 0, 1])).coeffs == (1, 1, 1)
     assert divide_by_q_minus_1(QPolynomial([])).is_zero()
-    with pytest.raises(NotDivisible):
+    with pytest.raises(ValueError, match="not divisible by q - 1"):
         divide_by_q_minus_1(QPolynomial([0, 0, 1]))  # q^2
 
 

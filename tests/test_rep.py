@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import hallchar
 from hallchar import catalog, linalg, memo, rep
-from hallchar.errors import BudgetExceeded, InconclusiveIso
+from hallchar.errors import BudgetExceeded, ComputationError
 from hallchar.quiver import Quiver, kronecker_quiver, linear_quiver
 from test_linalg import (
     column_space_canonical,
@@ -128,6 +128,10 @@ def _is_invertible_everywhere(f, p):
         if m.shape[0] and not is_invertible_mod(m, p):
             return False
     return True
+
+
+class InconclusiveIso(ComputationError):
+    """An isomorphism test could neither confirm nor refute within budget."""
 
 
 def is_isomorphic(M, N, exhaustive_cap=20000, random_budget=200, seed=0):

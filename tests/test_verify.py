@@ -28,6 +28,7 @@ import hallchar
 from hallchar import catalog, cluster, memo, qpoly, rep, strata, subspaces, symspace, verify
 from hallchar.errors import BudgetExceeded, UnsupportedQuiver, VerificationMismatch
 from hallchar.quiver import Quiver, kronecker_quiver, linear_quiver
+from test_qpoly import divide_by_q_minus_1
 from test_rep import random_rep
 
 A2 = linear_quiver(2)
@@ -531,6 +532,29 @@ def test_cc2_bad_rho(table_a2):
         verify.verify_cc2(sym("S1", A2), (0, -1), table=table_a2)
 
 
+def test_interpolating_verifiers_start_at_the_operands_floor(table_k):
+    # R(1,1)@0 and R(1,1)@3 are regular simples in two tubes.  Each tag
+    # alone allows p = 2, but the two tags collide mod 2, so the operands'
+    # floor (`catalog.min_prime_for_symbols`) is 3.
+    xi, eta = sym("R(1,1)@0"), sym("R(1,1)@3")
+    assert (xi.min_prime(), eta.min_prime()) == (2, 2)
+    assert catalog.min_prime_for_symbols((xi, eta)) == 3
+    # Degenerate Green with (xi, eta) = (xi', eta'): Hom between distinct
+    # tubes is 0, so the only subreps of L = xi + eta in the rational-tube
+    # fingerprint group of R(1,1), with quotient in it too, are the two
+    # summands: lhs = 2.  The splittings (gam, delt, alp, bet) are
+    # (R@0, 0, 0, R@3) and (0, R@0, R@3, 0): rhs = 2.
+    r = verify.verify_green_degenerate(xi, eta, xi, eta)
+    assert r.equal and (r.lhs, r.rhs) == ("2", "2")
+    # Ext^1 between distinct tubes is 0: no nonsplit middle, so the
+    # projective blocks and cc1's dim Ext^1 both vanish, and Hom(R@3,
+    # tau R@0 = R@0) = 0 leaves no Hom stratum.
+    r = verify.verify_green_projective(xi, eta, xi, eta)
+    assert r.equal and (r.lhs, r.rhs) == ("0", "0")
+    r = verify.verify_cc1(xi, eta, table=table_k)
+    assert r.equal and (r.lhs, r.rhs) == ("0", "0")
+
+
 # cc1 on the ordered pairs of Kronecker indecomposables up to (2, 2) whose
 # sum stays within (3, 3), sharing one CharTable (a pair whose table raises
 # OutsideCatalog is skipped), and cc2 on each of them against three rho:
@@ -835,10 +859,11 @@ K_TOTALS = [d for d in itertools.product(range(3), repeat=2) if sum(d) <= 3]
 def green_ff_at_prime(xi, eta, xi2, eta2, p):
     """`verify._green_ff_at_prime` with the prime-independent data that
     `verify_green_ff` reads once per instance: (lhs, rhs, detail), each
-    side a Fraction."""
+    side a Fraction.  An instance whose dimensions do not add up, which
+    `verify_green_ff` refuses, has no splittings."""
     quiver = xi.quiver
     fids = (xi.fingerprint_id(), eta.fingerprint_id())
-    splits = verify._green_ff_splits(quiver, xi.dims, eta.dims, xi2.dims, eta2.dims)
+    splits = verify._green_ff_splits(quiver, xi.dims, eta.dims, xi2.dims, eta2.dims) or (0, ())
     lhs, rhs, n_lam, n_rhs = verify._green_ff_at_prime(
         quiver, xi, eta, xi2, eta2, p, BUDGET, fids, splits
     )
@@ -916,3 +941,121 @@ def test_green_degenerate_splitting_sum_matches_bulk(case):
     if verify._dims_sum(xi.dims, eta.dims) == verify._dims_sum(xi2.dims, eta2.dims):
         (term,) = verify.verify_green_degenerate_all(xi2, eta2, [(xi, eta)]).terms
         assert (term["lhs"], term["rhs"]) == oracle
+
+
+# ---------------------------------------------------------------------------
+# projectivizing at each prime against dividing the fitted polynomial
+# ---------------------------------------------------------------------------
+
+
+def grouped_by_fingerprint(entries, fp):
+    """{fp(key): (count, first key)} over the (key, count) entries with
+    count != 0, in first-seen order."""
+    out = {}
+    for key, c in entries:
+        if c:
+            c0, first = out.get(fp(key), (0, key))
+            out[fp(key)] = (c0 + c, first)
+    return out
+
+
+def fit_then_divide(counts, bound, floor):
+    """[(chi, first key)] for the groups of `counts(p)` ({group: (count,
+    key)}, counts undivided) whose fit, divided by q - 1
+    (`divide_by_q_minus_1`), is nonzero at q = 1, in first-seen order."""
+    keys = {}
+
+    def table(p):
+        out = {}
+        for group, (c, key) in counts(p).items():
+            out[group] = c
+            keys.setdefault(group, key)
+        return out
+
+    fits = qpoly.counting_table(table, bound, floor, 2)
+    chis = [(divide_by_q_minus_1(poly).at_one(), keys[group]) for group, poly in fits.items()]
+    return [(chi, key) for chi, key in chis if chi]
+
+
+def projectivized_both_ways(xi2, eta2):
+    """{part: (at the prime, reference)} for the Hom strata xi' -> eta' and
+    the nonsplit middles of Ext^1(xi', eta'): the (chi, key) lists of
+    `verify._euler_characteristics`, and of `fit_then_divide` over the
+    undivided counts with the zero map (coker eta', ker xi') taken out, or
+    the split middle xi' + eta' left out."""
+    floor = catalog.min_prime_for_symbols((xi2, eta2))
+    bounds = hom_and_ext_dims(xi2, eta2)
+
+    def hom_counts(p):
+        zero = (catalog.sort_classes(eta2.concrete_classes(p)),
+                catalog.sort_classes(xi2.concrete_classes(p)))
+        census = strata.hom_census(xi2.instantiate(p), eta2.instantiate(p), budget=BUDGET)
+        return grouped_by_fingerprint(
+            ((key, c - (key == zero)) for key, c in census.items()),
+            lambda key: tuple(map(fingerprint, key)),
+        )
+
+    def middle_counts(p):
+        census = strata.ext_middle_census(xi2.instantiate(p), eta2.instantiate(p), budget=BUDGET)
+        out = grouped_by_fingerprint(census.items(), fingerprint)
+        out.pop(merged_fingerprint(xi2.concrete_classes(p), eta2.concrete_classes(p)), None)
+        return out
+
+    parts = {
+        "hom": (verify._projective_hom_groups, hom_counts),
+        "middles": (verify._projective_middles, middle_counts),
+    }
+    return {
+        part: (
+            verify._euler_characteristics(
+                lambda p: at_prime(xi2, eta2, p, BUDGET), bound, floor, 2
+            ),
+            fit_then_divide(undivided, bound, floor),
+        )
+        for (part, (at_prime, undivided)), bound in zip(parts.items(), bounds)
+    }
+
+
+def hom_and_ext_dims(xi2, eta2):
+    """(dim Hom(xi', eta'), dim Ext^1(xi', eta')) at the operands' floor:
+    the degree bounds of the Hom strata and the middles."""
+    p0 = catalog.min_prime_for_symbols((xi2, eta2))
+    M1, M2 = xi2.instantiate(p0), eta2.instantiate(p0)
+    return rep.hom_dim(M1, M2), rep.ext1_dim(M1, M2)
+
+
+@st.composite
+def catalogue_pairs(draw):
+    """(xi', eta') splitting a small total dimension vector on A_3, D_4 with
+    its sink at vertex 4, or the Kronecker quiver with tube tags.  Degree
+    bounds above 4 are left out: their fits count p^5 maps or classes at
+    the eighth prime, 19, over the budget."""
+    quiver, totals = draw(st.sampled_from([(A3, A3_TOTALS), (D4_SINK, D4_TOTALS), (K, K_TOTALS)]))
+    pairs = symspace.split_pairs(quiver, draw(st.sampled_from(totals)))
+    return draw(st.sampled_from(pairs).filter(lambda pair: max(hom_and_ext_dims(*pair)) <= 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(catalogue_pairs())
+@example((sym("0"), sym("R(1,1)@1")))  # Hom from the zero module: nothing
+@example((sym("R(1,1)@0"), sym("R(1,1)@0")))  # one tube: End and a self-extension
+@example((sym("M[1,1,0]", A3), sym("M[0,0,1]+M[1,0,0]", A3)))  # one Hom group, one middle group
+def test_projectivizing_at_the_prime_matches_dividing_the_fit(pair):
+    """Dividing each count by p - 1 before the fit gives the chi and key
+    lists, order included, that fitting the undivided counts and dividing
+    the polynomial by q - 1 gives."""
+    for part, (got, want) in projectivized_both_ways(*pair).items():
+        assert got == want, part
+
+
+def test_projectivized_zero_map_and_one_middle_group():
+    # Kronecker (S_1, S_2): Hom(S_1, S_2) = 0, so the zero map is the only
+    # stratum and removing it leaves no Hom term.  The nonsplit middles are
+    # the p + 1 regular simples R_x, one fingerprint group of
+    # (p^2 - 1)/(p - 1) = p + 1 classes: chi(P^1) = 2, keyed by a regular
+    # simple of dimension (1, 1) (`test_green_projective_kronecker_table`).
+    both = projectivized_both_ways(sym("S1"), sym("S2"))
+    assert both["hom"] == ([], [])
+    got, want = both["middles"]
+    assert got == want and [chi for chi, _ in got] == [2]
+    assert catalog.fingerprint_id(got[0][1]) == sym("R(1,1)@0").fingerprint_id()
