@@ -615,10 +615,25 @@ def prime_admissible_for_tags(tags, p):
 
 
 def min_prime_for_tags(tags):
-    p = 2
-    while not prime_admissible_for_tags(tags, p):
-        p = next_prime(p)
-    return p
+    """The smallest prime p such that the tags stay distinct mod p and mod
+    every prime above it.  Two values collide mod p exactly when p divides
+    their difference, so this is one prime past the largest prime factor of
+    a difference.  The smallest admissible prime is not such a floor: tags
+    0 and 4 (values 0 and 3) split mod 2 and collide mod 3."""
+    largest = 1
+    for a, b in itertools.combinations(set(_finite_tag_values(tags)), 2):
+        largest = max(largest, _largest_prime_factor(abs(a - b)))
+    return next_prime(largest)
+
+
+def _largest_prime_factor(n):
+    """The largest prime factor of n >= 1 (1 for n = 1)."""
+    largest, d = 1, 2
+    while d * d <= n:
+        while n % d == 0:
+            largest, n = d, n // d
+        d += 1
+    return max(largest, n)
 
 
 def next_prime(p):

@@ -35,6 +35,7 @@ from hallchar.catalog import (
     module_from_class,
     next_prime,
     parse_symbol,
+    prime_admissible_for_tags,
     primes_from,
     sort_classes,
     translate_class,
@@ -366,6 +367,22 @@ def test_symbol_min_prime_and_admissibility():
     b = parse_symbol("R(1,1)@4", K)
     assert min_prime_for_symbols([a, b]) == 3
     assert min_prime_for_tags([1, 4]) == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(0, 30), max_size=5))
+@example({0, 4})  # values 0 and 3: split mod 2, collide mod 3
+def test_min_prime_for_tags_is_a_floor(tags):
+    # every prime from the floor on keeps the tags apart, and the prime
+    # just below the floor does not
+    floor = min_prime_for_tags(tags)
+    p = floor
+    while p < 50:
+        assert prime_admissible_for_tags(tags, p)
+        p = next_prime(p)
+    below = [q for q in range(2, floor) if next_prime(q - 1) == q]
+    if below:
+        assert not prime_admissible_for_tags(tags, below[-1])
 
 
 def test_symbol_direct_sum_shares_tags():

@@ -288,6 +288,8 @@ def kronecker_symbols(draw, cap=(3, 3)):
 @given(st.one_of(type_a_symbols(), kronecker_symbols()))
 # 5*S1 at the source of A_2: Gr_(2,0) closes at vertex 1 in closed form
 @example(catalog.ModuleSymbol(_orientation(2, [False]), [(("root", (1, 0)), 5)]))
+# tags 0 and 4 split mod 2 and collide mod 3: the sweep starts at 5
+@example(parse_symbol("R(1,1)@0+R(1,1)@4", K))
 def test_coefficient_quivers_agree_with_char_of_symbol(sym):
     X = cluster.char_by_coefficient_quivers(sym)
     assert X is not None
