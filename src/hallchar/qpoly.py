@@ -11,6 +11,10 @@ admissible prime.  The strategy throughout is
      bound or a non-polynomial family fails loudly, never silently),
   3. read off the Euler characteristic as f(1).
 
+Every fit goes through one memoized fit-and-check (`_fit`), keyed on the
+primes and the counts: two counts with equal vectors of values share one
+interpolation and one check, and each still adds 1 to VERIFIED_FITS.
+
 Projectivizations: when a set S is stable under the free scaling action
 of F_q^* away from 0 (e.g. nonzero extension classes), |P(S)| =
 (|S| - [0 in S])/(q - 1).  The callers divide by p - 1 at each prime,
@@ -23,6 +27,7 @@ import itertools
 import operator
 from fractions import Fraction
 
+from . import memo
 from .catalog import primes_from
 from .errors import ComputationError, NonIntegerCoefficients, VerificationMismatch
 
@@ -178,19 +183,34 @@ def _sweep_primes(degree_bound, min_prime, verify):
 def _fit_and_check(ps, ys, nfit, key=None):
     """The integral polynomial through the first `nfit` points (ps, ys),
     checked on the remaining ones; every checked fit adds 1 to
-    VERIFIED_FITS.  `key` names the table entry in the error message."""
+    VERIFIED_FITS, once per call even where the fit itself is shared.
+    `key` names the table entry in the error message."""
     global VERIFIED_FITS
+    try:
+        poly = _fit(ps, ys, nfit)
+    except VerificationMismatch as exc:
+        if key is None:
+            raise
+        raise VerificationMismatch(f"{exc}, for key {key}") from None
+    if len(ps) > nfit:
+        VERIFIED_FITS += 1
+    return poly
+
+
+@memo.memoized(lambda ps, ys, nfit: (ps, ys, nfit))
+def _fit(ps, ys, nfit):
+    """The integral polynomial through the first `nfit` points, checked on
+    the rest, memoized on the tuples `ps` and `ys`: table keys with equal
+    count vectors share one fit and one check.  A vector that fails its
+    check stores nothing and raises again."""
     poly = lagrange_integer(ps[:nfit], ys[:nfit])
     for p, y in zip(ps[nfit:], ys[nfit:]):
         got = poly(p)
         if got != y:
-            entry = "" if key is None else f" for key {key}"
             raise VerificationMismatch(
-                f"counting polynomial {poly}{entry} predicts {got} at p={p}, "
+                f"counting polynomial {poly} predicts {got} at p={p}, "
                 f"but the exact count is {y}"
             )
-    if len(ps) > nfit:
-        VERIFIED_FITS += 1
     return poly
 
 
@@ -205,7 +225,7 @@ def counting_polynomial(count_fn, degree_bound, min_prime=2, verify=2):
     family the caller believed it to be.
     """
     ps = _sweep_primes(degree_bound, min_prime, verify)
-    return _fit_and_check(ps, [count_fn(p) for p in ps], degree_bound + 1)
+    return _fit_and_check(ps, tuple(count_fn(p) for p in ps), degree_bound + 1)
 
 
 def counting_table(count_fn, degree_bound, min_prime=2, verify=2):
@@ -214,13 +234,15 @@ def counting_table(count_fn, degree_bound, min_prime=2, verify=2):
     `count_fn(p)` returns a dict {key: exact count over F_p}.  Each key's
     count is fitted to its own polynomial (keys absent from a prime's
     table count as 0 there) and checked on `verify` extra primes, exactly
-    as in counting_polynomial.  Returns {key: QPolynomial} with the keys in
+    as in counting_polynomial; keys with equal count vectors share that
+    fit, and a vector that fails raises at the first key that reads it,
+    naming that key.  Returns {key: QPolynomial} with the keys in
     the order first seen, prime by prime, so no order follows a key hash.
     """
     ps = _sweep_primes(degree_bound, min_prime, verify)
     tables = [count_fn(p) for p in ps]
     return {
-        key: _fit_and_check(ps, [t.get(key, 0) for t in tables], degree_bound + 1, key)
+        key: _fit_and_check(ps, tuple(t.get(key, 0) for t in tables), degree_bound + 1, key)
         for key in dict.fromkeys(itertools.chain.from_iterable(tables))
     }
 

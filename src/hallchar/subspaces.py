@@ -567,11 +567,13 @@ def census_view(M, e, budget, classes):
 
 @memo.memoized(lambda M, e, budget, classes: (M.quiver.key, M.p, classes, e))
 def _census_view(M, e, budget, classes):
+    charge, census = _class_census(M, tuple(map(int, e)), budget, classes)
+    _check_budget(charge, budget)
     out = {}
-    for (quot, sub), c in hall_census(M, e, budget=budget, key_classes=classes).items():
+    for (quot, sub), c in census.items():
         key = (catalog.fingerprint_id(quot), catalog.fingerprint_id(sub))
         out[key] = out.get(key, 0) + c
-    return _class_census(M, e, budget, classes)[0], out
+    return charge, out
 
 
 def _check_budget(charge, budget):

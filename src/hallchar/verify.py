@@ -283,11 +283,6 @@ def _euler_characteristics(count_fn, bound, min_prime, verify):
     return [(chi, keys[group]) for group, poly in table.items() if (chi := poly.at_one())]
 
 
-def _max_sub_degree_any(dims):
-    """Degree bound over all subdimension vectors: sum_i floor(d_i^2 / 4)."""
-    return sum((int(d) * int(d)) // 4 for d in dims)
-
-
 def _ext_dim_bound(quiver, a, b):
     """dim Ext^1(A, B) <= dim Hom bound - <a, b> from heredity."""
     hom_bound = sum(int(x) * int(y) for x, y in zip(a, b))
@@ -600,12 +595,18 @@ def _green_degenerate_table(xi2, eta2, pairs, budget, verify):
     polynomials, one pair per requested (xi, eta) in input order, from one
     interpolation sweep keyed by the fingerprint ids of (xi, eta).
 
-    At each prime the LHS reads the census view of L = xi' + eta' at each
-    requested dim eta, and the RHS sums Green's splittings at each
-    requested (dim xi, dim eta) (`_splittings`), keyed by the fingerprint
-    ids of gam + alp and delt + bet.  Only requested keys are kept and fitted;
-    a key that counts 0 at every prime, such as any pair with dim xi +
-    dim eta != dim L, reads as the zero polynomial.
+    At each prime the LHS reads the Hall census of L = xi' + eta' at each
+    requested dim eta and adds each entry under the fingerprint ids of its
+    (quotient, sub), with no census view stored, and the RHS sums Green's
+    splittings at each requested (dim xi, dim eta) (`_splittings`), keyed
+    by the fingerprint ids of gam + alp and delt + bet.  Only requested
+    keys are kept and fitted; a key that counts 0 at every prime, such as
+    any pair with dim xi + dim eta != dim L, reads as the zero polynomial.
+
+    The degree bound is the largest Grassmannian bound of L at a requested
+    dim eta.  It bounds the RHS as well: a splitting at (e', e'') counts
+    c1 c2 with deg c1 + deg c2 <= sum e'(x - e') + e''(y - e''), and
+    (e' + e'')(x + y - e' - e'') exceeds that by e'(y - e'') + e''(x - e').
     """
     L = xi2.direct_sum(eta2)
     fps = [(xi.fingerprint_id(), eta.fingerprint_id()) for xi, eta in pairs]
@@ -618,18 +619,17 @@ def _green_degenerate_table(xi2, eta2, pairs, budget, verify):
         out = {}
         M, M_classes = L.instantiate(p), L.concrete_classes(p)
         for e in eta_dims:
-            for fids, c in subspaces.census_view(M, e, budget, M_classes).items():
-                out["lhs", *fids] = c
+            census = subspaces.hall_census(M, e, budget=budget, key_classes=M_classes)
+            for (quot, sub), c in census.items():
+                key = ("lhs", catalog.fingerprint_id(quot), catalog.fingerprint_id(sub))
+                out[key] = out.get(key, 0) + c
         cls, mods = _materialize(p, xi2=xi2, eta2=eta2)
         for (gam, delt, alp, bet), c, _, _ in _splittings(cls, mods, splits, budget):
             key = ("rhs", _merge_fp(gam, alp), _merge_fp(delt, bet))
             out[key] = out.get(key, 0) + c
         return {key: c for key, c in out.items() if key[1:] in wanted}
 
-    bound = max(
-        [cluster.grassmannian_degree_bound(L.dims, e) for e in eta_dims]
-        + [_max_sub_degree_any(xi2.dims) + _max_sub_degree_any(eta2.dims)]
-    )
+    bound = max((cluster.grassmannian_degree_bound(L.dims, e) for e in eta_dims), default=0)
     symbols = [xi2, eta2, *itertools.chain.from_iterable(pairs)]
     min_prime = catalog.min_prime_for_symbols(symbols)
     table = qpoly.counting_table(counts, bound, min_prime, verify)

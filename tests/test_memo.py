@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hallchar
-from hallchar import catalog, cluster, memo, rep, strata, subspaces, symspace, verify
+from hallchar import catalog, cluster, memo, qpoly, rep, strata, subspaces, symspace, verify
 from hallchar.errors import BudgetExceeded, OutsideCatalog, VerificationMismatch
 from hallchar.quiver import kronecker_quiver, linear_quiver
 
@@ -35,6 +35,7 @@ TABLES = {
     "catalog.primes_from",
     "catalog.check_primes",
     "quiver._positive_roots",
+    "qpoly._fit",
     "subspaces._echelon_table",
     "subspaces._rank_distribution",
     "subspaces._class_census",
@@ -65,6 +66,7 @@ def _fill_every_table():
     cluster.char_by_coefficient_quivers(catalog.parse_symbol("S1", A2))
     symspace.random_symbol(A2, np.random.default_rng(0), (1, 1))
     verify._merge_fp(classes, classes)
+    qpoly.counting_polynomial(lambda q: q + 1, 1)
     S1_sym = catalog.parse_symbol("S1", A2)
     S2_sym = catalog.parse_symbol("S2", A2)
     verify.verify_green_ff(S1_sym, S2_sym, S1_sym, S2_sym, primes=[p])
@@ -118,10 +120,33 @@ def test_failed_calls_raise_every_time_and_store_nothing(case, monkeypatch):
     memo.clear()
 
 
+def _module_containers():
+    """{"module.name": len} for every module-level dict, list or set of
+    the package other than the memo registry `memo.TABLES`."""
+    out = {}
+    for info in pkgutil.iter_modules(hallchar.__path__):
+        module = importlib.import_module(f"hallchar.{info.name}")
+        for name, value in vars(module).items():
+            if name.startswith("__") or (module is memo and name == "TABLES"):
+                continue
+            if isinstance(value, (dict, list, set)):
+                out[f"{info.name}.{name}"] = len(value)
+    return out
+
+
+_CONTAINERS_AT_IMPORT = _module_containers()
+
+
 def test_no_module_level_cache_dicts():
+    """Every cache is a memo table: no module-level dict, list or set
+    grows while every table is filled, whatever its name."""
     for info in pkgutil.iter_modules(hallchar.__path__):
         module = importlib.import_module(f"hallchar.{info.name}")
         assert [name for name in vars(module) if name.endswith("_CACHE")] == []
+    assert set(_CONTAINERS_AT_IMPORT) == {"cli._COMMANDS", "quiver._PRESETS"}
+    memo.clear()
+    _fill_every_table()
+    assert _module_containers() == _CONTAINERS_AT_IMPORT
 
 
 def test_only_catalog_computes_fingerprints():

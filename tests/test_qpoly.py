@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hallchar import memo, qpoly
 from hallchar.errors import NonIntegerCoefficients, VerificationMismatch
 from hallchar.qpoly import (
     QPolynomial,
@@ -131,6 +132,43 @@ def test_counting_table_keys_in_first_seen_order():
     table = counting_table(lambda p: tables[p], 1, verify=1)
     assert list(table) == ["b", "a", "c"]
     assert [f.coeffs for f in table.values()] == [(1,), (2,), ()]
+
+
+def test_equal_count_vectors_share_one_fit():
+    # "a" and "c" count the same at every prime: one fit serves both, and
+    # each still counts as a verified fit
+    memo.clear()
+    tables = {p: {"a": p + 1, "b": 2, "c": p + 1} for p in (2, 3, 5, 7)}
+    before = qpoly.VERIFIED_FITS
+    table = counting_table(lambda p: tables[p], 1)
+    assert qpoly.VERIFIED_FITS - before == 3
+    assert table["a"] is table["c"] and table["a"].coeffs == (1, 1)
+    assert len(memo.TABLES["qpoly._fit"]) == 2
+    assert counting_polynomial(lambda p: p + 1, 1) is table["a"]
+    assert qpoly.VERIFIED_FITS - before == 4
+
+
+@pytest.mark.parametrize(
+    "count, bound, error",
+    [
+        (lambda p: p if p <= 3 else p + 1, 1, VerificationMismatch),  # misses p = 5
+        (lambda p: {2: 0, 3: 1, 5: 0}.get(p, 0), 2, NonIntegerCoefficients),
+    ],
+)
+def test_failed_count_vector_raises_at_every_key_and_stores_nothing(count, bound, error):
+    """A vector that fails stores no fit: every table key that reads it
+    raises again, and a held-out miss names the key that read it."""
+    memo.clear()
+    before = qpoly.VERIFIED_FITS
+    for key in ("first", "second"):
+        with pytest.raises(error) as info:
+            counting_table(lambda p: {key: count(p)}, bound)
+        if error is VerificationMismatch:
+            assert f"for key {key}" in str(info.value)
+        with pytest.raises(error):
+            counting_polynomial(count, bound)
+    assert not memo.TABLES["qpoly._fit"]
+    assert qpoly.VERIFIED_FITS == before
 
 
 def test_counting_polynomial_min_prime():

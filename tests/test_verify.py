@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -723,6 +724,11 @@ def _split_entries_oracle(cls, mods):
     return out
 
 
+def max_sub_degree_any(dims):
+    """Degree bound over all subdimension vectors: sum_i floor(d_i^2 / 4)."""
+    return sum((int(d) * int(d)) // 4 for d in dims)
+
+
 def green_degenerate_oracle(xi, eta, xi2, eta2):
     """(lhs, rhs) of the degenerate Green identity at q = 1 for one tuple:
     the Hall census of L = xi' + eta' at dim eta alone, and Green's
@@ -743,7 +749,7 @@ def green_degenerate_oracle(xi, eta, xi2, eta2):
 
     bound = max(
         cluster.grassmannian_degree_bound(L.dims, eta.dims),
-        verify._max_sub_degree_any(xi2.dims) + verify._max_sub_degree_any(eta2.dims),
+        max_sub_degree_any(xi2.dims) + max_sub_degree_any(eta2.dims),
     )
     min_prime = max(s.min_prime() for s in (xi, eta, xi2, eta2))
     table = qpoly.counting_table(counts, bound, min_prime, 2)
@@ -941,6 +947,48 @@ def test_green_degenerate_splitting_sum_matches_bulk(case):
     if verify._dims_sum(xi.dims, eta.dims) == verify._dims_sum(xi2.dims, eta2.dims):
         (term,) = verify.verify_green_degenerate_all(xi2, eta2, [(xi, eta)]).terms
         assert (term["lhs"], term["rhs"]) == oracle
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(
+    green_tuples(A3, A3_TOTALS),
+    green_tuples(K, K_TOTALS),
+    green_tuples(D4_SINK, D4_TOTALS),
+))
+def test_green_degenerate_bound_fits_the_table_of_the_wider_bound(case):
+    """The degenerate table is fitted under the largest Grassmannian bound
+    of L at a requested dim eta; refitting its counts under the bound that
+    also takes sum floor(d^2 / 4) over xi' and over eta' gives the same
+    table, key by key and in the same order."""
+    xi, eta, xi2, eta2, _ = case
+    sweeps = []
+    counting_table = qpoly.counting_table
+
+    def spy(count_fn, bound, min_prime, verify_primes):
+        table = counting_table(count_fn, bound, min_prime, verify_primes)
+        sweeps.append((count_fn, bound, min_prime, table))
+        return table
+
+    with mock.patch.object(qpoly, "counting_table", spy):
+        verify._green_degenerate_table(xi2, eta2, [(xi, eta)], BUDGET, 2)
+    ((count_fn, bound, min_prime, table),) = sweeps
+    L = xi2.direct_sum(eta2)
+    admissible = verify._dims_sum(xi.dims, eta.dims) == L.dims
+    assert bound == (cluster.grassmannian_degree_bound(L.dims, eta.dims) if admissible else 0)
+    wider = max(bound, max_sub_degree_any(xi2.dims) + max_sub_degree_any(eta2.dims))
+    assert list(table.items()) == list(counting_table(count_fn, wider, min_prime, 2).items())
+
+
+def test_green_degenerate_table_stores_no_census_view():
+    """The degenerate table reads the Hall census of L = xi' + eta' and
+    groups it as it reads: no census view of L is stored."""
+    memo.clear()
+    xi2, eta2 = sym("M[1,1]", A2), sym("S2", A2)
+    verify.verify_green_degenerate_all(xi2, eta2, symspace.split_pairs(A2, (1, 2)))
+    L = xi2.direct_sum(eta2)
+    classes = {L.concrete_classes(p) for p in catalog.primes_from(2, 8)}
+    assert any(key[2] in classes for key in memo.TABLES["subspaces._class_census"])
+    assert not [key for key in memo.TABLES["subspaces._census_view"] if key[2] in classes]
 
 
 # ---------------------------------------------------------------------------
