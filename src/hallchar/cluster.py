@@ -56,7 +56,6 @@ __all__ = [
     "projective_top_exponent",
     "socle_monomial",
     "top_monomial",
-    "char_of_shifted_projective",
     "CharTable",
 ]
 
@@ -139,7 +138,8 @@ def char_by_strata(sym, budget=DEFAULT_SUBSPACE_BUDGET, verify=2):
 
     For each subdimension vector e the census of subrepresentations is
     grouped by the fingerprint of (quotient class, sub class)
-    (`subspaces.census_view`); each group's count is interpolated as its
+    (`subspaces.census_view`, kept in the census' own memo entry); each
+    group's count is interpolated as its
     own polynomial in q and evaluated at 1, so chi(Gr_e) is assembled
     stratum by stratum instead of from whole-space point counts.
     """
@@ -337,15 +337,6 @@ def socle_monomial(quiver, classes):
 def top_monomial(quiver, classes):
     """x^(dim top P) for a projective decomposition."""
     return LaurentPoly.monomial(projective_top_exponent(quiver, classes))
-
-
-def char_of_shifted_projective(mults):
-    """Character x^m of the shifted projective P[1], P = + P(v)^{m_v}.
-
-    In the cluster category the object P[1] has character x^(dim top P),
-    and dim top P is exactly the multiplicity vector m.
-    """
-    return LaurentPoly.monomial(tuple(int(x) for x in mults))
 
 
 # ---------------------------------------------------------------------------

@@ -62,10 +62,6 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
-    def eval_at_ones(self):
-        """Value at x_1 = ... = x_n = 1 (the sum of coefficients)."""
-        return sum(self.terms.values())
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -15,8 +15,9 @@ key function decides what identifies a result; arguments such as
 correct result, are left out of it.  Where a hit would skip a check or a
 `BudgetExceeded` that a fresh call makes, the key holds them
 (`cluster.chi_grassmannian`), the entry stores its charge and every hit
-checks it again (the Hall census, `census_view` and the Ext census), or
-the caller checks first (`subspaces.grassmannian_count`).  A call that
+checks it again (the Hall census, which `hall_census` and `census_view`
+read from one entry, and the Ext census), or the caller checks first
+(`subspaces.grassmannian_count`).  A call that
 raises stores nothing, so it raises again on every call.  Results are
 shared between callers, who must not mutate them.
 

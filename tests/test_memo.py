@@ -39,11 +39,9 @@ TABLES = {
     "subspaces._echelon_table",
     "subspaces._rank_distribution",
     "subspaces._class_census",
-    "subspaces._census_view",
     "strata._ext_census",
     "cluster.chi_grassmannian",
     "cluster._atom_subset_counts",
-    "symspace._symbol_pool",
     "verify._merge_fp",
     "verify._green_ff_lhs",
     "verify._green_ff_middles",
@@ -64,7 +62,7 @@ def _fill_every_table():
     strata.ext_middle_census(S1, S2)
     cluster.chi_grassmannian(catalog.parse_symbol("S1", A2), (1, 0))
     cluster.char_by_coefficient_quivers(catalog.parse_symbol("S1", A2))
-    symspace.random_symbol(A2, np.random.default_rng(0), (1, 1))
+    A2.positive_roots()
     verify._merge_fp(classes, classes)
     qpoly.counting_polynomial(lambda q: q + 1, 1)
     S1_sym = catalog.parse_symbol("S1", A2)

@@ -135,11 +135,12 @@ def acyclic_quivers_and_vectors(draw):
 
 @given(acyclic_quivers_and_vectors())
 def test_path_counts_invert_the_euler_matrix(qd):
-    """E C = I for E = I - A and C = `path_counts()`, the matrix the
-    Coxeter matrix is built from; then (dim P(i)) Phi = -dim I(i) and
-    Phi^{-1} inverts Phi."""
+    """E C = I for E = I - A and C the path counts (row i = dim P(i)),
+    the matrix the Coxeter matrix is built from; then (dim P(i)) Phi =
+    -dim I(i) and Phi^{-1} inverts Phi."""
     Q, d = qd
-    E, C = np.array(Q.euler_matrix), np.array(Q.path_counts())
+    E = np.array(Q.euler_matrix)
+    C = np.array([Q.projective_dim(i) for i in range(Q.n)])
     assert np.array_equal(E @ C, np.eye(Q.n, dtype=E.dtype))
     for i in range(Q.n):
         assert Q.coxeter(Q.projective_dim(i)) == tuple(-x for x in Q.injective_dim(i))
@@ -283,10 +284,10 @@ def test_load_quiver_presets_and_file(tmp_path):
 
 def test_path_counts():
     Q = linear_quiver(3)
-    pc = Q.path_counts()
+    pc = [Q.projective_dim(i) for i in range(Q.n)]
     # paths include length-0; 1->3 has exactly one path through 2
     assert pc[0][2] == 1
     assert pc[0][0] == 1
     assert pc[2][0] == 0
     K = kronecker_quiver()
-    assert K.path_counts()[0][1] == 2
+    assert K.projective_dim(0)[1] == 2

@@ -881,7 +881,8 @@ def test_split_census_keeps_the_walk_order():
         label = subspaces._support_labels(M)
         out = subspaces._split_census(M, e, label)
         assert (out is not None) == split
-        assert all(len(census) > 1 for _, census in memo.TABLES["subspaces._class_census"].values())
+        entries = memo.TABLES["subspaces._class_census"].values()
+        assert all(len(census) > 1 for _, census, _ in entries)
         memo.clear()
         want = _items(hall_census_oracle(M, e))
         memo.clear()
@@ -1250,6 +1251,44 @@ def test_census_memo_hit_checks_the_budget(entry, monkeypatch):
         monkeypatch.setattr(subspaces, "_census", None)  # a miss would fail
         assert call(e, charge) is stored
         monkeypatch.undo()
+
+
+def test_hall_census_and_census_view_share_one_entry():
+    """`hall_census` and `census_view` of one (class, e, p) read one
+    `_class_census` entry, whose view is its census grouped by the
+    fingerprint ids of (quotient, sub): after either read the other adds
+    no entry to any memo table, and an over-budget hit raises the same
+    BudgetExceeded from both.  On 2*S2 + P1 over A_3 at p = 3 the census
+    at e = (0, 1, 1) is charged 13."""
+    p, e = 3, (0, 1, 1)
+    M = catalog.parse_symbol("2*S2 + P1", A3).instantiate(p)
+    reads = {
+        "hall_census": lambda classes, budget: subspaces.hall_census(M, e, budget, classes),
+        "census_view": lambda classes, budget: subspaces.census_view(M, e, budget, classes),
+    }
+    for first, second in [("hall_census", "census_view"), ("census_view", "hall_census")]:
+        memo.clear()
+        classes = catalog.decompose(M)
+        reads[first](classes, subspaces.DEFAULT_SUBSPACE_BUDGET)
+        sizes = {name: len(table) for name, table in memo.TABLES.items()}
+        reads[second](classes, subspaces.DEFAULT_SUBSPACE_BUDGET)
+        assert {name: len(table) for name, table in memo.TABLES.items()} == sizes
+        charge, census, view = memo.TABLES["subspaces._class_census"][(A3.key, p, classes, e)]
+        assert charge == 13
+        assert reads["hall_census"](classes, charge) is census
+        assert reads["census_view"](classes, charge) is view
+        grouped = {}
+        for (quot, sub), c in census.items():
+            key = (catalog.fingerprint_id(quot), catalog.fingerprint_id(sub))
+            grouped[key] = grouped.get(key, 0) + c
+        assert list(view.items()) == list(grouped.items())
+        messages = []
+        for read in reads.values():
+            with pytest.raises(BudgetExceeded) as hit:
+                read(classes, charge - 1)
+            messages.append(str(hit.value))
+        assert messages == ["subspace search space 13 exceeds budget 12"] * 2
+        assert {name: len(table) for name, table in memo.TABLES.items()} == sizes
 
 
 @pytest.mark.parametrize(

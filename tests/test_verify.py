@@ -684,8 +684,8 @@ def hall_fp_rescan(M, quot_fpr, sub_fpr, e, key_classes=None):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_census_view_matches_rescan(data):
-    """`verify._hall_fp` reads one entry of the fingerprint-keyed census
-    view; on random A_3 modules it equals the rescan, for the pairs in the
+    """One entry of `subspaces.census_view`, the fingerprint-keyed census
+    view, equals the rescan on random A_3 modules, for the pairs in the
     census, for pairs of symbols of the right dimensions and out of range."""
     p = data.draw(st.sampled_from([2, 3]), label="p")
     dims = data.draw(st.tuples(*[st.integers(0, 2)] * 3), label="dims")
@@ -705,11 +705,9 @@ def test_census_view_matches_rescan(data):
     else:
         pairs.append((fingerprint(catalog.decompose(M)), ((), ())))
     for quot_fpr, sub_fpr in pairs:
-        view = verify._hall_fp(
-            M, catalog._fingerprint_id(quot_fpr), catalog._fingerprint_id(sub_fpr),
-            e, BUDGET, key_classes,
-        )
-        assert view == hall_fp_rescan(M, quot_fpr, sub_fpr, e, key_classes)
+        view = subspaces.census_view(M, e, BUDGET, key_classes or catalog.decompose(M))
+        fids = (catalog._fingerprint_id(quot_fpr), catalog._fingerprint_id(sub_fpr))
+        assert view.get(fids, 0) == hall_fp_rescan(M, quot_fpr, sub_fpr, e, key_classes)
 
 
 def _split_entries_oracle(cls, mods):
@@ -979,16 +977,34 @@ def test_green_degenerate_bound_fits_the_table_of_the_wider_bound(case):
     assert list(table.items()) == list(counting_table(count_fn, wider, min_prime, 2).items())
 
 
-def test_green_degenerate_table_stores_no_census_view():
-    """The degenerate table reads the Hall census of L = xi' + eta' and
-    groups it as it reads: no census view of L is stored."""
+def test_green_degenerate_left_side_reads_the_census_entry_view():
+    """The degenerate table's left side reads `census_view` of L = xi' +
+    eta' at each requested dim eta, and the view it reads is the one held
+    in L's `_class_census` entry: no memo table of views exists."""
     memo.clear()
     xi2, eta2 = sym("M[1,1]", A2), sym("S2", A2)
-    verify.verify_green_degenerate_all(xi2, eta2, symspace.split_pairs(A2, (1, 2)))
+    pairs = symspace.split_pairs(A2, (1, 2))
     L = xi2.direct_sum(eta2)
-    classes = {L.concrete_classes(p) for p in catalog.primes_from(2, 8)}
-    assert any(key[2] in classes for key in memo.TABLES["subspaces._class_census"])
-    assert not [key for key in memo.TABLES["subspaces._census_view"] if key[2] in classes]
+    reads = []
+    real = subspaces.census_view
+
+    def spy(M, e, budget, classes):
+        view = real(M, e, budget, classes)
+        if classes == L.concrete_classes(M.p):
+            reads.append((M.p, e, view))
+        return view
+
+    with mock.patch.object(subspaces, "census_view", spy):
+        verify.verify_green_degenerate_all(xi2, eta2, pairs)
+    assert not [name for name in memo.TABLES if "view" in name]
+    entries = memo.TABLES["subspaces._class_census"]
+    primes = {p for p, _, _ in reads}
+    assert len(primes) > 1
+    for p in primes:
+        for e in {eta.dims for _, eta in pairs}:
+            entry = entries[(A2.key, p, L.concrete_classes(p), e)]
+            views = [view for q, f, view in reads if (q, f) == (p, e)]
+            assert views and all(view is entry[2] for view in views)
 
 
 # ---------------------------------------------------------------------------
